@@ -17,6 +17,7 @@ QR decomposition of the unnormalized score matrix so that correlated
 components are not double counted.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -505,57 +506,66 @@ def _check_grid(lambda_grid, required):
 
 
 class _MissingState:
-    """Per-function sparse operators for one observation set."""
+    """Per-function sparse operators for one observation set.
+
+    `psi_stack` stacks the per-function location matrices row-wise, and
+    `counts` holds each function's observation count, so the weighted
+    data block is a single sparse product.
+    """
 
     def __init__(self, obs: ObservationSet, ops: FemOperators):
         mesh = ops.mesh
         self.ops = ops
         self.psis = []
         self.values = []
-        self.grams = []
         for locs, vals in obs.functions:
-            psi_i = _location_matrix(mesh, locs)
-            self.psis.append(psi_i)
+            self.psis.append(_location_matrix(mesh, locs))
             self.values.append(vals)
-            self.grams.append((psi_i.T @ psi_i).tocsr())
+        self._stack_psis()
         # Column i accumulates function i's observations onto vertices.
         self.d_matrix = np.stack(
             [psi_i.T @ vals for psi_i, vals in zip(self.psis, self.values)],
             axis=1,
         )
         self.xnorm2 = float(sum(float(v @ v) for v in self.values))
-        self.total_observations = int(sum(v.shape[0] for v in self.values))
+
+    def _stack_psis(self):
+        self.psi_stack = sparse.vstack(self.psis, format="csr")
+        self.psi_stack_t = self.psi_stack.T.tocsr()
+        self.counts = np.array([psi_i.shape[0] for psi_i in self.psis])
+        self.total_observations = int(self.counts.sum())
 
     @property
     def n(self):
         return len(self.values)
 
     def subset(self, rows):
-        state = object.__new__(_MissingState)
-        state.ops = self.ops
+        state = copy.copy(self)
         state.psis = [self.psis[i] for i in rows]
         state.values = [self.values[i] for i in rows]
-        state.grams = [self.grams[i] for i in rows]
+        state._stack_psis()
         state.d_matrix = self.d_matrix[:, rows]
         state.xnorm2 = float(sum(float(v @ v) for v in state.values))
-        state.total_observations = int(sum(v.shape[0] for v in state.values))
         return state
 
     def weighted_gram(self, u):
-        total = (u[0] ** 2) * self.grams[0]
-        for i in range(1, len(self.grams)):
-            total = total + (u[i] ** 2) * self.grams[i]
-        return total
+        """Sum over functions of u_i^2 psi_i' psi_i, as one product
+        psi_stack' diag(repeat(u^2, counts)) psi_stack."""
+        stack = self.psi_stack
+        weights = np.repeat(np.asarray(u) ** 2, self.counts)
+        scaled = sparse.csr_matrix(
+            (stack.data * np.repeat(weights, np.diff(stack.indptr)),
+             stack.indices, stack.indptr),
+            shape=stack.shape,
+        )
+        return (self.psi_stack_t @ scaled).tocsr()
 
     def deflated(self, component):
         # Subtract each function's share of the fitted component at its
         # own observation points (columnwise projection is unavailable
         # without a common grid).
         f_unnorm = component.function_norm * component.f_coefficients
-        new = object.__new__(_MissingState)
-        new.ops = self.ops
-        new.psis = self.psis
-        new.grams = self.grams
+        new = copy.copy(self)
         new.values = [
             vals - component.scores[i] * (psi_i @ f_unnorm)
             for i, (psi_i, vals) in enumerate(zip(self.psis, self.values))
@@ -565,7 +575,6 @@ class _MissingState:
             axis=1,
         )
         new.xnorm2 = float(sum(float(v @ v) for v in new.values))
-        new.total_observations = self.total_observations
         return new
 
 
@@ -603,6 +612,7 @@ def _fit_component_missing(state, lam, ops, max_iterations, tolerance):
     trace = []
     f_prev = None
     f = g = None
+    system = None
     for it in range(max(1, max_iterations)):
         if it > 0:
             d = state.d_matrix.T @ f
@@ -610,13 +620,25 @@ def _fit_component_missing(state, lam, ops, max_iterations, tolerance):
             if nrm == 0.0:
                 raise DegenerateData("all score inner products vanished")
             u = d / nrm
-        system = solver.build(ops, state.weighted_gram(u), lam)
-        f, g = system.solve(state.d_matrix @ u)
+        gram = state.weighted_gram(u)
+        rhs = state.d_matrix @ u
+        # The data block moves only through u, so the first alternation's
+        # factorization preconditions every later solve; a new one is
+        # made only when refinement against it fails to converge.
+        solution = None
+        if system is not None:
+            solution = system.solve_with_block(gram, rhs, (f, g))
+        if solution is None:
+            system = solver.build(ops, gram, lam)
+            solution = system.solve(rhs)
+        f, g = solution
         pen = penalty_value(g, ops)
-        fit_term = state.xnorm2 - 2.0 * float(u @ (state.d_matrix.T @ f))
-        for i, psi_i in enumerate(state.psis):
-            ev = psi_i @ f
-            fit_term += (u[i] ** 2) * float(ev @ ev)
+        # sum_i u_i^2 ||psi_i f||^2 is f' gram f
+        fit_term = (
+            state.xnorm2
+            - 2.0 * float(u @ (state.d_matrix.T @ f))
+            + float(f @ (gram @ f))
+        )
         # The printed score update is not the exact constrained minimizer
         # when observation counts differ, so the trace is recorded but
         # not asserted monotone here.
@@ -651,6 +673,12 @@ def fit_missing(
     (every function observed at every location) the weighted block
     collapses to psi' psi because the scores have unit norm, and the
     result coincides with `fit` up to roundoff.
+
+    The data block moves with the scores, so each component fit factors
+    its system once, on the first alternation, and solves every later
+    alternation by iterative refinement preconditioned with that
+    factorization; when refinement does not converge within its step
+    budget, the system is factored anew for the current scores.
 
     No centering is applied: a columnwise mean is undefined for ragged
     observations, so callers wanting centered behavior must center

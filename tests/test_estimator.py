@@ -21,6 +21,7 @@ from smfpca import (
     score_step,
     vertex_locations,
 )
+from smfpca import estimator, solver
 from smfpca.estimator import data_gram
 from smfpca.synth import generate_sphere_dataset, sphere_pc_functions
 
@@ -383,6 +384,65 @@ def test_fit_missing_single_observation_function(ops1):
         obs, 1, [1e-3], ops1, selection="fixed", fixed_lambda=1e-3
     )
     assert np.isfinite(result.components[0].scores).all()
+
+
+def masked_observations(ops, n, seed):
+    ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.1, seed)
+    values = ds.X.values.copy()
+    values[np.random.default_rng(seed).random(values.shape) < 0.2] = np.nan
+    return ObservationSet.from_masked(values, vertex_locations(ops.mesh))
+
+
+def test_fit_missing_factors_once_per_component_fit(ops2, monkeypatch):
+    counts = {"fits": 0, "iterations": 0, "factorizations": 0, "fallbacks": 0}
+    fit_one = estimator._fit_component_missing
+    factor = solver.SaddleSystem.__init__
+    refine = solver.SaddleSystem.solve_with_block
+
+    def counting_fit(*args):
+        counts["fits"] += 1
+        component = fit_one(*args)
+        counts["iterations"] += component.iterations
+        return component
+
+    def counting_factor(self, *args):
+        counts["factorizations"] += 1
+        factor(self, *args)
+
+    def counting_refine(self, *args):
+        solution = refine(self, *args)
+        counts["fallbacks"] += solution is None
+        return solution
+
+    monkeypatch.setattr(estimator, "_fit_component_missing", counting_fit)
+    monkeypatch.setattr(solver.SaddleSystem, "__init__", counting_factor)
+    monkeypatch.setattr(solver.SaddleSystem, "solve_with_block", counting_refine)
+    obs = masked_observations(ops2, 15, 27)
+    fit_missing(obs, 2, [1e-4, 1e-2, 1.0], ops2, selection="kfold", folds=3)
+    assert counts["fits"] == 2 * (3 * 3 + 1)
+    assert counts["iterations"] > 3 * counts["fits"]
+    # one factorization per fit, plus one per refinement that ran out of
+    # steps (a single early alternation here needs 13)
+    assert counts["fallbacks"] <= 1
+    assert counts["factorizations"] == counts["fits"] + counts["fallbacks"]
+
+
+def test_fit_missing_reuse_matches_refactoring(ops2, monkeypatch):
+    obs = masked_observations(ops2, 15, 28)
+
+    def run():
+        return fit_missing(
+            obs, 2, [1e-3], ops2, selection="fixed", fixed_lambda=1e-3
+        )
+
+    reused = run()
+    # no refinement steps: every alternation factors its own system
+    monkeypatch.setattr(solver, "_REFINE_STEPS", 0)
+    refactored = run()
+    for a, b in zip(reused.components, refactored.components):
+        assert a.iterations == b.iterations > 1
+        np.testing.assert_allclose(a.f_coefficients, b.f_coefficients, atol=1e-10)
+        np.testing.assert_allclose(a.scores, b.scores, atol=1e-10)
 
 
 def test_fit_missing_rejects_gcv(ops1):

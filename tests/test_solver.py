@@ -116,6 +116,54 @@ def test_solve_many_matches_repeated_solve(ops1):
         np.testing.assert_array_equal(G[:, j], g)
 
 
+def weighted_gram(ops, seed, spread):
+    """psi' diag(w) psi with location weights w in [1, 1 + spread]."""
+    w = 1.0 + spread * np.random.default_rng(seed).random(ops.location_count)
+    return (ops.psi.T @ sparse.diags(w) @ ops.psi).tocsr()
+
+
+def relative_error(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+def test_solve_with_block_matches_fresh_factorization(ops2, lam):
+    old = weighted_gram(ops2, 7, 0.1)
+    new = weighted_gram(ops2, 8, 0.1)
+    rhs = rhs_for(ops2, 9)
+    system = build(ops2, old, lam)
+    start = system.solve(rhs_for(ops2, 10))
+    f, g = system.solve_with_block(new, rhs, start)
+    f_ref, g_ref = build(ops2, new, lam).solve(rhs)
+    assert relative_error(f, f_ref) < 1e-12
+    assert relative_error(g, g_ref) < 1e-12
+
+
+def test_solve_with_distant_block_reports_nonconvergence(ops1):
+    old = data_gram(ops1)
+    far = 1e6 * old
+    rhs = rhs_for(ops1, 11)
+    system = build(ops1, old, 0.1)
+    assert system.solve_with_block(far, rhs, system.solve(rhs)) is None
+    # the caller's fallback: factor the new block; with the data block
+    # dwarfing the penalty, g is less well conditioned than f (the sparse
+    # and dense solvers agree on it to about 4e-10)
+    f, g = build(ops1, far, 0.1).solve(rhs)
+    f_d, g_d = dense_block_solve(ops1, far, 0.1, rhs)
+    assert relative_error(f, f_d) < 1e-10
+    assert relative_error(g, g_d) < 1e-8
+
+
+def test_solve_with_block_orthogonal_to_constants_raises(ops1):
+    K = ops1.vertex_count
+    v = np.arange(K) - np.arange(K).mean()
+    block = sparse.csr_matrix(np.outer(v, v))
+    system = build(ops1, data_gram(ops1), 1.0)
+    rhs = rhs_for(ops1, 12)
+    with pytest.raises(SingularSystem):
+        system.solve_with_block(block, rhs, system.solve(rhs))
+
+
 def test_singular_data_block_raises(ops1):
     # with no data term the matrix kernel holds the constants
     K = ops1.vertex_count
@@ -145,3 +193,6 @@ def test_shape_mismatch(ops1, ops2):
     system = build(ops1, data_gram(ops1), 1.0)
     with pytest.raises(DimensionMismatch):
         system.solve(np.zeros(ops1.vertex_count + 1))
+    start = system.solve(np.ones(ops1.vertex_count))
+    with pytest.raises(DimensionMismatch):
+        system.solve_with_block(data_gram(ops2), np.ones(ops1.vertex_count), start)
