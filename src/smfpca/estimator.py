@@ -30,7 +30,7 @@ from .errors import (
     InputError,
     NonMonotoneObjective,
 )
-from .fem import FemOperators, l2_inner
+from .fem import FemOperators, l2_inner, location_matrix
 
 _MONOTONE_SLACK = 1e-9
 
@@ -219,11 +219,13 @@ def fit_component(
     system: solver.SaddleSystem = None,
     max_iterations: int = 15,
     tolerance: float = 1e-6,
+    start=None,
 ) -> PcComponent:
     """Extract one component at a fixed smoothing parameter.
 
-    Alternates the score and function updates from the singular-vector
-    initialization until the relative change of the coefficient vector
+    Alternates the score and function updates from the starting
+    profile ``start`` (by default ``initialize(X)``, the singular-vector
+    initialization) until the relative change of the coefficient vector
     drops below ``tolerance`` or ``max_iterations`` passes complete
     (a budget of 0 still performs one pass). The fitted function is then
     normalized to unit surface L2 norm, recording the pre-normalization
@@ -234,6 +236,8 @@ def fit_component(
     ------
     DegenerateData
         Zero data, or a vanishing projection during iteration.
+    DimensionMismatch, InputError
+        ``start`` is not a finite vector with one entry per location.
     NonMonotoneObjective
         Internal assertion; both updates are exact minimizers, so an
         objective increase beyond roundoff slack signals a solver bug.
@@ -250,7 +254,7 @@ def fit_component(
             f"data has {X.s} columns but operators hold {ops.location_count} locations"
         )
 
-    f_s = initialize(X)
+    f_s = initialize(X) if start is None else _checked_start(start, X.s, "profile")
     xnorm2 = float(np.dot(X.values.ravel(), X.values.ravel()))
     trace = []
     f_prev = None
@@ -275,6 +279,17 @@ def fit_component(
                 break
         f_prev = f
     return _finalize_component(u, f, g, lam, len(trace), trace, ops)
+
+
+def _checked_start(start, length, what):
+    start = np.asarray(start, dtype=np.float64)
+    if start.shape != (length,):
+        raise DimensionMismatch(
+            f"starting {what} must have length {length}, got {start.shape}"
+        )
+    if not np.isfinite(start).all():
+        raise InputError(f"starting {what} holds non-finite entries")
+    return start
 
 
 def _finalize_component(u, f, g, lam, iterations, trace, ops):
@@ -407,40 +422,36 @@ def fit(
     traces = []
     gcv_traces = {}
     for comp_index in range(n_components):
-        if selection == "fixed":
-            component = fit_component(
-                work, fixed_lambda, ops,
-                system=system_for(fixed_lambda),
-                max_iterations=max_iterations, tolerance=tolerance,
-            )
-            trace = None
-        elif selection == "kfold":
-            trace = kfold_select(
-                work, grid, folds, ops,
-                seed=[seed, comp_index], systems=systems,
-                max_iterations=max_iterations, tolerance=tolerance,
-                threads=threads,
-            )
-            lam = float(grid[trace.chosen])
-            component = fit_component(
-                work, lam, ops, system=system_for(lam),
-                max_iterations=max_iterations, tolerance=tolerance,
-            )
-        else:
+        if selection == "gcv":
             component, trace = _fit_component_gcv(
                 work, grid, ops, system_for, gcv_traces, systems,
                 max_iterations, tolerance, threads, gcv_select, SelectionTrace,
             )
+        else:
+            lam, trace = fixed_lambda, None
+            if selection == "kfold":
+                trace = kfold_select(
+                    work, grid, folds, ops,
+                    seed=[seed, comp_index], systems=systems,
+                    max_iterations=max_iterations, tolerance=tolerance,
+                    threads=threads,
+                )
+                lam = float(grid[trace.chosen])
+            component = fit_component(
+                work, lam, ops, system=system_for(lam),
+                max_iterations=max_iterations, tolerance=tolerance,
+            )
         components.append(component)
         traces.append(trace)
         work = deflate(work, component)
+    return _result(components, traces, mean_field)
 
+
+def _result(components, traces, mean_field):
     adjusted = adjusted_total_variance(components)
     return SmFpcaResult(
-        components=components,
-        adjusted_variance=adjusted,
-        cumulative_variance=np.cumsum(adjusted),
-        mean_field=mean_field,
+        components=components, adjusted_variance=adjusted,
+        cumulative_variance=np.cumsum(adjusted), mean_field=mean_field,
         selection_traces=traces,
     )
 
@@ -514,12 +525,11 @@ class _MissingState:
     """
 
     def __init__(self, obs: ObservationSet, ops: FemOperators):
-        mesh = ops.mesh
         self.ops = ops
         self.psis = []
         self.values = []
         for locs, vals in obs.functions:
-            self.psis.append(_location_matrix(mesh, locs))
+            self.psis.append(location_matrix(ops.mesh, locs))
             self.values.append(vals)
         self._stack_psis()
         # Column i accumulates function i's observations onto vertices.
@@ -578,21 +588,6 @@ class _MissingState:
         return new
 
 
-def _location_matrix(mesh, locations):
-    rows, cols, data = [], [], []
-    for j, loc in enumerate(locations):
-        corners = mesh.triangles[loc.triangle_index]
-        for c in range(3):
-            w = loc.barycentric[c]
-            if w > 0.0:
-                rows.append(j)
-                cols.append(corners[c])
-                data.append(w)
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(len(locations), mesh.K))
-    mat.sum_duplicates()
-    return mat
-
-
 def _initial_scores_missing(state):
     accumulated = state.d_matrix.T
     if not accumulated.any():
@@ -606,9 +601,10 @@ def _initial_scores_missing(state):
     return t / nrm
 
 
-def _fit_component_missing(state, lam, ops, max_iterations, tolerance):
+def _fit_component_missing(state, lam, ops, max_iterations, tolerance, start=None):
     lam = float(lam)
-    u = _initial_scores_missing(state)
+    u = (_initial_scores_missing(state) if start is None
+         else _checked_start(start, state.n, "scores"))
     trace = []
     f_prev = None
     f = g = None
@@ -725,12 +721,4 @@ def fit_missing(
         components.append(component)
         traces.append(trace)
         state = state.deflated(component)
-
-    adjusted = adjusted_total_variance(components)
-    return SmFpcaResult(
-        components=components,
-        adjusted_variance=adjusted,
-        cumulative_variance=np.cumsum(adjusted),
-        mean_field=None,
-        selection_traces=traces,
-    )
+    return _result(components, traces, None)

@@ -94,7 +94,16 @@ def assemble(mesh: TriangleMesh, locations) -> FemOperators:
     ).ravel()
     stiffness = sparse.coo_matrix((stiff_data, (rows, cols)), shape=(K, K)).tocsr()
 
-    p_rows, p_cols, p_data = [], [], []
+    return FemOperators(
+        psi=location_matrix(mesh, locations), mass=mass, stiffness=stiffness,
+        locations=list(locations), mesh=mesh,
+    )
+
+
+def location_matrix(mesh: TriangleMesh, locations) -> sparse.csr_matrix:
+    """Sparse (len(locations), K) matrix of the barycentric weights that
+    evaluate vertex coefficients at ``locations``."""
+    rows, cols, data = [], [], []
     for j, loc in enumerate(locations):
         if not isinstance(loc, SurfaceLocation):
             raise DimensionMismatch(f"location {j} is not a SurfaceLocation")
@@ -103,21 +112,16 @@ def assemble(mesh: TriangleMesh, locations) -> FemOperators:
                 f"location {j} references triangle {loc.triangle_index} "
                 f"of a {mesh.T}-triangle mesh"
             )
-        corners = tri[loc.triangle_index]
+        corners = mesh.triangles[loc.triangle_index]
         for c in range(3):
             w = loc.barycentric[c]
             if w > 0.0:
-                p_rows.append(j)
-                p_cols.append(corners[c])
-                p_data.append(w)
-    psi = sparse.csr_matrix(
-        (p_data, (p_rows, p_cols)), shape=(len(locations), K)
-    )
-    psi.sum_duplicates()
-    return FemOperators(
-        psi=psi, mass=mass, stiffness=stiffness,
-        locations=list(locations), mesh=mesh,
-    )
+                rows.append(j)
+                cols.append(corners[c])
+                data.append(w)
+    mat = sparse.csr_matrix((data, (rows, cols)), shape=(len(locations), mesh.K))
+    mat.sum_duplicates()
+    return mat
 
 
 def l2_inner(ops: FemOperators, a, b) -> float:

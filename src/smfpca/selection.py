@@ -17,7 +17,7 @@ import numpy as np
 
 from . import solver
 from .errors import DegenerateSmoother, DimensionMismatch, InputError, InvalidFoldCount
-from .fem import FemOperators, l2_inner
+from .fem import FemOperators
 
 # Above this location count, exact smoother traces give way to a
 # stochastic estimate.
@@ -59,13 +59,16 @@ def _map_ordered(fn, items, threads):
     return [fn(item) for item in items]
 
 
-def _checked_grid(lambda_grid):
-    grid = np.asarray(lambda_grid, dtype=np.float64).ravel()
-    if grid.size == 0:
-        raise InputError("lambda grid is empty")
-    if not (grid > 0).all():
-        raise InputError("lambda grid entries must be positive")
-    return grid
+def _factored(ops, grid, systems):
+    """Fill ``systems`` (new when None) with every candidate's system."""
+    from .estimator import data_gram
+
+    systems = {} if systems is None else systems
+    gram = data_gram(ops)
+    for lam in map(float, grid):
+        if lam not in systems:
+            systems[lam] = solver.build(ops, gram, lam)
+    return systems
 
 
 def default_lambda_grid(ops: FemOperators, count: int = 13,
@@ -91,6 +94,29 @@ def default_lambda_grid(ops: FemOperators, count: int = 13,
 # -- K-fold cross-validation ------------------------------------------
 
 
+def _kfold_trace(n, assignments, grid, prepare, fold_residuals, scale,
+                 threads) -> SelectionTrace:
+    """Score every candidate: ``prepare(train_rows)`` runs once per fold,
+    its result shared read-only by every candidate; ``fold_residuals(lam,
+    prepared, val_rows)`` yields squared residuals, summed in a fixed
+    order and divided by ``scale``."""
+    prepared = [(prepare(np.setdiff1d(np.arange(n), val)), val) for val in assignments]
+
+    def score_one(lam):
+        lam = float(lam)
+        total = 0.0
+        for fold, val_rows in prepared:
+            for residual in fold_residuals(lam, fold, val_rows):
+                total += residual
+        return total / scale
+
+    scores = np.array(_map_ordered(score_one, list(grid), threads))
+    return SelectionTrace(
+        lambda_grid=grid, scores=scores,
+        chosen=int(np.argmin(scores)), method="kfold",
+    )
+
+
 def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
                  systems=None, max_iterations: int = 15,
                  tolerance: float = 1e-6, threads: int = 1) -> SelectionTrace:
@@ -100,7 +126,10 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     training rows and validation rows receive unnormalized scores
     (data projection divided by the profile norm plus the weighted
     penalty). Accumulated squared validation residuals, averaged over
-    all matrix entries, score the candidate; the smallest wins.
+    all matrix entries, score the candidate; the smallest wins. The
+    training rows and the singular-vector warm start do not depend on
+    the candidate, so each fold computes them once and every candidate
+    starts from them.
 
     Parameters
     ----------
@@ -118,50 +147,37 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         Candidates evaluated concurrently; scores are identical for
         any thread count.
     """
-    from .estimator import DataMatrix, data_gram, fit_component, penalty_value
+    from .estimator import (DataMatrix, _check_grid, fit_component,
+                            initialize, penalty_value)
 
-    grid = _checked_grid(lambda_grid)
+    grid = _check_grid(lambda_grid, required=True)
     assignments = make_folds(X.n, folds, seed)
-    if systems is None:
-        systems = {}
-    gram = data_gram(ops)
-    for lam in grid:
-        if float(lam) not in systems:
-            systems[float(lam)] = solver.build(ops, gram, float(lam))
+    systems = _factored(ops, grid, systems)
 
-    row_sets = [
-        (np.setdiff1d(np.arange(X.n), val_rows), val_rows)
-        for val_rows in assignments
-    ]
+    def prepare(train_rows):
+        train = DataMatrix(X.values[train_rows], centered=X.centered)
+        return train, initialize(train)
 
-    def score_one(lam):
-        lam = float(lam)
-        system = systems[lam]
-        total = 0.0
-        for train_rows, val_rows in row_sets:
-            train = DataMatrix(X.values[train_rows], centered=X.centered)
-            comp = fit_component(
-                train, lam, ops, system=system,
-                max_iterations=max_iterations, tolerance=tolerance,
-            )
-            f_un = comp.function_norm * comp.f_coefficients
-            g_un = comp.function_norm * comp.g_coefficients
-            profile = ops.psi @ f_un
-            denom = float(profile @ profile) + lam * penalty_value(g_un, ops)
-            validation = X.values[val_rows]
-            if denom > 0:
-                u_val = (validation @ profile) / denom
-            else:
-                u_val = np.zeros(len(val_rows))
-            resid = validation - np.outer(u_val, profile)
-            total += float(np.dot(resid.ravel(), resid.ravel()))
-        return total / (X.n * X.s)
+    def fold_residuals(lam, fold, val_rows):
+        train, start = fold
+        comp = fit_component(
+            train, lam, ops, system=systems[lam],
+            max_iterations=max_iterations, tolerance=tolerance, start=start,
+        )
+        f_un = comp.function_norm * comp.f_coefficients
+        g_un = comp.function_norm * comp.g_coefficients
+        profile = ops.psi @ f_un
+        denom = float(profile @ profile) + lam * penalty_value(g_un, ops)
+        validation = X.values[val_rows]
+        if denom > 0:
+            u_val = (validation @ profile) / denom
+        else:
+            u_val = np.zeros(len(val_rows))
+        resid = validation - np.outer(u_val, profile)
+        yield float(np.dot(resid.ravel(), resid.ravel()))
 
-    scores = np.array(_map_ordered(score_one, list(grid), threads))
-    return SelectionTrace(
-        lambda_grid=grid, scores=scores,
-        chosen=int(np.argmin(scores)), method="kfold",
-    )
+    return _kfold_trace(X.n, assignments, grid, prepare, fold_residuals,
+                        X.n * X.s, threads)
 
 
 def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
@@ -173,42 +189,37 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
     The validation score of function i divides its observation/profile
     inner product by that function's own profile energy plus the
     weighted penalty; residuals run over observed entries only and are
-    averaged over the total observation count.
+    averaged over the total observation count. Each fold's training
+    state and initial scores are computed once, for every candidate.
     """
-    from .estimator import _fit_component_missing, penalty_value
+    from .estimator import (_check_grid, _fit_component_missing,
+                            _initial_scores_missing, penalty_value)
 
-    grid = _checked_grid(lambda_grid)
+    grid = _check_grid(lambda_grid, required=True)
     assignments = make_folds(state.n, folds, seed)
-    row_sets = [
-        (np.setdiff1d(np.arange(state.n), val_rows), val_rows)
-        for val_rows in assignments
-    ]
 
-    def score_one(lam):
-        lam = float(lam)
-        total = 0.0
-        for train_rows, val_rows in row_sets:
-            train = state.subset(train_rows)
-            comp = _fit_component_missing(
-                train, lam, ops, max_iterations, tolerance
-            )
-            f_un = comp.function_norm * comp.f_coefficients
-            g_un = comp.function_norm * comp.g_coefficients
-            pen = lam * penalty_value(g_un, ops)
-            for i in val_rows:
-                evaluated = state.psis[i] @ f_un
-                denom = float(evaluated @ evaluated) + pen
-                inner = float(state.values[i] @ evaluated)
-                u_i = inner / denom if denom > 0 else 0.0
-                resid = state.values[i] - u_i * evaluated
-                total += float(resid @ resid)
-        return total / state.total_observations
+    def prepare(train_rows):
+        train = state.subset(train_rows)
+        return train, _initial_scores_missing(train)
 
-    scores = np.array(_map_ordered(score_one, list(grid), threads))
-    return SelectionTrace(
-        lambda_grid=grid, scores=scores,
-        chosen=int(np.argmin(scores)), method="kfold",
-    )
+    def fold_residuals(lam, fold, val_rows):
+        train, start = fold
+        comp = _fit_component_missing(
+            train, lam, ops, max_iterations, tolerance, start
+        )
+        f_un = comp.function_norm * comp.f_coefficients
+        g_un = comp.function_norm * comp.g_coefficients
+        pen = lam * penalty_value(g_un, ops)
+        for i in val_rows:
+            evaluated = state.psis[i] @ f_un
+            denom = float(evaluated @ evaluated) + pen
+            inner = float(state.values[i] @ evaluated)
+            u_i = inner / denom if denom > 0 else 0.0
+            resid = state.values[i] - u_i * evaluated
+            yield float(resid @ resid)
+
+    return _kfold_trace(state.n, assignments, grid, prepare, fold_residuals,
+                        state.total_observations, threads)
 
 
 # -- generalized cross-validation -------------------------------------
@@ -231,22 +242,17 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
     DegenerateSmoother
         If no candidate earns a finite score.
     """
-    from .estimator import data_gram
+    from .estimator import _check_grid
 
-    grid = _checked_grid(lambda_grid)
+    grid = _check_grid(lambda_grid, required=True)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (X.n,):
         raise DimensionMismatch(f"scores must have length {X.n}, got {u.shape}")
     z = X.values.T @ u
     s = X.s
-    if systems is None:
-        systems = {}
     if trace_cache is None:
         trace_cache = {}
-    gram = data_gram(ops)
-    for lam in grid:
-        if float(lam) not in systems:
-            systems[float(lam)] = solver.build(ops, gram, float(lam))
+    systems = _factored(ops, grid, systems)
 
     rhs = ops.psi.T @ z
 

@@ -386,6 +386,28 @@ def test_fit_missing_single_observation_function(ops1):
     assert np.isfinite(result.components[0].scores).all()
 
 
+def test_fit_component_rejects_bad_start(ops2):
+    X, _, _ = rank_one_data(ops2)
+    with pytest.raises(DimensionMismatch):
+        fit_component(X, 1e-3, ops2, start=np.ones(X.s - 1))
+    bad = initialize(X)
+    bad[3] = np.nan
+    with pytest.raises(InputError):
+        fit_component(X, 1e-3, ops2, start=bad)
+
+
+def test_fit_component_missing_rejects_bad_start(ops2):
+    state = estimator._MissingState(masked_observations(ops2, 10, 29), ops2)
+    with pytest.raises(DimensionMismatch):
+        estimator._fit_component_missing(
+            state, 1e-3, ops2, 15, 1e-6, np.ones((state.n, 1))
+        )
+    with pytest.raises(InputError):
+        estimator._fit_component_missing(
+            state, 1e-3, ops2, 15, 1e-6, np.full(state.n, np.inf)
+        )
+
+
 def masked_observations(ops, n, seed):
     ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.1, seed)
     values = ds.X.values.copy()

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,19 @@ from smfpca import (
     DegenerateSmoother,
     InputError,
     InvalidFoldCount,
+    ObservationSet,
     default_lambda_grid,
+    fit,
+    fit_component,
     gcv_select,
+    initialize,
     kfold_select,
     make_folds,
+    penalty_value,
+    vertex_locations,
 )
+from smfpca import estimator, solver
+from smfpca.selection import kfold_select_missing
 from smfpca.synth import generate_sphere_dataset
 
 
@@ -29,6 +39,73 @@ def dense_gcv_scores(ops, z, grid):
         gap = 1.0 - np.trace(S) / s
         out.append((resid @ resid / s) / gap**2)
     return np.array(out)
+
+
+def masked_state(ops, n, seed):
+    ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.3, seed)
+    values = ds.X.values.copy()
+    values[np.random.default_rng(seed).random(values.shape) < 0.2] = np.nan
+    obs = ObservationSet.from_masked(values, vertex_locations(ops.mesh))
+    return estimator._MissingState(obs, ops)
+
+
+def dense_kfold_oracle(X, grid, folds, ops, seed):
+    """K-fold scores from a fresh training matrix and a fresh warm start
+    for every (candidate, fold) pair."""
+    assignments = make_folds(X.n, folds, seed)
+    scores = []
+    for lam in grid:
+        system = solver.build(ops, estimator.data_gram(ops), lam)
+        total = 0.0
+        for val_rows in assignments:
+            train_rows = np.setdiff1d(np.arange(X.n), val_rows)
+            train = DataMatrix(X.values[train_rows], centered=X.centered)
+            comp = fit_component(train, lam, ops, system=system)
+            f_un = comp.function_norm * comp.f_coefficients
+            g_un = comp.function_norm * comp.g_coefficients
+            profile = ops.psi @ f_un
+            denom = float(profile @ profile) + lam * penalty_value(g_un, ops)
+            validation = X.values[val_rows]
+            u_val = (validation @ profile) / denom
+            resid = validation - np.outer(u_val, profile)
+            total += float(np.dot(resid.ravel(), resid.ravel()))
+        scores.append(total / (X.n * X.s))
+    return np.array(scores)
+
+
+def masked_kfold_oracle(state, grid, folds, ops, seed):
+    """Missing-data K-fold scores, each (candidate, fold) pair fitted from
+    a fresh training subset and fresh initial scores."""
+    assignments = make_folds(state.n, folds, seed)
+    scores = []
+    for lam in grid:
+        total = 0.0
+        for val_rows in assignments:
+            train = state.subset(np.setdiff1d(np.arange(state.n), val_rows))
+            comp = estimator._fit_component_missing(train, lam, ops, 15, 1e-6)
+            f_un = comp.function_norm * comp.f_coefficients
+            pen = lam * penalty_value(comp.function_norm * comp.g_coefficients, ops)
+            for i in val_rows:
+                evaluated = state.psis[i] @ f_un
+                u_i = float(state.values[i] @ evaluated) / (
+                    float(evaluated @ evaluated) + pen
+                )
+                resid = state.values[i] - u_i * evaluated
+                total += float(resid @ resid)
+        scores.append(total / state.total_observations)
+    return np.array(scores)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(estimator, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, name, counting)
+    return calls
 
 
 # -- fold construction ------------------------------------------------
@@ -139,6 +216,82 @@ def test_kfold_threads_bitwise_equal(ops1):
     threaded = kfold_select(ds.X, grid, 4, ops1, seed=0, threads=4)
     np.testing.assert_array_equal(serial.scores, threaded.scores)
     assert serial.chosen == threaded.chosen
+
+
+def test_kfold_missing_threads_bitwise_equal(ops1):
+    # the prepared folds are shared read-only by every worker; frequent
+    # thread switches make interleaved access likely
+    state = masked_state(ops1, 20, 6)
+    grid = [1e-6, 1e-4, 1e-2, 1.0]
+    serial = kfold_select_missing(state, grid, 4, ops1, seed=0, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = kfold_select_missing(state, grid, 4, ops1, seed=0, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(serial.scores, threaded.scores)
+    assert serial.chosen == threaded.chosen
+
+
+def test_kfold_matches_per_pair_oracle_bitwise(ops1):
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 21)
+    grid = [1e-6, 1e-3, 1e-1, 10.0]
+    trace = kfold_select(ds.X, grid, 4, ops1, seed=2)
+    oracle = dense_kfold_oracle(ds.X, grid, 4, ops1, seed=2)
+    np.testing.assert_array_equal(trace.scores, oracle)
+
+
+def test_kfold_missing_matches_per_pair_oracle_bitwise(ops1):
+    state = masked_state(ops1, 20, 22)
+    grid = [1e-6, 1e-3, 1e-1, 10.0]
+    trace = kfold_select_missing(state, grid, 4, ops1, seed=3)
+    oracle = masked_kfold_oracle(state, grid, 4, ops1, seed=3)
+    np.testing.assert_array_equal(trace.scores, oracle)
+
+
+def test_explicit_warm_start_is_bitwise_default(ops1):
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 15, (4.0, 2.0), 0.3, 23)
+    default = fit_component(ds.X, 1e-3, ops1)
+    started = fit_component(ds.X, 1e-3, ops1, start=initialize(ds.X))
+    state = masked_state(ops1, 15, 23)
+    start = estimator._initial_scores_missing(state)
+    masked_default = estimator._fit_component_missing(state, 1e-3, ops1, 15, 1e-6)
+    masked_started = estimator._fit_component_missing(
+        state, 1e-3, ops1, 15, 1e-6, start
+    )
+    for a, b in ((default, started), (masked_default, masked_started)):
+        np.testing.assert_array_equal(a.scores, b.scores)
+        np.testing.assert_array_equal(a.f_coefficients, b.f_coefficients)
+        np.testing.assert_array_equal(a.g_coefficients, b.g_coefficients)
+        assert a.lam == b.lam
+        assert a.function_norm == b.function_norm
+        assert a.iterations == b.iterations
+        assert a.objective_trace == b.objective_trace
+
+
+@pytest.mark.parametrize("grid", [[1e-3], [1e-6, 1e-4, 1e-2, 1.0]])
+def test_kfold_warm_start_once_per_fold(ops1, monkeypatch, grid):
+    calls = count_calls(monkeypatch, "initialize")
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 15, (4.0, 2.0), 0.3, 24)
+    kfold_select(ds.X, grid, 3, ops1, seed=0)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("grid", [[1e-3], [1e-6, 1e-4, 1e-2, 1.0]])
+def test_kfold_missing_warm_start_once_per_fold(ops1, monkeypatch, grid):
+    calls = count_calls(monkeypatch, "_initial_scores_missing")
+    state = masked_state(ops1, 15, 25)
+    kfold_select_missing(state, grid, 3, ops1, seed=0)
+    assert len(calls) == 3
+
+
+def test_fit_kfold_warm_starts_per_component(ops1, monkeypatch):
+    # each component: one warm start per fold, one for the final fit
+    calls = count_calls(monkeypatch, "initialize")
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 15, (4.0, 2.0), 0.3, 26)
+    fit(ds.X, 2, [1e-6, 1e-3, 1.0], ops1, selection="kfold", folds=4)
+    assert len(calls) == 2 * (4 + 1)
 
 
 def test_kfold_rejects_bad_grid(ops1):
