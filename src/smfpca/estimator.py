@@ -1,15 +1,23 @@
 """The smoothed functional PCA estimator.
 
-Components are extracted one at a time by alternating two exact
-partial minimizations of the rank-one objective
+Components are extracted one at a time by alternating two partial
+minimizations of the rank-one objective
 
     sum_ij (x_i(p_j) - u_i f(p_j))^2 + lam * u'u * penalty(f),
 
 where the roughness penalty integrates the squared surface Laplacian of
 f through the auxiliary field g. The score update normalizes the data
 projection; the function update solves the sparse saddle-point system.
-Both steps solve their subproblem exactly, so the objective value is
-nonincreasing along the iteration; this is asserted, not assumed.
+
+One loop, `_alternate`, serves every fit. It runs over a data term that
+supplies the score update, the function update and the objective: dense
+data, per-function observations and per-iteration GCV are variants of
+that one core. For dense data at a fixed parameter both steps solve
+their subproblem exactly, so the objective value is nonincreasing along
+the iteration; this is asserted, not assumed. It is not asserted under
+GCV, which moves the parameter between passes, nor for per-function
+observations, whose normalized score step is not the exact minimizer
+when observation counts differ.
 
 Extracted components are removed from the data matrix by projecting out
 the unit score direction, and explained variance is accounted through a
@@ -18,11 +26,12 @@ components are not double counted.
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
 
+from . import selection as _selection
 from . import solver
 from .errors import (
     DegenerateData,
@@ -184,10 +193,14 @@ def score_step(X: DataMatrix, f_s):
     f_s = np.asarray(f_s, dtype=np.float64)
     if f_s.shape != (X.s,):
         raise DimensionMismatch(f"profile must have length {X.s}, got {f_s.shape}")
-    t = X.values @ f_s
+    return _unit(X.values @ f_s, "data projection onto the candidate profile vanished")
+
+
+def _unit(t, what):
+    """``t`` scaled to unit norm; DegenerateData(``what``) when it is zero."""
     nrm = float(np.linalg.norm(t))
     if nrm == 0.0:
-        raise DegenerateData("data projection onto the candidate profile vanished")
+        raise DegenerateData(what)
     return t / nrm
 
 
@@ -204,12 +217,6 @@ def penalty_value(g, ops: FemOperators) -> float:
     """Roughness surrogate g' mass g, approximating the integrated
     squared surface Laplacian of the fitted function."""
     return l2_inner(ops, g, g)
-
-
-def _objective(xnorm2, X, u, f_s, lam, pen):
-    # ||X - u f_s'||_F^2 expanded with ||u|| = 1, plus the penalty.
-    fit_term = xnorm2 - 2.0 * float(u @ (X.values @ f_s)) + float(f_s @ f_s)
-    return fit_term + lam * pen
 
 
 def fit_component(
@@ -253,32 +260,69 @@ def fit_component(
         raise DimensionMismatch(
             f"data has {X.s} columns but operators hold {ops.location_count} locations"
         )
-
     f_s = initialize(X) if start is None else _checked_start(start, X.s, "profile")
-    xnorm2 = float(np.dot(X.values.ravel(), X.values.ravel()))
+    return _alternate(_DenseTerm(X, ops, {lam: system}), score_step(X, f_s), lam,
+                      max_iterations, tolerance)
+
+
+class _DenseTerm:
+    """Data term of a fully observed sample matrix: exact score and
+    function steps, with the factored system of each parameter taken
+    from ``systems``."""
+
+    exact = True
+
+    def __init__(self, X: DataMatrix, ops: FemOperators, systems):
+        self.X = X
+        self.ops = ops
+        self.systems = systems
+        self.xnorm2 = float(np.dot(X.values.ravel(), X.values.ravel()))
+
+    def scores(self, f):
+        return score_step(self.X, self.ops.psi @ f)
+
+    def solve(self, u, lam):
+        return function_step(self.X, u, self.systems[lam], self.ops)
+
+    def objective(self, u, f, g, lam):
+        # ||X - u f_s'||_F^2 expanded with ||u|| = 1, plus the penalty.
+        f_s = self.ops.psi @ f
+        pen = penalty_value(g, self.ops)
+        fit_term = self.xnorm2 - 2.0 * float(u @ (self.X.values @ f_s)) + float(f_s @ f_s)
+        return fit_term + lam * pen
+
+
+def _alternate(term, u, lam, max_iterations, tolerance, choose=None):
+    """The alternating loop of every component fit, from the scores ``u``
+    (see `fit_component`); each pass solves at ``choose(u)`` when given,
+    else at ``lam``. The objective is asserted nonincreasing only when
+    ``term.exact`` holds and ``lam`` is fixed."""
+    guarded = term.exact and choose is None
     trace = []
     f_prev = None
-    u = f = g = None
-    for _ in range(max(1, max_iterations)):
-        u = score_step(X, f_s)
-        f, g = function_step(X, u, system, ops)
-        f_s = ops.psi @ f
-        value = _objective(xnorm2, X, u, f_s, lam, penalty_value(g, ops))
-        # the objective is formed by cancellation against xnorm2, so its
-        # precision floor is eps-scaled in the data norm, not the value
-        slack = _MONOTONE_SLACK * abs(trace[-1]) + 1e-12 * xnorm2 if trace else 0.0
-        if trace and value > trace[-1] + slack:
-            raise NonMonotoneObjective(
-                f"objective rose from {trace[-1]!r} to {value!r} "
-                f"at iteration {len(trace) + 1}"
-            )
+    for it in range(max(1, max_iterations)):
+        if it > 0:
+            u = term.scores(f)
+        if choose is not None:
+            lam = choose(u)
+        f, g = term.solve(u, lam)
+        value = term.objective(u, f, g, lam)
+        if guarded and trace:
+            # the objective is formed by cancellation against xnorm2, so its
+            # precision floor is eps-scaled in the data norm, not the value
+            slack = _MONOTONE_SLACK * abs(trace[-1]) + 1e-12 * term.xnorm2
+            if value > trace[-1] + slack:
+                raise NonMonotoneObjective(
+                    f"objective rose from {trace[-1]!r} to {value!r} "
+                    f"at iteration {len(trace) + 1}"
+                )
         trace.append(value)
         if f_prev is not None:
             base = float(np.linalg.norm(f_prev))
             if base > 0 and float(np.linalg.norm(f - f_prev)) <= tolerance * base:
                 break
         f_prev = f
-    return _finalize_component(u, f, g, lam, len(trace), trace, ops)
+    return _finalize_component(u, f, g, lam, len(trace), trace, term.ops)
 
 
 def _checked_start(start, length, what):
@@ -362,7 +406,7 @@ def fit(
     X : DataMatrix
     n_components : int
     lambda_grid : array_like
-        Positive candidate smoothing parameters (ignored when
+        Positive, finite candidate smoothing parameters (ignored when
         ``selection`` is ``"fixed"`` and ``fixed_lambda`` is given).
     ops : FemOperators
     selection : {"kfold", "gcv", "fixed"}
@@ -385,11 +429,90 @@ def fit(
     -------
     SmFpcaResult
     """
-    from .selection import SelectionTrace, gcv_select, kfold_select
+    grid, fixed_lambda = _check_selection(
+        n_components, selection, lambda_grid, fixed_lambda, ("kfold", "gcv", "fixed")
+    )
+    if center:
+        mean_field = X.values.mean(axis=0)
+        X = DataMatrix(X.values - mean_field, centered=True)
+    else:
+        mean_field = None
 
+    systems = {}
+    gcv_traces = {}
+
+    def fit_one(work, comp_index):
+        if selection == "gcv":
+            return _fit_component_gcv(work, grid, ops, systems, gcv_traces,
+                                      max_iterations, tolerance, threads)
+        lam, trace = fixed_lambda, None
+        if selection == "kfold":
+            trace = _selection.kfold_select(
+                work, grid, folds, ops,
+                seed=[seed, comp_index], systems=systems,
+                max_iterations=max_iterations, tolerance=tolerance,
+                threads=threads,
+            )
+            lam = float(grid[trace.chosen])
+        component = fit_component(
+            work, lam, ops, system=_selection._factored(ops, [lam], systems)[lam],
+            max_iterations=max_iterations, tolerance=tolerance,
+        )
+        return component, trace
+
+    return _extract(X, n_components, fit_one, deflate, mean_field)
+
+
+def _extract(data, n_components, fit_one, deflate_one, mean_field):
+    """The component driver of `fit` and `fit_missing`: ``fit_one(data,
+    index)`` returns a component and its selection trace, and
+    ``deflate_one`` removes the component from the data before the next."""
+    components = []
+    traces = []
+    for comp_index in range(n_components):
+        component, trace = fit_one(data, comp_index)
+        components.append(component)
+        traces.append(trace)
+        data = deflate_one(data, component)
+    adjusted = adjusted_total_variance(components)
+    return SmFpcaResult(
+        components=components, adjusted_variance=adjusted,
+        cumulative_variance=np.cumsum(adjusted), mean_field=mean_field,
+        selection_traces=traces,
+    )
+
+
+def _fit_component_gcv(X, grid, ops, systems, trace_cache, max_iterations,
+                       tolerance, threads):
+    # The parameter is re-selected at every alternation from the scores
+    # of that iteration, so the objective is not comparable (and not
+    # asserted monotone) across iterations; the last choice stands.
+    selections = []
+
+    def choose(u):
+        selections.append(_selection.gcv_select(
+            X, u, grid, ops,
+            systems=systems, trace_cache=trace_cache, threads=threads,
+        ))
+        return float(grid[selections[-1].chosen])
+
+    component = _alternate(_DenseTerm(X, ops, systems), score_step(X, initialize(X)),
+                           None, max_iterations, tolerance, choose)
+    history = [float(grid[trace.chosen]) for trace in selections]
+    return component, replace(selections[-1], history=history)
+
+
+def _check_selection(n_components, selection, lambda_grid, fixed_lambda, methods):
+    """The argument checks of `fit` and `fit_missing`; returns the
+    checked grid and the fixed parameter (from a one-point grid when
+    ``fixed_lambda`` is None)."""
     if n_components < 1:
         raise InputError("n_components must be at least 1")
-    if selection not in ("kfold", "gcv", "fixed"):
+    if selection not in methods:
+        if selection == "gcv":
+            raise InputError(
+                "gcv selection requires fully observed data; use kfold or fixed"
+            )
         raise InputError(f"unknown selection method {selection!r}")
     grid = _check_grid(lambda_grid, required=selection != "fixed")
     if selection == "fixed":
@@ -399,105 +522,9 @@ def fit(
                     "fixed selection needs fixed_lambda or a one-point grid"
                 )
             fixed_lambda = float(grid[0])
-        if not fixed_lambda > 0:
-            raise InputError("fixed_lambda must be positive")
-
-    if center:
-        mean_field = X.values.mean(axis=0)
-        work = DataMatrix(X.values - mean_field, centered=True)
-    else:
-        mean_field = None
-        work = X
-
-    gram = data_gram(ops)
-    systems = {}
-
-    def system_for(lam):
-        key = float(lam)
-        if key not in systems:
-            systems[key] = solver.build(ops, gram, key)
-        return systems[key]
-
-    components = []
-    traces = []
-    gcv_traces = {}
-    for comp_index in range(n_components):
-        if selection == "gcv":
-            component, trace = _fit_component_gcv(
-                work, grid, ops, system_for, gcv_traces, systems,
-                max_iterations, tolerance, threads, gcv_select, SelectionTrace,
-            )
-        else:
-            lam, trace = fixed_lambda, None
-            if selection == "kfold":
-                trace = kfold_select(
-                    work, grid, folds, ops,
-                    seed=[seed, comp_index], systems=systems,
-                    max_iterations=max_iterations, tolerance=tolerance,
-                    threads=threads,
-                )
-                lam = float(grid[trace.chosen])
-            component = fit_component(
-                work, lam, ops, system=system_for(lam),
-                max_iterations=max_iterations, tolerance=tolerance,
-            )
-        components.append(component)
-        traces.append(trace)
-        work = deflate(work, component)
-    return _result(components, traces, mean_field)
-
-
-def _result(components, traces, mean_field):
-    adjusted = adjusted_total_variance(components)
-    return SmFpcaResult(
-        components=components, adjusted_variance=adjusted,
-        cumulative_variance=np.cumsum(adjusted), mean_field=mean_field,
-        selection_traces=traces,
-    )
-
-
-def _fit_component_gcv(
-    X, grid, ops, system_for, trace_cache, systems,
-    max_iterations, tolerance, threads, gcv_select, SelectionTrace,
-):
-    # The parameter is re-selected at every alternation from the scores
-    # of that iteration, so the objective is not comparable (and not
-    # asserted monotone) across iterations; the last choice stands.
-    f_s = initialize(X)
-    xnorm2 = float(np.dot(X.values.ravel(), X.values.ravel()))
-    trace = None
-    history = []
-    objective = []
-    f_prev = None
-    u = f = g = None
-    lam = None
-    for _ in range(max(1, max_iterations)):
-        u = score_step(X, f_s)
-        trace = gcv_select(
-            X, u, grid, ops,
-            systems=systems, trace_cache=trace_cache, threads=threads,
-        )
-        lam = float(grid[trace.chosen])
-        history.append(lam)
-        f, g = function_step(X, u, system_for(lam), ops)
-        f_s = ops.psi @ f
-        objective.append(
-            _objective(xnorm2, X, u, f_s, lam, penalty_value(g, ops))
-        )
-        if f_prev is not None:
-            base = float(np.linalg.norm(f_prev))
-            if base > 0 and float(np.linalg.norm(f - f_prev)) <= tolerance * base:
-                break
-        f_prev = f
-    component = _finalize_component(u, f, g, lam, len(objective), objective, ops)
-    full_trace = SelectionTrace(
-        lambda_grid=trace.lambda_grid,
-        scores=trace.scores,
-        chosen=trace.chosen,
-        method="gcv",
-        history=history,
-    )
-    return component, full_trace
+        if not 0 < fixed_lambda < np.inf:
+            raise InputError("fixed_lambda must be positive and finite")
+    return grid, fixed_lambda
 
 
 def _check_grid(lambda_grid, required):
@@ -508,8 +535,8 @@ def _check_grid(lambda_grid, required):
     grid = np.asarray(lambda_grid, dtype=np.float64).ravel()
     if required and grid.size == 0:
         raise InputError("lambda grid is empty")
-    if grid.size and not (grid > 0).all():
-        raise InputError("lambda grid entries must be positive")
+    if grid.size and not ((grid > 0) & (grid < np.inf)).all():
+        raise InputError("lambda grid entries must be positive and finite")
     return grid
 
 
@@ -526,18 +553,19 @@ class _MissingState:
 
     def __init__(self, obs: ObservationSet, ops: FemOperators):
         self.ops = ops
-        self.psis = []
-        self.values = []
-        for locs, vals in obs.functions:
-            self.psis.append(location_matrix(ops.mesh, locs))
-            self.values.append(vals)
+        self.psis = [location_matrix(ops.mesh, locs) for locs, _ in obs.functions]
         self._stack_psis()
-        # Column i accumulates function i's observations onto vertices.
-        self.d_matrix = np.stack(
-            [psi_i.T @ vals for psi_i, vals in zip(self.psis, self.values)],
-            axis=1,
-        )
-        self.xnorm2 = float(sum(float(v @ v) for v in self.values))
+        self._set_values([vals for _, vals in obs.functions])
+
+    def _set_values(self, values, d_matrix=None):
+        self.values = values
+        if d_matrix is None:
+            # Column i accumulates function i's observations onto vertices.
+            d_matrix = np.stack(
+                [psi_i.T @ vals for psi_i, vals in zip(self.psis, values)], axis=1
+            )
+        self.d_matrix = d_matrix
+        self.xnorm2 = float(sum(float(v @ v) for v in values))
 
     def _stack_psis(self):
         self.psi_stack = sparse.vstack(self.psis, format="csr")
@@ -552,10 +580,9 @@ class _MissingState:
     def subset(self, rows):
         state = copy.copy(self)
         state.psis = [self.psis[i] for i in rows]
-        state.values = [self.values[i] for i in rows]
         state._stack_psis()
-        state.d_matrix = self.d_matrix[:, rows]
-        state.xnorm2 = float(sum(float(v @ v) for v in state.values))
+        # slicing, not restacking, keeps the full state's layout and rounding
+        state._set_values([self.values[i] for i in rows], self.d_matrix[:, rows])
         return state
 
     def weighted_gram(self, u):
@@ -576,15 +603,10 @@ class _MissingState:
         # without a common grid).
         f_unnorm = component.function_norm * component.f_coefficients
         new = copy.copy(self)
-        new.values = [
+        new._set_values([
             vals - component.scores[i] * (psi_i @ f_unnorm)
             for i, (psi_i, vals) in enumerate(zip(self.psis, self.values))
-        ]
-        new.d_matrix = np.stack(
-            [psi_i.T @ vals for psi_i, vals in zip(new.psis, new.values)],
-            axis=1,
-        )
-        new.xnorm2 = float(sum(float(v @ v) for v in new.values))
+        ])
         return new
 
 
@@ -594,57 +616,56 @@ def _initial_scores_missing(state):
         raise DegenerateData("observations accumulate to zero everywhere")
     _, _, vt = np.linalg.svd(accumulated, full_matrices=False)
     v, _ = _fix_sign(vt[0].copy())
-    t = accumulated @ v
-    nrm = float(np.linalg.norm(t))
-    if nrm == 0.0:
-        raise DegenerateData("initial score projection vanished")
-    return t / nrm
+    return _unit(accumulated @ v, "initial score projection vanished")
 
 
 def _fit_component_missing(state, lam, ops, max_iterations, tolerance, start=None):
-    lam = float(lam)
     u = (_initial_scores_missing(state) if start is None
          else _checked_start(start, state.n, "scores"))
-    trace = []
-    f_prev = None
-    f = g = None
-    system = None
-    for it in range(max(1, max_iterations)):
-        if it > 0:
-            d = state.d_matrix.T @ f
-            nrm = float(np.linalg.norm(d))
-            if nrm == 0.0:
-                raise DegenerateData("all score inner products vanished")
-            u = d / nrm
-        gram = state.weighted_gram(u)
-        rhs = state.d_matrix @ u
-        # The data block moves only through u, so the first alternation's
-        # factorization preconditions every later solve; a new one is
-        # made only when refinement against it fails to converge.
+    return _alternate(_MissingTerm(state, ops), u, float(lam),
+                      max_iterations, tolerance)
+
+
+class _MissingTerm:
+    """Data term of per-function observations for one component fit.
+
+    The data block moves only through u, so the fit's first factorization
+    preconditions every later solve; a new one is made only when
+    refinement against it fails to converge. That state is per fit, so
+    one `_MissingState` can serve concurrent fits."""
+
+    exact = False
+
+    def __init__(self, state: _MissingState, ops: FemOperators):
+        self.state = state
+        self.ops = ops
+        self.xnorm2 = state.xnorm2
+        self._system = self._gram = self._solution = None
+
+    def scores(self, f):
+        return _unit(self.state.d_matrix.T @ f, "all score inner products vanished")
+
+    def solve(self, u, lam):
+        self._gram = self.state.weighted_gram(u)
+        rhs = self.state.d_matrix @ u
         solution = None
-        if system is not None:
-            solution = system.solve_with_block(gram, rhs, (f, g))
+        if self._system is not None:
+            solution = self._system.solve_with_block(self._gram, rhs, self._solution)
         if solution is None:
-            system = solver.build(ops, gram, lam)
-            solution = system.solve(rhs)
-        f, g = solution
-        pen = penalty_value(g, ops)
+            self._system = solver.build(self.ops, self._gram, lam)
+            solution = self._system.solve(rhs)
+        self._solution = solution
+        return solution
+
+    def objective(self, u, f, g, lam):
+        pen = penalty_value(g, self.ops)
         # sum_i u_i^2 ||psi_i f||^2 is f' gram f
         fit_term = (
-            state.xnorm2
-            - 2.0 * float(u @ (state.d_matrix.T @ f))
-            + float(f @ (gram @ f))
+            self.xnorm2
+            - 2.0 * float(u @ (self.state.d_matrix.T @ f))
+            + float(f @ (self._gram @ f))
         )
-        # The printed score update is not the exact constrained minimizer
-        # when observation counts differ, so the trace is recorded but
-        # not asserted monotone here.
-        trace.append(fit_term + lam * pen)
-        if f_prev is not None:
-            base = float(np.linalg.norm(f_prev))
-            if base > 0 and float(np.linalg.norm(f - f_prev)) <= tolerance * base:
-                break
-        f_prev = f
-    return _finalize_component(u, f, g, lam, len(trace), trace, ops)
+        return fit_term + lam * pen
 
 
 def fit_missing(
@@ -681,44 +702,21 @@ def fit_missing(
     upstream. Generalized cross-validation is likewise undefined here;
     use ``"kfold"`` or ``"fixed"`` selection.
     """
-    from .selection import kfold_select_missing
+    grid, fixed_lambda = _check_selection(
+        n_components, selection, lambda_grid, fixed_lambda, ("kfold", "fixed")
+    )
 
-    if n_components < 1:
-        raise InputError("n_components must be at least 1")
-    if selection == "gcv":
-        raise InputError(
-            "gcv selection requires fully observed data; use kfold or fixed"
-        )
-    if selection not in ("kfold", "fixed"):
-        raise InputError(f"unknown selection method {selection!r}")
-    grid = _check_grid(lambda_grid, required=selection != "fixed")
-    if selection == "fixed":
-        if fixed_lambda is None:
-            if grid is None or len(grid) != 1:
-                raise InputError(
-                    "fixed selection needs fixed_lambda or a one-point grid"
-                )
-            fixed_lambda = float(grid[0])
-        if not fixed_lambda > 0:
-            raise InputError("fixed_lambda must be positive")
-
-    state = _MissingState(obs, ops)
-    components = []
-    traces = []
-    for comp_index in range(n_components):
-        if selection == "fixed":
-            lam = fixed_lambda
-            trace = None
-        else:
-            trace = kfold_select_missing(
+    def fit_one(state, comp_index):
+        lam, trace = fixed_lambda, None
+        if selection == "kfold":
+            trace = _selection.kfold_select_missing(
                 state, grid, folds, ops,
                 seed=[seed, comp_index],
                 max_iterations=max_iterations, tolerance=tolerance,
                 threads=threads,
             )
             lam = float(grid[trace.chosen])
-        component = _fit_component_missing(state, lam, ops, max_iterations, tolerance)
-        components.append(component)
-        traces.append(trace)
-        state = state.deflated(component)
-    return _result(components, traces, None)
+        return _fit_component_missing(state, lam, ops, max_iterations, tolerance), trace
+
+    return _extract(_MissingState(obs, ops), n_components, fit_one,
+                    _MissingState.deflated, None)

@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateTriangle,
@@ -274,6 +273,9 @@ class TriangleMesh:
 
     def _candidate_triangles(self, p):
         if self._vertex_tree is None:
+            # imported on first use: loading scipy.spatial is a large share
+            # of start-up, and only closest-point queries need it
+            from scipy.spatial import cKDTree
             centroids = self.vertices[self.triangles].mean(axis=1)
             spread = np.linalg.norm(
                 self.vertices[self.triangles] - centroids[:, None, :], axis=2

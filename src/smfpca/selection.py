@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solver
+from . import estimator, solver
 from .errors import DegenerateSmoother, DimensionMismatch, InputError, InvalidFoldCount
 from .fem import FemOperators
 
@@ -61,10 +61,8 @@ def _map_ordered(fn, items, threads):
 
 def _factored(ops, grid, systems):
     """Fill ``systems`` (new when None) with every candidate's system."""
-    from .estimator import data_gram
-
     systems = {} if systems is None else systems
-    gram = data_gram(ops)
+    gram = estimator.data_gram(ops)
     for lam in map(float, grid):
         if lam not in systems:
             systems[lam] = solver.build(ops, gram, lam)
@@ -147,27 +145,24 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         Candidates evaluated concurrently; scores are identical for
         any thread count.
     """
-    from .estimator import (DataMatrix, _check_grid, fit_component,
-                            initialize, penalty_value)
-
-    grid = _check_grid(lambda_grid, required=True)
+    grid = estimator._check_grid(lambda_grid, required=True)
     assignments = make_folds(X.n, folds, seed)
     systems = _factored(ops, grid, systems)
 
     def prepare(train_rows):
-        train = DataMatrix(X.values[train_rows], centered=X.centered)
-        return train, initialize(train)
+        train = estimator.DataMatrix(X.values[train_rows], centered=X.centered)
+        return train, estimator.initialize(train)
 
     def fold_residuals(lam, fold, val_rows):
         train, start = fold
-        comp = fit_component(
+        comp = estimator.fit_component(
             train, lam, ops, system=systems[lam],
             max_iterations=max_iterations, tolerance=tolerance, start=start,
         )
         f_un = comp.function_norm * comp.f_coefficients
         g_un = comp.function_norm * comp.g_coefficients
         profile = ops.psi @ f_un
-        denom = float(profile @ profile) + lam * penalty_value(g_un, ops)
+        denom = float(profile @ profile) + lam * estimator.penalty_value(g_un, ops)
         validation = X.values[val_rows]
         if denom > 0:
             u_val = (validation @ profile) / denom
@@ -192,24 +187,21 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
     averaged over the total observation count. Each fold's training
     state and initial scores are computed once, for every candidate.
     """
-    from .estimator import (_check_grid, _fit_component_missing,
-                            _initial_scores_missing, penalty_value)
-
-    grid = _check_grid(lambda_grid, required=True)
+    grid = estimator._check_grid(lambda_grid, required=True)
     assignments = make_folds(state.n, folds, seed)
 
     def prepare(train_rows):
         train = state.subset(train_rows)
-        return train, _initial_scores_missing(train)
+        return train, estimator._initial_scores_missing(train)
 
     def fold_residuals(lam, fold, val_rows):
         train, start = fold
-        comp = _fit_component_missing(
+        comp = estimator._fit_component_missing(
             train, lam, ops, max_iterations, tolerance, start
         )
         f_un = comp.function_norm * comp.f_coefficients
         g_un = comp.function_norm * comp.g_coefficients
-        pen = lam * penalty_value(g_un, ops)
+        pen = lam * estimator.penalty_value(g_un, ops)
         for i in val_rows:
             evaluated = state.psis[i] @ f_un
             denom = float(evaluated @ evaluated) + pen
@@ -242,9 +234,7 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
     DegenerateSmoother
         If no candidate earns a finite score.
     """
-    from .estimator import _check_grid
-
-    grid = _check_grid(lambda_grid, required=True)
+    grid = estimator._check_grid(lambda_grid, required=True)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (X.n,):
         raise DimensionMismatch(f"scores must have length {X.n}, got {u.shape}")

@@ -43,8 +43,10 @@ class SaddleSystem:
 
     def __init__(self, ops: FemOperators, upper_left, lam: float):
         lam = float(lam)
-        if not lam > 0:
-            raise InputError(f"smoothing parameter must be positive, got {lam:g}")
+        if not 0 < lam < np.inf:
+            raise InputError(
+                f"smoothing parameter must be positive and finite, got {lam:g}"
+            )
         K = ops.vertex_count
         upper_left = _checked_block(upper_left, K)
         self.lam = lam

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
 
+import smfpca
 from smfpca import cli, load_mesh, save_mesh
 from smfpca.serialize import load_json, read_data_csv
 
@@ -144,6 +148,26 @@ def test_fit_missing_mesh_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "nope.off" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--selection", "fixed", "--fixed-lambda", "inf"],
+    ["--lambda-grid", "1e-3,inf"],
+])
+def test_fit_non_finite_lambda_exit_2(tmp_path, capsys, extra):
+    src = simulate_sphere(tmp_path / "sim")
+    assert run(fit_args(src, tmp_path / "fit", extra)) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    # closest-point queries load it on first use; no command needs it
+    code = "import sys, smfpca.cli; print('scipy.spatial' in sys.modules)"
+    paths = [str(Path(smfpca.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_fit_bad_data_cell_exit_2(tmp_path, capsys):

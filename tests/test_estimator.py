@@ -6,6 +6,7 @@ from smfpca import (
     DegenerateData,
     DimensionMismatch,
     InputError,
+    NonMonotoneObjective,
     ObservationSet,
     adjusted_total_variance,
     assemble,
@@ -303,6 +304,50 @@ def test_fit_validates_arguments(ops1):
         fit(X, 1, [], ops1)
     with pytest.raises(InputError):
         fit(X, 1, [-1.0, 1.0], ops1)
+    # rejected up front, before any system is factored
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InputError, match="lambda grid"):
+            fit(X, 1, [1e-3, bad], ops1)
+        with pytest.raises(InputError, match="fixed_lambda"):
+            fit(X, 1, [1e-3], ops1, selection="fixed", fixed_lambda=bad)
+        with pytest.raises(InputError, match="lambda grid"):
+            fit(X, 1, [bad], ops1, selection="fixed")
+
+
+def test_monotonicity_guard_fires_only_at_fixed_lambda(ops2, monkeypatch):
+    # The second function update returns a tripled, hence worse, field.
+    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.1, 30)
+    step = estimator.function_step
+    calls = []
+
+    def worse_second_update(X, u, system, ops):
+        calls.append(None)
+        f, g = step(X, u, system, ops)
+        return (3.0 * f, 3.0 * g) if len(calls) == 2 else (f, g)
+
+    monkeypatch.setattr(estimator, "function_step", worse_second_update)
+    with pytest.raises(NonMonotoneObjective, match="iteration 2"):
+        fit(ds.X, 1, [1e-4], ops2, selection="fixed", fixed_lambda=1e-4)
+    calls.clear()
+    result = fit(ds.X, 1, [1e-4], ops2, selection="gcv")
+    trace = result.components[0].objective_trace
+    assert len(calls) > 2 and trace[1] > trace[0]
+
+
+def test_gcv_on_one_point_grid_equals_fixed_fit(ops2):
+    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.1, 31)
+    lam = 1e-4
+    gcv = fit(ds.X, 2, [lam], ops2, selection="gcv")
+    fixed = fit(ds.X, 2, [lam], ops2, selection="fixed", fixed_lambda=lam)
+    for a, b, trace in zip(gcv.components, fixed.components,
+                           gcv.selection_traces):
+        np.testing.assert_array_equal(a.scores, b.scores)
+        np.testing.assert_array_equal(a.f_coefficients, b.f_coefficients)
+        np.testing.assert_array_equal(a.g_coefficients, b.g_coefficients)
+        assert a.function_norm == b.function_norm
+        assert a.iterations == b.iterations
+        assert a.objective_trace == b.objective_trace
+        assert trace.history == [lam] * a.iterations
 
 
 # -- variance accounting ----------------------------------------------

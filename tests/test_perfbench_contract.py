@@ -1,23 +1,37 @@
 """The benchmark harness wraps private package names that no public API
-pins down; renaming or removing one makes every benchmark run crash."""
+pins down; renaming or removing one makes every benchmark run crash, and
+renaming a function whose spans a layer metric sums silently zeroes it."""
 
 import importlib
 import importlib.util
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # run.py imports spans.py as a top-level module from its own directory
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
     return module
 
 
-SPANS = load_spans()
+SPANS = load("spans")
+RUN = load("run")
+SPAN_NAMES = sorted(
+    {name for names in (*RUN.SPAN_TIMES.values(), *RUN.SPAN_COUNTS.values())
+     for name in names} | set(RUN.COMPONENT_FITS)
+)
 
 
 @pytest.mark.parametrize(
@@ -34,3 +48,20 @@ def test_extra_target_resolves(layer, owner, attr):
 def test_numeric_entry_resolves(name):
     layer, attr = name.split(".")
     assert callable(getattr(importlib.import_module("smfpca." + layer), attr))
+
+
+@pytest.mark.parametrize("name", SPAN_NAMES)
+def test_metric_span_is_traced(name):
+    # A metric's span exists only for a public module-level function of
+    # its layer or for one of the extra targets.
+    layer, *path = name.split(".")
+    module = importlib.import_module("smfpca." + layer)
+    target = module
+    for attr in path:
+        target = getattr(target, attr)
+    assert callable(target)
+    extra = {".".join(p for p in t if p) for t in SPANS.EXTRA_TARGETS}
+    public = (len(path) == 1 and not path[0].startswith("_")
+              and isinstance(target, types.FunctionType)
+              and target.__module__ == module.__name__)
+    assert public or name in extra

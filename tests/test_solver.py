@@ -182,7 +182,7 @@ def test_data_block_orthogonal_to_constants_raises(ops1):
 
 
 def test_invalid_lambda(ops1):
-    for lam in (0.0, -1.0):
+    for lam in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(InputError):
             build(ops1, data_gram(ops1), lam)
 
