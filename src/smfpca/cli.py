@@ -460,9 +460,11 @@ def main(argv=None) -> int:
     try:
         config = _resolve(args, args.defaults)
         return args.func(config)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         name = exc.filename if exc.filename else exc
-        print(f"smfpca: error: file not found: {name}", file=sys.stderr)
+        reason = ("file not found" if isinstance(exc, FileNotFoundError)
+                  else f"cannot access file ({exc.strerror or 'I/O error'})")
+        print(f"smfpca: error: {reason}: {name}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"smfpca: error: {exc}", file=sys.stderr)

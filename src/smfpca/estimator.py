@@ -419,18 +419,25 @@ def fit(
         The parameter for ``"fixed"``; defaults to a singleton grid.
     center : bool
         Subtract the columnwise mean field first (stored on the result).
+    max_iterations : int
+        Alternation budget per component fit, at least 0 (0 still
+        performs one pass).
+    tolerance : float
+        Relative change of the coefficient vector that stops the
+        alternation; non-negative and finite.
     seed : int
         Drives the fold shuffle; component c derives its own stream.
     threads : int
-        Worker threads for grid evaluation; results are identical for
-        any thread count.
+        Worker threads for grid evaluation, at least 1; results are
+        identical for any thread count.
 
     Returns
     -------
     SmFpcaResult
     """
     grid, fixed_lambda = _check_selection(
-        n_components, selection, lambda_grid, fixed_lambda, ("kfold", "gcv", "fixed")
+        n_components, selection, lambda_grid, fixed_lambda, ("kfold", "gcv", "fixed"),
+        max_iterations, tolerance, threads,
     )
     if center:
         mean_field = X.values.mean(axis=0)
@@ -502,12 +509,21 @@ def _fit_component_gcv(X, grid, ops, systems, trace_cache, max_iterations,
     return component, replace(selections[-1], history=history)
 
 
-def _check_selection(n_components, selection, lambda_grid, fixed_lambda, methods):
+def _check_selection(n_components, selection, lambda_grid, fixed_lambda, methods,
+                     max_iterations, tolerance, threads):
     """The argument checks of `fit` and `fit_missing`; returns the
     checked grid and the fixed parameter (from a one-point grid when
     ``fixed_lambda`` is None)."""
     if n_components < 1:
         raise InputError("n_components must be at least 1")
+    if threads < 1:
+        raise InputError(f"threads must be at least 1, got {threads}")
+    if max_iterations < 0:
+        raise InputError(f"max_iterations must be at least 0, got {max_iterations}")
+    if not 0 <= tolerance < np.inf:
+        raise InputError(
+            f"tolerance must be non-negative and finite, got {tolerance:g}"
+        )
     if selection not in methods:
         if selection == "gcv":
             raise InputError(
@@ -703,7 +719,8 @@ def fit_missing(
     use ``"kfold"`` or ``"fixed"`` selection.
     """
     grid, fixed_lambda = _check_selection(
-        n_components, selection, lambda_grid, fixed_lambda, ("kfold", "fixed")
+        n_components, selection, lambda_grid, fixed_lambda, ("kfold", "fixed"),
+        max_iterations, tolerance, threads,
     )
 
     def fit_one(state, comp_index):

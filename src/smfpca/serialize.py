@@ -98,6 +98,8 @@ def load_json(path):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 # -- data matrices ----------------------------------------------------
@@ -132,11 +134,16 @@ def read_data_csv(path):
     """Read a data matrix; empty cells come back as NaN.
 
     An optional first row of consecutive location indices (0, 1, ...)
-    is recognized as a header and skipped. Malformed cells raise
-    :class:`ParseError` naming the row and column.
+    is recognized as a header and skipped. Malformed cells, including
+    spelled-out non-finite values such as ``nan`` or ``inf``, raise
+    :class:`ParseError` naming the row and column; only an empty cell
+    marks a missing value.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     rows = []
     width = None
     first_data_line = None
@@ -167,6 +174,12 @@ def read_data_csv(path):
                     f"non-numeric value {cell!r} at row {lineno}, "
                     f"column {col + 1}"
                 ) from None
+        for col in np.flatnonzero(~np.isfinite(parsed)):
+            if cells[col] != "":
+                raise ParseError(
+                    f"non-finite value {cells[col]!r} at row {lineno}, "
+                    f"column {col + 1}; leave the cell empty to mark it missing"
+                )
         rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows")
@@ -198,28 +211,57 @@ def write_metric_rows(path, rows):
 # -- loaded documents -------------------------------------------------
 
 
+def _vectors(entries, what):
+    """Equal-length numeric vectors, stacked as columns."""
+    try:
+        columns = [np.asarray(e, dtype=np.float64) for e in entries]
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must hold numbers") from None
+    shapes = sorted({c.shape for c in columns})
+    if len(shapes) != 1 or len(shapes[0]) != 1:
+        raise InputError(
+            f"{what} must be vectors of one length, got shapes {shapes}"
+        )
+    return np.stack(columns, axis=1)
+
+
+def _field(comps, key):
+    """``key`` of every result component, which must all carry it."""
+    for index, comp in enumerate(comps, start=1):
+        if not isinstance(comp, dict) or key not in comp:
+            raise InputError(f"result component {index} lacks {key!r}")
+    return [comp[key] for comp in comps]
+
+
 def arrays_from_result(document):
-    """Vertex values, scores, and norms from a result JSON document."""
+    """Vertex values, scores, norms and the cumulative variance curve from
+    a result JSON document; a missing key or a bad shape raises
+    :class:`InputError` naming it."""
+    document = document if isinstance(document, dict) else {}
     comps = document.get("components")
-    if not comps:
+    if not comps or not isinstance(comps, list):
         raise InputError("result document holds no components")
-    values = np.stack(
-        [np.asarray(c["vertexValues"], dtype=np.float64) for c in comps], axis=1
-    )
-    scores = np.stack(
-        [np.asarray(c["scores"], dtype=np.float64) for c in comps], axis=1
-    )
-    norms = np.asarray([c["functionNorm"] for c in comps], dtype=np.float64)
-    curve = document.get("cumulativeVariance", [])
+    values = _vectors(_field(comps, "vertexValues"), "vertexValues")
+    scores = _vectors(_field(comps, "scores"), "scores")
+    norms = _vectors([_field(comps, "functionNorm")], "functionNorm")[:, 0]
+    curve = _vectors([document.get("cumulativeVariance", [])],
+                     "cumulativeVariance")[:, 0].tolist()
     return values, scores, norms, curve
 
 
 def arrays_from_truth(document):
+    """True component fields and scores from a truth JSON document; a
+    missing key or a bad shape raises :class:`InputError` naming it."""
+    document = document if isinstance(document, dict) else {}
     comps = document.get("trueComponents")
     scores = document.get("trueScores")
-    if not comps or scores is None:
+    if not comps or not isinstance(comps, list) or not isinstance(scores, list):
         raise InputError("truth document lacks components or scores")
-    values = np.stack(
-        [np.asarray(c, dtype=np.float64) for c in comps], axis=1
-    )
-    return values, np.asarray(scores, dtype=np.float64)
+    values = _vectors(comps, "trueComponents")
+    scores = _vectors(scores, "trueScores").T
+    if scores.shape[1] != values.shape[1]:
+        raise InputError(
+            f"trueScores rows hold {scores.shape[1]} scores for "
+            f"{values.shape[1]} trueComponents"
+        )
+    return values, scores

@@ -1,23 +1,46 @@
 """Sparse factorization of the 2K x 2K saddle-point system.
 
 The smoothing subproblem couples the coefficient vector f with an
-auxiliary field g through the indefinite block matrix
+auxiliary field g through the indefinite block system
 
-    [[ UL,        lam * R1 ],
-     [ lam * R1, -lam * R0 ]]
+    [[ UL,        lam * R1 ],  [f]   [b]
+     [ lam * R1, -lam * R0 ]]  [g] = [0]
 
 where UL is the data term (psi' psi for dense data, the per-function
 weighted Gram matrix for partially observed data), R0 the mass matrix
-and R1 the stiffness matrix. The block system is factored once and
-solved for many right-hand sides; its sparse form is preferred over the
+and R1 the stiffness matrix. Its sparse form is preferred over the
 dense normal-equation rearrangement, whose inverse mass factor destroys
 sparsity.
+
+What is factored is the same system in the unknowns (f, sqrt(lam) g):
+
+    [[ UL,              sqrt(lam) * R1 ],
+     [ sqrt(lam) * R1, -R0             ]]
+
+It is symmetric quasi-definite in the sense of Vanderbei (SIAM J.
+Optim. 1995) once the data block is positive on constant fields, so it
+is factored symmetrically with diagonal pivots, in an elimination order
+chosen once per operator set: a minimum-degree order of the mesh graph
+(the pattern of mass + stiffness), expanded to pairs with each vertex's
+g unknown before its f unknown. Every data block lies inside that
+pattern (psi' psi and the weighted Gram matrices only couple vertices of
+one triangle), so the order fits every lambda, fold and component. The
+pairing makes the pivots safe, whatever the vertex order: eliminating
+any leading set of pairs, plus possibly one more g, first removes the g
+values through the negative definite -R0 block and leaves
+UL + lam R1 R0^-1 R1, restricted to those vertices, on the f values
+among them. On a proper subset of a connected mesh the stiffness term
+alone is positive definite there, and on the whole mesh UL closes its
+constant kernel, so no pivot is zero in exact arithmetic.
 
 When only the data block changes between solves, as it does across the
 alternations of a missing-data fit, a stored factorization serves as the
 preconditioner of iterative refinement on the new system instead of
 being recomputed.
 """
+
+import threading
+import weakref
 
 import numpy as np
 import scipy.sparse as sparse
@@ -37,8 +60,10 @@ class SaddleSystem:
     """A factored saddle-point system for one smoothing parameter.
 
     Use :func:`build`; the constructor performs the factorization.
-    Instances are immutable; `solve` and `solve_with_block` are
-    reentrant and safe to call from several threads on one instance.
+    ``matrix`` is the factored system in the unknowns (f, sqrt(lam) g),
+    in its natural order. Instances are immutable; `solve` and
+    `solve_with_block` are reentrant and safe to call from several
+    threads on one instance.
     """
 
     def __init__(self, ops: FemOperators, upper_left, lam: float):
@@ -52,14 +77,17 @@ class SaddleSystem:
         self.lam = lam
         self.k = K
         self._upper_left = upper_left
-        penalty = lam * ops.stiffness
+        self._root = np.sqrt(lam)
+        coupling = self._root * ops.stiffness
         self.matrix = sparse.bmat(
-            [[upper_left, penalty], [penalty, -lam * ops.mass]], format="csc"
+            [[upper_left, coupling], [coupling, -ops.mass]], format="csc"
         )
-        # COLAMD stays: symmetric MMD on A + A' factors 2-2.5x faster with
-        # data at every vertex, but 15-25x slower (5x fill) when most carry none.
+        self._order = _elimination_order(ops)
         try:
-            self._lu = splinalg.splu(self.matrix)
+            self._lu = splinalg.splu(
+                self.matrix[self._order][:, self._order], permc_spec="NATURAL",
+                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
+            )
         except RuntimeError as exc:
             raise SingularSystem(f"saddle-point factorization failed: {exc}") from exc
 
@@ -68,8 +96,7 @@ class SaddleSystem:
 
         Returns the pair (f, g) of coefficient vectors.
         """
-        sol = self._lu.solve(self._full_rhs(rhs_top))
-        return sol[: self.k].copy(), sol[self.k :].copy()
+        return self._split(self._solve(self._full_rhs(rhs_top)))
 
     def solve_with_block(self, upper_left, rhs_top, start):
         """Solve the system with ``upper_left`` as its new data block,
@@ -89,16 +116,16 @@ class SaddleSystem:
         upper_left = _checked_block(upper_left, self.k)
         rhs = self._full_rhs(rhs_top)
         delta = upper_left - self._upper_left
-        x = np.concatenate([start[0], start[1]])
+        x = np.concatenate([start[0], self._root * np.asarray(start[1])])
         limit = _REFINE_TOLERANCE * float(np.linalg.norm(rhs))
         for step in range(_REFINE_STEPS + 1):
             r = rhs - self.matrix @ x
             r[: self.k] -= delta @ x[: self.k]
             if float(np.linalg.norm(r)) <= limit:
-                return x[: self.k].copy(), x[self.k :].copy()
+                return self._split(x)
             if step == _REFINE_STEPS:
                 return None
-            x += self._lu.solve(r)
+            x += self._solve(r)
 
     def _full_rhs(self, rhs_top):
         rhs_top = np.asarray(rhs_top, dtype=np.float64)
@@ -122,8 +149,17 @@ class SaddleSystem:
             )
         rhs = np.zeros((2 * self.k, rhs_top.shape[1]))
         rhs[: self.k] = rhs_top
-        sol = self._lu.solve(rhs)
-        return sol[: self.k].copy(), sol[self.k :].copy()
+        return self._split(self._solve(rhs))
+
+    def _solve(self, rhs):
+        """Apply the inverse of ``matrix`` through the reordered factors."""
+        x = np.empty_like(rhs)
+        x[self._order] = self._lu.solve(rhs[self._order])
+        return x
+
+    def _split(self, x):
+        """(f, g) from a solution in the unknowns (f, sqrt(lam) g)."""
+        return x[: self.k].copy(), x[self.k :] / self._root
 
 
 def _checked_block(upper_left, k):
@@ -146,6 +182,46 @@ def _checked_block(upper_left, k):
             "cannot close the kernel"
         )
     return upper_left
+
+
+# One elimination order per operator set, shared by every system built
+# on it (from any thread); entries go away with their operators. The
+# order depends only on the operators' sparsity pattern, and any
+# g-before-f order is exact, so a cached one never changes correctness.
+_ORDERS = weakref.WeakKeyDictionary()
+_ORDERS_LOCK = threading.Lock()
+
+
+def _elimination_order(ops):
+    """The 2K elimination order for systems on ``ops``: the vertices in
+    `_mesh_order`, each contributing its g unknown (K + v), then its f
+    unknown (v)."""
+    with _ORDERS_LOCK:
+        order = _ORDERS.get(ops)
+        if order is None:
+            K = ops.vertex_count
+            vertices = _mesh_order(ops)
+            order = np.empty(2 * K, dtype=np.intp)
+            order[0::2] = K + vertices
+            order[1::2] = vertices
+            _ORDERS[ops] = order
+    return order
+
+
+def _mesh_order(ops):
+    """A minimum-degree order of the mesh graph, the pattern of mass +
+    stiffness, as the vertex eliminated first, second, ...
+
+    SuperLU computes the order when it factors a matrix of that pattern;
+    the diagonally dominant values keep its factorization trivial.
+    """
+    graph = (abs(ops.mass) + abs(ops.stiffness)).tocsc()
+    graph.data[:] = 1.0
+    graph = (graph + sparse.diags(np.diff(graph.indptr).astype(np.float64))).tocsc()
+    lu = splinalg.splu(graph, permc_spec="MMD_AT_PLUS_A",
+                       options=dict(SymmetricMode=True))
+    # perm_c maps a column to its position in the order
+    return np.argsort(lu.perm_c)
 
 
 def build(ops: FemOperators, upper_left, lam: float) -> SaddleSystem:

@@ -160,6 +160,26 @@ def test_fit_non_finite_lambda_exit_2(tmp_path, capsys, extra):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--threads", "0"], ["--threads", "-2"], ["--max-iterations", "-3"],
+    ["--tolerance", "nan"], ["--tolerance", "-1"],
+])
+def test_fit_invalid_numeric_option_exit_2(tmp_path, capsys, extra):
+    src = simulate_sphere(tmp_path / "sim")
+    assert run(fit_args(src, tmp_path / "fit", extra)) == 2
+    assert extra[0][2:].replace("-", "_") in capsys.readouterr().err
+
+
+def test_fit_data_not_utf8_exit_2(tmp_path, capsys):
+    src = simulate_sphere(tmp_path / "sim")
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes((src / "data.csv").read_bytes() + b"\xe9\n")
+    code = run(["fit", "--mesh", src / "mesh.off", "--data", bad,
+                "--outdir", tmp_path])
+    assert code == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_out_scipy_spatial():
     # closest-point queries load it on first use; no command needs it
     code = "import sys, smfpca.cli; print('scipy.spatial' in sys.modules)"
@@ -323,3 +343,33 @@ def test_mesh_info_open_mesh(tmp_path, right_triangle, capsys):
     assert info["closed"] is False
     assert info["boundaryEdges"] == 3
     assert info["totalArea"] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_evaluate_result_missing_field_exit_2(tmp_path, capsys):
+    src, out = fitted_bundle(tmp_path)
+    doc = load_json(out / "result.json")
+    del doc["components"][1]["vertexValues"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["evaluate", "--result", bad, "--truth", src / "truth.json",
+                "--outdir", tmp_path / "ev"])
+    assert code == 2
+    assert "component 2 lacks 'vertexValues'" in capsys.readouterr().err
+
+
+def test_evaluate_result_not_utf8_exit_2(tmp_path, capsys):
+    src, out = fitted_bundle(tmp_path)
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes((out / "result.json").read_bytes().replace(b"{", b"{\xe9", 1))
+    code = run(["evaluate", "--result", bad, "--truth", src / "truth.json",
+                "--outdir", tmp_path / "ev"])
+    assert code == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_evaluate_result_directory_exit_2(tmp_path, capsys):
+    src, out = fitted_bundle(tmp_path)
+    code = run(["evaluate", "--result", out, "--truth", src / "truth.json",
+                "--outdir", tmp_path / "ev"])
+    assert code == 2
+    assert str(out) in capsys.readouterr().err

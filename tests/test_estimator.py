@@ -312,6 +312,17 @@ def test_fit_validates_arguments(ops1):
             fit(X, 1, [1e-3], ops1, selection="fixed", fixed_lambda=bad)
         with pytest.raises(InputError, match="lambda grid"):
             fit(X, 1, [bad], ops1, selection="fixed")
+    for options, match in [
+        (dict(threads=0), "threads"), (dict(threads=-2), "threads"),
+        (dict(max_iterations=-3), "max_iterations"),
+        (dict(tolerance=np.nan), "tolerance"), (dict(tolerance=-1.0), "tolerance"),
+        (dict(tolerance=np.inf), "tolerance"),
+    ]:
+        with pytest.raises(InputError, match=match):
+            fit(X, 1, [1e-3], ops1, selection="fixed", **options)
+    # zero iterations is documented as one pass
+    assert fit(X, 1, [1e-3], ops1, selection="fixed",
+               max_iterations=0).components[0].iterations == 1
 
 
 def test_monotonicity_guard_fires_only_at_fixed_lambda(ops2, monkeypatch):
@@ -517,6 +528,15 @@ def test_fit_missing_rejects_gcv(ops1):
     obs = ObservationSet.from_masked(ds.X.values, vertex_locations(ops1.mesh))
     with pytest.raises(InputError):
         fit_missing(obs, 1, [1e-3], ops1, selection="gcv")
+
+
+def test_fit_missing_validates_numeric_options(ops1):
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 26)
+    obs = ObservationSet.from_masked(ds.X.values, vertex_locations(ops1.mesh))
+    for options in (dict(threads=0), dict(max_iterations=-1),
+                    dict(tolerance=np.nan)):
+        with pytest.raises(InputError):
+            fit_missing(obs, 1, [1e-3], ops1, selection="fixed", **options)
 
 
 def test_observation_set_validation(ops1):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from smfpca import ParseError
+from smfpca import InputError, ParseError
 from smfpca.serialize import (
     arrays_from_result,
     arrays_from_truth,
@@ -63,6 +63,22 @@ def test_data_csv_bad_cell_reports_position(tmp_path):
         read_data_csv(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+def test_data_csv_non_finite_cell_reports_position(tmp_path, token):
+    # only an empty cell marks a missing value
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,1,2\n1.0,2.0,3.0\n4.0,,{token}\n")
+    with pytest.raises(ParseError, match=r"row 3, column 3"):
+        read_data_csv(path)
+
+
+def test_data_csv_not_utf8_rejected(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"0,1\n1.0,\xe92.0\n")
+    with pytest.raises(ParseError, match="UTF-8"):
+        read_data_csv(path)
+
+
 def test_data_csv_ragged_rows_rejected(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0\n3.0\n")
@@ -95,6 +111,13 @@ def test_json_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ParseError):
+        load_json(path)
+
+
+def test_json_not_utf8_rejected(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xe9"}')
+    with pytest.raises(ParseError, match="UTF-8"):
         load_json(path)
 
 
@@ -150,3 +173,37 @@ def test_arrays_from_documents_roundtrip(ops1, tmp_path):
     # documents survive a disk trip
     write_json(tmp_path / "truth.json", tdoc)
     assert load_json(tmp_path / "truth.json") == json.loads(json.dumps(tdoc))
+
+
+def result_doc():
+    component = {"vertexValues": [0.0, 1.0, 2.0], "scores": [0.6, 0.8],
+                 "functionNorm": 1.5}
+    return {"components": [dict(component), dict(component)],
+            "cumulativeVariance": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("vertexValues", None, "component 2 lacks 'vertexValues'"),
+    ("functionNorm", None, "component 2 lacks 'functionNorm'"),
+    ("scores", [[0.6, 0.8]], "scores must be vectors of one length"),
+    ("vertexValues", [0.0, 1.0], r"shapes \[\(2,\), \(3,\)\]"),
+    ("vertexValues", ["a", "b", "c"], "vertexValues must hold numbers"),
+])
+def test_arrays_from_result_names_bad_field(key, value, match):
+    # value None removes the key from the second component
+    doc = result_doc()
+    if value is None:
+        del doc["components"][1][key]
+    else:
+        doc["components"][1][key] = value
+    with pytest.raises(InputError, match=match):
+        arrays_from_result(doc)
+
+
+def test_arrays_from_truth_checks_score_width():
+    doc = {"trueComponents": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]],
+           "trueScores": [[1.0, 2.0, 3.0]]}
+    with pytest.raises(InputError, match="3 scores for 2 trueComponents"):
+        arrays_from_truth(doc)
+    with pytest.raises(InputError, match="lacks components or scores"):
+        arrays_from_truth({"trueComponents": doc["trueComponents"]})

@@ -1,10 +1,16 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
 from smfpca import DimensionMismatch, InputError, SingularSystem, assemble, build
-from smfpca import vertex_locations
-from smfpca.estimator import data_gram
+from smfpca import ObservationSet, fit, fit_missing, solver, vertex_locations
+from smfpca.estimator import _MissingState, data_gram
+from smfpca.selection import default_lambda_grid
+from smfpca.synth import generate_sphere_dataset
 
 
 def dense_block_solve(ops, upper_left, lam, rhs_top):
@@ -196,3 +202,111 @@ def test_shape_mismatch(ops1, ops2):
     start = system.solve(np.ones(ops1.vertex_count))
     with pytest.raises(DimensionMismatch):
         system.solve_with_block(data_gram(ops2), np.ones(ops1.vertex_count), start)
+
+
+def data_blocks(ops):
+    """psi'psi with data at every vertex, at a few vertices only, and a
+    masked weighted Gram matrix."""
+    rng = np.random.default_rng(13)
+    few = ops.psi[np.sort(rng.choice(ops.location_count, 12, replace=False))]
+    values = rng.standard_normal((8, ops.location_count))
+    values[rng.random(values.shape) < 0.3] = np.nan
+    state = _MissingState(ObservationSet.from_masked(values, ops.locations), ops)
+    u = rng.standard_normal(8)
+    return {
+        "every-vertex": data_gram(ops),
+        "few-vertices": (few.T @ few).tocsr(),
+        "masked": state.weighted_gram(u / np.linalg.norm(u)),
+    }
+
+
+def oracle_lambdas(ops):
+    """From the default grid's minimum / 1e3 to its maximum * 1e3."""
+    grid = default_lambda_grid(ops)
+    low, high = grid.min(), grid.max()
+    return [low / 1e3, low, np.sqrt(low * high), high, high * 1e3]
+
+
+@pytest.mark.parametrize("block", ["every-vertex", "few-vertices", "masked"])
+def test_matches_dense_lu_oracle_across_lambda(ops2, block):
+    upper_left = data_blocks(ops2)[block]
+    rhs = rhs_for(ops2, 14)
+    for lam in oracle_lambdas(ops2):
+        f, g = build(ops2, upper_left, lam).solve(rhs)
+        f_d, _ = dense_block_solve(ops2, upper_left, lam, rhs)
+        assert relative_error(f, f_d) <= 1e-10, lam
+        # residual of the unscaled system [[UL, lam R1], [lam R1, -lam R0]]
+        top = upper_left @ f + lam * (ops2.stiffness @ g) - rhs
+        bottom = lam * (ops2.stiffness @ f - ops2.mass @ g)
+        residual = np.linalg.norm(np.concatenate([top, bottom]))
+        assert residual <= 1e-11 * np.linalg.norm(rhs), lam
+
+
+def test_factorization_takes_diagonal_pivots(ops2):
+    # threshold pivoting would leave perm_r != perm_c and bring back fill
+    for upper_left in data_blocks(ops2).values():
+        for lam in oracle_lambdas(ops2):
+            lu = build(ops2, upper_left, lam)._lu
+            np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+
+
+def test_elimination_order_pairs_g_before_f(ops2):
+    K = ops2.vertex_count
+    order = solver._elimination_order(ops2)
+    assert sorted(order) == list(range(2 * K))
+    np.testing.assert_array_equal(order[0::2], K + order[1::2])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked):
+    ops = assemble(sphere2, vertex_locations(sphere2))
+    ds = generate_sphere_dataset(sphere2, ops, 20, (4.0, 2.0), 0.1, 31)
+    orders, factors = [], []
+    mesh_order = solver._mesh_order
+    factor = solver.SaddleSystem.__init__
+
+    def counting_order(ops_arg):
+        orders.append(ops_arg)
+        return mesh_order(ops_arg)
+
+    def counting_factor(self, *args):
+        factors.append(None)
+        factor(self, *args)
+
+    monkeypatch.setattr(solver, "_mesh_order", counting_order)
+    monkeypatch.setattr(solver.SaddleSystem, "__init__", counting_factor)
+    grid = [1e-5, 1e-3, 1e-1]
+    if masked:
+        values = ds.X.values.copy()
+        values[np.random.default_rng(32).random(values.shape) < 0.2] = np.nan
+        obs = ObservationSet.from_masked(values, ops.locations)
+        fit_missing(obs, 1, grid, ops, selection="kfold", folds=3, threads=4)
+    else:
+        fit(ds.X, 2, grid, ops, selection="kfold", folds=3, threads=4)
+    assert len(factors) >= len(grid)
+    assert orders == [ops]
+
+
+def test_elimination_order_computed_once_under_concurrent_first_use(
+        sphere2, monkeypatch):
+    ops = assemble(sphere2, vertex_locations(sphere2))
+    calls = []
+    mesh_order = solver._mesh_order
+
+    def slow_order(ops_arg):
+        calls.append(None)
+        time.sleep(0.05)  # the window a check-then-set race would need
+        return mesh_order(ops_arg)
+
+    monkeypatch.setattr(solver, "_mesh_order", slow_order)
+    barrier = threading.Barrier(8)
+
+    def first_use():
+        barrier.wait(timeout=10)
+        return solver._elimination_order(ops)
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        futures = [pool.submit(first_use) for _ in range(8)]
+        orders = [future.result(timeout=30) for future in futures]
+    assert len(calls) == 1
+    assert all(order is orders[0] for order in orders)
