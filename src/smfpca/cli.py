@@ -107,6 +107,10 @@ def _resolve(args, defaults):
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
+    seed = config.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        # numpy's generators reject negative seeds with a bare ValueError
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     return config
 
 

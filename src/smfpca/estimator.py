@@ -6,18 +6,19 @@ minimizations of the rank-one objective
     sum_ij (x_i(p_j) - u_i f(p_j))^2 + lam * u'u * penalty(f),
 
 where the roughness penalty integrates the squared surface Laplacian of
-f through the auxiliary field g. The score update normalizes the data
-projection; the function update solves the sparse saddle-point system.
+f through the auxiliary field g. The score update minimizes over the
+scores for the current function and normalizes them; the function
+update solves the sparse saddle-point system.
 
 One loop, `_alternate`, serves every fit. It runs over a data term that
 supplies the score update, the function update and the objective: dense
 data, per-function observations and per-iteration GCV are variants of
-that one core. For dense data at a fixed parameter both steps solve
-their subproblem exactly, so the objective value is nonincreasing along
-the iteration; this is asserted, not assumed. It is not asserted under
-GCV, which moves the parameter between passes, nor for per-function
-observations, whose normalized score step is not the exact minimizer
-when observation counts differ.
+that one core. At a fixed parameter both steps solve their subproblem
+exactly, for dense data and for per-function observations alike (the
+objective is unchanged by u -> cu, f -> f/c, so normalizing the exact
+scores keeps the step exact), and the objective value is therefore
+nonincreasing along the iteration; this is asserted, not assumed. It is
+not asserted under GCV, which moves the parameter between passes.
 
 Extracted components are removed from the data matrix by projecting out
 the unit score direction, and explained variance is accounted through a
@@ -42,6 +43,11 @@ from .errors import (
 from .fem import FemOperators, l2_inner, location_matrix
 
 _MONOTONE_SLACK = 1e-9
+# Deflated data whose squared norm has fallen to this share of the
+# starting one is roundoff, not signal: dense deflation leaves ~eps^2,
+# masked deflation ~(1e-13)^2 (the solves' refinement tolerance). Fits
+# on such data only shrink it further, toward underflow.
+_EXHAUSTED = 1e-24
 
 
 @dataclass(eq=False)
@@ -67,6 +73,12 @@ class DataMatrix:
     @property
     def s(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def xnorm2(self) -> float:
+        """Squared Frobenius norm of the values."""
+        flat = self.values.ravel()
+        return float(np.dot(flat, flat))
 
 
 @dataclass(eq=False)
@@ -276,9 +288,11 @@ class _DenseTerm:
         self.X = X
         self.ops = ops
         self.systems = systems
-        self.xnorm2 = float(np.dot(X.values.ravel(), X.values.ravel()))
+        self.xnorm2 = X.xnorm2
 
-    def scores(self, f):
+    def scores(self, f, g, lam):
+        # The exact minimizer divides every projection by the same profile
+        # energy plus penalty, which normalizing removes.
         return score_step(self.X, self.ops.psi @ f)
 
     def solve(self, u, lam):
@@ -302,7 +316,7 @@ def _alternate(term, u, lam, max_iterations, tolerance, choose=None):
     f_prev = None
     for it in range(max(1, max_iterations)):
         if it > 0:
-            u = term.scores(f)
+            u = term.scores(f, g, lam)
         if choose is not None:
             lam = choose(u)
         f, g = term.solve(u, lam)
@@ -426,18 +440,26 @@ def fit(
         Relative change of the coefficient vector that stops the
         alternation; non-negative and finite.
     seed : int
-        Drives the fold shuffle; component c derives its own stream.
+        Non-negative; drives the fold shuffle, and component c derives
+        its own stream.
     threads : int
-        Worker threads for grid evaluation, at least 1; results are
-        identical for any thread count.
+        Worker threads for K-fold folds and GCV candidates, at least 1;
+        results are identical for any thread count.
 
     Returns
     -------
     SmFpcaResult
+
+    Raises
+    ------
+    DegenerateData
+        Also when deflation has exhausted the data (left at most 1e-24
+        of their squared norm, which is roundoff) before
+        ``n_components`` components; the message names the component.
     """
     grid, fixed_lambda = _check_selection(
         n_components, selection, lambda_grid, fixed_lambda, ("kfold", "gcv", "fixed"),
-        max_iterations, tolerance, threads,
+        max_iterations, tolerance, threads, seed,
     )
     if center:
         mean_field = X.values.mean(axis=0)
@@ -473,10 +495,18 @@ def fit(
 def _extract(data, n_components, fit_one, deflate_one, mean_field):
     """The component driver of `fit` and `fit_missing`: ``fit_one(data,
     index)`` returns a component and its selection trace, and
-    ``deflate_one`` removes the component from the data before the next."""
+    ``deflate_one`` removes the component from the data before the next.
+    Stops with DegenerateData once deflation has exhausted the data."""
     components = []
     traces = []
+    initial = data.xnorm2
     for comp_index in range(n_components):
+        if comp_index and data.xnorm2 <= _EXHAUSTED * initial:
+            raise DegenerateData(
+                f"component {comp_index + 1}: the data are exhausted after "
+                f"{comp_index} (squared norm {data.xnorm2:.3g} left of "
+                f"{initial:.3g}); ask for fewer components"
+            )
         component, trace = fit_one(data, comp_index)
         components.append(component)
         traces.append(trace)
@@ -510,7 +540,7 @@ def _fit_component_gcv(X, grid, ops, systems, trace_cache, max_iterations,
 
 
 def _check_selection(n_components, selection, lambda_grid, fixed_lambda, methods,
-                     max_iterations, tolerance, threads):
+                     max_iterations, tolerance, threads, seed):
     """The argument checks of `fit` and `fit_missing`; returns the
     checked grid and the fixed parameter (from a one-point grid when
     ``fixed_lambda`` is None)."""
@@ -518,6 +548,8 @@ def _check_selection(n_components, selection, lambda_grid, fixed_lambda, methods
         raise InputError("n_components must be at least 1")
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     if max_iterations < 0:
         raise InputError(f"max_iterations must be at least 0, got {max_iterations}")
     if not 0 <= tolerance < np.inf:
@@ -563,14 +595,17 @@ class _MissingState:
     """Per-function sparse operators for one observation set.
 
     `psi_stack` stacks the per-function location matrices row-wise, and
-    `counts` holds each function's observation count, so the weighted
-    data block is a single sparse product.
+    function i owns its rows from `offsets[i]` on. Every weighted data
+    block sum_i u_i^2 psi_i' psi_i has the pattern fixed by the
+    locations, so its values are one sparse map, `gram_map`, applied to
+    the squared scores.
     """
 
     def __init__(self, obs: ObservationSet, ops: FemOperators):
         self.ops = ops
         self.psis = [location_matrix(ops.mesh, locs) for locs, _ in obs.functions]
         self._stack_psis()
+        self._map_grams()
         self._set_values([vals for _, vals in obs.functions])
 
     def _set_values(self, values, d_matrix=None):
@@ -585,9 +620,34 @@ class _MissingState:
 
     def _stack_psis(self):
         self.psi_stack = sparse.vstack(self.psis, format="csr")
-        self.psi_stack_t = self.psi_stack.T.tocsr()
         self.counts = np.array([psi_i.shape[0] for psi_i in self.psis])
+        self.offsets = np.cumsum(self.counts) - self.counts
         self.total_observations = int(self.counts.sum())
+
+    def _map_grams(self):
+        """Build `gram_map`, (pattern entries, n), and the CSR pattern
+        (`_gram_indices`, `_gram_indptr`): the union over observation
+        rows of their entry pairs, rows grouped by entry count."""
+        stack = self.psi_stack
+        K = stack.shape[1]
+        lengths = np.diff(stack.indptr)
+        owner = np.repeat(np.arange(len(self.psis)), self.counts)
+        keys, products, functions = [], [], []
+        for k in np.unique(lengths[lengths > 0]):
+            rows = np.flatnonzero(lengths == k)
+            at = stack.indptr[rows][:, None] + np.arange(k)
+            cols = stack.indices[at].astype(np.int64)
+            vals = stack.data[at]
+            keys.append((cols[:, :, None] * K + cols[:, None, :]).ravel())
+            products.append((vals[:, :, None] * vals[:, None, :]).ravel())
+            functions.append(np.repeat(owner[rows], k * k))
+        pattern, entry = np.unique(np.concatenate(keys), return_inverse=True)
+        self.gram_map = sparse.csc_matrix(
+            (np.concatenate(products), (entry.ravel(), np.concatenate(functions))),
+            shape=(pattern.size, len(self.psis)),
+        )
+        self._gram_indices = pattern % K
+        self._gram_indptr = np.searchsorted(pattern // K, np.arange(K + 1))
 
     @property
     def n(self):
@@ -597,21 +657,22 @@ class _MissingState:
         state = copy.copy(self)
         state.psis = [self.psis[i] for i in rows]
         state._stack_psis()
+        # The pattern keeps the full state's entries; those no training
+        # function touches hold explicit zeros.
+        state.gram_map = self.gram_map[:, rows]
         # slicing, not restacking, keeps the full state's layout and rounding
         state._set_values([self.values[i] for i in rows], self.d_matrix[:, rows])
         return state
 
     def weighted_gram(self, u):
-        """Sum over functions of u_i^2 psi_i' psi_i, as one product
-        psi_stack' diag(repeat(u^2, counts)) psi_stack."""
-        stack = self.psi_stack
-        weights = np.repeat(np.asarray(u) ** 2, self.counts)
-        scaled = sparse.csr_matrix(
-            (stack.data * np.repeat(weights, np.diff(stack.indptr)),
-             stack.indices, stack.indptr),
-            shape=stack.shape,
+        """Sum over functions of u_i^2 psi_i' psi_i, as `gram_map` applied
+        to u^2 on the fixed pattern."""
+        K = self.ops.vertex_count
+        return sparse.csr_matrix(
+            (self.gram_map @ (np.asarray(u) ** 2), self._gram_indices,
+             self._gram_indptr),
+            shape=(K, K),
         )
-        return (self.psi_stack_t @ scaled).tocsr()
 
     def deflated(self, component):
         # Subtract each function's share of the fitted component at its
@@ -650,7 +711,7 @@ class _MissingTerm:
     refinement against it fails to converge. That state is per fit, so
     one `_MissingState` can serve concurrent fits."""
 
-    exact = False
+    exact = True
 
     def __init__(self, state: _MissingState, ops: FemOperators):
         self.state = state
@@ -658,8 +719,17 @@ class _MissingTerm:
         self.xnorm2 = state.xnorm2
         self._system = self._gram = self._solution = None
 
-    def scores(self, f):
-        return _unit(self.state.d_matrix.T @ f, "all score inner products vanished")
+    def scores(self, f, g, lam):
+        # For fixed (f, g) each score is a ridge update against that
+        # function's own profile energy ||psi_i f||^2; the objective is
+        # unchanged by u -> cu, f -> f/c, so the minimizer may be normalized.
+        state = self.state
+        evaluated = state.psi_stack @ f
+        energy = (np.add.reduceat(evaluated * evaluated, state.offsets)
+                  + lam * penalty_value(g, self.ops))
+        inner = state.d_matrix.T @ f
+        u = np.divide(inner, energy, out=np.zeros_like(inner), where=energy > 0)
+        return _unit(u, "all score inner products vanished")
 
     def solve(self, u, lam):
         self._gram = self.state.weighted_gram(u)
@@ -700,12 +770,13 @@ def fit_missing(
     """Extract components from per-function observation lists.
 
     The score update divides each function's observation/function inner
-    product by the root sum of squares across functions; the function
-    update solves the saddle-point system whose data block weights each
+    product by that function's own profile energy plus the weighted
+    penalty (the exact minimizer), then normalizes; the function update
+    solves the saddle-point system whose data block weights each
     function's Gram matrix by its squared score. On fully observed data
-    (every function observed at every location) the weighted block
-    collapses to psi' psi because the scores have unit norm, and the
-    result coincides with `fit` up to roundoff.
+    (every function observed at every location) the energies agree, the
+    weighted block collapses to psi' psi because the scores have unit
+    norm, and the result coincides with `fit` up to roundoff.
 
     The data block moves with the scores, so each component fit factors
     its system once, on the first alternation, and solves every later
@@ -716,11 +787,14 @@ def fit_missing(
     No centering is applied: a columnwise mean is undefined for ragged
     observations, so callers wanting centered behavior must center
     upstream. Generalized cross-validation is likewise undefined here;
-    use ``"kfold"`` or ``"fixed"`` selection.
+    use ``"kfold"`` or ``"fixed"`` selection. The other arguments, and
+    the stop once deflation has exhausted the data, are those of `fit`;
+    ragged deflation is no projection and exhausts data only that the
+    fits reproduce.
     """
     grid, fixed_lambda = _check_selection(
         n_components, selection, lambda_grid, fixed_lambda, ("kfold", "fixed"),
-        max_iterations, tolerance, threads,
+        max_iterations, tolerance, threads, seed,
     )
 
     def fit_one(state, comp_index):

@@ -43,11 +43,14 @@ class SelectionTrace:
 
 
 def make_folds(n: int, folds: int, seed):
-    """Seeded partition of ``range(n)`` into near-equal groups."""
+    """Seeded partition of ``range(n)`` into near-equal groups; ``seed``
+    is a non-negative integer or a sequence of them."""
     if not 2 <= folds <= n:
         raise InvalidFoldCount(
             f"fold count must lie in [2, {n}] for {n} functions, got {folds}"
         )
+    if np.min(seed) < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)
     return np.array_split(perm, folds)
 
@@ -94,21 +97,30 @@ def default_lambda_grid(ops: FemOperators, count: int = 13,
 
 def _kfold_trace(n, assignments, grid, prepare, fold_residuals, scale,
                  threads) -> SelectionTrace:
-    """Score every candidate: ``prepare(train_rows)`` runs once per fold,
-    its result shared read-only by every candidate; ``fold_residuals(lam,
-    prepared, val_rows)`` yields squared residuals, summed in a fixed
-    order and divided by ``scale``."""
-    prepared = [(prepare(np.setdiff1d(np.arange(n), val)), val) for val in assignments]
+    """Score every candidate, one task per fold (the unit mapped over
+    ``threads``). A task builds ``prepare(train_rows)``, the pair (training
+    set, start), and runs the candidates in ascending order:
+    ``fold_residuals(lam, train, val_rows, start)`` returns the validation
+    rows' squared residuals and the start of the next candidate. Each
+    candidate's residuals are summed in fold order and divided by
+    ``scale``."""
+    ascending = np.argsort(grid, kind="stable")
 
-    def score_one(lam):
-        lam = float(lam)
+    def run_fold(val_rows):
+        train, start = prepare(np.setdiff1d(np.arange(n), val_rows))
+        residuals = [None] * len(grid)
+        for j in ascending:
+            residuals[j], start = fold_residuals(float(grid[j]), train, val_rows, start)
+        return residuals
+
+    per_fold = _map_ordered(run_fold, assignments, threads)
+    scores = np.empty(len(grid))
+    for j in range(len(grid)):
         total = 0.0
-        for fold, val_rows in prepared:
-            for residual in fold_residuals(lam, fold, val_rows):
+        for residuals in per_fold:
+            for residual in residuals[j]:
                 total += residual
-        return total / scale
-
-    scores = np.array(_map_ordered(score_one, list(grid), threads))
+        scores[j] = total / scale
     return SelectionTrace(
         lambda_grid=grid, scores=scores,
         chosen=int(np.argmin(scores)), method="kfold",
@@ -127,7 +139,10 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     all matrix entries, score the candidate; the smallest wins. The
     training rows and the singular-vector warm start do not depend on
     the candidate, so each fold computes them once and every candidate
-    starts from them.
+    starts from them (continuing from the previous candidate's fit saves
+    nothing here, since the warm start is already a few solves from
+    convergence). Each fold is one task: the folds run concurrently on
+    ``threads`` workers, a fold's candidates in ascending order.
 
     Parameters
     ----------
@@ -142,8 +157,8 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     systems : dict, optional
         Shared cache mapping lambda to a factored system.
     threads : int
-        Candidates evaluated concurrently; scores are identical for
-        any thread count.
+        Folds evaluated concurrently; scores are identical for any
+        thread count.
     """
     grid = estimator._check_grid(lambda_grid, required=True)
     assignments = make_folds(X.n, folds, seed)
@@ -153,8 +168,7 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         train = estimator.DataMatrix(X.values[train_rows], centered=X.centered)
         return train, estimator.initialize(train)
 
-    def fold_residuals(lam, fold, val_rows):
-        train, start = fold
+    def fold_residuals(lam, train, val_rows, start):
         comp = estimator.fit_component(
             train, lam, ops, system=systems[lam],
             max_iterations=max_iterations, tolerance=tolerance, start=start,
@@ -169,7 +183,7 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         else:
             u_val = np.zeros(len(val_rows))
         resid = validation - np.outer(u_val, profile)
-        yield float(np.dot(resid.ravel(), resid.ravel()))
+        return [float(np.dot(resid.ravel(), resid.ravel()))], start
 
     return _kfold_trace(X.n, assignments, grid, prepare, fold_residuals,
                         X.n * X.s, threads)
@@ -184,8 +198,14 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
     The validation score of function i divides its observation/profile
     inner product by that function's own profile energy plus the
     weighted penalty; residuals run over observed entries only and are
-    averaged over the total observation count. Each fold's training
-    state and initial scores are computed once, for every candidate.
+    averaged over the total observation count. Each fold is one task
+    (the folds run concurrently on ``threads`` workers; scores are
+    identical for any thread count): it builds the training state and
+    initial scores once, then fits the candidates in ascending order of
+    the parameter, the first from the initial scores and each later one
+    from its predecessor's converged scores, which are close to its own
+    fit. The scores therefore depend on the set of candidates, not on
+    their order in ``lambda_grid``.
     """
     grid = estimator._check_grid(lambda_grid, required=True)
     assignments = make_folds(state.n, folds, seed)
@@ -194,21 +214,22 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
         train = state.subset(train_rows)
         return train, estimator._initial_scores_missing(train)
 
-    def fold_residuals(lam, fold, val_rows):
-        train, start = fold
+    def fold_residuals(lam, train, val_rows, start):
         comp = estimator._fit_component_missing(
             train, lam, ops, max_iterations, tolerance, start
         )
         f_un = comp.function_norm * comp.f_coefficients
         g_un = comp.function_norm * comp.g_coefficients
         pen = lam * estimator.penalty_value(g_un, ops)
+        residuals = []
         for i in val_rows:
             evaluated = state.psis[i] @ f_un
             denom = float(evaluated @ evaluated) + pen
             inner = float(state.values[i] @ evaluated)
             u_i = inner / denom if denom > 0 else 0.0
             resid = state.values[i] - u_i * evaluated
-            yield float(resid @ resid)
+            residuals.append(float(resid @ resid))
+        return residuals, comp.scores
 
     return _kfold_trace(state.n, assignments, grid, prepare, fold_residuals,
                         state.total_observations, threads)

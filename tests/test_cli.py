@@ -170,6 +170,28 @@ def test_fit_invalid_numeric_option_exit_2(tmp_path, capsys, extra):
     assert extra[0][2:].replace("-", "_") in capsys.readouterr().err
 
 
+def test_negative_seed_exit_2(tmp_path, capsys):
+    sim = ["simulate", "--generator", "sphere", "--sphere", 1, "--n", 12,
+           "--outdir", tmp_path / "neg"]
+    assert run(sim + ["--seed", -3]) == 2
+    assert "seed" in capsys.readouterr().err
+    src = simulate_sphere(tmp_path / "sim")
+    assert run(fit_args(src, tmp_path / "fit", ["--seed", "-1"])) == 2
+    assert "seed" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+    assert run(sim + ["--config", config]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_fit_components_past_the_data_exit_3(tmp_path, capsys):
+    src = simulate_sphere(tmp_path / "sim")
+    extra = ["--selection", "fixed", "--fixed-lambda", "1e-3",
+             "--n-components", "100"]
+    assert run(fit_args(src, tmp_path / "fit", extra)) == 3
+    assert "component 12: the data are exhausted" in capsys.readouterr().err
+
+
 def test_fit_data_not_utf8_exit_2(tmp_path, capsys):
     src = simulate_sphere(tmp_path / "sim")
     bad = tmp_path / "latin1.csv"

@@ -22,6 +22,7 @@ from smfpca import (
     score_step,
     vertex_locations,
 )
+from smfpca.mesh import SurfaceLocation
 from smfpca import estimator, solver
 from smfpca.estimator import data_gram
 from smfpca.synth import generate_sphere_dataset, sphere_pc_functions
@@ -316,7 +317,7 @@ def test_fit_validates_arguments(ops1):
         (dict(threads=0), "threads"), (dict(threads=-2), "threads"),
         (dict(max_iterations=-3), "max_iterations"),
         (dict(tolerance=np.nan), "tolerance"), (dict(tolerance=-1.0), "tolerance"),
-        (dict(tolerance=np.inf), "tolerance"),
+        (dict(tolerance=np.inf), "tolerance"), (dict(seed=-1), "seed"),
     ]:
         with pytest.raises(InputError, match=match):
             fit(X, 1, [1e-3], ops1, selection="fixed", **options)
@@ -523,6 +524,75 @@ def test_fit_missing_reuse_matches_refactoring(ops2, monkeypatch):
         np.testing.assert_allclose(a.scores, b.scores, atol=1e-10)
 
 
+def test_fit_missing_objective_never_rises(ops2):
+    # the exact score step makes masked fixed-lambda fits monotone; ragged
+    # observation counts (50% missing) are where the normalized data
+    # projection was not the minimizer
+    rises = 0
+    for seed in range(4):
+        ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.3, seed)
+        values = ds.X.values.copy()
+        values[np.random.default_rng(seed).random(values.shape) < 0.5] = np.nan
+        state = estimator._MissingState(
+            ObservationSet.from_masked(values, vertex_locations(ops2.mesh)), ops2
+        )
+        for lam in (1e-6, 1e-4, 1e-2, 1.0, 1e2):
+            trace = estimator._fit_component_missing(
+                state, lam, ops2, 30, 1e-10
+            ).objective_trace
+            rises += sum(b > a * (1 + 1e-12) for a, b in zip(trace, trace[1:]))
+    assert rises == 0
+
+
+def barycentric_observations(ops, n, seed):
+    """Observations at random interior points (three weights each)."""
+    rng = np.random.default_rng(seed)
+    functions = []
+    for _ in range(n):
+        count = int(rng.integers(3, 12))
+        locs = [SurfaceLocation(int(t), w) for t, w in zip(
+            rng.integers(0, ops.mesh.T, count), rng.dirichlet(np.ones(3), count))]
+        functions.append((locs, rng.standard_normal(count)))
+    return ObservationSet(functions)
+
+
+def test_weighted_gram_matches_explicit_sum(ops2):
+    state = estimator._MissingState(barycentric_observations(ops2, 12, 30), ops2)
+    assert max(np.diff(p.indptr).max() for p in state.psis) == 3
+    component = estimator._fit_component_missing(state, 1e-3, ops2, 15, 1e-6)
+    rng = np.random.default_rng(31)
+    for current in (state, state.subset(np.array([0, 3, 4, 9, 11])),
+                    state.deflated(component)):
+        u = rng.standard_normal(current.n)
+        u[::3] = 0.0
+        explicit = sum(u_i**2 * (psi_i.T @ psi_i).toarray()
+                       for u_i, psi_i in zip(u, current.psis))
+        gram = current.weighted_gram(u)
+        assert gram.shape == explicit.shape
+        assert np.abs(gram.toarray() - explicit).max() <= 1e-14 * np.abs(explicit).max()
+
+
+def exhaustible_observations(ops, n):
+    """Constant fields seen at one common vertex subset: a masked fit
+    reproduces them, so one component exhausts the data."""
+    rng = np.random.default_rng(32)
+    values = np.outer(rng.standard_normal(n), np.ones(ops.vertex_count))
+    values[:, rng.random(ops.vertex_count) < 0.3] = np.nan
+    return ObservationSet.from_masked(values, vertex_locations(ops.mesh))
+
+
+def test_exhausted_data_stop_with_degenerate_data(ops1):
+    # centered data of 12 functions hold at most 11 components
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 12, (4.0, 2.0), 0.1, 3)
+    assert len(fit(ds.X, 11, [1e-3], ops1, selection="fixed").components) == 11
+    with pytest.raises(DegenerateData, match="component 12: the data are exhausted"):
+        fit(ds.X, 100, [1e-3], ops1, selection="fixed")
+    obs = exhaustible_observations(ops1, 6)
+    assert len(fit_missing(obs, 1, [1e-3], ops1, selection="fixed").components) == 1
+    with pytest.raises(DegenerateData, match="component 2: the data are exhausted"):
+        fit_missing(obs, 3, [1e-3], ops1, selection="fixed")
+
+
 def test_fit_missing_rejects_gcv(ops1):
     ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 26)
     obs = ObservationSet.from_masked(ds.X.values, vertex_locations(ops1.mesh))
@@ -534,7 +604,7 @@ def test_fit_missing_validates_numeric_options(ops1):
     ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 26)
     obs = ObservationSet.from_masked(ds.X.values, vertex_locations(ops1.mesh))
     for options in (dict(threads=0), dict(max_iterations=-1),
-                    dict(tolerance=np.nan)):
+                    dict(tolerance=np.nan), dict(seed=-1)):
         with pytest.raises(InputError):
             fit_missing(obs, 1, [1e-3], ops1, selection="fixed", **options)
 

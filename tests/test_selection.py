@@ -74,15 +74,18 @@ def dense_kfold_oracle(X, grid, folds, ops, seed):
 
 
 def masked_kfold_oracle(state, grid, folds, ops, seed):
-    """Missing-data K-fold scores, each (candidate, fold) pair fitted from
-    a fresh training subset and fresh initial scores."""
+    """Missing-data K-fold scores: each fold fits the candidates in
+    ascending order on a fresh training subset, the first from fresh
+    initial scores and each later one from its predecessor's scores."""
     assignments = make_folds(state.n, folds, seed)
-    scores = []
-    for lam in grid:
-        total = 0.0
-        for val_rows in assignments:
-            train = state.subset(np.setdiff1d(np.arange(state.n), val_rows))
-            comp = estimator._fit_component_missing(train, lam, ops, 15, 1e-6)
+    totals = [0.0] * len(grid)
+    for val_rows in assignments:
+        train = state.subset(np.setdiff1d(np.arange(state.n), val_rows))
+        start = estimator._initial_scores_missing(train)
+        for j in sorted(range(len(grid)), key=lambda j: grid[j]):
+            lam = grid[j]
+            comp = estimator._fit_component_missing(train, lam, ops, 15, 1e-6, start)
+            start = comp.scores
             f_un = comp.function_norm * comp.f_coefficients
             pen = lam * penalty_value(comp.function_norm * comp.g_coefficients, ops)
             for i in val_rows:
@@ -91,9 +94,8 @@ def masked_kfold_oracle(state, grid, folds, ops, seed):
                     float(evaluated @ evaluated) + pen
                 )
                 resid = state.values[i] - u_i * evaluated
-                total += float(resid @ resid)
-        scores.append(total / state.total_observations)
-    return np.array(scores)
+                totals[j] += float(resid @ resid)
+    return np.array(totals) / state.total_observations
 
 
 def count_calls(monkeypatch, name):
@@ -141,6 +143,9 @@ def test_make_folds_bounds():
         make_folds(10, 1, seed=0)
     with pytest.raises(InvalidFoldCount):
         make_folds(10, 11, seed=0)
+    for seed in (-1, [3, -2]):
+        with pytest.raises(InputError, match="seed"):
+            make_folds(10, 2, seed=seed)
 
 
 # -- K-fold selection -------------------------------------------------
@@ -268,6 +273,35 @@ def test_explicit_warm_start_is_bitwise_default(ops1):
         assert a.function_norm == b.function_norm
         assert a.iterations == b.iterations
         assert a.objective_trace == b.objective_trace
+
+
+def test_kfold_missing_continues_in_ascending_lambda(ops1, monkeypatch):
+    # within a fold, each candidate starts from the scores its predecessor
+    # in ascending order converged to; the first from the fold's start
+    fits, starts = [], []
+    fit_one = estimator._fit_component_missing
+    initial = estimator._initial_scores_missing
+
+    def spy_fit(state, lam, ops, max_iterations, tolerance, start=None):
+        component = fit_one(state, lam, ops, max_iterations, tolerance, start)
+        fits.append((lam, start, component.scores))
+        return component
+
+    def spy_initial(state):
+        starts.append(initial(state))
+        return starts[-1]
+
+    monkeypatch.setattr(estimator, "_fit_component_missing", spy_fit)
+    monkeypatch.setattr(estimator, "_initial_scores_missing", spy_initial)
+    grid = [1e-2, 1e-6, 1.0, 1e-4]
+    kfold_select_missing(masked_state(ops1, 15, 27), grid, 3, ops1, seed=0)
+    assert len(fits) == 3 * len(grid) and len(starts) == 3
+    for fold in range(3):
+        chain = fits[fold * len(grid):(fold + 1) * len(grid)]
+        assert [lam for lam, _, _ in chain] == sorted(grid)
+        assert chain[0][1] is starts[fold]
+        for (_, _, previous), (_, start, _) in zip(chain, chain[1:]):
+            assert start is previous
 
 
 @pytest.mark.parametrize("grid", [[1e-3], [1e-6, 1e-4, 1e-2, 1.0]])
