@@ -97,30 +97,30 @@ def default_lambda_grid(ops: FemOperators, count: int = 13,
 
 def _kfold_trace(n, assignments, grid, prepare, fold_residuals, scale,
                  threads) -> SelectionTrace:
-    """Score every candidate, one task per fold (the unit mapped over
-    ``threads``). A task builds ``prepare(train_rows)``, the pair (training
-    set, start), and runs the candidates in ascending order:
+    """Score every candidate. ``prepare(train_rows)`` gives each fold its
+    training set and first start, once. The candidates run in ascending
+    order, each over every fold (the folds mapped over ``threads``), so
+    consecutive fits share one candidate's factored system:
     ``fold_residuals(lam, train, val_rows, start)`` returns the validation
-    rows' squared residuals and the start of the next candidate. Each
-    candidate's residuals are summed in fold order and divided by
+    rows' squared residuals and the fold's start for the next candidate.
+    Each candidate's residuals are summed in fold order and divided by
     ``scale``."""
-    ascending = np.argsort(grid, kind="stable")
-
-    def run_fold(val_rows):
-        train, start = prepare(np.setdiff1d(np.arange(n), val_rows))
-        residuals = [None] * len(grid)
-        for j in ascending:
-            residuals[j], start = fold_residuals(float(grid[j]), train, val_rows, start)
-        return residuals
-
-    per_fold = _map_ordered(run_fold, assignments, threads)
+    prepared = [prepare(np.setdiff1d(np.arange(n), val)) for val in assignments]
+    trains = [train for train, _ in prepared]
+    starts = [start for _, start in prepared]
     scores = np.empty(len(grid))
-    for j in range(len(grid)):
+    for j in np.argsort(grid, kind="stable"):
+        lam = float(grid[j])
+        fitted = _map_ordered(
+            lambda f: fold_residuals(lam, trains[f], assignments[f], starts[f]),
+            range(len(assignments)), threads,
+        )
         total = 0.0
-        for residuals in per_fold:
-            for residual in residuals[j]:
+        for residuals, _ in fitted:
+            for residual in residuals:
                 total += residual
         scores[j] = total / scale
+        starts = [start for _, start in fitted]
     return SelectionTrace(
         lambda_grid=grid, scores=scores,
         chosen=int(np.argmin(scores)), method="kfold",
@@ -141,8 +141,8 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     the candidate, so each fold computes them once and every candidate
     starts from them (continuing from the previous candidate's fit saves
     nothing here, since the warm start is already a few solves from
-    convergence). Each fold is one task: the folds run concurrently on
-    ``threads`` workers, a fold's candidates in ascending order.
+    convergence). The candidates run in ascending order, each over the
+    folds, which run concurrently on ``threads`` workers.
 
     Parameters
     ----------
@@ -198,14 +198,14 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
     The validation score of function i divides its observation/profile
     inner product by that function's own profile energy plus the
     weighted penalty; residuals run over observed entries only and are
-    averaged over the total observation count. Each fold is one task
-    (the folds run concurrently on ``threads`` workers; scores are
-    identical for any thread count): it builds the training state and
-    initial scores once, then fits the candidates in ascending order of
-    the parameter, the first from the initial scores and each later one
-    from its predecessor's converged scores, which are close to its own
-    fit. The scores therefore depend on the set of candidates, not on
-    their order in ``lambda_grid``.
+    averaged over the total observation count. Each fold builds its
+    training state and initial scores once. The candidates run in
+    ascending order of the parameter, each over the folds (which run
+    concurrently on ``threads`` workers; scores are identical for any
+    thread count). In each fold the first candidate starts from the
+    initial scores and each later one from its predecessor's converged
+    scores, which are close to its own fit. The scores therefore depend
+    on the set of candidates, not on their order in ``lambda_grid``.
     """
     grid = estimator._check_grid(lambda_grid, required=True)
     assignments = make_folds(state.n, folds, seed)

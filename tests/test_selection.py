@@ -224,8 +224,8 @@ def test_kfold_threads_bitwise_equal(ops1):
 
 
 def test_kfold_missing_threads_bitwise_equal(ops1):
-    # the prepared folds are shared read-only by every worker; frequent
-    # thread switches make interleaved access likely
+    # concurrent folds read the full state (its map and observations) and
+    # hand their scores on; frequent thread switches make interleaving likely
     state = masked_state(ops1, 20, 6)
     grid = [1e-6, 1e-4, 1e-2, 1.0]
     serial = kfold_select_missing(state, grid, 4, ops1, seed=0, threads=1)
@@ -278,26 +278,26 @@ def test_explicit_warm_start_is_bitwise_default(ops1):
 def test_kfold_missing_continues_in_ascending_lambda(ops1, monkeypatch):
     # within a fold, each candidate starts from the scores its predecessor
     # in ascending order converged to; the first from the fold's start
-    fits, starts = [], []
+    chains, starts = {}, {}
     fit_one = estimator._fit_component_missing
     initial = estimator._initial_scores_missing
 
     def spy_fit(state, lam, ops, max_iterations, tolerance, start=None):
         component = fit_one(state, lam, ops, max_iterations, tolerance, start)
-        fits.append((lam, start, component.scores))
+        chains[id(state)].append((lam, start, component.scores))
         return component
 
     def spy_initial(state):
-        starts.append(initial(state))
-        return starts[-1]
+        starts[id(state)] = initial(state)
+        chains[id(state)] = []
+        return starts[id(state)]
 
     monkeypatch.setattr(estimator, "_fit_component_missing", spy_fit)
     monkeypatch.setattr(estimator, "_initial_scores_missing", spy_initial)
     grid = [1e-2, 1e-6, 1.0, 1e-4]
     kfold_select_missing(masked_state(ops1, 15, 27), grid, 3, ops1, seed=0)
-    assert len(fits) == 3 * len(grid) and len(starts) == 3
-    for fold in range(3):
-        chain = fits[fold * len(grid):(fold + 1) * len(grid)]
+    assert len(chains) == 3
+    for fold, chain in chains.items():
         assert [lam for lam, _, _ in chain] == sorted(grid)
         assert chain[0][1] is starts[fold]
         for (_, _, previous), (_, start, _) in zip(chain, chain[1:]):
