@@ -594,17 +594,17 @@ def _check_grid(lambda_grid, required):
 class _MissingState:
     """Per-function sparse operators for one observation set.
 
-    `psi_stack` stacks the per-function location matrices row-wise, and
-    function i owns its rows from `offsets[i]` on. Every weighted data
-    block sum_i u_i^2 psi_i' psi_i has the pattern fixed by the
-    locations, so its values are one sparse map, `gram_map`, applied to
-    the squared scores.
+    Every weighted data block sum_i u_i^2 psi_i' psi_i lies on one
+    pattern, fixed by the locations: the entry pairs (a, b) of some
+    observation row. `gram_map`, of shape (pattern entries, n), holds in
+    column i the values of psi_i' psi_i there, so a block is `gram_map`
+    applied to the squared scores, and f' psi_i' psi_i f is column i
+    applied to the products f_a f_b.
     """
 
     def __init__(self, obs: ObservationSet, ops: FemOperators):
         self.ops = ops
         self.psis = [location_matrix(ops.mesh, locs) for locs, _ in obs.functions]
-        self._stack_psis()
         self._map_grams()
         self._set_values([vals for _, vals in obs.functions])
 
@@ -618,20 +618,15 @@ class _MissingState:
         self.d_matrix = d_matrix
         self.xnorm2 = float(sum(float(v @ v) for v in values))
 
-    def _stack_psis(self):
-        self.psi_stack = sparse.vstack(self.psis, format="csr")
-        self.counts = np.array([psi_i.shape[0] for psi_i in self.psis])
-        self.offsets = np.cumsum(self.counts) - self.counts
-        self.total_observations = int(self.counts.sum())
-
     def _map_grams(self):
-        """Build `gram_map`, (pattern entries, n), and the CSR pattern
-        (`_gram_indices`, `_gram_indptr`): the union over observation
-        rows of their entry pairs, rows grouped by entry count."""
-        stack = self.psi_stack
+        """Build `gram_map` and the pattern (CSR `_gram_indices` and
+        `_gram_indptr`, and `_gram_rows`) from the stacked location
+        matrices, their rows grouped by entry count."""
+        stack = sparse.vstack(self.psis, format="csr")
         K = stack.shape[1]
         lengths = np.diff(stack.indptr)
-        owner = np.repeat(np.arange(len(self.psis)), self.counts)
+        n = len(self.psis)
+        owner = np.repeat(np.arange(n), [psi_i.shape[0] for psi_i in self.psis])
         keys, products, functions = [], [], []
         for k in np.unique(lengths[lengths > 0]):
             rows = np.flatnonzero(lengths == k)
@@ -644,25 +639,33 @@ class _MissingState:
         pattern, entry = np.unique(np.concatenate(keys), return_inverse=True)
         self.gram_map = sparse.csc_matrix(
             (np.concatenate(products), (entry.ravel(), np.concatenate(functions))),
-            shape=(pattern.size, len(self.psis)),
+            shape=(pattern.size, n),
         )
+        self._gram_rows = pattern // K
         self._gram_indices = pattern % K
-        self._gram_indptr = np.searchsorted(pattern // K, np.arange(K + 1))
+        self._gram_indptr = np.searchsorted(self._gram_rows, np.arange(K + 1))
 
     @property
     def n(self):
         return len(self.values)
 
+    @property
+    def total_observations(self):
+        return sum(psi_i.shape[0] for psi_i in self.psis)
+
     def subset(self, rows):
         state = copy.copy(self)
         state.psis = [self.psis[i] for i in rows]
-        state._stack_psis()
         # The pattern keeps the full state's entries; those no training
         # function touches hold explicit zeros.
         state.gram_map = self.gram_map[:, rows]
         # slicing, not restacking, keeps the full state's layout and rounding
         state._set_values([self.values[i] for i in rows], self.d_matrix[:, rows])
         return state
+
+    def energies(self, f):
+        """Each function's profile energy ||psi_i f||^2."""
+        return self.gram_map.T @ (f[self._gram_rows] * f[self._gram_indices])
 
     def weighted_gram(self, u):
         """Sum over functions of u_i^2 psi_i' psi_i, as `gram_map` applied
@@ -724,9 +727,7 @@ class _MissingTerm:
         # function's own profile energy ||psi_i f||^2; the objective is
         # unchanged by u -> cu, f -> f/c, so the minimizer may be normalized.
         state = self.state
-        evaluated = state.psi_stack @ f
-        energy = (np.add.reduceat(evaluated * evaluated, state.offsets)
-                  + lam * penalty_value(g, self.ops))
+        energy = state.energies(f) + lam * penalty_value(g, self.ops)
         inner = state.d_matrix.T @ f
         u = np.divide(inner, energy, out=np.zeros_like(inner), where=energy > 0)
         return _unit(u, "all score inner products vanished")

@@ -556,7 +556,7 @@ def barycentric_observations(ops, n, seed):
     return ObservationSet(functions)
 
 
-def test_weighted_gram_matches_explicit_sum(ops2):
+def test_weighted_gram_and_energies_match_explicit_sums(ops2):
     state = estimator._MissingState(barycentric_observations(ops2, 12, 30), ops2)
     assert max(np.diff(p.indptr).max() for p in state.psis) == 3
     component = estimator._fit_component_missing(state, 1e-3, ops2, 15, 1e-6)
@@ -570,6 +570,10 @@ def test_weighted_gram_matches_explicit_sum(ops2):
         gram = current.weighted_gram(u)
         assert gram.shape == explicit.shape
         assert np.abs(gram.toarray() - explicit).max() <= 1e-14 * np.abs(explicit).max()
+        # the same map gives each function's profile energy
+        f = rng.standard_normal(ops2.vertex_count)
+        energies = [float((psi_i @ f) @ (psi_i @ f)) for psi_i in current.psis]
+        np.testing.assert_allclose(current.energies(f), energies, rtol=1e-12)
 
 
 def exhaustible_observations(ops, n):
