@@ -723,9 +723,7 @@ class _MissingTerm:
         self._system = self._gram = self._solution = None
 
     def scores(self, f, g, lam):
-        # For fixed (f, g) each score is a ridge update against that
-        # function's own profile energy ||psi_i f||^2; the objective is
-        # unchanged by u -> cu, f -> f/c, so the minimizer may be normalized.
+        # the exact minimizer for fixed (f, g), normalized (module docstring)
         state = self.state
         energy = state.energies(f) + lam * penalty_value(g, self.ops)
         inner = state.d_matrix.T @ f
@@ -790,8 +788,8 @@ def fit_missing(
     upstream. Generalized cross-validation is likewise undefined here;
     use ``"kfold"`` or ``"fixed"`` selection. The other arguments, and
     the stop once deflation has exhausted the data, are those of `fit`;
-    ragged deflation is no projection and exhausts data only that the
-    fits reproduce.
+    ragged deflation is not a projection, so it exhausts only data that
+    the fits reproduce exactly.
     """
     grid, fixed_lambda = _check_selection(
         n_components, selection, lambda_grid, fixed_lambda, ("kfold", "fixed"),

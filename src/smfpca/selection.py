@@ -49,7 +49,7 @@ def make_folds(n: int, folds: int, seed):
         raise InvalidFoldCount(
             f"fold count must lie in [2, {n}] for {n} functions, got {folds}"
         )
-    if np.min(seed) < 0:
+    if seed is not None and np.min(seed) < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)
     return np.array_split(perm, folds)

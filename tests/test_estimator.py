@@ -8,6 +8,7 @@ from smfpca import (
     InputError,
     NonMonotoneObjective,
     ObservationSet,
+    SurfaceLocation,
     adjusted_total_variance,
     assemble,
     build,
@@ -22,7 +23,6 @@ from smfpca import (
     score_step,
     vertex_locations,
 )
-from smfpca.mesh import SurfaceLocation
 from smfpca import estimator, solver
 from smfpca.estimator import data_gram
 from smfpca.synth import generate_sphere_dataset, sphere_pc_functions
