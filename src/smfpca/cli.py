@@ -62,6 +62,10 @@ _SIMULATE_DEFAULTS = {
     "shift_set": [0.0, 0.4],
 }
 
+# Score sigmas of each generator when --sigmas is not given.
+_DEFAULT_SIGMAS = {"eigen": [5.0, 3.0, 1.0], "sphere": [4.0, 2.0],
+                   "misaligned": [4.0]}
+
 _EVALUATE_DEFAULTS = {
     "result": None,
     "truth": None,
@@ -92,6 +96,24 @@ def _load_config_file(path):
     return document
 
 
+# The JSON types a config-file value may take, by the type of its flag.
+_JSON_TYPES = {None: (str,), int: (int,), float: (int, float),
+               _int_list: (int,), _float_list: (int, float)}
+
+
+def _check_config_value(key, value, flag, default):
+    """Reject a config-file value that ``flag`` could not parse to; null
+    stands only for a parameter whose default is null."""
+    kinds = (bool,) if flag.nargs == 0 else _JSON_TYPES[flag.type]
+    if flag.type in (_int_list, _float_list):
+        good = type(value) is list and all(type(v) in kinds for v in value)
+    else:
+        good = type(value) in kinds and value in (flag.choices or [value])
+    if not good and not (value is None and default is None):
+        raise InputError(f"config key {key!r}: {value!r} is not a value "
+                         f"{flag.option_strings[0]} takes")
+
+
 def _resolve(args, defaults):
     """Defaults, overlaid by the config file, overlaid by given flags."""
     config = dict(defaults)
@@ -102,15 +124,15 @@ def _resolve(args, defaults):
             raise InputError(
                 f"unknown config keys: {', '.join(sorted(unknown))}"
             )
+        for key, value in loaded.items():
+            _check_config_value(key, value, args.flags[key], defaults[key])
         config.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    seed = config.get("seed")
-    if seed is not None and (type(seed) is not int or seed < 0):
-        # numpy's generators reject negative seeds with a bare ValueError
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    if config.get("seed", 0) < 0:  # numpy would raise a bare ValueError
+        raise InputError(f"seed must be non-negative, got {config['seed']}")
     return config
 
 
@@ -237,29 +259,23 @@ def cmd_simulate(config) -> int:
     ops = fem.assemble(surface, locations)
 
     generator = config["generator"]
+    sigmas = config["sigmas"] or _DEFAULT_SIGMAS[generator]
+    config = dict(config, sigmas=[float(v) for v in sigmas])
     if generator == "eigen":
-        sigmas = config["sigmas"] or [5.0, 3.0, 1.0]
-        config = dict(config, sigmas=[float(v) for v in sigmas])
         dataset = synth.generate_eigen_dataset(
             surface, ops, config["eigen_indices"], config["sigmas"],
             config["n"], config["noise"], config["seed"],
         )
     elif generator == "sphere":
-        sigmas = config["sigmas"] or [4.0, 2.0]
-        config = dict(config, sigmas=[float(v) for v in sigmas])
         dataset = synth.generate_sphere_dataset(
             surface, ops, config["n"], config["sigmas"], config["noise"],
             config["seed"],
         )
-    elif generator == "misaligned":
-        sigmas = config["sigmas"] or [4.0]
-        config = dict(config, sigmas=[float(v) for v in sigmas])
+    else:
         dataset = synth.generate_misaligned_dataset(
             surface, ops, config["n"], config["sigmas"][0],
             config["shift_set"], config["seed"],
         )
-    else:
-        raise InputError(f"unknown generator: {generator!r}")
 
     serialize.write_data_csv(
         os.path.join(outdir, "data.csv"), dataset.X.values
@@ -324,11 +340,7 @@ def cmd_evaluate(config) -> int:
     metrics_path = os.path.join(outdir, "metrics.csv")
     if config["append"] and os.path.exists(metrics_path):
         with open(metrics_path, "a", encoding="ascii") as handle:
-            for replicate, label, metric, component, value in rows:
-                comp = "" if component is None else str(int(component))
-                handle.write(
-                    f"{replicate},{label},{metric},{comp},{float(value)!r}\n"
-                )
+            handle.writelines(f"{serialize._metric_line(*r)}\n" for r in rows)
     else:
         serialize.write_metric_rows(metrics_path, rows)
     _write_manifest(outdir, "evaluate", config)
@@ -454,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(
         func=cmd_mesh_info, defaults={"mesh": None}, outdir=None
     )
-
+    for p in sub.choices.values():  # each flag's action, by destination
+        p.set_defaults(flags={a.dest: a for a in p._actions})
     return parser
 
 

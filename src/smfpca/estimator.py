@@ -40,7 +40,7 @@ from .errors import (
     InputError,
     NonMonotoneObjective,
 )
-from .fem import FemOperators, l2_inner, location_matrix
+from .fem import FemOperators, _fix_sign, l2_inner, location_matrix
 
 _MONOTONE_SLACK = 1e-9
 # Deflated data whose squared norm has fallen to this share of the
@@ -55,7 +55,6 @@ class DataMatrix:
     """Dense sample matrix: one row per function, one column per location."""
 
     values: np.ndarray
-    centered: bool = False
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -176,14 +175,6 @@ class SmFpcaResult:
 def data_gram(ops: FemOperators):
     """The psi' psi data block shared by every dense-data system."""
     return (ops.psi.T @ ops.psi).tocsr()
-
-
-def _fix_sign(v):
-    """Flip ``v`` so its largest-magnitude entry is positive."""
-    idx = int(np.argmax(np.abs(v)))
-    if v[idx] < 0:
-        return -v, True
-    return v, False
 
 
 def initialize(X: DataMatrix):
@@ -378,7 +369,7 @@ def deflate(X: DataMatrix, component: PcComponent) -> DataMatrix:
     if u.shape != (X.n,):
         raise DimensionMismatch("component scores do not match the data rows")
     values = X.values - np.outer(u, u @ X.values)
-    return DataMatrix(values, centered=X.centered)
+    return DataMatrix(values)
 
 
 def adjusted_total_variance(components) -> np.ndarray:
@@ -463,7 +454,7 @@ def fit(
     )
     if center:
         mean_field = X.values.mean(axis=0)
-        X = DataMatrix(X.values - mean_field, centered=True)
+        X = DataMatrix(X.values - mean_field)
     else:
         mean_field = None
 

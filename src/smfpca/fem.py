@@ -124,6 +124,14 @@ def location_matrix(mesh: TriangleMesh, locations) -> sparse.csr_matrix:
     return mat
 
 
+def _fix_sign(v):
+    """Flip ``v`` so its largest-magnitude entry is positive."""
+    idx = int(np.argmax(np.abs(v)))
+    if v[idx] < 0:
+        return -v, True
+    return v, False
+
+
 def l2_inner(ops: FemOperators, a, b) -> float:
     """Discrete surface L2 inner product a' mass b of two coefficient vectors."""
     a = np.asarray(a, dtype=np.float64)
@@ -187,8 +195,7 @@ def lb_eigenpairs(ops: FemOperators, count: int):
     for idx in order:
         vec = vectors[:, idx].copy()
         vec /= np.sqrt(vec @ (ops.mass @ vec))
-        if vec[np.argmax(np.abs(vec))] < 0:
-            vec = -vec
+        vec, _ = _fix_sign(vec)
         vec.flags.writeable = False
         pairs.append(EigenPair(eigenvalue=float(max(values[idx], 0.0)), coefficients=vec))
     return pairs

@@ -390,7 +390,7 @@ def vertex_locations(mesh: TriangleMesh):
 # -- OFF input/output -------------------------------------------------
 
 
-def load_mesh(path, format="off") -> TriangleMesh:
+def load_mesh(path) -> TriangleMesh:
     """Load a triangulated surface from an ASCII OFF file.
 
     The format, exactly: a header line ``OFF``; a counts line
@@ -401,8 +401,6 @@ def load_mesh(path, format="off") -> TriangleMesh:
     Parameters
     ----------
     path : str or pathlib.Path
-    format : {"off"}
-        Only OFF is supported.
 
     Raises
     ------
@@ -411,8 +409,6 @@ def load_mesh(path, format="off") -> TriangleMesh:
     TopologyError, DegenerateTriangle
         Propagated from mesh validation.
     """
-    if format.lower() != "off":
-        raise InputError(f"unsupported mesh format {format!r}")
     with open(path, "r", encoding="ascii", errors="replace") as handle:
         raw = handle.readlines()
 

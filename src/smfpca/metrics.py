@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient
 from .estimator import DataMatrix
-from .fem import FemOperators, l2_inner
+from .fem import FemOperators, _fix_sign, l2_inner
 
 
 @dataclass(eq=False)
@@ -66,12 +66,8 @@ def mv_pca(X: DataMatrix, n_components: int, ops: FemOperators):
         c = float(np.sqrt(l2_inner(ops, loading, loading)))
         if c <= 0:
             raise RankDeficient(f"loading {l} has zero surface norm")
-        coeff = loading / c
-        scores = u[:, l].copy()
-        idx = int(np.argmax(np.abs(coeff)))
-        if coeff[idx] < 0:
-            coeff = -coeff
-            scores = -scores
+        coeff, flipped = _fix_sign(loading / c)
+        scores = -u[:, l] if flipped else u[:, l].copy()
         components.append(
             MvPcaComponent(
                 scores=scores, coefficients=coeff,

@@ -72,11 +72,10 @@ def _factored(ops, grid, systems):
     return systems
 
 
-def default_lambda_grid(ops: FemOperators, count: int = 13,
-                        low: float = 1e-6, high: float = 1e2):
-    """Log-spaced grid scaled to the operator magnitudes.
+def default_lambda_grid(ops: FemOperators):
+    """Thirteen log-spaced values scaled to the operator magnitudes.
 
-    The raw span is multiplied by the ratio of the data-term trace to a
+    The raw span, 1e-6 to 1e2, is multiplied by the ratio of the data-term trace to a
     lumped-mass surrogate of the penalty-term trace, so the grid
     brackets the bias-variance transition regardless of mesh scale.
     """
@@ -89,7 +88,7 @@ def default_lambda_grid(ops: FemOperators, count: int = 13,
     if penalty_trace <= 0 or data_trace <= 0:
         raise InputError("operators give a degenerate grid scale")
     scale = data_trace / penalty_trace
-    return scale * np.logspace(np.log10(low), np.log10(high), count)
+    return scale * np.logspace(-6, 2, 13)
 
 
 # -- K-fold cross-validation ------------------------------------------
@@ -165,7 +164,7 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     systems = _factored(ops, grid, systems)
 
     def prepare(train_rows):
-        train = estimator.DataMatrix(X.values[train_rows], centered=X.centered)
+        train = estimator.DataMatrix(X.values[train_rows])
         return train, estimator.initialize(train)
 
     def fold_residuals(lam, train, val_rows, start):
@@ -239,16 +238,15 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
 
 
 def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
-               trace_cache=None, threads: int = 1,
-               exact_trace_limit: int = EXACT_TRACE_LIMIT,
-               probes: int = _HUTCHINSON_PROBES) -> SelectionTrace:
+               trace_cache=None, threads: int = 1) -> SelectionTrace:
     """Choose the smoothing parameter by GCV on the regression step.
 
     The data vector is the projection of the data matrix onto the unit
     scores ``u``. Each candidate's score is the mean squared smoothing
     residual divided by (1 - trace(S)/s)^2, where S maps the data
-    vector to the smoothed profile. Candidates whose trace gap closes
-    to zero score +inf and are skipped with a warning.
+    vector to the smoothed profile; its trace is exact up to
+    ``EXACT_TRACE_LIMIT`` locations and a seeded estimate beyond. Candidates
+    whose trace gap closes to zero score +inf and are skipped with a warning.
 
     Raises
     ------
@@ -273,9 +271,7 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
         f, _ = system.solve(rhs)
         resid = z - ops.psi @ f
         if lam not in trace_cache:
-            trace_cache[lam] = _smoother_trace(
-                system, ops, exact_trace_limit, probes
-            )
+            trace_cache[lam] = _smoother_trace(system, ops)
         gap = 1.0 - trace_cache[lam] / s
         if gap <= 1e-12:
             warnings.warn(
@@ -295,12 +291,12 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
     )
 
 
-def _smoother_trace(system, ops: FemOperators, exact_limit, probes):
+def _smoother_trace(system, ops: FemOperators):
     """trace(S) for S = psi solve(psi' .): exact by blocked solves up to
-    ``exact_limit`` locations, Hutchinson probing beyond."""
+    ``EXACT_TRACE_LIMIT`` locations, ``_HUTCHINSON_PROBES`` probes beyond."""
     s = ops.location_count
     psi_t = ops.psi.T.tocsc()
-    if s <= exact_limit:
+    if s <= EXACT_TRACE_LIMIT:
         total = 0.0
         for start in range(0, s, _TRACE_BLOCK):
             stop = min(start + _TRACE_BLOCK, s)
@@ -312,7 +308,7 @@ def _smoother_trace(system, ops: FemOperators, exact_limit, probes):
             )
         return total
     rng = np.random.default_rng(1899)
-    signs = rng.integers(0, 2, size=(s, probes)).astype(np.float64) * 2.0 - 1.0
+    signs = rng.integers(0, 2, size=(s, _HUTCHINSON_PROBES)) * 2.0 - 1.0
     f_block, _ = system.solve_many(psi_t @ signs)
     smoothed = ops.psi @ f_block
-    return float(np.einsum("sk,sk->", signs, smoothed)) / probes
+    return float(np.einsum("sk,sk->", signs, smoothed)) / _HUTCHINSON_PROBES

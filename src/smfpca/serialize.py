@@ -105,21 +105,24 @@ def load_json(path):
 # -- data matrices ----------------------------------------------------
 
 
-def write_data_csv(path, values, header: bool = True):
-    """One row per function, one column per location; NaN entries become
-    empty cells (partially observed data)."""
+def _cells(row):
+    """One CSV line of shortest-roundtrip floats; NaN becomes an empty cell."""
+    return ",".join("" if x != x else repr(x) for x in row.tolist())
+
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def write_data_csv(path, values):
+    """A header of location indices 0, 1, ..., then one row per function;
+    NaN entries become empty cells (partially observed data)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DimensionMismatch("data matrix must be 2-d")
-    lines = []
-    if header:
-        lines.append(",".join(str(j) for j in range(values.shape[1])))
-    for row in values:
-        lines.append(
-            ",".join("" if np.isnan(x) else repr(float(x)) for x in row)
-        )
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+    header = ",".join(str(j) for j in range(values.shape[1]))
+    _write_lines(path, [header] + [_cells(row) for row in values])
 
 
 def _is_index_header(cells):
@@ -190,22 +193,19 @@ def write_matrix_csv(path, matrix, prefix: str):
     """Columns labeled ``<prefix>_1..m``; one row per index."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     header = ",".join(f"{prefix}_{j + 1}" for j in range(matrix.shape[1]))
-    lines = [header]
-    for row in matrix:
-        lines.append(",".join(repr(float(x)) for x in row))
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(path, [header] + [_cells(row) for row in matrix])
+
+
+def _metric_line(replicate, method, metric, component, value):
+    comp = "" if component is None else str(int(component))
+    return f"{replicate},{method},{metric},{comp},{float(value)!r}"
 
 
 def write_metric_rows(path, rows):
     """Long-format metric rows: replicate, method, metric, component,
     value. Component is empty for aggregate metrics."""
     lines = ["replicate,method,metric,component,value"]
-    for replicate, method, metric, component, value in rows:
-        comp = "" if component is None else str(int(component))
-        lines.append(f"{replicate},{method},{metric},{comp},{float(value)!r}")
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_lines(path, lines + [_metric_line(*row) for row in rows])
 
 
 # -- loaded documents -------------------------------------------------

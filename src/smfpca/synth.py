@@ -197,8 +197,7 @@ def generate_misaligned_dataset(mesh: TriangleMesh, ops: FemOperators,
     )
     values = (ops.psi @ (scores[:, None] * shifted).T).T
 
-    x, y = v[:, 0], v[:, 1]
-    base = 0.5 * np.sqrt(15.0 / np.pi) * x * y
+    base = sphere_pc_functions(mesh)[0]
     return SyntheticDataset(
         X=DataMatrix(values), true_components=base[:, None],
         true_scores=scores[:, None], noise_sigma=0.0, seed=int(seed),

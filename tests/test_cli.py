@@ -283,6 +283,59 @@ def test_fit_unknown_config_key_exit_2(tmp_path, capsys):
     assert "lambda_gird" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "simulate", "evaluate", "mesh-info"])
+def test_config_keys_are_the_flag_destinations(command):
+    # the config check looks each key's flag up here
+    args = cli.build_parser().parse_args([command])
+    assert set(args.defaults) == set(args.flags) - {"help", "config"}
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_components": "2"}, {"tolerance": "x"}, {"max_iterations": None},
+    {"selection": "fixed", "fixed_lambda": "1"}, {"folds": 2.5},
+    {"center": "no"}, {"threads": 2.5}, {"selection": "loo"},
+    {"lambda_grid": 1e-3}, {"lambda_grid": [1e-3, "1"]}, {"seed": True},
+])
+def test_fit_config_value_of_wrong_type_exit_2(tmp_path, capsys, bad):
+    src = simulate_sphere(tmp_path / "sim")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mesh": str(src / "mesh.off"),
+                               "data": str(src / "data.csv"), **bad}))
+    assert run(["fit", "--config", cfg, "--outdir", tmp_path / "fit"]) == 2
+    assert repr(list(bad)[-1]) in capsys.readouterr().err
+    assert not (tmp_path / "fit" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"n": "5"}, {"noise": "0.1"}, {"sphere": 1.7}, {"outdir": 3},
+    {"eigen_indices": [1.0]}, {"generator": "torus"},
+])
+def test_simulate_config_value_of_wrong_type_exit_2(tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sphere": 1, **bad}))
+    out = tmp_path / "sim"
+    assert run(["simulate", "--config", cfg, "--outdir", out]) == 2
+    assert repr(list(bad)[-1]) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_numbers_and_nulls_accepted(tmp_path):
+    # JSON integers stand for floats, and null for a null default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sphere": 1, "n": 12, "noise": 0, "seed": 7,
+                               "sigmas": [4, 2], "mesh": None}))
+    assert run(["simulate", "--config", cfg, "--outdir", tmp_path / "a"]) == 0
+    simulate_sphere(tmp_path / "b", noise=0.0)
+    for name in ("data.csv", "truth.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (
+            tmp_path / "b" / name).read_bytes()
+    rerun = ["simulate", "--config", tmp_path / "a" / "manifest.json",
+             "--outdir", tmp_path / "c"]
+    assert run(rerun) == 0
+    assert (tmp_path / "a" / "data.csv").read_bytes() == (
+        tmp_path / "c" / "data.csv").read_bytes()
+
+
 # -- evaluate ---------------------------------------------------------
 
 

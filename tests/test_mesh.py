@@ -330,9 +330,3 @@ def test_off_parse_errors_carry_line_numbers(tmp_path, content, needle):
     with pytest.raises(ParseError, match=needle):
         load_mesh(path)
 
-
-def test_load_mesh_unknown_format(tmp_path, sphere1):
-    path = tmp_path / "s.off"
-    save_mesh(sphere1, path)
-    with pytest.raises(InputError):
-        load_mesh(path, format="ply")

@@ -19,7 +19,7 @@ from smfpca import (
     penalty_value,
     vertex_locations,
 )
-from smfpca import estimator, solver
+from smfpca import estimator, selection, solver
 from smfpca.selection import kfold_select_missing
 from smfpca.synth import generate_sphere_dataset
 
@@ -59,7 +59,7 @@ def dense_kfold_oracle(X, grid, folds, ops, seed):
         total = 0.0
         for val_rows in assignments:
             train_rows = np.setdiff1d(np.arange(X.n), val_rows)
-            train = DataMatrix(X.values[train_rows], centered=X.centered)
+            train = DataMatrix(X.values[train_rows])
             comp = fit_component(train, lam, ops, system=system)
             f_un = comp.function_norm * comp.f_coefficients
             g_un = comp.function_norm * comp.g_coefficients
@@ -397,16 +397,17 @@ def test_gcv_large_lambda_analytic_limit(ops2):
     assert trace.scores[0] == pytest.approx(expected, rel=1e-4)
 
 
-def test_gcv_hutchinson_close_to_exact(ops2):
+def test_gcv_hutchinson_close_to_exact(ops2, monkeypatch):
     ds = generate_sphere_dataset(ops2.mesh, ops2, 16, (4.0, 2.0), 0.3, 15)
     rng = np.random.default_rng(16)
     u = rng.standard_normal(16)
     u /= np.linalg.norm(u)
     grid = [1e-3]
     exact = gcv_select(ds.X, u, grid, ops2)
-    stochastic = gcv_select(
-        ds.X, u, grid, ops2, exact_trace_limit=1, probes=256
-    )
+    monkeypatch.setattr(selection, "EXACT_TRACE_LIMIT", 1)
+    monkeypatch.setattr(selection, "_HUTCHINSON_PROBES", 256)
+    stochastic = gcv_select(ds.X, u, grid, ops2)
+    assert stochastic.scores[0] != exact.scores[0]  # the estimate was used
     assert stochastic.scores[0] == pytest.approx(exact.scores[0], rel=0.1)
 
 

@@ -28,6 +28,19 @@ def test_data_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back, values)
 
 
+def test_csv_writers_pin_float_text(tmp_path):
+    # Round trips cannot see a change of float text; these bytes can.
+    values = np.array([[-0.0, 5e-324, 1e308], [1e-07, 123456789.0, np.nan]])
+    write_data_csv(tmp_path / "data.csv", values)
+    assert (tmp_path / "data.csv").read_bytes() == (
+        b"0,1,2\n-0.0,5e-324,1e+308\n1e-07,123456789.0,\n"
+    )
+    write_matrix_csv(tmp_path / "scores.csv", values[:, :2].T, "pc")
+    assert (tmp_path / "scores.csv").read_bytes() == (
+        b"pc_1,pc_2\n-0.0,1e-07\n5e-324,123456789.0\n"
+    )
+
+
 def test_data_csv_missing_cells_roundtrip(tmp_path):
     values = np.array([[1.0, np.nan], [np.nan, 4.0]])
     path = tmp_path / "data.csv"
