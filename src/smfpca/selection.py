@@ -6,9 +6,11 @@ and scores validation rows with unnormalized scores computed from the
 unnormalized fitted profile. GCV scores the smoothing of the projected
 data vector through the trace of the smoother matrix, computed exactly
 by blocked solves for moderate location counts and by a seeded
-Hutchinson estimator beyond that.
+Hutchinson estimator beyond that, whose probes are solved in blocks
+until the choice is clear of the estimate's error.
 """
 
+import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,9 +22,13 @@ from .errors import DegenerateSmoother, DimensionMismatch, InputError, InvalidFo
 from .fem import FemOperators
 
 # Above this location count, exact smoother traces give way to a
-# stochastic estimate.
+# stochastic estimate: Hutchinson probes, solved a block at a time until
+# the GCV choice stands _SEPARATION standard errors clear of every other
+# candidate, or the candidates still in doubt hold _PROBE_CAP probes.
 EXACT_TRACE_LIMIT = 2000
-_HUTCHINSON_PROBES = 64
+_PROBE_BLOCK = 16
+_PROBE_CAP = 64
+_SEPARATION = 3.0
 _TRACE_BLOCK = 512
 
 
@@ -32,7 +38,10 @@ class SelectionTrace:
 
     ``chosen`` is the index of the smallest score (first index on
     ties). For per-iteration GCV, ``history`` lists the parameter
-    chosen at each alternation; the last entry is the one kept.
+    chosen at each alternation; the last entry is the one kept. GCV also
+    records each candidate's smoother trace, its standard error and its
+    probe count (both 0 when the trace is exact); these stay out of the
+    result document.
     """
 
     lambda_grid: np.ndarray
@@ -40,6 +49,9 @@ class SelectionTrace:
     chosen: int
     method: str
     history: list = None
+    trace_values: np.ndarray = None
+    trace_errors: np.ndarray = None
+    trace_probes: np.ndarray = None
 
 
 def make_folds(n: int, folds: int, seed):
@@ -244,9 +256,17 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
     The data vector is the projection of the data matrix onto the unit
     scores ``u``. Each candidate's score is the mean squared smoothing
     residual divided by (1 - trace(S)/s)^2, where S maps the data
-    vector to the smoothed profile; its trace is exact up to
-    ``EXACT_TRACE_LIMIT`` locations and a seeded estimate beyond. Candidates
-    whose trace gap closes to zero score +inf and are skipped with a warning.
+    vector to the smoothed profile. The trace is exact up to
+    ``EXACT_TRACE_LIMIT`` locations. Beyond, every candidate starts from
+    the probes it holds in ``trace_cache``, or from one block of 16
+    (``_PROBE_BLOCK``) seeded Hutchinson probes. A trace error SE(T)
+    moves the score by score * 2 SE(T) / (s gap), gap = 1 - T/s. While
+    some candidate's score, give or take 3 (``_SEPARATION``) such errors,
+    overlaps that of the smallest score, both get one more block (the
+    blocks mapped over ``threads``), up to 64 (``_PROBE_CAP``) probes
+    each. The probes are fixed columns of one seeded matrix, so the
+    scores do not depend on the thread count. Candidates whose trace gap
+    closes to zero score +inf and are skipped with a warning.
 
     Raises
     ------
@@ -262,38 +282,106 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
     if trace_cache is None:
         trace_cache = {}
     systems = _factored(ops, grid, systems)
+    lams = [float(lam) for lam in grid]
+    distinct = list(dict.fromkeys(lams))
 
     rhs = ops.psi.T @ z
 
-    def score_one(lam):
-        lam = float(lam)
-        system = systems[lam]
-        f, _ = system.solve(rhs)
+    def residual(lam):
+        f, _ = systems[lam].solve(rhs)
         resid = z - ops.psi @ f
         if lam not in trace_cache:
-            trace_cache[lam] = _smoother_trace(system, ops)
-        gap = 1.0 - trace_cache[lam] / s
-        if gap <= 1e-12:
+            trace_cache[lam] = _smoother_trace(systems[lam], ops)
+        return float(resid @ resid) / s
+
+    mean_square = dict(zip(distinct, _map_ordered(residual, distinct, threads)))
+    while True:
+        scores, errors = _gcv_scores(lams, mean_square, trace_cache, s)
+        best = int(np.argmin(scores))
+        reach = scores[best] + _SEPARATION * errors[best]
+        close = [lams[j] for j in np.flatnonzero(np.isfinite(scores))
+                 if j != best and scores[j] - _SEPARATION * errors[j] <= reach]
+        refine = [lam for lam in dict.fromkeys([lams[best]] + close)
+                  if 0 < trace_cache[lam].probes < _PROBE_CAP]
+        if not close or not refine:
+            break
+        refined = _map_ordered(
+            lambda lam: _smoother_trace(systems[lam], ops, trace_cache[lam]),
+            refine, threads,
+        )
+        trace_cache.update(zip(refine, refined))
+
+    for lam, score in zip(lams, scores):
+        if score == np.inf:
             warnings.warn(
                 f"smoother trace reaches the location count at lambda "
                 f"{lam:g}; assigning an infinite score",
                 stacklevel=2,
             )
-            return np.inf
-        return (float(resid @ resid) / s) / gap**2
-
-    scores = np.array(_map_ordered(score_one, list(grid), threads))
     if not np.isfinite(scores).any():
         raise DegenerateSmoother("every candidate produced an undefined score")
+    traces = [trace_cache[lam] for lam in lams]
     return SelectionTrace(
         lambda_grid=grid, scores=scores,
         chosen=int(np.argmin(scores)), method="gcv",
+        trace_values=np.array([t.value for t in traces]),
+        trace_errors=np.array([t.error for t in traces]),
+        trace_probes=np.array([t.probes for t in traces]),
     )
 
 
-def _smoother_trace(system, ops: FemOperators):
-    """trace(S) for S = psi solve(psi' .): exact by blocked solves up to
-    ``EXACT_TRACE_LIMIT`` locations, ``_HUTCHINSON_PROBES`` probes beyond."""
+def _gcv_scores(lams, mean_square, trace_cache, s):
+    """Each candidate's GCV score and the standard error its trace
+    estimate gives it; +inf (error 0) where the trace gap closes."""
+    scores = np.empty(len(lams))
+    errors = np.zeros(len(lams))
+    for j, lam in enumerate(lams):
+        trace = trace_cache[lam]
+        gap = 1.0 - trace.value / s
+        if gap <= 1e-12:
+            scores[j] = np.inf
+            continue
+        scores[j] = mean_square[lam] / gap**2
+        errors[j] = scores[j] * 2.0 * trace.error / (s * gap)
+    return scores, errors
+
+
+@dataclass(frozen=True, eq=False)
+class _Trace:
+    """One candidate's trace(S): exact (``forms`` None), or the mean of
+    the quadratic forms z'Sz of the probes z solved so far."""
+
+    value: float
+    forms: np.ndarray = None
+
+    @property
+    def probes(self):
+        return 0 if self.forms is None else len(self.forms)
+
+    @property
+    def error(self):
+        """The forms' sample deviation over sqrt(probes); 0 when exact."""
+        if self.forms is None:
+            return 0.0
+        return float(np.std(self.forms, ddof=1)) / np.sqrt(len(self.forms))
+
+
+@functools.lru_cache(maxsize=1)
+def _probe_signs(s, count):
+    """The seeded s x count sign matrix whose columns, in order, are the
+    Hutchinson probes of every stochastic trace."""
+    signs = np.random.default_rng(1899).integers(0, 2, size=(s, count)) * 2.0 - 1.0
+    signs.flags.writeable = False
+    return signs
+
+
+def _smoother_trace(system, ops: FemOperators, known=None):
+    """trace(S) for S = psi solve(psi' .) as a `_Trace`: exact by blocked
+    solves up to ``EXACT_TRACE_LIMIT`` locations. Beyond, one block of
+    Hutchinson probes: the next 16 (``_PROBE_BLOCK``) of the 64
+    (``_PROBE_CAP``) columns of `_probe_signs`, solved by one
+    ``solve_many``, after the probes of ``known``, which the result
+    extends. `gcv_select` asks for blocks until its 3-SE rule is met."""
     s = ops.location_count
     psi_t = ops.psi.T.tocsc()
     if s <= EXACT_TRACE_LIMIT:
@@ -306,9 +394,11 @@ def _smoother_trace(system, ops: FemOperators):
             total += float(
                 smoothed[np.arange(start, stop), np.arange(stop - start)].sum()
             )
-        return total
-    rng = np.random.default_rng(1899)
-    signs = rng.integers(0, 2, size=(s, _HUTCHINSON_PROBES)) * 2.0 - 1.0
+        return _Trace(total)
+    done = 0 if known is None else known.probes
+    signs = _probe_signs(s, _PROBE_CAP)[:, done:done + _PROBE_BLOCK]
     f_block, _ = system.solve_many(psi_t @ signs)
-    smoothed = ops.psi @ f_block
-    return float(np.einsum("sk,sk->", signs, smoothed)) / _HUTCHINSON_PROBES
+    forms = np.einsum("sk,sk->k", signs, ops.psi @ f_block)
+    if known is not None:
+        forms = np.concatenate([known.forms, forms])
+    return _Trace(float(forms.mean()), forms)

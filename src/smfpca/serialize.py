@@ -147,46 +147,92 @@ def read_data_csv(path):
             raw = handle.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    rows = []
-    width = None
-    first_data_line = None
-    for lineno, line in enumerate(raw, start=1):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if width is None:
-            width = len(cells)
-            if _is_index_header(cells):
-                continue
-            first_data_line = lineno
-        elif len(cells) != width:
-            raise ParseError(
-                f"row at line {lineno} has {len(cells)} cells, expected {width}"
-            )
-        if first_data_line is None:
-            first_data_line = lineno
-        parsed = np.empty(width)
-        for col, cell in enumerate(cells):
-            if cell == "":
-                parsed[col] = np.nan
-                continue
-            try:
-                parsed[col] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric value {cell!r} at row {lineno}, "
-                    f"column {col + 1}"
-                ) from None
-        for col in np.flatnonzero(~np.isfinite(parsed)):
-            if cells[col] != "":
-                raise ParseError(
-                    f"non-finite value {cells[col]!r} at row {lineno}, "
-                    f"column {col + 1}; leave the cell empty to mark it missing"
-                )
-        rows.append(parsed)
+    rows = [(lineno, line) for lineno, line in enumerate(raw, start=1)
+            if line.strip()]
+    if rows:
+        first = [c.strip() for c in rows[0][1].split(",")]
+        width = len(first)
+        if _is_index_header(first):
+            rows = rows[1:]
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return np.stack(rows, axis=0)
+    # Rows without empty cells are parsed together in C; the others, and
+    # all of them if that fails, one row at a time. A row that fails
+    # either way is scanned cell by cell, which names its first fault.
+    # A cell of spaces is blank too, but rare enough to leave to the
+    # fallback.
+    values = np.empty((len(rows), width))
+    full, gappy = [], []
+    for k, (_, line) in enumerate(rows):
+        gap = ",," in line or line.startswith(",") or line.endswith(",")
+        (gappy if gap else full).append(k)
+    by_row = range(len(rows))
+    suspect = []
+    if full:
+        try:
+            block = np.loadtxt([rows[k][1] for k in full], delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError:
+            block = None
+        if block is not None and block.shape[1] == width:
+            values[full] = block
+            by_row = gappy
+            suspect = [full[k] for k in
+                       np.flatnonzero(~np.isfinite(block).all(axis=1))]
+    for k in by_row:
+        row = _row_values(rows[k][1], width)
+        if row is None:
+            suspect.append(k)
+        else:
+            values[k] = row
+    for k in sorted(suspect):
+        values[k] = _scan_row(*rows[k], width)
+    return values
+
+
+def _row_values(line, width):
+    """One row's values, empty cells as NaN; None when the row has the
+    wrong width, a cell that does not parse, or a non-finite number."""
+    cells = line.split(",")
+    if len(cells) != width:
+        return None
+    try:
+        parsed = [float(c) if c else None for c in cells]
+    except ValueError:
+        return None
+    row = np.array(parsed, dtype=np.float64)
+    if np.isfinite(row).sum() + parsed.count(None) != width:
+        return None
+    return row
+
+
+def _scan_row(lineno, line, width):
+    """One row parsed cell by cell; raises :class:`ParseError` naming
+    the row and column of its first fault."""
+    cells = [c.strip() for c in line.split(",")]
+    if len(cells) != width:
+        raise ParseError(
+            f"row at line {lineno} has {len(cells)} cells, expected {width}"
+        )
+    parsed = np.empty(width)
+    for col, cell in enumerate(cells):
+        if cell == "":
+            parsed[col] = np.nan
+            continue
+        try:
+            parsed[col] = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"non-numeric value {cell!r} at row {lineno}, "
+                f"column {col + 1}"
+            ) from None
+    for col in np.flatnonzero(~np.isfinite(parsed)):
+        if cells[col] != "":
+            raise ParseError(
+                f"non-finite value {cells[col]!r} at row {lineno}, "
+                f"column {col + 1}; leave the cell empty to mark it missing"
+            )
+    return parsed
 
 
 def write_matrix_csv(path, matrix, prefix: str):

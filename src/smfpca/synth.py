@@ -47,6 +47,13 @@ def _sampled(ops: FemOperators, vertex_fields, scores, noise_sigma, rng):
     return signal
 
 
+def _check_draw(n, noise_sigma):
+    if n < 1:
+        raise InputError("n must be at least 1")
+    if not noise_sigma >= 0:
+        raise InputError(f"noise sigma must be non-negative, got {noise_sigma:g}")
+
+
 def _warn_if_open(mesh: TriangleMesh):
     if not mesh.is_closed():
         warnings.warn(
@@ -88,8 +95,7 @@ def generate_eigen_dataset(mesh: TriangleMesh, ops: FemOperators,
         raise DimensionMismatch(
             f"need one sigma per eigenfunction, got {sig.shape} for {len(idx)}"
         )
-    if n < 1:
-        raise InputError("n must be at least 1")
+    _check_draw(n, noise_sigma)
     _warn_if_open(mesh)
     pairs = lb_eigenpairs(ops, max(idx) + 1)
     fields = np.stack([pairs[i].coefficients for i in idx], axis=1)
@@ -133,8 +139,7 @@ def generate_sphere_dataset(mesh: TriangleMesh, ops: FemOperators, n: int,
     sig = np.asarray(sigmas, dtype=np.float64)
     if sig.shape != (2,):
         raise DimensionMismatch(f"expected two sigmas, got {sig.shape}")
-    if n < 1:
-        raise InputError("n must be at least 1")
+    _check_draw(n, noise_sigma)
     v1, v2 = sphere_pc_functions(mesh)
     fields = np.stack([v1, v2], axis=1)
     rng = np.random.default_rng(seed)

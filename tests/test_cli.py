@@ -184,6 +184,19 @@ def test_negative_seed_exit_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("generator", [
+    ["--generator", "sphere"], ["--generator", "eigen"],
+])
+def test_negative_noise_exit_2(tmp_path, capsys, generator):
+    sim = ["simulate", *generator, "--sphere", 1, "--n", 12]
+    assert run(sim + ["--noise", -1, "--outdir", tmp_path / "flag"]) == 2
+    assert "noise" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"noise": -0.5}))
+    assert run(sim + ["--config", config, "--outdir", tmp_path / "config"]) == 2
+    assert "noise" in capsys.readouterr().err
+
+
 def test_fit_components_past_the_data_exit_3(tmp_path, capsys):
     src = simulate_sphere(tmp_path / "sim")
     extra = ["--selection", "fixed", "--fixed-lambda", "1e-3",

@@ -405,7 +405,9 @@ def test_gcv_hutchinson_close_to_exact(ops2, monkeypatch):
     grid = [1e-3]
     exact = gcv_select(ds.X, u, grid, ops2)
     monkeypatch.setattr(selection, "EXACT_TRACE_LIMIT", 1)
-    monkeypatch.setattr(selection, "_HUTCHINSON_PROBES", 256)
+    # one block of 256 probes
+    monkeypatch.setattr(selection, "_PROBE_BLOCK", 256)
+    monkeypatch.setattr(selection, "_PROBE_CAP", 256)
     stochastic = gcv_select(ds.X, u, grid, ops2)
     assert stochastic.scores[0] != exact.scores[0]  # the estimate was used
     assert stochastic.scores[0] == pytest.approx(exact.scores[0], rel=0.1)
@@ -417,9 +419,91 @@ def test_gcv_trace_cache_reused(ops1):
     cache = {}
     gcv_select(ds.X, u, [1e-3, 1e-1], ops1, trace_cache=cache)
     assert set(cache) == {1e-3, 1e-1}
-    primed = dict(cache)
+    primed = {lam: trace.value for lam, trace in cache.items()}
     gcv_select(ds.X, u, [1e-3, 1e-1], ops1, trace_cache=cache)
-    assert cache == primed
+    assert {lam: trace.value for lam, trace in cache.items()} == primed
+
+
+def test_gcv_exact_traces_report_no_error(ops1):
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 17)
+    u = np.ones(10) / np.sqrt(10.0)
+    trace = gcv_select(ds.X, u, [1e-3, 1e-1], ops1)
+    assert (trace.trace_errors == 0).all()
+    assert (trace.trace_probes == 0).all()
+    assert (0 < trace.trace_values).all()
+    assert (trace.trace_values < ops1.location_count).all()
+
+
+# -- GCV with adaptive Hutchinson probing ------------------------------
+
+
+def gcv_case(ops, seed):
+    ds = generate_sphere_dataset(ops.mesh, ops, 16, (4.0, 2.0), 0.3, seed)
+    u = np.random.default_rng(seed + 1).standard_normal(16)
+    return ds.X, u / np.linalg.norm(u)
+
+
+@pytest.fixture
+def stochastic_traces(monkeypatch):
+    monkeypatch.setattr(selection, "EXACT_TRACE_LIMIT", 1)
+
+
+@pytest.mark.parametrize("seed", [15, 16, 22])
+def test_gcv_probe_counts_are_whole_blocks(ops2, stochastic_traces, seed):
+    X, u = gcv_case(ops2, seed)
+    trace = gcv_select(X, u, default_lambda_grid(ops2), ops2)
+    assert set(trace.trace_probes) <= {16, 32, 48, 64}
+    assert (trace.trace_errors > 0).all()
+    # the neighbours of the choice needed more than one block
+    assert trace.trace_probes.max() > 16
+
+
+@pytest.mark.parametrize("seed", [15, 16, 17, 18, 19])
+def test_gcv_adaptive_choice_matches_full_probing(ops2, stochastic_traces,
+                                                  monkeypatch, seed):
+    X, u = gcv_case(ops2, seed)
+    grid = default_lambda_grid(ops2)
+    adaptive = gcv_select(X, u, grid, ops2)
+    monkeypatch.setattr(selection, "_PROBE_BLOCK", 64)
+    full = gcv_select(X, u, grid, ops2)
+    assert (full.trace_probes == 64).all()
+    assert adaptive.chosen == full.chosen
+
+
+def test_gcv_tied_candidates_refine_to_the_cap(ops2, stochastic_traces):
+    X, u = gcv_case(ops2, 15)
+    cache = {}
+    trace = gcv_select(X, u, [1e-3, 1e-3], ops2, trace_cache=cache)
+    assert trace.scores[0] == trace.scores[1]
+    assert list(trace.trace_probes) == [64, 64]
+    assert cache[1e-3].probes == 64
+
+
+def test_gcv_capped_trace_matches_direct_hutchinson(ops2, stochastic_traces):
+    X, u = gcv_case(ops2, 15)
+    cache = {}
+    gcv_select(X, u, [1e-3, 1e-3], ops2, trace_cache=cache)
+    s = ops2.location_count
+    signs = np.random.default_rng(1899).integers(0, 2, size=(s, 64)) * 2.0 - 1.0
+    system = solver.build(ops2, estimator.data_gram(ops2), 1e-3)
+    f_block, _ = system.solve_many(ops2.psi.T @ signs)
+    direct = float(np.einsum("sk,sk->", signs, ops2.psi @ f_block)) / 64
+    assert cache[1e-3].value == pytest.approx(direct, rel=1e-12)
+
+
+def test_gcv_fit_independent_of_threads(ops2, stochastic_traces):
+    X, _ = gcv_case(ops2, 15)
+    grid = default_lambda_grid(ops2)
+    one = fit(X, 2, grid, ops2, selection="gcv", threads=1)
+    four = fit(X, 2, grid, ops2, selection="gcv", threads=4)
+    for a, b, ta, tb in zip(one.components, four.components,
+                            one.selection_traces, four.selection_traces):
+        np.testing.assert_array_equal(ta.scores, tb.scores)
+        np.testing.assert_array_equal(ta.trace_probes, tb.trace_probes)
+        assert ta.history == tb.history
+        np.testing.assert_array_equal(a.f_coefficients, b.f_coefficients)
+        np.testing.assert_array_equal(a.g_coefficients, b.g_coefficients)
+        np.testing.assert_array_equal(a.scores, b.scores)
 
 
 # -- default grid -----------------------------------------------------

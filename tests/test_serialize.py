@@ -85,6 +85,29 @@ def test_data_csv_non_finite_cell_reports_position(tmp_path, token):
         read_data_csv(path)
 
 
+def test_data_csv_mixed_rows_match_cell_by_cell(tmp_path):
+    # rows without empty cells, rows with empty or blank cells, padding
+    path = tmp_path / "mixed.csv"
+    path.write_text("0,1,2\n1.5, 2 ,3e2\n,4.0,\n 5.0 , ,-6\n\n7,8,9\n")
+    expected = [[1.5, 2.0, 300.0], [np.nan, 4.0, np.nan],
+                [5.0, np.nan, -6.0], [7.0, 8.0, 9.0]]
+    np.testing.assert_array_equal(read_data_csv(path), expected)
+
+
+@pytest.mark.parametrize("rows, match", [
+    ("1,2,3\n4,5,nan\n", r"non-finite value 'nan' at row 3, column 3"),
+    ("1,2,3\n4,1e999,x\n", r"non-numeric value 'x' at row 3, column 3"),
+    ("1,,3\n4,5,inf\n7,x,\n", r"non-finite value 'inf' at row 3"),
+    ("1,2,3\n4,,x\n7,8,nan\n", r"non-numeric value 'x' at row 3"),
+    ("1,2,3\n4,5\n7,x,9\n", r"row at line 3 has 2 cells, expected 3"),
+])
+def test_data_csv_first_faulty_row_reported(tmp_path, rows, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("0,1,2\n" + rows)
+    with pytest.raises(ParseError, match=match):
+        read_data_csv(path)
+
+
 def test_data_csv_not_utf8_rejected(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"0,1\n1.0,\xe92.0\n")
