@@ -29,7 +29,6 @@ from .errors import (
 )
 from .mesh import (
     SurfaceLocation,
-    TriangleGeometry,
     TriangleMesh,
     load_mesh,
     save_mesh,
@@ -37,7 +36,7 @@ from .mesh import (
     vertex_locations,
 )
 from .fem import FemOperators, EigenPair, assemble, l2_inner, lb_eigenpairs
-from .solver import SaddleSystem, build
+from .solver import SaddleSystem
 from .estimator import (
     DataMatrix,
     ObservationSet,
@@ -83,10 +82,10 @@ __all__ = [
     "InvalidFoldCount", "ResourceLimit", "NotASphere", "SingularSystem",
     "ConvergenceFailure", "DegenerateData", "DegenerateSmoother",
     "RankDeficient", "NonMonotoneObjective",
-    "SurfaceLocation", "TriangleGeometry", "TriangleMesh",
+    "SurfaceLocation", "TriangleMesh",
     "load_mesh", "save_mesh", "unit_sphere_mesh", "vertex_locations",
     "FemOperators", "EigenPair", "assemble", "l2_inner", "lb_eigenpairs",
-    "SaddleSystem", "build",
+    "SaddleSystem",
     "DataMatrix", "ObservationSet", "PcComponent", "SmFpcaResult",
     "initialize", "score_step", "function_step", "penalty_value",
     "fit_component", "deflate", "fit", "fit_missing",

@@ -164,21 +164,13 @@ def _ensure_outdir(config):
     return outdir
 
 
-def _load_mesh_checked(path):
-    if path is None or not os.path.exists(path):
-        raise InputError(f"mesh file not found: {path}")
-    return meshmod.load_mesh(path)
-
-
 # -- fit --------------------------------------------------------------
 
 
 def cmd_fit(config) -> int:
     outdir = _ensure_outdir(config)
-    surface = _load_mesh_checked(_require(config, "mesh", "--mesh"))
+    surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
     data_path = _require(config, "data", "--data")
-    if not os.path.exists(data_path):
-        raise InputError(f"data file not found: {data_path}")
     values = serialize.read_data_csv(data_path)
     if values.shape[1] != surface.K:
         raise InputError(
@@ -225,9 +217,9 @@ def cmd_fit(config) -> int:
     vertex_values = np.stack(
         [c.f_coefficients for c in result.components], axis=1
     )
-    serialize.write_matrix_csv(os.path.join(outdir, "scores.csv"), scores, "pc")
+    serialize.write_matrix_csv(os.path.join(outdir, "scores.csv"), scores)
     serialize.write_matrix_csv(
-        os.path.join(outdir, "vertex_values.csv"), vertex_values, "pc"
+        os.path.join(outdir, "vertex_values.csv"), vertex_values
     )
     if config["export_matrices"]:
         from scipy.io import mmwrite
@@ -249,7 +241,7 @@ def _simulation_mesh(config, outdir):
         surface = meshmod.unit_sphere_mesh(int(config["sphere"]))
         meshmod.save_mesh(surface, os.path.join(outdir, "mesh.off"))
         return surface
-    return _load_mesh_checked(_require(config, "mesh", "--mesh or --sphere"))
+    return meshmod.load_mesh(_require(config, "mesh", "--mesh or --sphere"))
 
 
 def cmd_simulate(config) -> int:
@@ -319,7 +311,7 @@ def cmd_evaluate(config) -> int:
 
     # optional unsmoothed baseline on the raw data
     if config["data"] is not None:
-        surface = _load_mesh_checked(_require(config, "mesh", "--mesh"))
+        surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
         baseline_values = serialize.read_data_csv(config["data"])
         if np.isnan(baseline_values).any():
             raise InputError(
@@ -351,13 +343,13 @@ def cmd_evaluate(config) -> int:
 
 
 def cmd_mesh_info(config) -> int:
-    surface = _load_mesh_checked(_require(config, "mesh", "--mesh"))
+    surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
     info = {
         "vertices": surface.K,
         "triangles": surface.T,
         "edges": surface.edge_count,
         "boundaryEdges": surface.boundary_edge_count,
-        "closed": surface.is_closed(),
+        "closed": surface.closed,
         "totalArea": surface.total_area(),
         "boundingBox": {
             "min": [float(v) for v in surface.vertices.min(axis=0)],

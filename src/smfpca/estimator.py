@@ -254,7 +254,7 @@ def fit_component(
     """
     lam = float(lam)
     if system is None:
-        system = solver.build(ops, data_gram(ops), lam)
+        system = solver.SaddleSystem(ops, data_gram(ops), lam)
     elif system.lam != lam:
         raise InputError(
             f"prebuilt system was factored for lambda {system.lam:g}, not {lam:g}"
@@ -728,7 +728,7 @@ class _MissingTerm:
         if self._system is not None:
             solution = self._system.solve_with_block(self._gram, rhs, self._solution)
         if solution is None:
-            self._system = solver.build(self.ops, self._gram, lam)
+            self._system = solver.SaddleSystem(self.ops, self._gram, lam)
             solution = self._system.solve(rhs)
         self._solution = solution
         return solution

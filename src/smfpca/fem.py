@@ -83,7 +83,7 @@ def assemble(mesh: TriangleMesh, locations) -> FemOperators:
     K = mesh.K
     tri = mesh.triangles
     areas = mesh.areas
-    grads = mesh._gradients
+    grads = mesh.gradients
 
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()

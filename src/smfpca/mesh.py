@@ -8,7 +8,7 @@ safe to run concurrently.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,24 +59,6 @@ class SurfaceLocation:
         b.flags.writeable = False
         object.__setattr__(self, "triangle_index", int(self.triangle_index))
         object.__setattr__(self, "barycentric", b)
-
-
-@dataclass(frozen=True, eq=False)
-class TriangleGeometry:
-    """Flat-metric data of one triangle.
-
-    Attributes
-    ----------
-    area : float
-        Triangle area in squared length units.
-    basis_gradients : ndarray, shape (3, 3)
-        Row i is the ambient-space gradient of the nodal basis function
-        attached to local vertex i, constant over the triangle. The rows
-        sum to zero and are orthogonal to the triangle normal.
-    """
-
-    area: float
-    basis_gradients: np.ndarray
 
 
 class TriangleMesh:
@@ -161,14 +143,18 @@ class TriangleMesh:
         """Triangle count."""
         return self.triangles.shape[0]
 
-    def is_closed(self) -> bool:
-        """True iff every edge is shared by exactly two triangles."""
-        return self.closed
-
     @property
     def areas(self):
         """Per-triangle areas, shape (T,)."""
         return self._areas
+
+    @property
+    def gradients(self):
+        """Per-triangle nodal basis gradients, shape (T, 3, 3). Row i of
+        triangle t is the ambient-space gradient of the basis function
+        of its local vertex i, constant over the triangle; the rows sum
+        to zero and are orthogonal to the triangle normal."""
+        return self._gradients
 
     def total_area(self) -> float:
         return float(self._areas.sum())
@@ -230,22 +216,6 @@ class TriangleMesh:
         self.closed = bool(counts.size) and bool((counts == 2).all())
 
     # -- queries ------------------------------------------------------
-
-    def triangle_geometry(self, t: int) -> TriangleGeometry:
-        """Area and nodal basis gradients of triangle ``t``.
-
-        Raises
-        ------
-        DegenerateTriangle
-            Never for a validated mesh; kept for callers constructing
-            geometry from mutated vertex sets.
-        """
-        if not 0 <= t < self.T:
-            raise DimensionMismatch(f"triangle index {t} out of range [0, {self.T})")
-        area = float(self._areas[t])
-        if area <= self.area_epsilon:
-            raise DegenerateTriangle("degenerate triangle", element_index=t)
-        return TriangleGeometry(area=area, basis_gradients=self._gradients[t])
 
     def locate_point(self, p) -> SurfaceLocation:
         """Closest point on the mesh to ``p``, as a surface location.
@@ -570,11 +540,4 @@ def unit_sphere_mesh(subdivisions: int) -> TriangleMesh:
     faces = _ICOSA_FACES.copy()
     for _ in range(subdivisions):
         vertices, faces = _subdivide_on_sphere(vertices, faces)
-    volume = np.einsum(
-        "ij,ij->i",
-        vertices[faces[:, 0]],
-        np.cross(vertices[faces[:, 1]], vertices[faces[:, 2]]),
-    ).sum()
-    if volume < 0:
-        faces = faces[:, [0, 2, 1]]
     return TriangleMesh(vertices, faces)

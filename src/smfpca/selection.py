@@ -80,7 +80,7 @@ def _factored(ops, grid, systems):
     gram = estimator.data_gram(ops)
     for lam in map(float, grid):
         if lam not in systems:
-            systems[lam] = solver.build(ops, gram, lam)
+            systems[lam] = solver.SaddleSystem(ops, gram, lam)
     return systems
 
 

@@ -235,10 +235,10 @@ def _scan_row(lineno, line, width):
     return parsed
 
 
-def write_matrix_csv(path, matrix, prefix: str):
-    """Columns labeled ``<prefix>_1..m``; one row per index."""
+def write_matrix_csv(path, matrix):
+    """Columns labeled ``pc_1..m``, one per component; one row per index."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    header = ",".join(f"{prefix}_{j + 1}" for j in range(matrix.shape[1]))
+    header = ",".join(f"pc_{j + 1}" for j in range(matrix.shape[1]))
     _write_lines(path, [header] + [_cells(row) for row in matrix])
 
 

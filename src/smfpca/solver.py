@@ -59,11 +59,25 @@ _REFINE_STEPS = 12
 class SaddleSystem:
     """A factored saddle-point system for one smoothing parameter.
 
-    Use :func:`build`; the constructor performs the factorization.
+    The constructor performs the factorization, for reuse across solves.
     ``matrix`` is the factored system in the unknowns (f, sqrt(lam) g),
     in its natural order. Instances are immutable; `solve` and
     `solve_with_block` are reentrant and safe to call from several
     threads on one instance.
+
+    Parameters
+    ----------
+    ops : FemOperators
+    upper_left : sparse matrix, shape (K, K)
+        Symmetric positive semidefinite data block.
+    lam : float
+        Positive smoothing parameter.
+
+    Raises
+    ------
+    SingularSystem
+        Factorization breakdown; typically a rank-deficient data block
+        paired with a penalty that does not close the kernel.
     """
 
     def __init__(self, ops: FemOperators, upper_left, lam: float):
@@ -111,7 +125,7 @@ class SaddleSystem:
         Raises
         ------
         SingularSystem
-            The new block vanishes on constant fields, as in `build`.
+            The new block vanishes on constant fields, as in the constructor.
         """
         upper_left = _checked_block(upper_left, self.k)
         rhs = self._full_rhs(rhs_top)
@@ -222,23 +236,3 @@ def _mesh_order(ops):
                        options=dict(SymmetricMode=True))
     # perm_c maps a column to its position in the order
     return np.argsort(lu.perm_c)
-
-
-def build(ops: FemOperators, upper_left, lam: float) -> SaddleSystem:
-    """Factor the saddle-point block matrix for reuse across solves.
-
-    Parameters
-    ----------
-    ops : FemOperators
-    upper_left : sparse matrix, shape (K, K)
-        Symmetric positive semidefinite data block.
-    lam : float
-        Positive smoothing parameter.
-
-    Raises
-    ------
-    SingularSystem
-        Factorization breakdown; typically a rank-deficient data block
-        paired with a penalty that does not close the kernel.
-    """
-    return SaddleSystem(ops, upper_left, lam)

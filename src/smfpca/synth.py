@@ -47,15 +47,17 @@ def _sampled(ops: FemOperators, vertex_fields, scores, noise_sigma, rng):
     return signal
 
 
-def _check_draw(n, noise_sigma):
+def _check_draw(n, noise_sigma, sigmas):
     if n < 1:
         raise InputError("n must be at least 1")
-    if not noise_sigma >= 0:
-        raise InputError(f"noise sigma must be non-negative, got {noise_sigma:g}")
+    if not 0 <= noise_sigma < np.inf:
+        raise InputError(f"noise sigma must be finite and non-negative, got {noise_sigma:g}")
+    if not np.isfinite(sigmas).all():
+        raise InputError(f"score sigmas must be finite, got {np.ravel(sigmas).tolist()}")
 
 
 def _warn_if_open(mesh: TriangleMesh):
-    if not mesh.is_closed():
+    if not mesh.closed:
         warnings.warn(
             "mesh is not closed; the roughness penalty implicitly uses "
             "natural boundary conditions",
@@ -95,7 +97,7 @@ def generate_eigen_dataset(mesh: TriangleMesh, ops: FemOperators,
         raise DimensionMismatch(
             f"need one sigma per eigenfunction, got {sig.shape} for {len(idx)}"
         )
-    _check_draw(n, noise_sigma)
+    _check_draw(n, noise_sigma, sig)
     _warn_if_open(mesh)
     pairs = lb_eigenpairs(ops, max(idx) + 1)
     fields = np.stack([pairs[i].coefficients for i in idx], axis=1)
@@ -139,7 +141,7 @@ def generate_sphere_dataset(mesh: TriangleMesh, ops: FemOperators, n: int,
     sig = np.asarray(sigmas, dtype=np.float64)
     if sig.shape != (2,):
         raise DimensionMismatch(f"expected two sigmas, got {sig.shape}")
-    _check_draw(n, noise_sigma)
+    _check_draw(n, noise_sigma, sig)
     v1, v2 = sphere_pc_functions(mesh)
     fields = np.stack([v1, v2], axis=1)
     rng = np.random.default_rng(seed)
@@ -172,8 +174,7 @@ def generate_misaligned_dataset(mesh: TriangleMesh, ops: FemOperators,
         raise InputError("shift_set must be a nonempty sequence")
     if not np.isfinite(shift_values).all():
         raise InputError("shift_set must be finite")
-    if n < 1:
-        raise InputError("n must be at least 1")
+    _check_draw(n, 0.0, sigma)
     _require_unit_sphere(mesh)
 
     rng = np.random.default_rng(seed)

@@ -27,7 +27,7 @@ from smfpca import (
 )
 from smfpca.estimator import adjusted_total_variance, data_gram
 from smfpca.mesh import TriangleMesh
-from smfpca.solver import build
+from smfpca.solver import SaddleSystem
 from smfpca.synth import generate_eigen_dataset, generate_sphere_dataset
 
 
@@ -54,7 +54,7 @@ def test_criterion_01_fem_identities(ops2, right_triangle):
     tri = np.array([[0.3, -0.1, 0.2], [1.4, 0.2, -0.3], [0.1, 1.1, 0.5]])
     single = TriangleMesh(tri, np.array([[0, 1, 2]]))
     sops = assemble(single, vertex_locations(single))
-    area = single.triangle_geometry(0).area
+    area = single.areas[0]
     mass_oracle = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
     mass_err = np.abs(sops.mass.toarray() - mass_oracle).max()
 
@@ -107,7 +107,7 @@ def test_criterion_03_solver_matches_closed_form(tetra, sphere1):
         smooth = r1 @ np.linalg.solve(r0, r1)
         rhs = rng.standard_normal(mesh.K)
         for lam in (1e-4, 1.0, 1e4):
-            system = build(ops, gram, lam)
+            system = SaddleSystem(ops, gram, lam)
             f, _ = system.solve(rhs)
             dense = np.linalg.solve(gram.toarray() + lam * smooth, rhs)
             worst = max(
@@ -223,7 +223,7 @@ def test_criterion_08_variance_accounting(ops2):
 
 def test_criterion_09_block_sparsity(ops3):
     assert ops3.vertex_count == 642
-    system = build(ops3, data_gram(ops3), 1.0)
+    system = SaddleSystem(ops3, data_gram(ops3), 1.0)
     n = system.matrix.shape[0]
     frac = system.matrix.nnz / float(n * n)
     report(9, frac < 0.01, f"stored nonzeros {frac:.3%} vs 1%")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 import scipy.io
 
 import smfpca
-from smfpca import cli, load_mesh, save_mesh
-from smfpca.serialize import load_json, read_data_csv
+from smfpca import cli, load_mesh, save_mesh, selection
+from smfpca.serialize import load_json, read_data_csv, write_data_csv
 
 
 def run(argv):
@@ -140,6 +141,27 @@ def test_fit_threads_do_not_change_results(tmp_path):
     assert r1 == r4
 
 
+def test_fit_gcv_writes_history(tmp_path, monkeypatch):
+    # every location count is above this limit, so traces come from probes
+    monkeypatch.setattr(selection, "EXACT_TRACE_LIMIT", 1)
+    src = tmp_path / "sim"
+    assert run(["simulate", "--generator", "sphere", "--sphere", 2,
+                "--n", 20, "--seed", 3, "--outdir", src]) == 0
+    results = []
+    for threads in (1, 4):
+        out = tmp_path / f"t{threads}"
+        extra = ["--selection", "gcv", "--threads", threads]
+        assert run(fit_args(src, out, extra)) == 0
+        results.append(out / "result.json")
+    for comp in load_json(results[0])["components"]:
+        trace = comp["selection"]
+        assert trace["method"] == "gcv"
+        assert trace["history"]
+        assert set(trace["history"]) <= set(trace["lambdaGrid"])
+        assert trace["history"][-1] == trace["chosenLambda"] == comp["lambda"]
+    assert results[0].read_bytes() == results[1].read_bytes()
+
+
 def test_fit_missing_mesh_exit_2(tmp_path, capsys):
     src = simulate_sphere(tmp_path / "sim")
     code = run(
@@ -197,6 +219,19 @@ def test_negative_noise_exit_2(tmp_path, capsys, generator):
     assert "noise" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, name", [
+    (["--noise", "inf"], "noise"),
+    (["--sigmas", "nan,1"], "sigmas"),
+    (["--generator", "misaligned", "--sigmas", "inf"], "sigmas"),
+])
+def test_non_finite_generator_sigma_exit_2(tmp_path, capsys, extra, name):
+    sim = ["simulate", "--sphere", 1, "--n", 6, "--outdir", tmp_path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(sim + extra) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_fit_components_past_the_data_exit_3(tmp_path, capsys):
     src = simulate_sphere(tmp_path / "sim")
     extra = ["--selection", "fixed", "--fixed-lambda", "1e-3",
@@ -246,8 +281,6 @@ def test_fit_missing_entries_warns_and_fits(tmp_path):
     src = simulate_sphere(tmp_path / "sim")
     values = read_data_csv(src / "data.csv")
     values[0, 3] = np.nan
-    from smfpca.serialize import write_data_csv
-
     write_data_csv(src / "data.csv", values)
     out = tmp_path / "fit"
     with pytest.warns(UserWarning, match="missing entries"):
@@ -263,13 +296,43 @@ def test_fit_gcv_rejects_missing_data(tmp_path, capsys):
     src = simulate_sphere(tmp_path / "sim")
     values = read_data_csv(src / "data.csv")
     values[1, 1] = np.nan
-    from smfpca.serialize import write_data_csv
-
     write_data_csv(src / "data.csv", values)
     with pytest.warns(UserWarning, match="missing entries"):
         code = run(fit_args(src, tmp_path, ["--selection", "gcv"]))
     assert code == 2
     assert "kfold" in capsys.readouterr().err
+
+
+def test_fit_config_not_an_object_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run(["fit", "--config", cfg, "--outdir", tmp_path]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_fit_without_mesh_exit_2(tmp_path, capsys):
+    assert run(["fit", "--data", tmp_path / "data.csv", "--outdir", tmp_path]) == 2
+    assert "missing required parameter: --mesh" in capsys.readouterr().err
+
+
+def test_fit_data_file_not_found_exit_2(tmp_path, capsys):
+    src = simulate_sphere(tmp_path / "sim")
+    missing = tmp_path / "nope.csv"
+    code = run(["fit", "--mesh", src / "mesh.off", "--data", missing,
+                "--outdir", tmp_path])
+    assert code == 2
+    assert f"file not found: {missing}" in capsys.readouterr().err
+
+
+def test_fit_data_width_differs_from_mesh_exit_2(tmp_path, capsys, sphere2):
+    src = simulate_sphere(tmp_path / "sim")
+    mesh_path = tmp_path / "level2.off"
+    save_mesh(sphere2, mesh_path)
+    code = run(["fit", "--mesh", mesh_path, "--data", src / "data.csv",
+                "--outdir", tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "42 data columns" in err and "162 vertices" in err
 
 
 def test_fit_export_matrices(tmp_path):
@@ -393,6 +456,19 @@ def test_evaluate_with_baseline_rows(tmp_path):
     methods = {line.split(",")[1] for line in lines[1:]}
     assert methods == {"smfpca", "mv-pca"}
     assert all(line.split(",")[0] == "3" for line in lines[1:])
+
+
+def test_evaluate_baseline_needs_full_data_exit_2(tmp_path, capsys):
+    src, out = fitted_bundle(tmp_path)
+    values = read_data_csv(src / "data.csv")
+    values[2, 5] = np.nan
+    gappy = tmp_path / "gappy.csv"
+    write_data_csv(gappy, values)
+    code = run(["evaluate", "--result", out / "result.json",
+                "--truth", src / "truth.json", "--outdir", tmp_path / "ev",
+                "--mesh", src / "mesh.off", "--data", gappy])
+    assert code == 2
+    assert "needs fully observed data" in capsys.readouterr().err
 
 
 def test_evaluate_append_mode(tmp_path):

@@ -11,7 +11,7 @@ from smfpca import (
     SurfaceLocation,
     adjusted_total_variance,
     assemble,
-    build,
+    SaddleSystem,
     deflate,
     fit,
     fit_component,
@@ -105,7 +105,7 @@ def test_function_step_small_lambda_interpolates(ops2):
     # vertex sampling: psi = I, so lam -> 0 returns the projected data
     X, scores, field = rank_one_data(ops2, seed=5)
     u = scores / np.linalg.norm(scores)
-    f, _ = function_step(X, u, build(ops2, data_gram(ops2), 1e-13), ops2)
+    f, _ = function_step(X, u, SaddleSystem(ops2, data_gram(ops2), 1e-13), ops2)
     target = X.values.T @ u
     np.testing.assert_allclose(f, target, rtol=1e-5, atol=1e-8)
 
@@ -113,7 +113,7 @@ def test_function_step_small_lambda_interpolates(ops2):
 def test_function_step_large_lambda_flattens(ops2):
     X, scores, _ = rank_one_data(ops2, seed=6)
     u = scores / np.linalg.norm(scores)
-    f, _ = function_step(X, u, build(ops2, data_gram(ops2), 1e10), ops2)
+    f, _ = function_step(X, u, SaddleSystem(ops2, data_gram(ops2), 1e10), ops2)
     assert np.std(f) < 1e-4 * max(abs(np.mean(f)), 1e-30)
 
 
@@ -205,7 +205,7 @@ def test_fit_component_scale_equivariance(ops1):
 
 def test_fit_component_rejects_mismatched_system(ops1):
     X, _, _ = rank_one_data(ops1, seed=14)
-    system = build(ops1, data_gram(ops1), 1.0)
+    system = SaddleSystem(ops1, data_gram(ops1), 1.0)
     with pytest.raises(InputError):
         fit_component(X, 2.0, ops1, system=system)
 

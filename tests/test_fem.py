@@ -19,7 +19,7 @@ def midpoint_quadrature_inner(mesh, a, b):
     total = 0.0
     for t in range(mesh.T):
         idx = mesh.triangles[t]
-        area = mesh.triangle_geometry(t).area
+        area = mesh.areas[t]
         av, bv = a[idx], b[idx]
         for i, j in ((0, 1), (1, 2), (2, 0)):
             am = 0.5 * (av[i] + av[j])

@@ -39,11 +39,11 @@ def test_tetra_census(tetra):
     assert tetra.T == 4
     assert tetra.edge_count == 6
     assert tetra.boundary_edge_count == 0
-    assert tetra.is_closed()
+    assert tetra.closed
 
 
 def test_open_mesh_census(right_triangle):
-    assert not right_triangle.is_closed()
+    assert not right_triangle.closed
     assert right_triangle.boundary_edge_count == 3
 
 
@@ -113,8 +113,7 @@ def test_isolated_vertex_warns():
 
 
 def test_right_triangle_geometry(right_triangle):
-    geom = right_triangle.triangle_geometry(0)
-    assert geom.area == pytest.approx(0.5, abs=1e-15)
+    assert right_triangle.areas[0] == pytest.approx(0.5, abs=1e-15)
     # hand-derived gradients of the three nodal functions
     expected = np.array(
         [
@@ -123,7 +122,9 @@ def test_right_triangle_geometry(right_triangle):
             [0.0, 1.0, 0.0],
         ]
     )
-    np.testing.assert_allclose(geom.basis_gradients, expected, atol=1e-14)
+    np.testing.assert_allclose(
+        right_triangle.gradients[0], expected, atol=1e-14
+    )
 
 
 def test_equilateral_area():
@@ -135,7 +136,7 @@ def test_equilateral_area():
         ]
     )
     m = TriangleMesh(v, np.array([[0, 1, 2]]))
-    assert m.triangle_geometry(0).area == pytest.approx(np.sqrt(3.0) / 4.0)
+    assert m.areas[0] == pytest.approx(np.sqrt(3.0) / 4.0)
 
 
 def test_gradients_rotate_with_triangle(right_triangle):
@@ -153,18 +154,24 @@ def test_gradients_rotate_with_triangle(right_triangle):
     rotated = TriangleMesh(
         right_triangle.vertices @ rot.T, right_triangle.triangles
     )
-    base = right_triangle.triangle_geometry(0)
-    moved = rotated.triangle_geometry(0)
-    assert moved.area == pytest.approx(base.area, rel=1e-14)
+    assert rotated.areas[0] == pytest.approx(right_triangle.areas[0], rel=1e-14)
     np.testing.assert_allclose(
-        moved.basis_gradients, base.basis_gradients @ rot.T, atol=1e-13
+        rotated.gradients[0], right_triangle.gradients[0] @ rot.T, atol=1e-13
     )
 
 
 def test_gradients_sum_to_zero(sphere1):
     for t in range(0, sphere1.T, 7):
-        g = sphere1.triangle_geometry(t).basis_gradients
+        g = sphere1.gradients[t]
         np.testing.assert_allclose(g.sum(axis=0), 0.0, atol=1e-12)
+
+
+def test_geometry_arrays_are_read_only(sphere1):
+    # validation runs once, at construction; nothing may change after it
+    for a in (sphere1.vertices, sphere1.triangles, sphere1.areas,
+              sphere1.gradients):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 # -- icosphere --------------------------------------------------------
@@ -182,7 +189,7 @@ def test_icosphere_counts():
 def test_icosphere_on_unit_sphere(sphere2):
     radii = np.linalg.norm(sphere2.vertices, axis=1)
     np.testing.assert_allclose(radii, 1.0, atol=1e-12)
-    assert sphere2.is_closed()
+    assert sphere2.closed
 
 
 def test_icosphere_area_converges(sphere3):
@@ -192,14 +199,17 @@ def test_icosphere_area_converges(sphere3):
     assert abs(area - 4.0 * np.pi) / (4.0 * np.pi) < 0.01
 
 
-def test_icosphere_outward_orientation(sphere1):
-    # signed volume of an outward-oriented closed surface is positive
-    a = sphere1.vertices[sphere1.triangles[:, 0]]
-    b = sphere1.vertices[sphere1.triangles[:, 1]]
-    c = sphere1.vertices[sphere1.triangles[:, 2]]
-    vol = np.einsum("ij,ij->", a, np.cross(b, c)) / 6.0
-    assert vol > 0
-    assert vol == pytest.approx(4.0 * np.pi / 3.0, rel=0.15)
+@pytest.mark.parametrize("level", range(5))
+def test_icosphere_outward_orientation(level):
+    # an outward-oriented face spans a positive signed volume with the
+    # centre, so the closed surface's signed volume is positive too
+    m = unit_sphere_mesh(level)
+    a, b, c = (m.vertices[m.triangles[:, i]] for i in range(3))
+    signed = np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
+    assert (signed > 0).all()
+    # inscribed in the ball, and closing in on its volume level by level
+    deficit = 1.0 - signed.sum() / (4.0 * np.pi / 3.0)
+    assert 0 < deficit < 0.4 / 3.0**level
 
 
 def test_icosphere_cap():
@@ -309,7 +319,7 @@ def test_off_accepts_comments_and_blanks(tmp_path):
         "3 0 2 1\n3 0 1 3\n3 0 3 2\n3 1 2 3\n"
     )
     m = load_mesh(path)
-    assert m.K == 4 and m.is_closed()
+    assert m.K == 4 and m.closed
 
 
 @pytest.mark.parametrize(
@@ -322,6 +332,13 @@ def test_off_accepts_comments_and_blanks(tmp_path):
         ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 999\n", "line 6"),
         ("OFF\n3 1 3\n0 0 0\n1 0 0\n", "line"),
         ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 1 0\n", "line 7"),
+        ("OFF\n3\n", "line 2: counts line must read"),
+        ("OFF\n3 1 3 0\n", "line 2: counts line must read"),
+        ("OFF\n3 x 3\n", "line 2: counts line must hold integers"),
+        ("OFF\n3 -1 3\n", "line 2: negative count"),
+        ("OFF\n3 1 3\n0 0 0\n1 y 0\n", "line 4: non-numeric vertex"),
+        ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1.5 2\n",
+         "line 6: non-integer face token"),
     ],
 )
 def test_off_parse_errors_carry_line_numbers(tmp_path, content, needle):

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from smfpca.estimator import data_gram
+from smfpca.solver import SaddleSystem
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -65,3 +68,19 @@ def test_metric_span_is_traced(name):
               and isinstance(target, types.FunctionType)
               and target.__module__ == module.__name__)
     assert public or name in extra
+
+
+@pytest.mark.parametrize("name", sorted(SPANS._AFTER))
+def test_counter_hook_target_resolves(name):
+    layer, *path = name.split(".")
+    target = importlib.import_module("smfpca." + layer)
+    for attr in path:
+        target = getattr(target, attr)
+    assert callable(target)
+
+
+def test_factor_hook_counts_matrix_entries(ops1):
+    system = SaddleSystem(ops1, data_gram(ops1), 1.0)
+    counters = {"system_nnz": 0}
+    SPANS._AFTER["solver.SaddleSystem.__init__"](counters, (system,), {}, None)
+    assert counters["system_nnz"] == system.matrix.nnz > 0

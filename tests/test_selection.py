@@ -55,7 +55,7 @@ def dense_kfold_oracle(X, grid, folds, ops, seed):
     assignments = make_folds(X.n, folds, seed)
     scores = []
     for lam in grid:
-        system = solver.build(ops, estimator.data_gram(ops), lam)
+        system = solver.SaddleSystem(ops, estimator.data_gram(ops), lam)
         total = 0.0
         for val_rows in assignments:
             train_rows = np.setdiff1d(np.arange(X.n), val_rows)
@@ -485,7 +485,7 @@ def test_gcv_capped_trace_matches_direct_hutchinson(ops2, stochastic_traces):
     gcv_select(X, u, [1e-3, 1e-3], ops2, trace_cache=cache)
     s = ops2.location_count
     signs = np.random.default_rng(1899).integers(0, 2, size=(s, 64)) * 2.0 - 1.0
-    system = solver.build(ops2, estimator.data_gram(ops2), 1e-3)
+    system = solver.SaddleSystem(ops2, estimator.data_gram(ops2), 1e-3)
     f_block, _ = system.solve_many(ops2.psi.T @ signs)
     direct = float(np.einsum("sk,sk->", signs, ops2.psi @ f_block)) / 64
     assert cache[1e-3].value == pytest.approx(direct, rel=1e-12)

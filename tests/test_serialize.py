@@ -35,7 +35,7 @@ def test_csv_writers_pin_float_text(tmp_path):
     assert (tmp_path / "data.csv").read_bytes() == (
         b"0,1,2\n-0.0,5e-324,1e+308\n1e-07,123456789.0,\n"
     )
-    write_matrix_csv(tmp_path / "scores.csv", values[:, :2].T, "pc")
+    write_matrix_csv(tmp_path / "scores.csv", values[:, :2].T)
     assert (tmp_path / "scores.csv").read_bytes() == (
         b"pc_1,pc_2\n-0.0,1e-07\n5e-324,123456789.0\n"
     )
@@ -162,7 +162,7 @@ def test_json_not_utf8_rejected(tmp_path):
 
 def test_matrix_csv_header(tmp_path):
     path = tmp_path / "scores.csv"
-    write_matrix_csv(path, np.arange(6.0).reshape(3, 2), "pc")
+    write_matrix_csv(path, np.arange(6.0).reshape(3, 2))
     lines = path.read_text().splitlines()
     assert lines[0] == "pc_1,pc_2"
     assert len(lines) == 4

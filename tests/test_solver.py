@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from smfpca import DimensionMismatch, InputError, SingularSystem, assemble, build
+from smfpca import DimensionMismatch, InputError, SaddleSystem, SingularSystem, assemble
 from smfpca import ObservationSet, fit, fit_missing, solver, vertex_locations
 from smfpca.estimator import _MissingState, data_gram
 from smfpca.selection import default_lambda_grid
@@ -55,7 +55,7 @@ def test_matches_dense_lu_oracle(tetra_ops):
     gram = data_gram(tetra_ops)
     rhs = rhs_for(tetra_ops, 0)
     for lam in (1e-3, 0.5, 20.0):
-        system = build(tetra_ops, gram, lam)
+        system = SaddleSystem(tetra_ops, gram, lam)
         f, g = system.solve(rhs)
         f_d, g_d = dense_block_solve(tetra_ops, gram, lam, rhs)
         np.testing.assert_allclose(f, f_d, rtol=1e-10, atol=1e-12)
@@ -68,14 +68,14 @@ def test_matches_dense_closed_form(ops1, lam):
     # there and serves as a second, structurally different oracle
     gram = data_gram(ops1)
     rhs = rhs_for(ops1, 1)
-    f, _ = build(ops1, gram, lam).solve(rhs)
+    f, _ = SaddleSystem(ops1, gram, lam).solve(rhs)
     f_ref = closed_form_f(ops1, lam, rhs)
     assert np.linalg.norm(f - f_ref) / np.linalg.norm(f_ref) < 1e-8
 
 
 def test_auxiliary_field_identity(ops1):
     # second block row: lam R1 f - lam R0 g = 0
-    system = build(ops1, data_gram(ops1), 0.3)
+    system = SaddleSystem(ops1, data_gram(ops1), 0.3)
     f, g = system.solve(rhs_for(ops1, 2))
     lhs = ops1.stiffness @ f
     rhs = ops1.mass @ g
@@ -83,36 +83,36 @@ def test_auxiliary_field_identity(ops1):
 
 
 def test_zero_rhs_gives_zero(ops1):
-    f, g = build(ops1, data_gram(ops1), 1.0).solve(np.zeros(ops1.vertex_count))
+    f, g = SaddleSystem(ops1, data_gram(ops1), 1.0).solve(np.zeros(ops1.vertex_count))
     assert np.all(f == 0) and np.all(g == 0)
 
 
 def test_large_lambda_flattens(ops1):
     # the penalty null space on a closed surface is the constants
     rhs = rhs_for(ops1, 3)
-    f, _ = build(ops1, data_gram(ops1), 1e8).solve(rhs)
+    f, _ = SaddleSystem(ops1, data_gram(ops1), 1e8).solve(rhs)
     assert np.std(f) < 1e-6 * max(1.0, abs(np.mean(f)))
 
 
 def test_solution_continuity_in_lambda(ops1):
     gram = data_gram(ops1)
     rhs = rhs_for(ops1, 4)
-    f_a, _ = build(ops1, gram, 1.0).solve(rhs)
-    f_b, _ = build(ops1, gram, 1.0 + 1e-9).solve(rhs)
+    f_a, _ = SaddleSystem(ops1, gram, 1.0).solve(rhs)
+    f_b, _ = SaddleSystem(ops1, gram, 1.0 + 1e-9).solve(rhs)
     assert np.linalg.norm(f_a - f_b) / np.linalg.norm(f_a) < 1e-6
 
 
 def test_rebuild_is_bitwise_deterministic(ops2):
     gram = data_gram(ops2)
     rhs = rhs_for(ops2, 5)
-    f_a, g_a = build(ops2, gram, 0.01).solve(rhs)
-    f_b, g_b = build(ops2, gram, 0.01).solve(rhs)
+    f_a, g_a = SaddleSystem(ops2, gram, 0.01).solve(rhs)
+    f_b, g_b = SaddleSystem(ops2, gram, 0.01).solve(rhs)
     np.testing.assert_array_equal(f_a, f_b)
     np.testing.assert_array_equal(g_a, g_b)
 
 
 def test_solve_many_matches_repeated_solve(ops1):
-    system = build(ops1, data_gram(ops1), 0.05)
+    system = SaddleSystem(ops1, data_gram(ops1), 0.05)
     rng = np.random.default_rng(6)
     block = rng.standard_normal((ops1.vertex_count, 4))
     F, G = system.solve_many(block)
@@ -137,10 +137,10 @@ def test_solve_with_block_matches_fresh_factorization(ops2, lam):
     old = weighted_gram(ops2, 7, 0.1)
     new = weighted_gram(ops2, 8, 0.1)
     rhs = rhs_for(ops2, 9)
-    system = build(ops2, old, lam)
+    system = SaddleSystem(ops2, old, lam)
     start = system.solve(rhs_for(ops2, 10))
     f, g = system.solve_with_block(new, rhs, start)
-    f_ref, g_ref = build(ops2, new, lam).solve(rhs)
+    f_ref, g_ref = SaddleSystem(ops2, new, lam).solve(rhs)
     assert relative_error(f, f_ref) < 1e-12
     assert relative_error(g, g_ref) < 1e-12
 
@@ -149,12 +149,12 @@ def test_solve_with_distant_block_reports_nonconvergence(ops1):
     old = data_gram(ops1)
     far = 1e6 * old
     rhs = rhs_for(ops1, 11)
-    system = build(ops1, old, 0.1)
+    system = SaddleSystem(ops1, old, 0.1)
     assert system.solve_with_block(far, rhs, system.solve(rhs)) is None
     # the caller's fallback: factor the new block; with the data block
     # dwarfing the penalty, g is less well conditioned than f (the sparse
     # and dense solvers agree on it to about 4e-10)
-    f, g = build(ops1, far, 0.1).solve(rhs)
+    f, g = SaddleSystem(ops1, far, 0.1).solve(rhs)
     f_d, g_d = dense_block_solve(ops1, far, 0.1, rhs)
     assert relative_error(f, f_d) < 1e-10
     assert relative_error(g, g_d) < 1e-8
@@ -164,7 +164,7 @@ def test_solve_with_block_orthogonal_to_constants_raises(ops1):
     K = ops1.vertex_count
     v = np.arange(K) - np.arange(K).mean()
     block = sparse.csr_matrix(np.outer(v, v))
-    system = build(ops1, data_gram(ops1), 1.0)
+    system = SaddleSystem(ops1, data_gram(ops1), 1.0)
     rhs = rhs_for(ops1, 12)
     with pytest.raises(SingularSystem):
         system.solve_with_block(block, rhs, system.solve(rhs))
@@ -175,7 +175,7 @@ def test_singular_data_block_raises(ops1):
     K = ops1.vertex_count
     empty = sparse.csr_matrix((K, K))
     with pytest.raises(SingularSystem):
-        build(ops1, empty, 1.0)
+        SaddleSystem(ops1, empty, 1.0)
 
 
 def test_data_block_orthogonal_to_constants_raises(ops1):
@@ -184,19 +184,19 @@ def test_data_block_orthogonal_to_constants_raises(ops1):
     v = np.arange(K) - np.arange(K).mean()
     block = sparse.csr_matrix(np.outer(v, v))
     with pytest.raises(SingularSystem):
-        build(ops1, block, 1.0)
+        SaddleSystem(ops1, block, 1.0)
 
 
 def test_invalid_lambda(ops1):
     for lam in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(InputError):
-            build(ops1, data_gram(ops1), lam)
+            SaddleSystem(ops1, data_gram(ops1), lam)
 
 
 def test_shape_mismatch(ops1, ops2):
     with pytest.raises(DimensionMismatch):
-        build(ops1, data_gram(ops2), 1.0)
-    system = build(ops1, data_gram(ops1), 1.0)
+        SaddleSystem(ops1, data_gram(ops2), 1.0)
+    system = SaddleSystem(ops1, data_gram(ops1), 1.0)
     with pytest.raises(DimensionMismatch):
         system.solve(np.zeros(ops1.vertex_count + 1))
     start = system.solve(np.ones(ops1.vertex_count))
@@ -232,7 +232,7 @@ def test_matches_dense_lu_oracle_across_lambda(ops2, block):
     upper_left = data_blocks(ops2)[block]
     rhs = rhs_for(ops2, 14)
     for lam in oracle_lambdas(ops2):
-        f, g = build(ops2, upper_left, lam).solve(rhs)
+        f, g = SaddleSystem(ops2, upper_left, lam).solve(rhs)
         f_d, _ = dense_block_solve(ops2, upper_left, lam, rhs)
         assert relative_error(f, f_d) <= 1e-10, lam
         # residual of the unscaled system [[UL, lam R1], [lam R1, -lam R0]]
@@ -246,7 +246,7 @@ def test_factorization_takes_diagonal_pivots(ops2):
     # threshold pivoting would leave perm_r != perm_c and bring back fill
     for upper_left in data_blocks(ops2).values():
         for lam in oracle_lambdas(ops2):
-            lu = build(ops2, upper_left, lam)._lu
+            lu = SaddleSystem(ops2, upper_left, lam)._lu
             np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
 
 
