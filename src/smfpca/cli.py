@@ -13,10 +13,10 @@ mesh-info
     Print mesh census statistics as JSON.
 
 Every command resolves its configuration from hard defaults, then an
-optional ``--config`` JSON file, then explicit flags, and writes the
-fully resolved configuration to ``manifest.json`` in the output
-directory. Re-running with ``--config manifest.json`` reproduces the
-run exactly. Exit codes: 0 success, 2 input error, 3 numerical error.
+optional ``--config`` JSON file, then explicit flags. Only a command that
+succeeds writes: its files into the output directory, then last the
+resolved configuration as ``manifest.json``, which re-runs it exactly as
+``--config``. Exit codes: 0 success, 2 input error, 3 numerical error.
 """
 
 import argparse
@@ -131,8 +131,6 @@ def _resolve(args, defaults):
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if config.get("seed", 0) < 0:  # numpy would raise a bare ValueError
-        raise InputError(f"seed must be non-negative, got {config['seed']}")
     return config
 
 
@@ -151,24 +149,21 @@ def _versions():
     }
 
 
-def _write_manifest(outdir, command, config):
-    serialize.write_json(
-        os.path.join(outdir, "manifest.json"),
-        {"command": command, "config": config, "versions": _versions()},
-    )
-
-
-def _ensure_outdir(config):
+def _write_outputs(command, config, files):
+    """Create ``--outdir``, call each file's ``write(path)``, then write
+    the manifest."""
     outdir = config["outdir"]
     os.makedirs(outdir, exist_ok=True)
-    return outdir
+    for name, write in files.items():
+        write(os.path.join(outdir, name))
+    serialize.write_json(os.path.join(outdir, "manifest.json"), {
+        "command": command, "config": config, "versions": _versions()})
 
 
 # -- fit --------------------------------------------------------------
 
 
-def cmd_fit(config) -> int:
-    outdir = _ensure_outdir(config)
+def cmd_fit(config):
     surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
     data_path = _require(config, "data", "--data")
     values = serialize.read_data_csv(data_path)
@@ -210,48 +205,42 @@ def cmd_fit(config) -> int:
             estimator.DataMatrix(values), center=config["center"], **common
         )
 
-    serialize.write_json(
-        os.path.join(outdir, "result.json"), serialize.result_to_dict(result)
-    )
+    document = serialize.result_to_dict(result)
     scores = np.stack([c.scores for c in result.components], axis=1)
-    vertex_values = np.stack(
-        [c.f_coefficients for c in result.components], axis=1
-    )
-    serialize.write_matrix_csv(os.path.join(outdir, "scores.csv"), scores)
-    serialize.write_matrix_csv(
-        os.path.join(outdir, "vertex_values.csv"), vertex_values
-    )
+    fields = np.stack([c.f_coefficients for c in result.components], axis=1)
+    files = {
+        "result.json": lambda path: serialize.write_json(path, document),
+        "scores.csv": lambda path: serialize.write_matrix_csv(path, scores),
+        "vertex_values.csv": lambda path: serialize.write_matrix_csv(path, fields),
+    }
     if config["export_matrices"]:
         from scipy.io import mmwrite
 
-        mmwrite(os.path.join(outdir, "mass.mtx"), ops.mass)
-        mmwrite(os.path.join(outdir, "stiffness.mtx"), ops.stiffness)
-        mmwrite(os.path.join(outdir, "psi.mtx"), ops.psi)
-    _write_manifest(outdir, "fit", config)
-    return 0
+        files["mass.mtx"] = lambda path: mmwrite(path, ops.mass)
+        files["stiffness.mtx"] = lambda path: mmwrite(path, ops.stiffness)
+        files["psi.mtx"] = lambda path: mmwrite(path, ops.psi)
+    return config, files
 
 
 # -- simulate ---------------------------------------------------------
 
 
-def _simulation_mesh(config, outdir):
+def cmd_simulate(config):
+    files = {}
     if config["sphere"] is not None and config["mesh"] is not None:
         raise InputError("give either --mesh or --sphere, not both")
     if config["sphere"] is not None:
         surface = meshmod.unit_sphere_mesh(int(config["sphere"]))
-        meshmod.save_mesh(surface, os.path.join(outdir, "mesh.off"))
-        return surface
-    return meshmod.load_mesh(_require(config, "mesh", "--mesh or --sphere"))
-
-
-def cmd_simulate(config) -> int:
-    outdir = _ensure_outdir(config)
-    surface = _simulation_mesh(config, outdir)
+        files["mesh.off"] = lambda path: meshmod.save_mesh(surface, path)
+    else:
+        surface = meshmod.load_mesh(_require(config, "mesh", "--mesh or --sphere"))
     locations = meshmod.vertex_locations(surface)
     ops = fem.assemble(surface, locations)
 
     generator = config["generator"]
-    sigmas = config["sigmas"] or _DEFAULT_SIGMAS[generator]
+    sigmas = config["sigmas"]
+    if sigmas is None:
+        sigmas = _DEFAULT_SIGMAS[generator]
     config = dict(config, sigmas=[float(v) for v in sigmas])
     if generator == "eigen":
         dataset = synth.generate_eigen_dataset(
@@ -263,20 +252,18 @@ def cmd_simulate(config) -> int:
             surface, ops, config["n"], config["sigmas"], config["noise"],
             config["seed"],
         )
+    elif len(sigmas) != 1:
+        raise InputError(f"--sigmas: misaligned takes one sigma, got {len(sigmas)}")
     else:
         dataset = synth.generate_misaligned_dataset(
             surface, ops, config["n"], config["sigmas"][0],
             config["shift_set"], config["seed"],
         )
 
-    serialize.write_data_csv(
-        os.path.join(outdir, "data.csv"), dataset.X.values
-    )
-    serialize.write_json(
-        os.path.join(outdir, "truth.json"), serialize.truth_to_dict(dataset)
-    )
-    _write_manifest(outdir, "simulate", config)
-    return 0
+    data, truth = dataset.X.values, serialize.truth_to_dict(dataset)
+    files["data.csv"] = lambda path: serialize.write_data_csv(path, data)
+    files["truth.json"] = lambda path: serialize.write_json(path, truth)
+    return config, files
 
 
 # -- evaluate ---------------------------------------------------------
@@ -293,8 +280,15 @@ def _metric_rows(replicate, label, report):
     return rows
 
 
-def cmd_evaluate(config) -> int:
-    outdir = _ensure_outdir(config)
+def _append_metric_rows(path, rows):
+    """Append to an existing metrics file, or start one."""
+    if not os.path.exists(path):
+        return serialize.write_metric_rows(path, rows)
+    with open(path, "a", encoding="ascii") as handle:
+        handle.writelines(f"{serialize._metric_line(*r)}\n" for r in rows)
+
+
+def cmd_evaluate(config):
     result_doc = serialize.load_json(_require(config, "result", "--result"))
     truth_doc = serialize.load_json(_require(config, "truth", "--truth"))
     est_values, est_scores, norms, curve = serialize.arrays_from_result(result_doc)
@@ -304,9 +298,7 @@ def cmd_evaluate(config) -> int:
         est_values, est_scores, norms, true_values, true_scores,
         explained_variance_curve=curve,
     )
-    serialize.write_json(
-        os.path.join(outdir, "evaluation.json"), serialize.report_to_dict(report)
-    )
+    evaluation = serialize.report_to_dict(report)
     rows = _metric_rows(config["replicate"], config["method_label"], report)
 
     # optional unsmoothed baseline on the raw data
@@ -329,20 +321,17 @@ def cmd_evaluate(config) -> int:
         )
         rows += _metric_rows(config["replicate"], "mv-pca", mv_report)
 
-    metrics_path = os.path.join(outdir, "metrics.csv")
-    if config["append"] and os.path.exists(metrics_path):
-        with open(metrics_path, "a", encoding="ascii") as handle:
-            handle.writelines(f"{serialize._metric_line(*r)}\n" for r in rows)
-    else:
-        serialize.write_metric_rows(metrics_path, rows)
-    _write_manifest(outdir, "evaluate", config)
-    return 0
+    write_rows = _append_metric_rows if config["append"] else serialize.write_metric_rows
+    return config, {
+        "evaluation.json": lambda path: serialize.write_json(path, evaluation),
+        "metrics.csv": lambda path: write_rows(path, rows),
+    }
 
 
 # -- mesh-info --------------------------------------------------------
 
 
-def cmd_mesh_info(config) -> int:
+def cmd_mesh_info(config):
     surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
     info = {
         "vertices": surface.K,
@@ -358,7 +347,6 @@ def cmd_mesh_info(config) -> int:
     }
     json.dump(info, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    return 0
 
 
 # -- argument parsing -------------------------------------------------
@@ -467,8 +455,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve(args, args.defaults)
-        return args.func(config)
+        outputs = args.func(_resolve(args, args.defaults))
+        if outputs is not None:  # mesh-info prints instead
+            _write_outputs(args.command, *outputs)
+        return 0
     except OSError as exc:
         name = exc.filename if exc.filename else exc
         reason = ("file not found" if isinstance(exc, FileNotFoundError)

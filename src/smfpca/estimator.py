@@ -94,6 +94,7 @@ class ObservationSet:
     def __post_init__(self):
         if not self.functions:
             raise DimensionMismatch("observation set holds no functions")
+        functions = []
         for i, (locs, vals) in enumerate(self.functions):
             vals = np.asarray(vals, dtype=np.float64)
             if vals.ndim != 1 or len(locs) != vals.shape[0] or vals.shape[0] < 1:
@@ -102,7 +103,8 @@ class ObservationSet:
                 )
             if not np.isfinite(vals).all():
                 raise InputError(f"function {i}: non-finite observation")
-            self.functions[i] = (list(locs), vals)
+            functions.append((list(locs), vals))
+        self.functions = functions
 
     @property
     def n(self) -> int:

@@ -47,13 +47,15 @@ def _sampled(ops: FemOperators, vertex_fields, scores, noise_sigma, rng):
     return signal
 
 
-def _check_draw(n, noise_sigma, sigmas):
+def _check_draw(n, noise_sigma, sigmas, seed):
     if n < 1:
         raise InputError("n must be at least 1")
     if not 0 <= noise_sigma < np.inf:
         raise InputError(f"noise sigma must be finite and non-negative, got {noise_sigma:g}")
     if not np.isfinite(sigmas).all():
         raise InputError(f"score sigmas must be finite, got {np.ravel(sigmas).tolist()}")
+    if seed < 0:  # numpy would raise a bare ValueError
+        raise InputError(f"seed must be non-negative, got {seed}")
 
 
 def _warn_if_open(mesh: TriangleMesh):
@@ -97,7 +99,7 @@ def generate_eigen_dataset(mesh: TriangleMesh, ops: FemOperators,
         raise DimensionMismatch(
             f"need one sigma per eigenfunction, got {sig.shape} for {len(idx)}"
         )
-    _check_draw(n, noise_sigma, sig)
+    _check_draw(n, noise_sigma, sig, seed)
     _warn_if_open(mesh)
     pairs = lb_eigenpairs(ops, max(idx) + 1)
     fields = np.stack([pairs[i].coefficients for i in idx], axis=1)
@@ -141,7 +143,7 @@ def generate_sphere_dataset(mesh: TriangleMesh, ops: FemOperators, n: int,
     sig = np.asarray(sigmas, dtype=np.float64)
     if sig.shape != (2,):
         raise DimensionMismatch(f"expected two sigmas, got {sig.shape}")
-    _check_draw(n, noise_sigma, sig)
+    _check_draw(n, noise_sigma, sig, seed)
     v1, v2 = sphere_pc_functions(mesh)
     fields = np.stack([v1, v2], axis=1)
     rng = np.random.default_rng(seed)
@@ -174,7 +176,7 @@ def generate_misaligned_dataset(mesh: TriangleMesh, ops: FemOperators,
         raise InputError("shift_set must be a nonempty sequence")
     if not np.isfinite(shift_values).all():
         raise InputError("shift_set must be finite")
-    _check_draw(n, 0.0, sigma)
+    _check_draw(n, 0.0, sigma, seed)
     _require_unit_sphere(mesh)
 
     rng = np.random.default_rng(seed)

@@ -196,14 +196,15 @@ def test_negative_seed_exit_2(tmp_path, capsys):
     sim = ["simulate", "--generator", "sphere", "--sphere", 1, "--n", 12,
            "--outdir", tmp_path / "neg"]
     assert run(sim + ["--seed", -3]) == 2
-    assert "seed" in capsys.readouterr().err
+    assert "seed must be non-negative, got -3" in capsys.readouterr().err
     src = simulate_sphere(tmp_path / "sim")
     assert run(fit_args(src, tmp_path / "fit", ["--seed", "-1"])) == 2
-    assert "seed" in capsys.readouterr().err
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": -1}))
     assert run(sim + ["--config", config]) == 2
-    assert "seed" in capsys.readouterr().err
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists() and not (tmp_path / "fit").exists()
 
 
 @pytest.mark.parametrize("generator", [
@@ -232,6 +233,64 @@ def test_non_finite_generator_sigma_exit_2(tmp_path, capsys, extra, name):
     assert name in capsys.readouterr().err
 
 
+SIM = ["simulate", "--sphere", 1, "--n", 6]
+FIT = ["fit", "--mesh", "mesh.off", "--n-components", 2]
+
+# Each case: arguments (run in a level-1 simulation's directory), exit
+# code and the message that names the fault.
+FAILING = {
+    "sphere": (["simulate", "--sphere", -1], 2, "subdivisions must be nonnegative"),
+    "eigen-indices": (SIM + ["--generator", "eigen", "--eigen-indices", ""],
+                      2, "eigen_selection is empty"),
+    "shift-set-empty": (SIM + ["--generator", "misaligned", "--shift-set", ""],
+                        2, "shift_set must be a nonempty sequence"),
+    "shift-set-inf": (SIM + ["--generator", "misaligned", "--shift-set", "inf"],
+                      2, "shift_set must be finite"),
+    "fixed-no-lambda": (FIT + ["--data", "data.csv", "--selection", "fixed"],
+                        2, "fixed selection needs fixed_lambda"),
+    "missing-files": (["fit", "--mesh", "nope.off", "--data", "nope.csv"],
+                      2, "file not found: nope.off"),
+    "noise-inf": (SIM + ["--noise", "inf"], 2, "noise sigma must be finite"),
+    "constant-data": (FIT + ["--data", "constant.csv"],
+                      3, "data matrix is identically zero"),
+    "sigmas-empty": (SIM + ["--sigmas", ""], 2, "expected two sigmas, got (0,)"),
+    "eigen-sigmas-empty": (SIM + ["--generator", "eigen", "--sigmas", ""],
+                           2, "need one sigma per eigenfunction, got (0,)"),
+    "misaligned-sigmas-2": (SIM + ["--generator", "misaligned", "--sigmas", "4,2"],
+                            2, "--sigmas: misaligned takes one sigma, got 2"),
+    "misaligned-sigmas-0": (SIM + ["--generator", "misaligned", "--sigmas", ""],
+                            2, "--sigmas: misaligned takes one sigma, got 0"),
+}
+
+
+@pytest.fixture(scope="module")
+def sim_inputs(tmp_path_factory):
+    """A level-1 simulation, plus a constant data matrix on its mesh."""
+    src = simulate_sphere(tmp_path_factory.mktemp("sim"))
+    K = load_mesh(src / "mesh.off").K
+    write_data_csv(src / "constant.csv", np.ones((5, K)))
+    return src
+
+
+@pytest.mark.parametrize("case", FAILING)
+def test_failing_command_writes_nothing(tmp_path, capsys, monkeypatch,
+                                        sim_inputs, case):
+    argv, code, message = FAILING[case]
+    monkeypatch.chdir(sim_inputs)
+    outdir = tmp_path / "out"
+    assert run(argv + ["--outdir", outdir]) == code
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_failing_command_leaves_existing_outdir_as_it_was(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("kept\n")
+    assert run(SIM + ["--noise", "inf", "--outdir", tmp_path]) == 2
+    assert "noise" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+    assert (tmp_path / "notes.txt").read_text() == "kept\n"
+
+
 def test_fit_components_past_the_data_exit_3(tmp_path, capsys):
     src = simulate_sphere(tmp_path / "sim")
     extra = ["--selection", "fixed", "--fixed-lambda", "1e-3",
@@ -250,14 +309,31 @@ def test_fit_data_not_utf8_exit_2(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def python(*args, **kwargs):
+    """Run a fresh interpreter with this package's source on its path."""
+    paths = [str(Path(smfpca.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, **kwargs)
+
+
 def test_cli_import_leaves_out_scipy_spatial():
     # closest-point queries load it on first use; no command needs it
     code = "import sys, smfpca.cli; print('scipy.spatial' in sys.modules)"
-    paths = [str(Path(smfpca.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
+    out = python("-c", code, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_console_entry_point(tmp_path):
+    version = python("-m", "smfpca.cli", "--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == smfpca.__version__
+    missing = tmp_path / "nope.off"
+    fit = python("-m", "smfpca.cli", "fit", "--mesh", str(missing), "--data",
+                 str(missing), "--outdir", str(tmp_path / "out"))
+    assert fit.returncode == 2
+    assert fit.stderr == f"smfpca: error: file not found: {missing}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_bad_data_cell_exit_2(tmp_path, capsys):

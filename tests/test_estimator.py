@@ -623,6 +623,18 @@ def test_observation_set_validation(ops1):
         ObservationSet.from_masked(bad, locs)
 
 
+def test_observation_set_leaves_its_argument_alone(ops1):
+    locs = vertex_locations(ops1.mesh)
+    pairs = [(tuple(locs[:2]), [1.0, 2.0]), (locs[2:5], np.ones(3))]
+    original = list(pairs)
+    obs = ObservationSet(pairs)
+    assert all(a is b for a, b in zip(pairs, original))
+    assert obs.functions is not pairs
+    assert ObservationSet(tuple(pairs)).n == 2
+    for locations, values in obs.functions:
+        assert type(locations) is list and values.dtype == np.float64
+
+
 def test_data_matrix_validation():
     with pytest.raises(InputError):
         DataMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))

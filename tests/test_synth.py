@@ -182,3 +182,15 @@ def test_misaligned_rejects_non_sphere(tetra):
     ops = assemble(tetra, vertex_locations(tetra))
     with pytest.raises(NotASphere):
         generate_misaligned_dataset(tetra, ops, 5, 4.0, (0.0, 0.4), 0)
+
+
+def test_generators_reject_negative_seed(ops1):
+    mesh = ops1.mesh
+    draws = (
+        lambda: generate_sphere_dataset(mesh, ops1, 5, (4.0, 2.0), 0.1, -1),
+        lambda: generate_eigen_dataset(mesh, ops1, [1], (5.0,), 5, 0.1, -1),
+        lambda: generate_misaligned_dataset(mesh, ops1, 5, 4.0, (0.0, 0.4), -1),
+    )
+    for draw in draws:
+        with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+            draw()
