@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sparse
 
 from smfpca import DimensionMismatch, InputError, SaddleSystem, SingularSystem, assemble
-from smfpca import ObservationSet, fit, fit_missing, solver, vertex_locations
+from smfpca import ObservationSet, SurfaceLocation, fit, fit_missing, solver
+from smfpca import vertex_locations
 from smfpca.estimator import _MissingState, data_gram
 from smfpca.selection import default_lambda_grid
 from smfpca.synth import generate_sphere_dataset
@@ -132,17 +133,26 @@ def relative_error(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("lam", [1e-3, 1.0])
-def test_solve_with_block_matches_fresh_factorization(ops2, lam):
-    old = weighted_gram(ops2, 7, 0.1)
-    new = weighted_gram(ops2, 8, 0.1)
-    rhs = rhs_for(ops2, 9)
-    system = SaddleSystem(ops2, old, lam)
-    start = system.solve(rhs_for(ops2, 10))
+def assert_refined_matches_fresh(ops, old, lam):
+    new = weighted_gram(ops, 8, 0.1)
+    rhs = rhs_for(ops, 9)
+    system = SaddleSystem(ops, old, lam)
+    start = system.solve(rhs_for(ops, 10))
     f, g = system.solve_with_block(new, rhs, start)
-    f_ref, g_ref = SaddleSystem(ops2, new, lam).solve(rhs)
+    f_ref, g_ref = SaddleSystem(ops, new, lam).solve(rhs)
     assert relative_error(f, f_ref) < 1e-12
     assert relative_error(g, g_ref) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+def test_solve_with_block_matches_fresh_factorization(ops2, lam):
+    assert_refined_matches_fresh(ops2, weighted_gram(ops2, 7, 0.1), lam)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+def test_solve_with_block_from_schur_form_matches_fresh_factorization(ops2, lam):
+    # refinement from a K x K form system onto a masked-style block
+    assert_refined_matches_fresh(ops2, data_gram(ops2), lam)
 
 
 def test_solve_with_distant_block_reports_nonconvergence(ops1):
@@ -205,19 +215,29 @@ def test_shape_mismatch(ops1, ops2):
 
 
 def data_blocks(ops):
-    """psi'psi with data at every vertex, at a few vertices only, and a
-    masked weighted Gram matrix."""
+    """psi'psi with data at every vertex, twice that, psi'psi at a few
+    vertices only and at each triangle's centroid, and a masked weighted
+    Gram matrix."""
     rng = np.random.default_rng(13)
     few = ops.psi[np.sort(rng.choice(ops.location_count, 12, replace=False))]
+    centroids = assemble(ops.mesh, [SurfaceLocation(t, np.full(3, 1 / 3))
+                                    for t in range(ops.mesh.T)]).psi
     values = rng.standard_normal((8, ops.location_count))
     values[rng.random(values.shape) < 0.3] = np.nan
     state = _MissingState(ObservationSet.from_masked(values, ops.locations), ops)
     u = rng.standard_normal(8)
     return {
         "every-vertex": data_gram(ops),
+        "twice-identity": sparse.identity(ops.vertex_count, format="csr") * 2.0,
         "few-vertices": (few.T @ few).tocsr(),
+        "interior-points": (centroids.T @ centroids).tocsr(),
         "masked": state.weighted_gram(u / np.linalg.norm(u)),
     }
+
+
+# The data blocks equal to c I (c > 0) are factored as the K x K Schur
+# complement; every other block as the 2K saddle system.
+SCHUR_BLOCKS = ("every-vertex", "twice-identity")
 
 
 def oracle_lambdas(ops):
@@ -227,7 +247,20 @@ def oracle_lambdas(ops):
     return [low / 1e3, low, np.sqrt(low * high), high, high * 1e3]
 
 
-@pytest.mark.parametrize("block", ["every-vertex", "few-vertices", "masked"])
+BLOCKS = ("every-vertex", "twice-identity", "few-vertices", "interior-points",
+          "masked")
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_factored_form_follows_data_block(ops2, block):
+    K = ops2.vertex_count
+    system = SaddleSystem(ops2, data_blocks(ops2)[block], 1e-3)
+    assert system.matrix.shape == (2 * K, 2 * K)
+    size = K if block in SCHUR_BLOCKS else 2 * K
+    assert system._lu.shape == (size, size)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 def test_matches_dense_lu_oracle_across_lambda(ops2, block):
     upper_left = data_blocks(ops2)[block]
     rhs = rhs_for(ops2, 14)
@@ -257,8 +290,27 @@ def test_elimination_order_pairs_g_before_f(ops2):
     np.testing.assert_array_equal(order[0::2], K + order[1::2])
 
 
+def lu_entries(system):
+    return system._lu.L.nnz + system._lu.U.nnz
+
+
+def test_schur_complement_has_less_fill_than_saddle(ops3, monkeypatch):
+    # the K x K form orders each factorization by minimum degree on its
+    # own pattern; the one-ring mesh order would bring the fill back
+    # (79,336 against 116,236 entries on this mesh)
+    gram = data_gram(ops3)
+    schur = SaddleSystem(ops3, gram, 1e-3)
+    monkeypatch.setattr(solver, "_identity_scale", lambda block: None)
+    saddle = SaddleSystem(ops3, gram, 1e-3)
+    assert schur._lu.shape == (ops3.vertex_count,) * 2
+    assert saddle._lu.shape == (2 * ops3.vertex_count,) * 2
+    assert lu_entries(schur) < lu_entries(saddle)
+
+
 @pytest.mark.parametrize("masked", [False, True])
 def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked):
+    # dense data (psi'psi = I) factor the K x K form, which needs no
+    # saddle order; masked data the saddle form, one order per operator set
     ops = assemble(sphere2, vertex_locations(sphere2))
     ds = generate_sphere_dataset(sphere2, ops, 20, (4.0, 2.0), 0.1, 31)
     orders, factors = [], []
@@ -270,8 +322,8 @@ def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked)
         return mesh_order(ops_arg)
 
     def counting_factor(self, *args):
-        factors.append(None)
         factor(self, *args)
+        factors.append(self._lu.shape[0])
 
     monkeypatch.setattr(solver, "_mesh_order", counting_order)
     monkeypatch.setattr(solver.SaddleSystem, "__init__", counting_factor)
@@ -284,7 +336,13 @@ def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked)
     else:
         fit(ds.X, 2, grid, ops, selection="kfold", folds=3, threads=4)
     assert len(factors) >= len(grid)
-    assert orders == [ops]
+    K = ops.vertex_count
+    if masked:
+        assert orders == [ops]
+        assert set(factors) == {2 * K}
+    else:
+        assert orders == []
+        assert set(factors) == {K}
 
 
 def test_elimination_order_computed_once_under_concurrent_first_use(
