@@ -32,50 +32,9 @@ from . import __version__
 from .errors import InputError, NumericalError
 from . import estimator, fem, mesh as meshmod, metrics, selection, serialize, synth
 
-_FIT_DEFAULTS = {
-    "mesh": None,
-    "data": None,
-    "outdir": ".",
-    "n_components": 3,
-    "lambda_grid": None,
-    "selection": "kfold",
-    "folds": 5,
-    "fixed_lambda": None,
-    "center": True,
-    "max_iterations": 15,
-    "tolerance": 1e-6,
-    "seed": 0,
-    "threads": 1,
-    "export_matrices": False,
-}
-
-_SIMULATE_DEFAULTS = {
-    "generator": "sphere",
-    "mesh": None,
-    "sphere": None,
-    "outdir": ".",
-    "n": 50,
-    "noise": 0.1,
-    "seed": 0,
-    "sigmas": None,
-    "eigen_indices": [1, 2, 3],
-    "shift_set": [0.0, 0.4],
-}
-
 # Score sigmas of each generator when --sigmas is not given.
 _DEFAULT_SIGMAS = {"eigen": [5.0, 3.0, 1.0], "sphere": [4.0, 2.0],
                    "misaligned": [4.0]}
-
-_EVALUATE_DEFAULTS = {
-    "result": None,
-    "truth": None,
-    "outdir": ".",
-    "mesh": None,
-    "data": None,
-    "replicate": 0,
-    "method_label": "smfpca",
-    "append": False,
-}
 
 
 def _float_list(text):
@@ -354,7 +313,7 @@ def cmd_mesh_info(config):
 
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file (or a manifest)")
-    sub.add_argument("--outdir", help="output directory")
+    sub.add_argument("--outdir", default=".", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,56 +329,57 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mesh", help="surface mesh (OFF)")
     p.add_argument("--data", help="data CSV, one row per function")
-    p.add_argument("--n-components", type=int, dest="n_components")
+    p.add_argument("--n-components", type=int, default=3, dest="n_components")
     p.add_argument(
         "--lambda-grid", type=_float_list, dest="lambda_grid",
         help="comma-separated candidate smoothing parameters",
     )
-    p.add_argument("--selection", choices=["kfold", "gcv", "fixed"])
-    p.add_argument("--folds", type=int)
+    p.add_argument("--selection", choices=["kfold", "gcv", "fixed"],
+                   default="kfold")
+    p.add_argument("--folds", type=int, default=5)
     p.add_argument("--fixed-lambda", type=float, dest="fixed_lambda")
     p.add_argument(
-        "--center", dest="center", action="store_const", const=True,
-        help="subtract the mean field (default)",
+        "--center", action=argparse.BooleanOptionalAction, default=True,
+        help="subtract the mean field (default), or skip centering",
     )
+    p.add_argument("--max-iterations", type=int, default=15,
+                   dest="max_iterations")
+    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument(
-        "--no-center", dest="center", action="store_const", const=False,
-        help="skip mean-field centering",
+        "--export-matrices", dest="export_matrices", action="store_true",
+        help="also write mass/stiffness/psi in MatrixMarket form",
     )
-    p.add_argument("--max-iterations", type=int, dest="max_iterations")
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument(
-        "--export-matrices", dest="export_matrices", action="store_const",
-        const=True, help="also write mass/stiffness/psi in MatrixMarket form",
-    )
-    p.set_defaults(func=cmd_fit, defaults=_FIT_DEFAULTS)
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     _add_common(p)
-    p.add_argument("--generator", choices=["eigen", "sphere", "misaligned"])
+    p.add_argument("--generator", choices=["eigen", "sphere", "misaligned"],
+                   default="sphere")
     p.add_argument("--mesh", help="surface mesh (OFF)")
     p.add_argument(
         "--sphere", type=int,
         help="generate a unit icosphere with this many subdivisions",
     )
-    p.add_argument("--n", type=int, help="number of functions")
-    p.add_argument("--noise", type=float, help="observation noise sigma")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--n", type=int, default=50, help="number of functions")
+    p.add_argument("--noise", type=float, default=0.1,
+                   help="observation noise sigma")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--sigmas", type=_float_list,
         help="comma-separated component score sigmas",
     )
     p.add_argument(
-        "--eigen-indices", type=_int_list, dest="eigen_indices",
+        "--eigen-indices", type=_int_list, default=[1, 2, 3],
+        dest="eigen_indices",
         help="eigenfunction indices for the eigen generator",
     )
     p.add_argument(
-        "--shift-set", type=_float_list, dest="shift_set",
+        "--shift-set", type=_float_list, default=[0.0, 0.4], dest="shift_set",
         help="candidate angular shifts for the misaligned generator",
     )
-    p.set_defaults(func=cmd_simulate, defaults=_SIMULATE_DEFAULTS)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="score a fit against truth")
     _add_common(p)
@@ -432,22 +392,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--data",
         help="data CSV; when given, also score the multivariate PCA baseline",
     )
-    p.add_argument("--replicate", type=int, help="replicate label for rows")
-    p.add_argument("--method-label", dest="method_label")
+    p.add_argument("--replicate", type=int, default=0,
+                   help="replicate label for rows")
+    p.add_argument("--method-label", default="smfpca", dest="method_label")
     p.add_argument(
-        "--append", dest="append", action="store_const", const=True,
+        "--append", action="store_true",
         help="append to an existing metrics.csv instead of rewriting",
     )
-    p.set_defaults(func=cmd_evaluate, defaults=_EVALUATE_DEFAULTS)
+    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("mesh-info", help="print mesh statistics as JSON")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--mesh", help="surface mesh (OFF)")
-    p.set_defaults(
-        func=cmd_mesh_info, defaults={"mesh": None}, outdir=None
-    )
-    for p in sub.choices.values():  # each flag's action, by destination
-        p.set_defaults(flags={a.dest: a for a in p._actions})
+    p.set_defaults(func=cmd_mesh_info)
+    # Each flag's action and default, by destination. A flag left out
+    # then parses to None, so `_resolve` can tell it from a given one.
+    for p in sub.choices.values():
+        flags = {a.dest: a for a in p._actions
+                 if a.dest not in ("help", "config")}
+        defaults = {dest: a.default for dest, a in flags.items()}
+        p.set_defaults(**dict.fromkeys(flags), flags=flags, defaults=defaults)
     return parser
 
 

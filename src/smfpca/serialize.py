@@ -156,18 +156,14 @@ def read_data_csv(path):
             rows = rows[1:]
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    # Rows without empty cells are parsed together in C; the others, and
-    # all of them if that fails, one row at a time. A row that fails
-    # either way is scanned cell by cell, which names its first fault.
-    # A cell of spaces is blank too, but rare enough to leave to the
-    # fallback.
+    # Rows without empty cells are parsed together in C. Rows with empty
+    # cells, all rows if that fails, and rows it read as non-finite are
+    # parsed one at a time, in file order, so the first fault is the one
+    # reported.
     values = np.empty((len(rows), width))
-    full, gappy = [], []
-    for k, (_, line) in enumerate(rows):
-        gap = ",," in line or line.startswith(",") or line.endswith(",")
-        (gappy if gap else full).append(k)
-    by_row = range(len(rows))
-    suspect = []
+    pending = np.ones(len(rows), dtype=bool)
+    full = [k for k, (_, line) in enumerate(rows) if not (
+        ",," in line or line.startswith(",") or line.endswith(","))]
     if full:
         try:
             block = np.loadtxt([rows[k][1] for k in full], delimiter=",",
@@ -176,51 +172,32 @@ def read_data_csv(path):
             block = None
         if block is not None and block.shape[1] == width:
             values[full] = block
-            by_row = gappy
-            suspect = [full[k] for k in
-                       np.flatnonzero(~np.isfinite(block).all(axis=1))]
-    for k in by_row:
-        row = _row_values(rows[k][1], width)
-        if row is None:
-            suspect.append(k)
-        else:
-            values[k] = row
-    for k in sorted(suspect):
+            pending[full] = ~np.isfinite(block).all(axis=1)
+    for k in np.flatnonzero(pending):
         values[k] = _scan_row(*rows[k], width)
     return values
 
 
-def _row_values(line, width):
-    """One row's values, empty cells as NaN; None when the row has the
-    wrong width, a cell that does not parse, or a non-finite number."""
-    cells = line.split(",")
-    if len(cells) != width:
-        return None
-    try:
-        parsed = [float(c) if c else None for c in cells]
-    except ValueError:
-        return None
-    row = np.array(parsed, dtype=np.float64)
-    if np.isfinite(row).sum() + parsed.count(None) != width:
-        return None
-    return row
-
-
 def _scan_row(lineno, line, width):
-    """One row parsed cell by cell; raises :class:`ParseError` naming
-    the row and column of its first fault."""
-    cells = [c.strip() for c in line.split(",")]
+    """One row's values, empty cells as NaN; raises :class:`ParseError`
+    naming the row and column of its first fault."""
+    cells = line.split(",")
     if len(cells) != width:
         raise ParseError(
             f"row at line {lineno} has {len(cells)} cells, expected {width}"
         )
+    try:
+        row = np.array([float(c) if c else np.nan for c in cells])
+        if np.isfinite(row).sum() + cells.count("") == width:
+            return row
+    except ValueError:
+        pass
+    # A fault, or a cell of spaces, which is blank too: scan cell by cell.
+    cells = [c.strip() for c in cells]
     parsed = np.empty(width)
     for col, cell in enumerate(cells):
-        if cell == "":
-            parsed[col] = np.nan
-            continue
         try:
-            parsed[col] = float(cell)
+            parsed[col] = float(cell) if cell else np.nan
         except ValueError:
             raise ParseError(
                 f"non-numeric value {cell!r} at row {lineno}, "

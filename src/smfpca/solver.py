@@ -110,17 +110,14 @@ class SaddleSystem:
         self.k = K
         self._upper_left = upper_left
         self._root = np.sqrt(lam)
-        coupling = self._root * ops.stiffness
-        self.matrix = sparse.bmat(
-            [[upper_left, coupling], [coupling, -ops.mass]], format="csc"
-        )
+        self._coupling = self._root * ops.stiffness
+        self._mass = ops.mass
         self._scale = _identity_scale(upper_left)
         if self._scale is None:
             self._order = _elimination_order(ops)
             factored = self.matrix[self._order][:, self._order]
             permc_spec = "NATURAL"
         else:
-            self._coupling = coupling
             factored = (ops.mass + (lam / self._scale)
                         * (ops.stiffness @ ops.stiffness)).tocsc()
             permc_spec = "MMD_AT_PLUS_A"
@@ -131,6 +128,12 @@ class SaddleSystem:
             )
         except RuntimeError as exc:
             raise SingularSystem(f"saddle-point factorization failed: {exc}") from exc
+
+    @property
+    def matrix(self):
+        """The 2K x 2K saddle system, assembled anew on each read."""
+        return sparse.bmat([[self._upper_left, self._coupling],
+                            [self._coupling, -self._mass]], format="csc")
 
     def solve(self, rhs_top):
         """Solve for one top-block right-hand side; bottom block is zero.
@@ -156,12 +159,12 @@ class SaddleSystem:
         """
         upper_left = _checked_block(upper_left, self.k)
         rhs = self._full_rhs(rhs_top)
-        delta = upper_left - self._upper_left
         x = np.concatenate([start[0], self._root * np.asarray(start[1])])
         limit = _REFINE_TOLERANCE * float(np.linalg.norm(rhs))
         for step in range(_REFINE_STEPS + 1):
-            r = rhs - self.matrix @ x
-            r[: self.k] -= delta @ x[: self.k]
+            f, h = x[: self.k], x[self.k :]
+            r = rhs - np.concatenate([upper_left @ f + self._coupling @ h,
+                                      self._coupling @ f - self._mass @ h])
             if float(np.linalg.norm(r)) <= limit:
                 return self._split(x)
             if step == _REFINE_STEPS:

@@ -437,9 +437,60 @@ def test_fit_unknown_config_key_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["fit", "simulate", "evaluate", "mesh-info"])
 def test_config_keys_are_the_flag_destinations(command):
-    # the config check looks each key's flag up here
+    # the config check looks each key's flag up here, and a flag left
+    # out must parse to None for the config file to show through
     args = cli.build_parser().parse_args([command])
-    assert set(args.defaults) == set(args.flags) - {"help", "config"}
+    assert set(args.defaults) == set(args.flags)
+    assert all(getattr(args, dest) is None for dest in args.flags)
+
+
+PARSED_DEFAULTS = {
+    "fit": {
+        "mesh": None, "data": None, "outdir": ".", "n_components": 3,
+        "lambda_grid": None, "selection": "kfold", "folds": 5,
+        "fixed_lambda": None, "center": True, "max_iterations": 15,
+        "tolerance": 1e-6, "seed": 0, "threads": 1, "export_matrices": False,
+    },
+    "simulate": {
+        "generator": "sphere", "mesh": None, "sphere": None, "outdir": ".",
+        "n": 50, "noise": 0.1, "seed": 0, "sigmas": None,
+        "eigen_indices": [1, 2, 3], "shift_set": [0.0, 0.4],
+    },
+    "evaluate": {
+        "result": None, "truth": None, "outdir": ".", "mesh": None,
+        "data": None, "replicate": 0, "method_label": "smfpca",
+        "append": False,
+    },
+    "mesh-info": {"mesh": None},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+def test_bare_command_resolves_to_pinned_defaults(command):
+    args = cli.build_parser().parse_args([command])
+    config = cli._resolve(args, args.defaults)
+    # compared as JSON text too, which tells 0 from 0.0 and 1 from True
+    assert config == PARSED_DEFAULTS[command]
+    assert (json.dumps(config, sort_keys=True)
+            == json.dumps(PARSED_DEFAULTS[command], sort_keys=True))
+
+
+@pytest.mark.parametrize("config, flags, centered", [
+    ({}, ["--no-center"], False),
+    ({"center": False}, ["--center"], True),
+    ({}, ["--no-center", "--center"], True),
+    ({}, ["--center", "--no-center"], False),
+], ids=["no-center", "flag-over-config", "last-wins-center",
+        "last-wins-no-center"])
+def test_fit_centering_flags(tmp_path, config, flags, centered):
+    src = simulate_sphere(tmp_path / "sim")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "fit"
+    extra = ["--config", cfg, "--selection", "fixed", "--fixed-lambda", "1e-5"]
+    assert run(fit_args(src, out, extra + flags)) == 0
+    assert (load_json(out / "result.json")["meanField"] is not None) is centered
+    assert load_json(out / "manifest.json")["config"]["center"] is centered
 
 
 @pytest.mark.parametrize("bad", [
