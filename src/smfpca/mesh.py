@@ -1,12 +1,14 @@
-"""Triangulated surfaces: loading, validation, generation, and queries.
+"""Triangulated surfaces: loading, validation, and generation.
 
 A surface is a collection of vertices in 3-space together with oriented
 triangles. Construction validates the combinatorics (index ranges,
 edge-manifoldness, consistent orientation) and the geometry (no
-degenerate triangles). Meshes are immutable once built; all queries are
-safe to run concurrently.
+degenerate triangles) and computes every derived array. Meshes are
+immutable once built: the constructor sets all their state, and the
+properties only read it, so concurrent reads are safe.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -27,11 +29,6 @@ BARY_EPSILON = 1e-9
 # Hard cap on generated sphere vertices (subdivision 8 stays below it).
 SPHERE_VERTEX_CAP = 1_000_000
 
-# Above this triangle count, closest-point queries prune candidates
-# with a KD-tree; below it, the exhaustive scan is both fast and the
-# definition of correctness.
-_LOCATE_BRUTE_MAX = 10_000
-
 
 @dataclass(frozen=True, eq=False)
 class SurfaceLocation:
@@ -39,25 +36,33 @@ class SurfaceLocation:
 
     Weights are clamped into [0, 1] at construction: values in
     [-BARY_EPSILON, 0) become 0 and the triple is renormalized to sum
-    to 1. Larger violations raise :class:`InputError`.
+    to 1. Larger violations, non-finite weights and a triangle index
+    that is not an integer raise :class:`InputError`.
     """
 
     triangle_index: int
     barycentric: np.ndarray
 
     def __post_init__(self):
+        try:
+            index = operator.index(self.triangle_index)
+        except TypeError:
+            raise InputError(
+                f"triangle index must be an integer, found {self.triangle_index!r}"
+            ) from None
         b = np.asarray(self.barycentric, dtype=np.float64)
         if b.shape != (3,):
             raise DimensionMismatch("barycentric coordinates must be a 3-vector")
-        if b.min() < -BARY_EPSILON:
+        # written so that NaN weights fail both checks
+        if not b.min() >= -BARY_EPSILON:
             raise InputError(f"negative barycentric weight {b.min():g}")
         total = b.sum()
-        if abs(total - 1.0) > BARY_EPSILON:
+        if not abs(total - 1.0) <= BARY_EPSILON:
             raise InputError(f"barycentric weights sum to {total:g}, expected 1")
         b = np.maximum(b, 0.0)
         b = b / b.sum()
         b.flags.writeable = False
-        object.__setattr__(self, "triangle_index", int(self.triangle_index))
+        object.__setattr__(self, "triangle_index", index)
         object.__setattr__(self, "barycentric", b)
 
 
@@ -85,7 +90,10 @@ class TriangleMesh:
     -----
     Open meshes (boundary edges present) are accepted; `closed` is then
     False and downstream smoothing implicitly imposes natural boundary
-    conditions. Instances are immutable and safe for concurrent reads.
+    conditions. Instances are immutable: the constructor sets every
+    attribute and makes its arrays read-only, and the properties (`K`,
+    `T`, `areas`, `gradients`) only read them, so concurrent reads are
+    safe.
     """
 
     def __init__(self, vertices, triangles):
@@ -127,9 +135,6 @@ class TriangleMesh:
 
         for a in (self.vertices, self.triangles, self._areas, self._gradients):
             a.flags.writeable = False
-        self._vertex_tree = None
-        self._centroid_tree = None
-        self._centroid_radius = None
 
     # -- basic shape --------------------------------------------------
 
@@ -215,123 +220,6 @@ class TriangleMesh:
         self.boundary_edge_count = int((counts == 1).sum())
         self.closed = bool(counts.size) and bool((counts == 2).all())
 
-    # -- queries ------------------------------------------------------
-
-    def locate_point(self, p) -> SurfaceLocation:
-        """Closest point on the mesh to ``p``, as a surface location.
-
-        Exhaustive over all triangles below a size threshold; above it,
-        candidates are pruned with KD-trees (same result, the exhaustive
-        scan defines correctness). Distance ties resolve to the lowest
-        triangle index.
-        """
-        p = np.asarray(p, dtype=np.float64).reshape(3)
-        if self.T <= _LOCATE_BRUTE_MAX:
-            cand = np.arange(self.T)
-        else:
-            cand = self._candidate_triangles(p)
-        bary, d2 = _closest_point_barycentric(
-            self.vertices, self.triangles[cand], p
-        )
-        best = int(np.argmin(d2))
-        return SurfaceLocation(int(cand[best]), bary[best])
-
-    def location_coordinates(self, loc: SurfaceLocation):
-        """Ambient coordinates of a surface location."""
-        tri = self.triangles[loc.triangle_index]
-        return loc.barycentric @ self.vertices[tri]
-
-    def _candidate_triangles(self, p):
-        if self._vertex_tree is None:
-            # imported on first use: loading scipy.spatial is a large share
-            # of start-up, and only closest-point queries need it
-            from scipy.spatial import cKDTree
-            centroids = self.vertices[self.triangles].mean(axis=1)
-            spread = np.linalg.norm(
-                self.vertices[self.triangles] - centroids[:, None, :], axis=2
-            ).max()
-            self._centroid_radius = float(spread)
-            self._centroid_tree = cKDTree(centroids)
-            self._vertex_tree = cKDTree(self.vertices)
-        d0, _ = self._vertex_tree.query(p)
-        # Any triangle holding the true closest point has its centroid
-        # within d0 + max centroid-to-corner spread of p.
-        idx = self._centroid_tree.query_ball_point(
-            p, d0 + self._centroid_radius * (1 + 1e-12) + 1e-300
-        )
-        idx.sort()
-        return np.asarray(idx, dtype=np.int64)
-
-
-def _closest_point_barycentric(vertices, triangles, p):
-    """Barycentric coordinates of the closest point to ``p`` on each triangle.
-
-    Region-by-region projection onto vertices, edges, and interiors;
-    vectorized over the triangle list. Returns (bary (M, 3), d2 (M,)).
-    """
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    ab = b - a
-    ac = c - a
-    ap = p - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2_ = np.einsum("ij,ij->i", ac, ap)
-    bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
-
-    m = triangles.shape[0]
-    bary = np.zeros((m, 3))
-    done = np.zeros(m, dtype=bool)
-
-    def claim(cond):
-        mask = cond & ~done
-        done[mask] = True
-        return mask
-
-    mask = claim((d1 <= 0) & (d2_ <= 0))
-    bary[mask, 0] = 1.0
-    mask = claim((d3 >= 0) & (d4 <= d3))
-    bary[mask, 1] = 1.0
-    vc = d1 * d4 - d3 * d2_
-    mask = claim((vc <= 0) & (d1 >= 0) & (d3 <= 0))
-    if mask.any():
-        v = d1[mask] / (d1[mask] - d3[mask])
-        bary[mask, 0] = 1.0 - v
-        bary[mask, 1] = v
-    mask = claim((d6 >= 0) & (d5 <= d6))
-    bary[mask, 2] = 1.0
-    vb = d5 * d2_ - d1 * d6
-    mask = claim((vb <= 0) & (d2_ >= 0) & (d6 <= 0))
-    if mask.any():
-        w = d2_[mask] / (d2_[mask] - d6[mask])
-        bary[mask, 0] = 1.0 - w
-        bary[mask, 2] = w
-    va = d3 * d6 - d4 * d5
-    mask = claim((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0))
-    if mask.any():
-        w = (d4[mask] - d3[mask]) / ((d4[mask] - d3[mask]) + (d5[mask] - d6[mask]))
-        bary[mask, 1] = 1.0 - w
-        bary[mask, 2] = w
-    mask = ~done
-    if mask.any():
-        denom = va[mask] + vb[mask] + vc[mask]
-        v = vb[mask] / denom
-        w = vc[mask] / denom
-        bary[mask, 0] = 1.0 - v - w
-        bary[mask, 1] = v
-        bary[mask, 2] = w
-
-    np.clip(bary, 0.0, 1.0, out=bary)
-    bary /= bary.sum(axis=1, keepdims=True)
-    closest = bary[:, 0, None] * a + bary[:, 1, None] * b + bary[:, 2, None] * c
-    diff = closest - p
-    return bary, np.einsum("ij,ij->i", diff, diff)
-
 
 def vertex_locations(mesh: TriangleMesh):
     """One surface location per vertex: its indicator in the lowest-index
@@ -412,7 +300,8 @@ def load_mesh(path) -> TriangleMesh:
     if n_vertices < 0 or n_faces < 0:
         raise ParseError("negative count", line=lineno)
 
-    vertices = np.empty((n_vertices, 3))
+    # the counts are claims; allocate no more rows than the file has lines
+    vertices = np.empty((min(n_vertices, len(significant) - cursor), 3))
     for k in range(n_vertices):
         lineno, text = next_line(f"vertex line {k}")
         parts = text.split()
@@ -426,7 +315,7 @@ def load_mesh(path) -> TriangleMesh:
         except ValueError:
             raise ParseError(f"non-numeric vertex coordinate in {text!r}", line=lineno) from None
 
-    triangles = np.empty((n_faces, 3), dtype=np.int64)
+    triangles = np.empty((min(n_faces, len(significant) - cursor), 3), dtype=np.int64)
     for t in range(n_faces):
         lineno, text = next_line(f"face line {t}")
         parts = text.split()

@@ -318,7 +318,7 @@ def python(*args, **kwargs):
 
 
 def test_cli_import_leaves_out_scipy_spatial():
-    # closest-point queries load it on first use; no command needs it
+    # no command needs it; importing it is a large share of start-up
     code = "import sys, smfpca.cli; print('scipy.spatial' in sys.modules)"
     out = python("-c", code, check=True).stdout
     assert out.strip() == "False"
@@ -634,6 +634,17 @@ def test_mesh_info_open_mesh(tmp_path, right_triangle, capsys):
     assert info["closed"] is False
     assert info["boundaryEdges"] == 3
     assert info["totalArea"] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_mesh_info_counts_past_the_file_exit_2(tmp_path, capsys, monkeypatch):
+    # a counts line claiming 1e11 vertices must not allocate for them
+    (tmp_path / "huge.off").write_text("OFF\n100000000000 1 0\n0 0 0\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(["mesh-info", "--mesh", "huge.off"]) == 2
+    captured = capsys.readouterr()
+    assert "line 3: unexpected end of file, expected vertex line 1" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.off"]
 
 
 def test_evaluate_result_missing_field_exit_2(tmp_path, capsys):

@@ -16,21 +16,6 @@ from smfpca.errors import DegenerateTriangle
 from smfpca.mesh import SurfaceLocation, TriangleMesh
 
 
-def brute_force_closest(mesh, p):
-    """Dense oracle: closest surface point by sampling each triangle
-    on a fine barycentric lattice, then reporting the best distance."""
-    best = np.inf
-    steps = np.linspace(0.0, 1.0, 81)
-    for t in range(mesh.T):
-        a, b, c = mesh.vertices[mesh.triangles[t]]
-        for u in steps:
-            vs = np.linspace(0.0, 1.0 - u, 81)
-            pts = (1.0 - u - vs)[:, None] * a + u * b + vs[:, None] * c
-            d = np.linalg.norm(pts - p, axis=1).min()
-            best = min(best, d)
-    return best
-
-
 # -- construction and validation --------------------------------------
 
 
@@ -217,78 +202,17 @@ def test_icosphere_cap():
         unit_sphere_mesh(10)
 
 
-# -- point location ---------------------------------------------------
-
-
-def test_locate_vertex(sphere1):
-    loc = sphere1.locate_point(sphere1.vertices[17])
-    np.testing.assert_allclose(
-        sphere1.location_coordinates(loc), sphere1.vertices[17], atol=1e-12
-    )
-    assert loc.barycentric.max() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_locate_centroid(sphere1):
-    t = 11
-    centroid = sphere1.vertices[sphere1.triangles[t]].mean(axis=0)
-    loc = sphere1.locate_point(centroid)
-    np.testing.assert_allclose(loc.barycentric, 1.0 / 3.0, atol=1e-9)
-    np.testing.assert_allclose(
-        sphere1.location_coordinates(loc), centroid, atol=1e-12
-    )
-
-
-def test_locate_outside_point_matches_brute_force(sphere1):
-    rng = np.random.default_rng(5)
-    for p in rng.normal(scale=1.5, size=(6, 3)):
-        loc = sphere1.locate_point(p)
-        q = sphere1.location_coordinates(loc)
-        oracle = brute_force_closest(sphere1, p)
-        # lattice oracle overestimates slightly; located point must not
-        # be farther than the lattice best by more than its resolution
-        assert np.linalg.norm(q - p) <= oracle + 1e-3
-        inside = sphere1.vertices[sphere1.triangles[loc.triangle_index]]
-        assert loc.barycentric @ inside == pytest.approx(tuple(q), abs=1e-12)
-
-
-def test_locate_idempotent(sphere1):
-    p = np.array([0.3, -0.2, 1.4])
-    loc = sphere1.locate_point(p)
-    q = sphere1.location_coordinates(loc)
-    loc2 = sphere1.locate_point(q)
-    np.testing.assert_allclose(
-        sphere1.location_coordinates(loc2), q, atol=1e-12
-    )
-
-
-def test_locate_matches_kd_pruned_path(sphere3):
-    # sphere3 is below the pruning threshold; force both code paths
-    # to agree by comparing against the brute-force scan
-    from smfpca import mesh as meshmod
-
-    p = np.array([0.9, 0.4, -0.1])
-    loc = sphere3.locate_point(p)
-    q = sphere3.location_coordinates(loc)
-    old = meshmod._LOCATE_BRUTE_MAX
-    try:
-        meshmod._LOCATE_BRUTE_MAX = 1
-        loc2 = sphere3.locate_point(p)
-    finally:
-        meshmod._LOCATE_BRUTE_MAX = old
-    q2 = sphere3.location_coordinates(loc2)
-    np.testing.assert_allclose(q2, q, atol=1e-12)
+# -- surface locations ------------------------------------------------
 
 
 def test_vertex_locations_cover_all_vertices(sphere1):
     locs = vertex_locations(sphere1)
     assert len(locs) == sphere1.K
     for k in (0, 13, 41):
-        np.testing.assert_allclose(
-            sphere1.location_coordinates(locs[k]),
-            sphere1.vertices[k],
-            atol=1e-14,
-        )
-        assert locs[k].barycentric.max() == 1.0
+        loc = locs[k]
+        point = loc.barycentric @ sphere1.vertices[sphere1.triangles[loc.triangle_index]]
+        np.testing.assert_allclose(point, sphere1.vertices[k], atol=1e-14)
+        assert loc.barycentric.max() == 1.0
 
 
 def test_surface_location_validation():
@@ -296,6 +220,15 @@ def test_surface_location_validation():
         SurfaceLocation(0, np.array([0.5, 0.6, 0.2]))
     with pytest.raises(InputError):
         SurfaceLocation(0, np.array([-0.1, 0.6, 0.5]))
+    # NaN fails both weight checks instead of slipping past them
+    with pytest.raises(InputError, match="negative barycentric weight nan"):
+        SurfaceLocation(0, np.array([np.nan, 0.5, 0.5]))
+    with pytest.raises(InputError, match="sum to inf"):
+        SurfaceLocation(0, np.array([np.inf, 0.5, 0.5]))
+    # a fractional triangle index is refused, not truncated
+    with pytest.raises(InputError, match="triangle index must be an integer"):
+        SurfaceLocation(2.9, np.array([1.0, 0.0, 0.0]))
+    assert SurfaceLocation(np.int64(2), np.array([1.0, 0.0, 0.0])).triangle_index == 2
     loc = SurfaceLocation(0, np.array([-1e-12, 0.4, 0.6 + 1e-12]))
     assert loc.barycentric.min() == 0.0
     assert loc.barycentric.sum() == pytest.approx(1.0, abs=1e-15)
