@@ -103,23 +103,28 @@ def assemble(mesh: TriangleMesh, locations) -> FemOperators:
 def location_matrix(mesh: TriangleMesh, locations) -> sparse.csr_matrix:
     """Sparse (len(locations), K) matrix of the barycentric weights that
     evaluate vertex coefficients at ``locations``."""
-    rows, cols, data = [], [], []
-    for j, loc in enumerate(locations):
-        if not isinstance(loc, SurfaceLocation):
-            raise DimensionMismatch(f"location {j} is not a SurfaceLocation")
-        if not 0 <= loc.triangle_index < mesh.T:
-            raise DimensionMismatch(
-                f"location {j} references triangle {loc.triangle_index} "
-                f"of a {mesh.T}-triangle mesh"
-            )
-        corners = mesh.triangles[loc.triangle_index]
-        for c in range(3):
-            w = loc.barycentric[c]
-            if w > 0.0:
-                rows.append(j)
-                cols.append(corners[c])
-                data.append(w)
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(len(locations), mesh.K))
+    locations = list(locations)
+    # the first bad location raises, whichever check it fails
+    checked = next((j for j, loc in enumerate(locations)
+                    if not isinstance(loc, SurfaceLocation)), len(locations))
+    # an index beyond int64 makes an object array, still compared exactly
+    triangles = np.array([loc.triangle_index for loc in locations[:checked]])
+    outside = np.flatnonzero((triangles < 0) | (triangles >= mesh.T))
+    if outside.size:
+        j = int(outside[0])
+        raise DimensionMismatch(
+            f"location {j} references triangle {locations[j].triangle_index} "
+            f"of a {mesh.T}-triangle mesh"
+        )
+    if checked < len(locations):
+        raise DimensionMismatch(f"location {checked} is not a SurfaceLocation")
+    weights = np.array([loc.barycentric for loc in locations]).reshape(-1, 3)
+    rows, corners = np.nonzero(weights > 0.0)
+    corner_vertices = mesh.triangles[triangles.astype(np.intp)]
+    mat = sparse.csr_matrix(
+        (weights[rows, corners], (rows, corner_vertices[rows, corners])),
+        shape=(len(locations), mesh.K),
+    )
     mat.sum_duplicates()
     return mat
 

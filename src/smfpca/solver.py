@@ -19,32 +19,37 @@ the 2K x 2K saddle system
      [ sqrt(lam) * R1, -R0             ]]
 
 It is factored in one of two forms, chosen from the data block. When
-UL = c I with c > 0, as psi' psi is for full data sampled at the
-vertices, f = (r1 - sqrt(lam) R1 h) / c is eliminated and the K x K
-Schur complement S = R0 + (lam / c) R1 R1, symmetric positive
-definite, is factored with diagonal pivots; its LU holds a fifth to a
-third fewer entries than the saddle one. R1 R1 couples second-ring
-neighbours, which the one-ring order below misses (4.6M LU entries
-against 0.5M at level 4), so S is ordered by minimum degree at each
-factorization: finding an order to cache costs a factorization too.
+UL = diag(w) with every w_j > 0 and none below a fixed share of the
+largest, f = W^-1 (r1 - sqrt(lam) R1 h) is eliminated and the K x K
+Schur complement S = R0 + lam R1 W^-1 R1, symmetric positive definite,
+is factored with diagonal pivots; its LU holds a fifth to a third fewer
+entries than the saddle one. Such blocks are psi' psi for full data at
+the vertices, c I, and the weighted Gram matrix of masked data at the
+vertices once weighted functions observe every vertex. S is formed as
+R0 + (lam / c) R1 P R1 with c = max w and P = diag(c / w), which is
+exactly I for a c I block, so that block rounds as if P were absent.
+R1 P R1 couples second-ring neighbours, which the one-ring order below
+misses (4.6M LU entries against 0.5M at level 4), so S is ordered by
+minimum degree at each factorization: finding an order to cache costs a
+factorization too.
 
 Every other block keeps the saddle form: psi' psi at a few vertices or
-at points inside triangles, and the weighted Gram matrices of partially
-observed data, whose diagonals vary and vanish at vertices no weighted
-function observes, so f cannot be eliminated through them. The saddle
-system is symmetric quasi-definite in the sense of Vanderbei (SIAM J.
-Optim. 1995) once the data block is positive on constant fields, so it
-is factored symmetrically with diagonal pivots, in an elimination order
-chosen once per operator set: a minimum-degree order of the mesh graph
-(the pattern of mass + stiffness), expanded to pairs with each vertex's
-g unknown before its f unknown. Every data block lies inside that
-pattern (psi' psi and the weighted Gram matrices only couple vertices of
-one triangle), so the order fits every lambda, fold and component. The
-pairing makes the pivots safe, whatever the vertex order: eliminating
-any leading set of pairs, plus possibly one more g, first removes the g
-values through the negative definite -R0 block and leaves
-UL + lam R1 R0^-1 R1, restricted to those vertices, on the f values
-among them. On a proper subset of a connected mesh the stiffness term
+at points inside triangles, and diagonal blocks with a zero or a
+relatively tiny entry (a weighted Gram matrix at a vertex that no
+weighted function observes), through which f cannot be eliminated
+accurately. The saddle system is symmetric quasi-definite in the sense
+of Vanderbei (SIAM J. Optim. 1995) once the data block is positive on
+constant fields, so it is factored symmetrically with diagonal pivots,
+in an elimination order chosen once per operator set: a minimum-degree
+order of the mesh graph (the pattern of mass + stiffness), expanded to
+pairs with each vertex's g unknown before its f unknown. Every data
+block lies inside that pattern (psi' psi and the weighted Gram matrices
+only couple vertices of one triangle), so the order fits every lambda,
+fold and component. The pairing makes the pivots safe, whatever the
+vertex order: eliminating any leading set of pairs, plus possibly one
+more g, first removes the g values through the negative definite -R0
+block and leaves UL + lam R1 R0^-1 R1, restricted to those vertices, on
+the f values among them. On a proper subset of a connected mesh the stiffness term
 alone is positive definite there, and on the whole mesh UL closes its
 constant kernel, so no pivot is zero in exact arithmetic.
 
@@ -71,6 +76,21 @@ from .fem import FemOperators
 _REFINE_TOLERANCE = 1e-13
 _REFINE_STEPS = 12
 
+# A diagonal data block is factored as its K x K Schur complement only
+# when its smallest entry is at least this share of its largest: the
+# eliminated solve loses accuracy as the share falls. Worst relative
+# residual of the saddle system (diag(w), w spread over [share, 1]; 3
+# draws x 3 right-hand sides) over the default grid at levels 3 / 4,
+# and at lam = 1, seven times the level-3 grid's top, on level 3:
+#   share 1 (c I)   1.2e-15 / 6.6e-16   4.9e-15
+#   share 0.1       4.1e-15 / 2.0e-15   1.7e-14
+#   share 0.01      1.0e-14 / 5.6e-15   5.2e-14
+#   share 1e-3      4.9e-14 / 2.0e-14   2.6e-13
+# At 0.1 the residual stays within 4x of the c I block's and 20x below
+# _REFINE_TOLERANCE. On the masked-data benchmark's inputs (seeds 1-10,
+# 1320 factorizations) the smallest share was 0.28.
+_SCHUR_SHARE = 0.1
+
 
 class SaddleSystem:
     """A factored saddle-point system for one smoothing parameter.
@@ -78,10 +98,10 @@ class SaddleSystem:
     The constructor performs the factorization, for reuse across solves.
     ``matrix`` is the 2K x 2K saddle system in the unknowns
     (f, sqrt(lam) g), in its natural order: what every solve inverts,
-    not necessarily what is factored (a c I data block is factored as
-    its K x K Schur complement; see the module docstring). Instances are
-    immutable; `solve` and `solve_with_block` are reentrant and safe to
-    call from several threads on one instance.
+    not necessarily what is factored (a positive diagonal data block is
+    factored as its K x K Schur complement; see the module docstring).
+    Instances are immutable; `solve` and `solve_with_block` are
+    reentrant and safe to call from several threads on one instance.
 
     Parameters
     ----------
@@ -112,14 +132,21 @@ class SaddleSystem:
         self._root = np.sqrt(lam)
         self._coupling = self._root * ops.stiffness
         self._mass = ops.mass
-        self._scale = _identity_scale(upper_left)
-        if self._scale is None:
+        self._p = None
+        weights = _schur_weights(upper_left)
+        if weights is None:
             self._order = _elimination_order(ops)
             factored = self.matrix[self._order][:, self._order]
             permc_spec = "NATURAL"
         else:
+            # S = R0 + (lam/c) R1 P R1; P is exactly I for a c I block,
+            # which then rounds as R0 + (lam/c) R1 R1
+            self._scale = float(weights.max())
+            self._p = self._scale / weights
+            scaled = ops.stiffness.copy()
+            scaled.data *= self._p[scaled.indices]
             factored = (ops.mass + (lam / self._scale)
-                        * (ops.stiffness @ ops.stiffness)).tocsc()
+                        * (scaled @ ops.stiffness)).tocsc()
             permc_spec = "MMD_AT_PLUS_A"
         try:
             self._lu = splinalg.splu(
@@ -197,15 +224,17 @@ class SaddleSystem:
 
     def _solve(self, rhs):
         """Apply the inverse of ``matrix`` through the reordered saddle
-        factors, or through the Schur complement S of the c I block:
-        S h = (sqrt(lam)/c) R1 r1 - r2, then f = (r1 - sqrt(lam) R1 h)/c."""
-        if self._scale is None:
+        factors, or through the Schur complement S of the diagonal block
+        UL = c P^-1: S h = (sqrt(lam)/c) R1 P r1 - r2, then
+        f = P (r1 - sqrt(lam) R1 h) / c."""
+        if self._p is None:
             x = np.empty_like(rhs)
             x[self._order] = self._lu.solve(rhs[self._order])
             return x
         top, bottom = rhs[: self.k], rhs[self.k :]
-        h = self._lu.solve(self._coupling @ top / self._scale - bottom)
-        return np.concatenate([(top - self._coupling @ h) / self._scale, h])
+        p = self._p if rhs.ndim == 1 else self._p[:, None]
+        h = self._lu.solve(self._coupling @ (p * top) / self._scale - bottom)
+        return np.concatenate([p * (top - self._coupling @ h) / self._scale, h])
 
     def _split(self, x):
         """(f, g) from a solution in the unknowns (f, sqrt(lam) g)."""
@@ -234,12 +263,15 @@ def _checked_block(upper_left, k):
     return upper_left
 
 
-def _identity_scale(upper_left):
-    """c when the CSR block ``upper_left`` equals c I with c > 0, else None."""
-    diagonal = upper_left.diagonal()
-    c = diagonal[0]
-    if c > 0 and np.all(diagonal == c) and upper_left.count_nonzero() == len(diagonal):
-        return float(c)
+def _schur_weights(upper_left):
+    """The diagonal w of the CSR block ``upper_left`` when it is diagonal
+    with every entry positive and at least `_SCHUR_SHARE` of the
+    largest, else None."""
+    weights = upper_left.diagonal()
+    if (weights.min() > 0
+            and weights.min() >= _SCHUR_SHARE * weights.max()
+            and upper_left.count_nonzero() == len(weights)):
+        return weights
     return None
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from smfpca import (
     DimensionMismatch,
@@ -9,6 +10,7 @@ from smfpca import (
     unit_sphere_mesh,
     vertex_locations,
 )
+from smfpca.fem import location_matrix
 from smfpca.mesh import SurfaceLocation, TriangleMesh
 
 
@@ -130,6 +132,52 @@ def test_psi_interior_rows(sphere1):
     np.testing.assert_allclose(
         np.sort(row[row != 0]), [0.2, 0.3, 0.5], atol=1e-12
     )
+
+
+def location_matrix_loop(mesh, locations):
+    """Oracle: the location matrix built one location and corner at a
+    time, in row order, keeping the positive weights."""
+    rows, cols, data = [], [], []
+    for j, loc in enumerate(locations):
+        corners = mesh.triangles[loc.triangle_index]
+        for c in range(3):
+            if loc.barycentric[c] > 0.0:
+                rows.append(j)
+                cols.append(corners[c])
+                data.append(loc.barycentric[c])
+    mat = sparse.csr_matrix((data, (rows, cols)), shape=(len(locations), mesh.K))
+    mat.sum_duplicates()
+    return mat
+
+
+@pytest.mark.parametrize("count", [0, 1, 200])
+def test_location_matrix_bytes_match_per_location_loop(sphere2, count):
+    # interior points, points on edges and vertices, in random triangles
+    rng = np.random.default_rng(count)
+    weights = rng.dirichlet(np.ones(3), count)
+    weights[rng.random((count, 3)) < 0.2] = 0.0
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    locs = [SurfaceLocation(int(t), w / w.sum()) for t, w in
+            zip(rng.integers(0, sphere2.T, count), weights)]
+    mat, ref = location_matrix(sphere2, locs), location_matrix_loop(sphere2, locs)
+    assert mat.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(mat, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_location_matrix_reports_first_bad_location(sphere1):
+    good = SurfaceLocation(0, np.array([1.0, 0.0, 0.0]))
+    outside = SurfaceLocation(sphere1.T, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DimensionMismatch, match="location 1 references triangle "
+                       f"{sphere1.T} of a {sphere1.T}-triangle mesh"):
+        location_matrix(sphere1, [good, outside, "not a location"])
+    with pytest.raises(DimensionMismatch, match="location 1 is not a SurfaceLocation"):
+        location_matrix(sphere1, [good, (0, [1.0, 0.0, 0.0]), outside])
+    with pytest.raises(DimensionMismatch, match="location 0 references triangle -1"):
+        location_matrix(sphere1, [SurfaceLocation(-1, np.array([1.0, 0.0, 0.0]))])
+    with pytest.raises(DimensionMismatch, match=f"location 0 references triangle {2**70}"):
+        location_matrix(sphere1, [SurfaceLocation(2**70, np.array([1.0, 0.0, 0.0]))])
 
 
 def test_psi_interpolates_linear_fields(sphere1):

@@ -10,6 +10,7 @@ from smfpca import DimensionMismatch, InputError, SaddleSystem, SingularSystem, 
 from smfpca import ObservationSet, SurfaceLocation, fit, fit_missing, solver
 from smfpca import vertex_locations
 from smfpca.estimator import _MissingState, data_gram
+from smfpca.fem import location_matrix
 from smfpca.selection import default_lambda_grid
 from smfpca.synth import generate_sphere_dataset
 
@@ -133,8 +134,9 @@ def relative_error(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
-def assert_refined_matches_fresh(ops, old, lam):
-    new = weighted_gram(ops, 8, 0.1)
+def assert_refined_matches_fresh(ops, old, lam, new=None):
+    if new is None:
+        new = weighted_gram(ops, 8, 0.1)
     rhs = rhs_for(ops, 9)
     system = SaddleSystem(ops, old, lam)
     start = system.solve(rhs_for(ops, 10))
@@ -153,6 +155,23 @@ def test_solve_with_block_matches_fresh_factorization(ops2, lam):
 def test_solve_with_block_from_schur_form_matches_fresh_factorization(ops2, lam):
     # refinement from a K x K form system onto a masked-style block
     assert_refined_matches_fresh(ops2, data_gram(ops2), lam)
+
+
+@pytest.mark.parametrize("target", ["diagonal", "non-diagonal"])
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+def test_solve_with_block_from_diagonal_schur_form_matches_fresh_factorization(
+        ops2, lam, target):
+    # refinement from the K x K form of a non-uniform diagonal block onto
+    # a nearby diagonal block (also K x K) or one with off-diagonal terms
+    old = diagonal_block(ops2, 0.3, 21)
+    assert SaddleSystem(ops2, old, lam)._lu.shape == (ops2.vertex_count,) * 2
+    w = old.diagonal()
+    if target == "diagonal":
+        new = sparse.diags(w * (1 + 0.05 * np.random.default_rng(22).random(w.size)),
+                           format="csr")
+    else:
+        new = (old + 0.02 * data_blocks(ops2)["interior-points"]).tocsr()
+    assert_refined_matches_fresh(ops2, old, lam, new)
 
 
 def test_solve_with_distant_block_reports_nonconvergence(ops1):
@@ -214,10 +233,23 @@ def test_shape_mismatch(ops1, ops2):
         system.solve_with_block(data_gram(ops2), np.ones(ops1.vertex_count), start)
 
 
+def diagonal_block(ops, share, seed):
+    """diag(w) with w in [share, 1], both ends taken."""
+    rng = np.random.default_rng(seed)
+    w = share + (1.0 - share) * rng.random(ops.vertex_count)
+    w[rng.choice(ops.vertex_count, 2, replace=False)] = share, 1.0
+    return sparse.diags(w, format="csr")
+
+
 def data_blocks(ops):
     """psi'psi with data at every vertex, twice that, psi'psi at a few
-    vertices only and at each triangle's centroid, and a masked weighted
-    Gram matrix."""
+    vertices only and at each triangle's centroid, a masked weighted
+    Gram matrix (min/max diagonal share 0.076 on ops2) and one with
+    equal scores (share 0.25), and diagonal blocks whose share is at
+    the Schur cut, just below it, or zero at one vertex."""
+    cut = solver._SCHUR_SHARE
+    with_zero = diagonal_block(ops, 0.5, 17).tolil()
+    with_zero[5, 5] = 0.0
     rng = np.random.default_rng(13)
     few = ops.psi[np.sort(rng.choice(ops.location_count, 12, replace=False))]
     centroids = assemble(ops.mesh, [SurfaceLocation(t, np.full(3, 1 / 3))
@@ -232,12 +264,18 @@ def data_blocks(ops):
         "few-vertices": (few.T @ few).tocsr(),
         "interior-points": (centroids.T @ centroids).tocsr(),
         "masked": state.weighted_gram(u / np.linalg.norm(u)),
+        "masked-equal-scores": state.weighted_gram(np.full(8, 1 / np.sqrt(8))),
+        "diagonal-at-cut": diagonal_block(ops, cut, 15),
+        "diagonal-below-cut": diagonal_block(ops, cut * (1 - 1e-9), 16),
+        "diagonal-with-zero": with_zero.tocsr(),
     }
 
 
-# The data blocks equal to c I (c > 0) are factored as the K x K Schur
+# Diagonal data blocks whose entries are positive and at least
+# `_SCHUR_SHARE` of the largest are factored as the K x K Schur
 # complement; every other block as the 2K saddle system.
-SCHUR_BLOCKS = ("every-vertex", "twice-identity")
+SCHUR_BLOCKS = ("every-vertex", "twice-identity", "masked-equal-scores",
+                "diagonal-at-cut")
 
 
 def oracle_lambdas(ops):
@@ -248,7 +286,8 @@ def oracle_lambdas(ops):
 
 
 BLOCKS = ("every-vertex", "twice-identity", "few-vertices", "interior-points",
-          "masked")
+          "masked", "masked-equal-scores", "diagonal-at-cut",
+          "diagonal-below-cut", "diagonal-with-zero")
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -300,7 +339,7 @@ def test_schur_complement_has_less_fill_than_saddle(ops3, monkeypatch):
     # (79,336 against 116,236 entries on this mesh)
     gram = data_gram(ops3)
     schur = SaddleSystem(ops3, gram, 1e-3)
-    monkeypatch.setattr(solver, "_identity_scale", lambda block: None)
+    monkeypatch.setattr(solver, "_schur_weights", lambda block: None)
     saddle = SaddleSystem(ops3, gram, 1e-3)
     assert schur._lu.shape == (ops3.vertex_count,) * 2
     assert saddle._lu.shape == (2 * ops3.vertex_count,) * 2
@@ -310,7 +349,8 @@ def test_schur_complement_has_less_fill_than_saddle(ops3, monkeypatch):
 @pytest.mark.parametrize("masked", [False, True])
 def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked):
     # dense data (psi'psi = I) factor the K x K form, which needs no
-    # saddle order; masked data the saddle form, one order per operator set
+    # saddle order; masked data at triangle centroids, whose data blocks
+    # are not diagonal, the saddle form, one order per operator set
     ops = assemble(sphere2, vertex_locations(sphere2))
     ds = generate_sphere_dataset(sphere2, ops, 20, (4.0, 2.0), 0.1, 31)
     orders, factors = [], []
@@ -329,9 +369,10 @@ def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked)
     monkeypatch.setattr(solver.SaddleSystem, "__init__", counting_factor)
     grid = [1e-5, 1e-3, 1e-1]
     if masked:
-        values = ds.X.values.copy()
+        centroids = [SurfaceLocation(t, np.full(3, 1 / 3)) for t in range(sphere2.T)]
+        values = (location_matrix(sphere2, centroids) @ ds.X.values.T).T
         values[np.random.default_rng(32).random(values.shape) < 0.2] = np.nan
-        obs = ObservationSet.from_masked(values, ops.locations)
+        obs = ObservationSet.from_masked(values, centroids)
         fit_missing(obs, 1, grid, ops, selection="kfold", folds=3, threads=4)
     else:
         fit(ds.X, 2, grid, ops, selection="kfold", folds=3, threads=4)
@@ -368,3 +409,43 @@ def test_elimination_order_computed_once_under_concurrent_first_use(
         orders = [future.result(timeout=30) for future in futures]
     assert len(calls) == 1
     assert all(order is orders[0] for order in orders)
+
+
+def test_vertex_masked_kfold_matches_saddle_form(sphere2, monkeypatch):
+    # data at the vertices give diagonal weighted Gram blocks, factored
+    # as their K x K Schur complement; forcing the 2K saddle form must
+    # change nothing beyond roundoff
+    ops = assemble(sphere2, vertex_locations(sphere2))
+    ds = generate_sphere_dataset(sphere2, ops, 20, (4.0, 2.0), 0.1, 33)
+    values = ds.X.values.copy()
+    values[np.random.default_rng(34).random(values.shape) < 0.2] = np.nan
+    obs = ObservationSet.from_masked(values, ops.locations)
+    grid = default_lambda_grid(ops)[::3]
+    factor = solver.SaddleSystem.__init__
+
+    def run():
+        factors = []
+
+        def counting_factor(self, *args):
+            factor(self, *args)
+            factors.append(self._lu.shape[0])
+
+        monkeypatch.setattr(solver.SaddleSystem, "__init__", counting_factor)
+        result = fit_missing(obs, 2, grid, ops, selection="kfold", folds=3)
+        return result, factors
+
+    schur, schur_factors = run()
+    monkeypatch.setattr(solver, "_schur_weights", lambda block: None)
+    saddle, saddle_factors = run()
+    K = ops.vertex_count
+    assert K in schur_factors
+    assert set(saddle_factors) == {2 * K}
+    assert len(schur_factors) == len(saddle_factors)
+    assert ([t.chosen for t in schur.selection_traces]
+            == [t.chosen for t in saddle.selection_traces])
+    for a, b in zip(schur.components, saddle.components):
+        assert a.lam == b.lam
+        assert a.iterations == b.iterations
+        assert relative_error(a.f_coefficients, b.f_coefficients) <= 1e-12
+        assert relative_error(a.g_coefficients, b.g_coefficients) <= 1e-12
+        assert relative_error(a.scores, b.scores) <= 1e-12
