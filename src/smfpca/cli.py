@@ -297,6 +297,7 @@ def cmd_mesh_info(config):
         "triangles": surface.T,
         "edges": surface.edge_count,
         "boundaryEdges": surface.boundary_edge_count,
+        "components": surface.component_count,
         "closed": surface.closed,
         "totalArea": surface.total_area(),
         "boundingBox": {

@@ -275,8 +275,6 @@ class _DenseTerm:
     function steps, with the factored system of each parameter taken
     from ``systems``."""
 
-    exact = True
-
     def __init__(self, X: DataMatrix, ops: FemOperators, systems):
         self.X = X
         self.ops = ops
@@ -303,8 +301,7 @@ def _alternate(term, u, lam, max_iterations, tolerance, choose=None):
     """The alternating loop of every component fit, from the scores ``u``
     (see `fit_component`); each pass solves at ``choose(u)`` when given,
     else at ``lam``. The objective is asserted nonincreasing only when
-    ``term.exact`` holds and ``lam`` is fixed."""
-    guarded = term.exact and choose is None
+    ``lam`` is fixed."""
     trace = []
     f_prev = None
     for it in range(max(1, max_iterations)):
@@ -314,7 +311,7 @@ def _alternate(term, u, lam, max_iterations, tolerance, choose=None):
             lam = choose(u)
         f, g = term.solve(u, lam)
         value = term.objective(u, f, g, lam)
-        if guarded and trace:
+        if choose is None and trace:
             # the objective is formed by cancellation against xnorm2, so its
             # precision floor is eps-scaled in the data norm, not the value
             slack = _MONOTONE_SLACK * abs(trace[-1]) + 1e-12 * term.xnorm2
@@ -706,8 +703,6 @@ class _MissingTerm:
     preconditions every later solve; a new one is made only when
     refinement against it fails to converge. That state is per fit, so
     one `_MissingState` can serve concurrent fits."""
-
-    exact = True
 
     def __init__(self, state: _MissingState, ops: FemOperators):
         self.state = state

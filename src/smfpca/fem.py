@@ -37,14 +37,13 @@ class FemOperators:
     stiffness : scipy.sparse.csr_matrix, shape (K, K)
         Integrals of gradients dotted pairwise (symmetric positive
         semidefinite); annihilates constant fields.
-    locations : list of SurfaceLocation
+    mesh : TriangleMesh
     """
 
     psi: sparse.csr_matrix
     mass: sparse.csr_matrix
     stiffness: sparse.csr_matrix
-    locations: list
-    mesh: TriangleMesh = None
+    mesh: TriangleMesh
 
     @property
     def vertex_count(self) -> int:
@@ -96,7 +95,7 @@ def assemble(mesh: TriangleMesh, locations) -> FemOperators:
 
     return FemOperators(
         psi=location_matrix(mesh, locations), mass=mass, stiffness=stiffness,
-        locations=list(locations), mesh=mesh,
+        mesh=mesh,
     )
 
 

@@ -13,6 +13,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateTriangle,
@@ -90,10 +92,12 @@ class TriangleMesh:
     -----
     Open meshes (boundary edges present) are accepted; `closed` is then
     False and downstream smoothing implicitly imposes natural boundary
-    conditions. Instances are immutable: the constructor sets every
-    attribute and makes its arrays read-only, and the properties (`K`,
-    `T`, `areas`, `gradients`) only read them, so concurrent reads are
-    safe.
+    conditions. So are disconnected ones: `component_labels` numbers
+    each vertex's connected component (through edges) from 0 to
+    `component_count` - 1. Instances are immutable: the constructor sets
+    every attribute and makes its arrays read-only, and the properties
+    (`K`, `T`, `areas`, `gradients`) only read them, so concurrent reads
+    are safe.
     """
 
     def __init__(self, vertices, triangles):
@@ -133,7 +137,8 @@ class TriangleMesh:
                 stacklevel=2,
             )
 
-        for a in (self.vertices, self.triangles, self._areas, self._gradients):
+        for a in (self.vertices, self.triangles, self._areas, self._gradients,
+                  self.component_labels):
             a.flags.writeable = False
 
     # -- basic shape --------------------------------------------------
@@ -219,6 +224,10 @@ class TriangleMesh:
         self.edge_count = int(uniq.size)
         self.boundary_edge_count = int((counts == 1).sum())
         self.closed = bool(counts.size) and bool((counts == 2).all())
+        edges = sparse.coo_matrix((np.ones(uniq.size), (uniq // K, uniq % K)),
+                                  shape=(self.K, self.K))
+        count, self.component_labels = connected_components(edges, directed=False)
+        self.component_count = int(count)
 
 
 def vertex_locations(mesh: TriangleMesh):

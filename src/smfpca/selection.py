@@ -85,11 +85,16 @@ def _factored(ops, grid, systems):
 
 
 def default_lambda_grid(ops: FemOperators):
-    """Thirteen log-spaced values scaled to the operator magnitudes.
+    """Thirteen log-spaced values, 1e-6 to 1e2 times a scale.
 
-    The raw span, 1e-6 to 1e2, is multiplied by the ratio of the data-term trace to a
-    lumped-mass surrogate of the penalty-term trace, so the grid
-    brackets the bias-variance transition regardless of mesh scale.
+    The scale is the data-term trace, trace(psi' psi), over a
+    lumped-mass surrogate of the penalty-term trace,
+    trace(R1 diag(R0 1)^-1 R1). It does not follow the bias-variance
+    transition across resolutions: for data at the vertices the first
+    trace is K and the second grows like K^2 under refinement, so on
+    icospheres the grid falls 4x per level (top point 0.135 at level 3,
+    0.0338 at level 4, 0.00845 at level 5), and dense K-fold fits of
+    smooth sphere data choose the top point from level 3 up.
     """
     data_trace = float((ops.psi.data ** 2).sum())
     lumped = np.asarray(ops.mass.sum(axis=1)).ravel()
@@ -106,16 +111,23 @@ def default_lambda_grid(ops: FemOperators):
 # -- K-fold cross-validation ------------------------------------------
 
 
-def _kfold_trace(n, assignments, grid, prepare, fold_residuals, scale,
-                 threads) -> SelectionTrace:
-    """Score every candidate. ``prepare(train_rows)`` gives each fold its
-    training set and first start, once. The candidates run in ascending
-    order, each over every fold (the folds mapped over ``threads``), so
-    consecutive fits share one candidate's factored system:
-    ``fold_residuals(lam, train, val_rows, start)`` returns the validation
-    rows' squared residuals and the fold's start for the next candidate.
-    Each candidate's residuals are summed in fold order and divided by
-    ``scale``."""
+def _kfold_trace(n, lambda_grid, folds, seed, prepare, fold_residuals, scale,
+                 threads, factor=None) -> SelectionTrace:
+    """Check ``lambda_grid`` and score every candidate over ``folds``
+    folds of ``range(n)``, drawn from ``seed`` by `make_folds`.
+    ``factor(grid)``, when given, runs once the folds are drawn, so a bad
+    fold count costs no factorization. ``prepare(train_rows)`` then gives
+    each fold its training set and first start, once. The candidates run
+    in ascending order, each over every fold (the folds mapped over
+    ``threads``), so consecutive fits share one candidate's factored
+    system: ``fold_residuals(lam, train, val_rows, start)`` returns the
+    validation rows' squared residuals and the fold's start for the next
+    candidate. Each candidate's residuals are summed in fold order and
+    divided by ``scale``."""
+    grid = estimator._check_grid(lambda_grid, required=True)
+    assignments = make_folds(n, folds, seed)
+    if factor is not None:
+        factor(grid)
     prepared = [prepare(np.setdiff1d(np.arange(n), val)) for val in assignments]
     trains = [train for train, _ in prepared]
     starts = [start for _, start in prepared]
@@ -166,14 +178,13 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         Seeds the fold shuffle only; the grid is always evaluated in
         full.
     systems : dict, optional
-        Shared cache mapping lambda to a factored system.
+        Shared cache mapping lambda to a factored system; candidates
+        missing from it are factored and added once the folds are drawn.
     threads : int
         Folds evaluated concurrently; scores are identical for any
         thread count.
     """
-    grid = estimator._check_grid(lambda_grid, required=True)
-    assignments = make_folds(X.n, folds, seed)
-    systems = _factored(ops, grid, systems)
+    systems = {} if systems is None else systems
 
     def prepare(train_rows):
         train = estimator.DataMatrix(X.values[train_rows])
@@ -196,8 +207,9 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         resid = validation - np.outer(u_val, profile)
         return [float(np.dot(resid.ravel(), resid.ravel()))], start
 
-    return _kfold_trace(X.n, assignments, grid, prepare, fold_residuals,
-                        X.n * X.s, threads)
+    return _kfold_trace(X.n, lambda_grid, folds, seed, prepare, fold_residuals,
+                        X.n * X.s, threads,
+                        factor=lambda grid: _factored(ops, grid, systems))
 
 
 def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
@@ -218,9 +230,6 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
     scores, which are close to its own fit. The scores therefore depend
     on the set of candidates, not on their order in ``lambda_grid``.
     """
-    grid = estimator._check_grid(lambda_grid, required=True)
-    assignments = make_folds(state.n, folds, seed)
-
     def prepare(train_rows):
         train = state.subset(train_rows)
         return train, estimator._initial_scores_missing(train)
@@ -242,8 +251,8 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
             residuals.append(float(resid @ resid))
         return residuals, comp.scores
 
-    return _kfold_trace(state.n, assignments, grid, prepare, fold_residuals,
-                        state.total_observations, threads)
+    return _kfold_trace(state.n, lambda_grid, folds, seed, prepare,
+                        fold_residuals, state.total_observations, threads)
 
 
 # -- generalized cross-validation -------------------------------------
@@ -376,8 +385,9 @@ def _probe_signs(s, count):
 
 
 def _smoother_trace(system, ops: FemOperators, known=None):
-    """trace(S) for S = psi solve(psi' .) as a `_Trace`: exact by blocked
-    solves up to ``EXACT_TRACE_LIMIT`` locations. Beyond, one block of
+    """trace(S) for S = psi solve(psi' .) as a `_Trace`: exact up to
+    ``EXACT_TRACE_LIMIT`` locations, as the sum of the forms over the
+    unit columns, `_TRACE_BLOCK` of them per solve. Beyond, one block of
     Hutchinson probes: the next 16 (``_PROBE_BLOCK``) of the 64
     (``_PROBE_CAP``) columns of `_probe_signs`, solved by one
     ``solve_many``, after the probes of ``known``, which the result
@@ -387,18 +397,19 @@ def _smoother_trace(system, ops: FemOperators, known=None):
     if s <= EXACT_TRACE_LIMIT:
         total = 0.0
         for start in range(0, s, _TRACE_BLOCK):
-            stop = min(start + _TRACE_BLOCK, s)
-            block = np.asarray(psi_t[:, start:stop].todense())
-            f_block, _ = system.solve_many(block)
-            smoothed = ops.psi @ f_block
-            total += float(
-                smoothed[np.arange(start, stop), np.arange(stop - start)].sum()
-            )
+            units = np.eye(s, min(_TRACE_BLOCK, s - start), k=-start)
+            total += float(_forms(system, ops, psi_t, units).sum())
         return _Trace(total)
     done = 0 if known is None else known.probes
     signs = _probe_signs(s, _PROBE_CAP)[:, done:done + _PROBE_BLOCK]
-    f_block, _ = system.solve_many(psi_t @ signs)
-    forms = np.einsum("sk,sk->k", signs, ops.psi @ f_block)
+    forms = _forms(system, ops, psi_t, signs)
     if known is not None:
         forms = np.concatenate([known.forms, forms])
     return _Trace(float(forms.mean()), forms)
+
+
+def _forms(system, ops, psi_t, probes):
+    """The quadratic forms z'Sz of the columns z of ``probes``; over a
+    unit column, exactly a diagonal entry of S."""
+    f_block, _ = system.solve_many(psi_t @ probes)
+    return np.einsum("sk,sk->k", probes, ops.psi @ f_block)

@@ -39,7 +39,8 @@ relatively tiny entry (a weighted Gram matrix at a vertex that no
 weighted function observes), through which f cannot be eliminated
 accurately. The saddle system is symmetric quasi-definite in the sense
 of Vanderbei (SIAM J. Optim. 1995) once the data block is positive on
-constant fields, so it is factored symmetrically with diagonal pivots,
+the constant field of each mesh component, so it is factored
+symmetrically with diagonal pivots,
 in an elimination order chosen once per operator set: a minimum-degree
 order of the mesh graph (the pattern of mass + stiffness), expanded to
 pairs with each vertex's g unknown before its f unknown. Every data
@@ -49,9 +50,12 @@ fold and component. The pairing makes the pivots safe, whatever the
 vertex order: eliminating any leading set of pairs, plus possibly one
 more g, first removes the g values through the negative definite -R0
 block and leaves UL + lam R1 R0^-1 R1, restricted to those vertices, on
-the f values among them. On a proper subset of a connected mesh the stiffness term
-alone is positive definite there, and on the whole mesh UL closes its
-constant kernel, so no pivot is zero in exact arithmetic.
+the f values among them. That matrix splits over the mesh's connected
+components, since no block couples two of them. Where the set holds a
+proper subset of a component's vertices, the stiffness term alone is
+positive definite there; where it holds a whole component, UL closes
+that component's constant kernel (checked before factoring). So no
+pivot is zero in exact arithmetic.
 
 When only the data block changes between solves, as it does across the
 alternations of a missing-data fit, a stored factorization serves as the
@@ -125,7 +129,8 @@ class SaddleSystem:
                 f"smoothing parameter must be positive and finite, got {lam:g}"
             )
         K = ops.vertex_count
-        upper_left = _checked_block(upper_left, K)
+        self._labels = ops.mesh.component_labels
+        upper_left = _checked_block(upper_left, self._labels)
         self.lam = lam
         self.k = K
         self._upper_left = upper_left
@@ -182,9 +187,10 @@ class SaddleSystem:
         Raises
         ------
         SingularSystem
-            The new block vanishes on constant fields, as in the constructor.
+            The new block vanishes on the constant field of a mesh
+            component, as in the constructor.
         """
-        upper_left = _checked_block(upper_left, self.k)
+        upper_left = _checked_block(upper_left, self._labels)
         rhs = self._full_rhs(rhs_top)
         x = np.concatenate([start[0], self._root * np.asarray(start[1])])
         limit = _REFINE_TOLERANCE * float(np.linalg.norm(rhs))
@@ -198,29 +204,25 @@ class SaddleSystem:
                 return None
             x += self._solve(r)
 
-    def _full_rhs(self, rhs_top):
-        rhs_top = np.asarray(rhs_top, dtype=np.float64)
-        if rhs_top.shape != (self.k,):
-            raise DimensionMismatch(
-                f"right-hand side must have length {self.k}, got {rhs_top.shape}"
-            )
-        rhs = np.zeros(2 * self.k)
-        rhs[: self.k] = rhs_top
-        return rhs
-
     def solve_many(self, rhs_top):
         """Solve for a (K, m) block of right-hand sides at once.
 
         Returns (F, G), each of shape (K, m).
         """
+        return self._split(self._solve(self._full_rhs(rhs_top, ndim=2)))
+
+    def _full_rhs(self, rhs_top, ndim=1):
+        """``rhs_top``, of shape (K,), or (K, m) when ``ndim`` is 2, over a
+        zero bottom block."""
         rhs_top = np.asarray(rhs_top, dtype=np.float64)
-        if rhs_top.ndim != 2 or rhs_top.shape[0] != self.k:
+        if rhs_top.ndim != ndim or rhs_top.shape[0] != self.k:
+            expected = f"({self.k},)" if ndim == 1 else f"({self.k}, m)"
             raise DimensionMismatch(
-                f"right-hand sides must have shape ({self.k}, m), got {rhs_top.shape}"
+                f"right-hand side must have shape {expected}, got {rhs_top.shape}"
             )
-        rhs = np.zeros((2 * self.k, rhs_top.shape[1]))
+        rhs = np.zeros((2 * self.k,) + rhs_top.shape[1:])
         rhs[: self.k] = rhs_top
-        return self._split(self._solve(rhs))
+        return rhs
 
     def _solve(self, rhs):
         """Apply the inverse of ``matrix`` through the reordered saddle
@@ -241,23 +243,27 @@ class SaddleSystem:
         return x[: self.k].copy(), x[self.k :] / self._root
 
 
-def _checked_block(upper_left, k):
+def _checked_block(upper_left, labels):
+    k = len(labels)
     upper_left = sparse.csr_matrix(upper_left)
     if upper_left.shape != (k, k):
         raise DimensionMismatch(
             f"upper-left block must be {k}x{k}, got {upper_left.shape}"
         )
     # The block matrix is singular exactly when the data block
-    # vanishes on the penalty null space; on a connected mesh that
-    # null space is the constants, so test the constant vector
-    # directly. The factorization itself would otherwise slip
-    # through on a tiny pivot and return garbage.
-    ones = np.ones(k)
-    kernel_energy = float(ones @ (upper_left @ ones))
-    trace = float(upper_left.diagonal().sum())
-    if trace <= 0.0 or kernel_energy <= 1e-12 * trace:
+    # vanishes on the penalty null space: the fields constant on each
+    # connected component of the mesh (``labels``), so test each such
+    # field directly. The factorization itself would otherwise slip
+    # through on a tiny pivot and return garbage. A data block couples
+    # only vertices of one triangle, so a component's energy is the sum
+    # of (UL 1) over its vertices.
+    energies = np.bincount(labels, upper_left @ np.ones(k))
+    traces = np.bincount(labels, upper_left.diagonal())
+    closed = (traces > 0.0) & (energies > 1e-12 * traces)
+    if not closed.all():
         raise SingularSystem(
-            "data block vanishes on constant fields; the penalty "
+            f"data block vanishes on constant fields of mesh component "
+            f"{int(np.argmin(closed)) + 1} of {len(closed)}; the penalty "
             "cannot close the kernel"
         )
     return upper_left

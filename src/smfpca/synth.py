@@ -37,14 +37,22 @@ class SyntheticDataset:
     generator: str
 
 
-def _sampled(ops: FemOperators, vertex_fields, scores, noise_sigma, rng):
+def _drawn(ops: FemOperators, fields, sigmas, n, noise_sigma, seed, generator):
+    """The dataset of ``n`` subjects over the vertex ``fields``: scores
+    drawn with standard deviations ``sigmas``, then noise, from one
+    stream seeded by ``seed``."""
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal((n, len(sigmas))) * sigmas
     # Rows are subjects; piecewise-linear interpolation carries vertex
     # fields to the sampling locations.
-    vertex_values = scores @ vertex_fields.T
-    signal = (ops.psi @ vertex_values.T).T
+    vertex_values = scores @ fields.T
+    values = (ops.psi @ vertex_values.T).T
     if noise_sigma != 0:
-        signal = signal + noise_sigma * rng.standard_normal(signal.shape)
-    return signal
+        values = values + noise_sigma * rng.standard_normal(values.shape)
+    return SyntheticDataset(
+        X=DataMatrix(values), true_components=fields, true_scores=scores,
+        noise_sigma=float(noise_sigma), seed=int(seed), generator=generator,
+    )
 
 
 def _check_draw(n, noise_sigma, sigmas, seed):
@@ -103,13 +111,7 @@ def generate_eigen_dataset(mesh: TriangleMesh, ops: FemOperators,
     _warn_if_open(mesh)
     pairs = lb_eigenpairs(ops, max(idx) + 1)
     fields = np.stack([pairs[i].coefficients for i in idx], axis=1)
-    rng = np.random.default_rng(seed)
-    scores = rng.standard_normal((n, len(idx))) * sig
-    values = _sampled(ops, fields, scores, noise_sigma, rng)
-    return SyntheticDataset(
-        X=DataMatrix(values), true_components=fields, true_scores=scores,
-        noise_sigma=float(noise_sigma), seed=int(seed), generator="eigen",
-    )
+    return _drawn(ops, fields, sig, n, noise_sigma, seed, "eigen")
 
 
 def _require_unit_sphere(mesh: TriangleMesh):
@@ -144,15 +146,8 @@ def generate_sphere_dataset(mesh: TriangleMesh, ops: FemOperators, n: int,
     if sig.shape != (2,):
         raise DimensionMismatch(f"expected two sigmas, got {sig.shape}")
     _check_draw(n, noise_sigma, sig, seed)
-    v1, v2 = sphere_pc_functions(mesh)
-    fields = np.stack([v1, v2], axis=1)
-    rng = np.random.default_rng(seed)
-    scores = rng.standard_normal((n, 2)) * sig
-    values = _sampled(ops, fields, scores, noise_sigma, rng)
-    return SyntheticDataset(
-        X=DataMatrix(values), true_components=fields, true_scores=scores,
-        noise_sigma=float(noise_sigma), seed=int(seed), generator="sphere",
-    )
+    fields = np.stack(sphere_pc_functions(mesh), axis=1)
+    return _drawn(ops, fields, sig, n, noise_sigma, seed, "sphere")
 
 
 def generate_misaligned_dataset(mesh: TriangleMesh, ops: FemOperators,

@@ -46,6 +46,15 @@ def sphere1():
 
 
 @pytest.fixture(scope="session")
+def two_spheres(sphere1):
+    # two disjoint level-1 icospheres in one mesh; labels 0 then 1
+    return TriangleMesh(
+        np.vstack([sphere1.vertices, sphere1.vertices + [3.0, 0.0, 0.0]]),
+        np.vstack([sphere1.triangles, sphere1.triangles + sphere1.K]),
+    )
+
+
+@pytest.fixture(scope="session")
 def sphere2():
     return unit_sphere_mesh(2)
 

@@ -161,7 +161,7 @@ def test_criterion_06_missing_data_identity(ops2):
     )
     from smfpca import ObservationSet
 
-    observed = ObservationSet.from_masked(ds.X.values, ops2.locations)
+    observed = ObservationSet.from_masked(ds.X.values, vertex_locations(ops2.mesh))
     sparse = fit_missing(
         observed, 1, [1e-3], ops2, selection="fixed", fixed_lambda=1e-3
     )
@@ -293,6 +293,61 @@ def test_criterion_11_different_grids(ops2):
     est = np.stack([c.f_coefficients for c in result.components], axis=1)
     angle = principal_angle(fields, est)
     report(11, angle < 0.10, f"principal angle {angle:.4f} vs 0.10")
+
+
+def jittered_torus(around, across, seed):
+    """A genus-1 torus (radii 1 and 0.4) on an around x across grid of
+    angles, each moved by up to a quarter step, every quad split in two."""
+    rng = np.random.default_rng(seed)
+    i, j = np.meshgrid(np.arange(around), np.arange(across), indexing="ij")
+    u = 2 * np.pi * (i + rng.uniform(-0.25, 0.25, i.shape)) / around
+    v = 2 * np.pi * (j + rng.uniform(-0.25, 0.25, j.shape)) / across
+    ring = 1.0 + 0.4 * np.cos(v)
+    vertices = np.stack([ring * np.cos(u), ring * np.sin(u), 0.4 * np.sin(v)],
+                        axis=-1).reshape(-1, 3)
+    a = (i * across + j).ravel()
+    b = ((i + 1) % around * across + j).ravel()
+    c = ((i + 1) % around * across + (j + 1) % across).ravel()
+    d = (i * across + (j + 1) % across).ravel()
+    return TriangleMesh(vertices, np.concatenate([np.stack([a, b, c], axis=1),
+                                                  np.stack([a, c, d], axis=1)]))
+
+
+def open_hemisphere(level):
+    """The triangles of an icosphere with a vertex above z = 0."""
+    sphere = unit_sphere_mesh(level)
+    keep = (sphere.vertices[sphere.triangles, 2] > 0).any(axis=1)
+    used, inverse = np.unique(sphere.triangles[keep], return_inverse=True)
+    return TriangleMesh(sphere.vertices[used], inverse.reshape(-1, 3))
+
+
+def test_criterion_12_any_topology():
+    # eigen data (sigmas 4 and 2, n=50, noise 0.1) on a genus-1 torus,
+    # K=1536, and an open hemisphere, K=1345. Each index pair sits
+    # between spectral gaps: torus eigenvalues 3.63 (twice) < 6.26, 6.81
+    # < 7.29; hemisphere 0 < 1.96, 2.01 < 5.88. Seeds 1-10 gave
+    # 0.0062-0.0085 rad (torus) and 0.0025-0.0039 rad (hemisphere) with
+    # kfold; the unsmoothed multivariate PCA of the same data gives
+    # 0.024-0.031 and 0.017-0.022 rad, so the bound tells a smoothed fit
+    # from none
+    lines, ok = [], True
+    # Euler characteristics: a torus has 0, a disk 1 (a closed surface
+    # has an even one)
+    for name, mesh, indices, euler in (
+            ("torus", jittered_torus(64, 24, 0), (5, 6), 0),
+            ("hemisphere", open_hemisphere(4), (1, 2), 1)):
+        assert mesh.K - mesh.edge_count + mesh.T == euler
+        ops = assemble(mesh, vertex_locations(mesh))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # open mesh
+            ds = generate_eigen_dataset(mesh, ops, indices, (4.0, 2.0), 50, 0.1, 1)
+        result = fit(ds.X, 2, default_lambda_grid(ops), ops, selection="kfold")
+        est = np.stack([c.f_coefficients for c in result.components], axis=1)
+        angle = principal_angle(ds.true_components, est)
+        ok = ok and angle < 0.012
+        lines.append(f"{name} (K={mesh.K}, Euler characteristic {euler}) "
+                     f"principal angle {angle:.4f}")
+    report(12, ok, "; ".join(lines) + " vs 0.012")
 
 
 def test_misalignment_smoke_kfold_smooths_more(ops2):

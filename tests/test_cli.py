@@ -620,6 +620,7 @@ def test_mesh_info_reports_census(tmp_path, sphere1, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["vertices"] == 42
     assert info["triangles"] == 80
+    assert info["components"] == 1
     assert info["closed"] is True
     assert info["boundaryEdges"] == 0
     # inscribed polyhedron at the coarsest level sits 7% under 4 pi
@@ -634,6 +635,23 @@ def test_mesh_info_open_mesh(tmp_path, right_triangle, capsys):
     assert info["closed"] is False
     assert info["boundaryEdges"] == 3
     assert info["totalArea"] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_fit_unobserved_mesh_component_exit_3(tmp_path, two_spheres, capsys):
+    mesh_path = tmp_path / "two.off"
+    save_mesh(two_spheres, mesh_path)
+    values = np.random.default_rng(3).standard_normal((8, two_spheres.K))
+    values[:, two_spheres.K // 2:] = np.nan
+    write_data_csv(tmp_path / "data.csv", values)
+    with pytest.warns(UserWarning, match="missing entries"):
+        code = run(["fit", "--mesh", mesh_path, "--data", tmp_path / "data.csv",
+                    "--n-components", 1, "--selection", "fixed",
+                    "--fixed-lambda", "1e-3", "--outdir", tmp_path / "fit"])
+    assert code == 3
+    assert "mesh component 2 of 2" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+    assert run(["mesh-info", "--mesh", mesh_path]) == 0
+    assert json.loads(capsys.readouterr().out)["components"] == 2
 
 
 def test_mesh_info_counts_past_the_file_exit_2(tmp_path, capsys, monkeypatch):

@@ -32,6 +32,16 @@ def test_open_mesh_census(right_triangle):
     assert right_triangle.boundary_edge_count == 3
 
 
+def test_component_labels(sphere1, two_spheres):
+    assert sphere1.component_count == 1
+    assert not sphere1.component_labels.any()
+    assert two_spheres.component_count == 2
+    np.testing.assert_array_equal(two_spheres.component_labels,
+                                  np.repeat([0, 1], sphere1.K))
+    with pytest.raises(ValueError):
+        two_spheres.component_labels[0] = 1
+
+
 def test_vertices_out_of_range():
     v = np.eye(3)
     with pytest.raises(TopologyError):

@@ -216,6 +216,24 @@ def test_data_block_orthogonal_to_constants_raises(ops1):
         SaddleSystem(ops1, block, 1.0)
 
 
+def test_unobserved_mesh_component_raises(two_spheres):
+    # the constants on the blank sphere lie in the kernel of both the
+    # data block and the penalty, though the global constant does not
+    ops = assemble(two_spheres, vertex_locations(two_spheres))
+    K = two_spheres.K
+    values = np.random.default_rng(5).standard_normal((6, K))
+    values[:, two_spheres.K // 2:] = np.nan
+    obs = ObservationSet.from_masked(values, vertex_locations(two_spheres))
+    with pytest.raises(SingularSystem, match="mesh component 2 of 2"):
+        fit_missing(obs, 1, [1e-3], ops, selection="fixed")
+    observed = sparse.diags((np.arange(K) < K // 2).astype(float))
+    with pytest.raises(SingularSystem):
+        SaddleSystem(ops, observed, 1.0)
+    system = SaddleSystem(ops, data_gram(ops), 1.0)
+    with pytest.raises(SingularSystem):
+        system.solve_with_block(observed, np.ones(K), system.solve(np.ones(K)))
+
+
 def test_invalid_lambda(ops1):
     for lam in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(InputError):
@@ -256,7 +274,8 @@ def data_blocks(ops):
                                     for t in range(ops.mesh.T)]).psi
     values = rng.standard_normal((8, ops.location_count))
     values[rng.random(values.shape) < 0.3] = np.nan
-    state = _MissingState(ObservationSet.from_masked(values, ops.locations), ops)
+    state = _MissingState(
+        ObservationSet.from_masked(values, vertex_locations(ops.mesh)), ops)
     u = rng.standard_normal(8)
     return {
         "every-vertex": data_gram(ops),
@@ -419,7 +438,7 @@ def test_vertex_masked_kfold_matches_saddle_form(sphere2, monkeypatch):
     ds = generate_sphere_dataset(sphere2, ops, 20, (4.0, 2.0), 0.1, 33)
     values = ds.X.values.copy()
     values[np.random.default_rng(34).random(values.shape) < 0.2] = np.nan
-    obs = ObservationSet.from_masked(values, ops.locations)
+    obs = ObservationSet.from_masked(values, vertex_locations(ops.mesh))
     grid = default_lambda_grid(ops)[::3]
     factor = solver.SaddleSystem.__init__
 
