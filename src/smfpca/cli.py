@@ -137,7 +137,9 @@ def cmd_fit(config):
     if config["lambda_grid"] is None:
         grid = selection.default_lambda_grid(ops)
         config = dict(config, lambda_grid=[float(v) for v in grid])
-    grid = np.asarray(config["lambda_grid"], dtype=np.float64)
+    grid = config["lambda_grid"]
+    if config["selection"] == "fixed" and config["fixed_lambda"] is not None:
+        grid = [config["fixed_lambda"]]
 
     common = dict(
         n_components=config["n_components"],
@@ -145,7 +147,6 @@ def cmd_fit(config):
         ops=ops,
         selection=config["selection"],
         folds=config["folds"],
-        fixed_lambda=config["fixed_lambda"],
         max_iterations=config["max_iterations"],
         tolerance=config["tolerance"],
         seed=config["seed"],

@@ -395,7 +395,6 @@ def fit(
     ops: FemOperators,
     selection: str = "kfold",
     folds: int = 5,
-    fixed_lambda: float = None,
     center: bool = True,
     max_iterations: int = 15,
     tolerance: float = 1e-6,
@@ -410,17 +409,16 @@ def fit(
     X : DataMatrix
     n_components : int
     lambda_grid : array_like
-        Positive, finite candidate smoothing parameters (ignored when
-        ``selection`` is ``"fixed"`` and ``fixed_lambda`` is given).
+        Positive, finite candidate smoothing parameters; one point for
+        ``"fixed"``.
     ops : FemOperators
     selection : {"kfold", "gcv", "fixed"}
         K-fold cross-validation over functions, generalized
         cross-validation on the regression step (re-selected at each
-        alternation using the current scores), or a fixed parameter.
+        alternation using the current scores), or the grid's one
+        parameter.
     folds : int
         Fold count for K-fold selection.
-    fixed_lambda : float, optional
-        The parameter for ``"fixed"``; defaults to a singleton grid.
     center : bool
         Subtract the columnwise mean field first (stored on the result).
     max_iterations : int
@@ -447,8 +445,8 @@ def fit(
         of their squared norm, which is roundoff) before
         ``n_components`` components; the message names the component.
     """
-    grid, fixed_lambda = _check_selection(
-        n_components, selection, lambda_grid, fixed_lambda, ("kfold", "gcv", "fixed"),
+    grid = _check_selection(
+        n_components, selection, lambda_grid, ("kfold", "gcv", "fixed"),
         max_iterations, tolerance, threads, seed,
     )
     if center:
@@ -457,14 +455,13 @@ def fit(
     else:
         mean_field = None
 
-    systems = {}
-    gcv_traces = {}
+    systems = _selection._Systems(ops)
 
     def fit_one(work, comp_index):
         if selection == "gcv":
-            return _fit_component_gcv(work, grid, ops, systems, gcv_traces,
+            return _fit_component_gcv(work, grid, ops, systems,
                                       max_iterations, tolerance, threads)
-        lam, trace = fixed_lambda, None
+        lam, trace = float(grid[0]), None
         if selection == "kfold":
             trace = _selection.kfold_select(
                 work, grid, folds, ops,
@@ -474,7 +471,7 @@ def fit(
             )
             lam = float(grid[trace.chosen])
         component = fit_component(
-            work, lam, ops, system=_selection._factored(ops, [lam], systems)[lam],
+            work, lam, ops, system=systems[lam],
             max_iterations=max_iterations, tolerance=tolerance,
         )
         return component, trace
@@ -509,8 +506,8 @@ def _extract(data, n_components, fit_one, deflate_one, mean_field):
     )
 
 
-def _fit_component_gcv(X, grid, ops, systems, trace_cache, max_iterations,
-                       tolerance, threads):
+def _fit_component_gcv(X, grid, ops, systems, max_iterations, tolerance,
+                       threads):
     # The parameter is re-selected at every alternation from the scores
     # of that iteration, so the objective is not comparable (and not
     # asserted monotone) across iterations; the last choice stands.
@@ -518,8 +515,7 @@ def _fit_component_gcv(X, grid, ops, systems, trace_cache, max_iterations,
 
     def choose(u):
         selections.append(_selection.gcv_select(
-            X, u, grid, ops,
-            systems=systems, trace_cache=trace_cache, threads=threads,
+            X, u, grid, ops, systems=systems, threads=threads,
         ))
         return float(grid[selections[-1].chosen])
 
@@ -529,11 +525,10 @@ def _fit_component_gcv(X, grid, ops, systems, trace_cache, max_iterations,
     return component, replace(selections[-1], history=history)
 
 
-def _check_selection(n_components, selection, lambda_grid, fixed_lambda, methods,
+def _check_selection(n_components, selection, lambda_grid, methods,
                      max_iterations, tolerance, threads, seed):
     """The argument checks of `fit` and `fit_missing`; returns the
-    checked grid and the fixed parameter (from a one-point grid when
-    ``fixed_lambda`` is None)."""
+    checked grid."""
     if n_components < 1:
         raise InputError("n_components must be at least 1")
     if threads < 1:
@@ -552,28 +547,19 @@ def _check_selection(n_components, selection, lambda_grid, fixed_lambda, methods
                 "gcv selection requires fully observed data; use kfold or fixed"
             )
         raise InputError(f"unknown selection method {selection!r}")
-    grid = _check_grid(lambda_grid, required=selection != "fixed")
-    if selection == "fixed":
-        if fixed_lambda is None:
-            if grid is None or len(grid) != 1:
-                raise InputError(
-                    "fixed selection needs fixed_lambda or a one-point grid"
-                )
-            fixed_lambda = float(grid[0])
-        if not 0 < fixed_lambda < np.inf:
-            raise InputError("fixed_lambda must be positive and finite")
-    return grid, fixed_lambda
+    grid = _check_grid(lambda_grid)
+    if selection == "fixed" and grid.size != 1:
+        raise InputError(
+            f"fixed selection needs a one-point lambda grid, got {grid.size} points"
+        )
+    return grid
 
 
-def _check_grid(lambda_grid, required):
-    if lambda_grid is None:
-        if required:
-            raise InputError("a lambda grid is required for this selection method")
-        return None
+def _check_grid(lambda_grid):
     grid = np.asarray(lambda_grid, dtype=np.float64).ravel()
-    if required and grid.size == 0:
+    if grid.size == 0:
         raise InputError("lambda grid is empty")
-    if grid.size and not ((grid > 0) & (grid < np.inf)).all():
+    if not ((grid > 0) & (grid < np.inf)).all():
         raise InputError("lambda grid entries must be positive and finite")
     return grid
 
@@ -748,7 +734,6 @@ def fit_missing(
     ops: FemOperators,
     selection: str = "kfold",
     folds: int = 5,
-    fixed_lambda: float = None,
     max_iterations: int = 15,
     tolerance: float = 1e-6,
     seed: int = 0,
@@ -779,13 +764,13 @@ def fit_missing(
     ragged deflation is not a projection, so it exhausts only data that
     the fits reproduce exactly.
     """
-    grid, fixed_lambda = _check_selection(
-        n_components, selection, lambda_grid, fixed_lambda, ("kfold", "fixed"),
+    grid = _check_selection(
+        n_components, selection, lambda_grid, ("kfold", "fixed"),
         max_iterations, tolerance, threads, seed,
     )
 
     def fit_one(state, comp_index):
-        lam, trace = fixed_lambda, None
+        lam, trace = float(grid[0]), None
         if selection == "kfold":
             trace = _selection.kfold_select_missing(
                 state, grid, folds, ops,

@@ -96,8 +96,7 @@ class TriangleMesh:
     each vertex's connected component (through edges) from 0 to
     `component_count` - 1. Instances are immutable: the constructor sets
     every attribute and makes its arrays read-only, and the properties
-    (`K`, `T`, `areas`, `gradients`) only read them, so concurrent reads
-    are safe.
+    (`K`, `T`) only read them, so concurrent reads are safe.
     """
 
     def __init__(self, vertices, triangles):
@@ -126,7 +125,11 @@ class TriangleMesh:
         # Scale-relative degeneracy threshold in squared length units.
         self.area_epsilon = 1e-12 * diag2
 
-        self._areas, self._gradients = self._compute_geometry()
+        # areas: shape (T,). gradients: shape (T, 3, 3); row i of triangle
+        # t is the ambient-space gradient of the basis function of its
+        # local vertex i, constant over the triangle; the rows sum to zero
+        # and are orthogonal to the triangle normal.
+        self.areas, self.gradients = self._compute_geometry()
         self._edge_census()
 
         referenced = np.unique(t)
@@ -137,7 +140,7 @@ class TriangleMesh:
                 stacklevel=2,
             )
 
-        for a in (self.vertices, self.triangles, self._areas, self._gradients,
+        for a in (self.vertices, self.triangles, self.areas, self.gradients,
                   self.component_labels):
             a.flags.writeable = False
 
@@ -153,21 +156,8 @@ class TriangleMesh:
         """Triangle count."""
         return self.triangles.shape[0]
 
-    @property
-    def areas(self):
-        """Per-triangle areas, shape (T,)."""
-        return self._areas
-
-    @property
-    def gradients(self):
-        """Per-triangle nodal basis gradients, shape (T, 3, 3). Row i of
-        triangle t is the ambient-space gradient of the basis function
-        of its local vertex i, constant over the triangle; the rows sum
-        to zero and are orthogonal to the triangle normal."""
-        return self._gradients
-
     def total_area(self) -> float:
-        return float(self._areas.sum())
+        return float(self.areas.sum())
 
     # -- construction helpers -----------------------------------------
 

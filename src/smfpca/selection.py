@@ -11,6 +11,7 @@ until the choice is clear of the estimate's error.
 """
 
 import functools
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,14 +75,25 @@ def _map_ordered(fn, items, threads):
     return [fn(item) for item in items]
 
 
-def _factored(ops, grid, systems):
-    """Fill ``systems`` (new when None) with every candidate's system."""
-    systems = {} if systems is None else systems
-    gram = estimator.data_gram(ops)
-    for lam in map(float, grid):
-        if lam not in systems:
-            systems[lam] = solver.SaddleSystem(ops, gram, lam)
-    return systems
+class _Systems(dict):
+    """The candidates of one dense fit: their factored systems, keyed by
+    lambda, over one psi' psi block. A candidate is factored on its first
+    lookup, under a lock, so concurrent lookups factor it once; each then
+    lives as long as the store. ``traces`` holds each candidate's GCV
+    smoother trace (a `_Trace`)."""
+
+    def __init__(self, ops: FemOperators):
+        super().__init__()
+        self.ops = ops
+        self.gram = estimator.data_gram(ops)
+        self.traces = {}
+        self._lock = threading.Lock()
+
+    def __missing__(self, lam):
+        with self._lock:
+            if lam not in self:
+                self[lam] = solver.SaddleSystem(self.ops, self.gram, lam)
+        return super().__getitem__(lam)
 
 
 def default_lambda_grid(ops: FemOperators):
@@ -112,22 +124,18 @@ def default_lambda_grid(ops: FemOperators):
 
 
 def _kfold_trace(n, lambda_grid, folds, seed, prepare, fold_residuals, scale,
-                 threads, factor=None) -> SelectionTrace:
+                 threads) -> SelectionTrace:
     """Check ``lambda_grid`` and score every candidate over ``folds``
     folds of ``range(n)``, drawn from ``seed`` by `make_folds`.
-    ``factor(grid)``, when given, runs once the folds are drawn, so a bad
-    fold count costs no factorization. ``prepare(train_rows)`` then gives
-    each fold its training set and first start, once. The candidates run
-    in ascending order, each over every fold (the folds mapped over
-    ``threads``), so consecutive fits share one candidate's factored
-    system: ``fold_residuals(lam, train, val_rows, start)`` returns the
-    validation rows' squared residuals and the fold's start for the next
-    candidate. Each candidate's residuals are summed in fold order and
-    divided by ``scale``."""
-    grid = estimator._check_grid(lambda_grid, required=True)
+    ``prepare(train_rows)`` gives each fold its training set and first
+    start, once. The candidates run in ascending order, each over every
+    fold (the folds mapped over ``threads``), so consecutive fits share
+    one candidate's factored system: ``fold_residuals(lam, train,
+    val_rows, start)`` returns the validation rows' squared residuals and
+    the fold's start for the next candidate. Each candidate's residuals
+    are summed in fold order and divided by ``scale``."""
+    grid = estimator._check_grid(lambda_grid)
     assignments = make_folds(n, folds, seed)
-    if factor is not None:
-        factor(grid)
     prepared = [prepare(np.setdiff1d(np.arange(n), val)) for val in assignments]
     trains = [train for train, _ in prepared]
     starts = [start for _, start in prepared]
@@ -177,14 +185,14 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     seed
         Seeds the fold shuffle only; the grid is always evaluated in
         full.
-    systems : dict, optional
-        Shared cache mapping lambda to a factored system; candidates
-        missing from it are factored and added once the folds are drawn.
+    systems : _Systems, optional
+        The fit's store of factored candidates, new when None; a
+        candidate missing from it is factored on its first fit.
     threads : int
         Folds evaluated concurrently; scores are identical for any
         thread count.
     """
-    systems = {} if systems is None else systems
+    systems = _Systems(ops) if systems is None else systems
 
     def prepare(train_rows):
         train = estimator.DataMatrix(X.values[train_rows])
@@ -208,8 +216,7 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         return [float(np.dot(resid.ravel(), resid.ravel()))], start
 
     return _kfold_trace(X.n, lambda_grid, folds, seed, prepare, fold_residuals,
-                        X.n * X.s, threads,
-                        factor=lambda grid: _factored(ops, grid, systems))
+                        X.n * X.s, threads)
 
 
 def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
@@ -259,7 +266,7 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
 
 
 def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
-               trace_cache=None, threads: int = 1) -> SelectionTrace:
+               threads: int = 1) -> SelectionTrace:
     """Choose the smoothing parameter by GCV on the regression step.
 
     The data vector is the projection of the data matrix onto the unit
@@ -267,7 +274,8 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
     residual divided by (1 - trace(S)/s)^2, where S maps the data
     vector to the smoothed profile. The trace is exact up to
     ``EXACT_TRACE_LIMIT`` locations. Beyond, every candidate starts from
-    the probes it holds in ``trace_cache``, or from one block of 16
+    the probes it holds in the traces of ``systems`` (the fit's
+    `_Systems` store, new when None), or from one block of 16
     (``_PROBE_BLOCK``) seeded Hutchinson probes. A trace error SE(T)
     moves the score by score * 2 SE(T) / (s gap), gap = 1 - T/s. While
     some candidate's score, give or take 3 (``_SEPARATION``) such errors,
@@ -282,43 +290,43 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
     DegenerateSmoother
         If no candidate earns a finite score.
     """
-    grid = estimator._check_grid(lambda_grid, required=True)
+    grid = estimator._check_grid(lambda_grid)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (X.n,):
         raise DimensionMismatch(f"scores must have length {X.n}, got {u.shape}")
     z = X.values.T @ u
     s = X.s
-    if trace_cache is None:
-        trace_cache = {}
-    systems = _factored(ops, grid, systems)
+    systems = _Systems(ops) if systems is None else systems
+    traces = systems.traces
     lams = [float(lam) for lam in grid]
     distinct = list(dict.fromkeys(lams))
 
     rhs = ops.psi.T @ z
 
     def residual(lam):
-        f, _ = systems[lam].solve(rhs)
+        system = systems[lam]
+        f, _ = system.solve(rhs)
         resid = z - ops.psi @ f
-        if lam not in trace_cache:
-            trace_cache[lam] = _smoother_trace(systems[lam], ops)
+        if lam not in traces:
+            traces[lam] = _smoother_trace(system, ops)
         return float(resid @ resid) / s
 
     mean_square = dict(zip(distinct, _map_ordered(residual, distinct, threads)))
     while True:
-        scores, errors = _gcv_scores(lams, mean_square, trace_cache, s)
+        scores, errors = _gcv_scores(lams, mean_square, traces, s)
         best = int(np.argmin(scores))
         reach = scores[best] + _SEPARATION * errors[best]
         close = [lams[j] for j in np.flatnonzero(np.isfinite(scores))
                  if j != best and scores[j] - _SEPARATION * errors[j] <= reach]
         refine = [lam for lam in dict.fromkeys([lams[best]] + close)
-                  if 0 < trace_cache[lam].probes < _PROBE_CAP]
+                  if 0 < traces[lam].probes < _PROBE_CAP]
         if not close or not refine:
             break
         refined = _map_ordered(
-            lambda lam: _smoother_trace(systems[lam], ops, trace_cache[lam]),
+            lambda lam: _smoother_trace(systems[lam], ops, traces[lam]),
             refine, threads,
         )
-        trace_cache.update(zip(refine, refined))
+        traces.update(zip(refine, refined))
 
     for lam, score in zip(lams, scores):
         if score == np.inf:
@@ -329,23 +337,23 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
             )
     if not np.isfinite(scores).any():
         raise DegenerateSmoother("every candidate produced an undefined score")
-    traces = [trace_cache[lam] for lam in lams]
+    kept = [traces[lam] for lam in lams]
     return SelectionTrace(
         lambda_grid=grid, scores=scores,
         chosen=int(np.argmin(scores)), method="gcv",
-        trace_values=np.array([t.value for t in traces]),
-        trace_errors=np.array([t.error for t in traces]),
-        trace_probes=np.array([t.probes for t in traces]),
+        trace_values=np.array([t.value for t in kept]),
+        trace_errors=np.array([t.error for t in kept]),
+        trace_probes=np.array([t.probes for t in kept]),
     )
 
 
-def _gcv_scores(lams, mean_square, trace_cache, s):
+def _gcv_scores(lams, mean_square, traces, s):
     """Each candidate's GCV score and the standard error its trace
     estimate gives it; +inf (error 0) where the trace gap closes."""
     scores = np.empty(len(lams))
     errors = np.zeros(len(lams))
     for j, lam in enumerate(lams):
-        trace = trace_cache[lam]
+        trace = traces[lam]
         gap = 1.0 - trace.value / s
         if gap <= 1e-12:
             scores[j] = np.inf

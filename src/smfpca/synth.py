@@ -161,10 +161,9 @@ def generate_misaligned_dataset(mesh: TriangleMesh, ops: FemOperators,
     from ``shift_set``. No observation noise is added: the misalignment
     itself is the perturbation of interest.
 
-    Spherical convention: theta is the polar angle from +z in [0, pi],
-    phi the azimuth in [-pi, pi). Shifted theta beyond a pole reflects
-    back (theta -> -theta or 2*pi - theta) with phi advanced by pi; phi
-    wraps modulo 2*pi.
+    theta is the polar angle from +z and phi the azimuth; the shifted
+    angles are used as they are, since v1 depends on them only through
+    sin(theta)^2 and cos(phi) sin(phi).
     """
     shift_values = np.asarray(shift_set, dtype=np.float64)
     if shift_values.ndim != 1 or shift_values.size < 1:
@@ -186,14 +185,6 @@ def generate_misaligned_dataset(mesh: TriangleMesh, ops: FemOperators,
 
     th = theta[None, :] + theta_shift[:, None]
     ph = phi[None, :] + phi_shift[:, None]
-    over = th > np.pi
-    th = np.where(over, 2.0 * np.pi - th, th)
-    ph = np.where(over, ph + np.pi, ph)
-    under = th < 0.0
-    th = np.where(under, -th, th)
-    ph = np.where(under, ph + np.pi, ph)
-    ph = np.mod(ph + np.pi, 2.0 * np.pi) - np.pi
-
     sin_th = np.sin(th)
     shifted = 0.5 * np.sqrt(15.0 / np.pi) * (sin_th * np.cos(ph)) * (
         sin_th * np.sin(ph)

@@ -128,7 +128,7 @@ def test_criterion_04_monotone_objective(ops2):
         )
         lam = lams[seed % len(lams)]
         result = fit(
-            ds.X, 3, [lam], ops2, selection="fixed", fixed_lambda=lam
+            ds.X, 3, [lam], ops2, selection="fixed"
         )
         for comp in result.components:
             trace = np.asarray(comp.objective_trace)
@@ -143,7 +143,7 @@ def test_criterion_04_monotone_objective(ops2):
 def test_criterion_05_mv_pca_limit(ops2):
     ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.1, 2)
     result = fit(
-        ds.X, 1, [1e-12], ops2, selection="fixed", fixed_lambda=1e-12
+        ds.X, 1, [1e-12], ops2, selection="fixed"
     )
     baseline = mv_pca(ds.X, 1, ops2)
     angle = principal_angle(
@@ -156,14 +156,14 @@ def test_criterion_05_mv_pca_limit(ops2):
 def test_criterion_06_missing_data_identity(ops2):
     ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.1, 3)
     full = fit(
-        ds.X, 1, [1e-3], ops2, selection="fixed", fixed_lambda=1e-3,
+        ds.X, 1, [1e-3], ops2, selection="fixed",
         center=False,
     )
     from smfpca import ObservationSet
 
     observed = ObservationSet.from_masked(ds.X.values, vertex_locations(ops2.mesh))
     sparse = fit_missing(
-        observed, 1, [1e-3], ops2, selection="fixed", fixed_lambda=1e-3
+        observed, 1, [1e-3], ops2, selection="fixed"
     )
     diff = max(
         np.abs(

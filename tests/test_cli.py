@@ -247,7 +247,7 @@ FAILING = {
     "shift-set-inf": (SIM + ["--generator", "misaligned", "--shift-set", "inf"],
                       2, "shift_set must be finite"),
     "fixed-no-lambda": (FIT + ["--data", "data.csv", "--selection", "fixed"],
-                        2, "fixed selection needs fixed_lambda"),
+                        2, "fixed selection needs a one-point lambda grid"),
     "missing-files": (["fit", "--mesh", "nope.off", "--data", "nope.csv"],
                       2, "file not found: nope.off"),
     "noise-inf": (SIM + ["--noise", "inf"], 2, "noise sigma must be finite"),
@@ -422,6 +422,30 @@ def test_fit_export_matrices(tmp_path):
     for name in ("mass.mtx", "stiffness.mtx", "psi.mtx"):
         m = scipy.io.mmread(out / name)
         assert m.shape == (mesh.K, mesh.K)
+
+
+def test_fit_reads_data_with_byte_order_mark(tmp_path):
+    # spreadsheet exports often start UTF-8 text with a byte-order mark
+    src = simulate_sphere(tmp_path / "sim")
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    (marked / "mesh.off").write_bytes((src / "mesh.off").read_bytes())
+    (marked / "data.csv").write_bytes(
+        b"\xef\xbb\xbf" + (src / "data.csv").read_bytes())
+    extra = ["--selection", "fixed", "--fixed-lambda", "1e-4"]
+    assert run(fit_args(src, tmp_path / "plain", extra)) == 0
+    assert run(fit_args(marked, tmp_path / "bom", extra)) == 0
+    assert (tmp_path / "bom" / "result.json").read_bytes() == (
+        tmp_path / "plain" / "result.json").read_bytes()
+
+
+def test_config_with_byte_order_mark_is_read(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"sphere": 1, "n": 12}).encode())
+    assert run(["simulate", "--config", cfg, "--outdir", tmp_path / "a"]) == 0
+    simulate_sphere(tmp_path / "b", seed=0)
+    assert (tmp_path / "a" / "data.csv").read_bytes() == (
+        tmp_path / "b" / "data.csv").read_bytes()
 
 
 def test_fit_unknown_config_key_exit_2(tmp_path, capsys):

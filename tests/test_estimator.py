@@ -249,7 +249,7 @@ def test_fit_fixed_matches_manual_composition(ops2):
     ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.1, 17)
     lam = 1e-4
     result = fit(
-        ds.X, 2, [lam], ops2, selection="fixed", fixed_lambda=lam, center=False
+        ds.X, 2, [lam], ops2, selection="fixed", center=False
     )
     first = fit_component(ds.X, lam, ops2)
     second = fit_component(deflate(ds.X, first), lam, ops2)
@@ -267,7 +267,7 @@ def test_fit_centering_stores_mean(ops2):
     ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.1, 18)
     shifted = DataMatrix(ds.X.values + 5.0)
     result = fit(
-        shifted, 1, [1e-4], ops2, selection="fixed", fixed_lambda=1e-4
+        shifted, 1, [1e-4], ops2, selection="fixed"
     )
     np.testing.assert_allclose(
         result.mean_field, shifted.values.mean(axis=0), atol=1e-12
@@ -275,7 +275,7 @@ def test_fit_centering_stores_mean(ops2):
     # centered fit sees the same data as fitting the centered matrix
     centered = fit(
         DataMatrix(shifted.values - shifted.values.mean(axis=0)),
-        1, [1e-4], ops2, selection="fixed", fixed_lambda=1e-4, center=False,
+        1, [1e-4], ops2, selection="fixed", center=False,
     )
     np.testing.assert_allclose(
         result.components[0].f_coefficients,
@@ -309,8 +309,6 @@ def test_fit_validates_arguments(ops1):
     for bad in (np.inf, np.nan):
         with pytest.raises(InputError, match="lambda grid"):
             fit(X, 1, [1e-3, bad], ops1)
-        with pytest.raises(InputError, match="fixed_lambda"):
-            fit(X, 1, [1e-3], ops1, selection="fixed", fixed_lambda=bad)
         with pytest.raises(InputError, match="lambda grid"):
             fit(X, 1, [bad], ops1, selection="fixed")
     for options, match in [
@@ -339,7 +337,7 @@ def test_monotonicity_guard_fires_only_at_fixed_lambda(ops2, monkeypatch):
 
     monkeypatch.setattr(estimator, "function_step", worse_second_update)
     with pytest.raises(NonMonotoneObjective, match="iteration 2"):
-        fit(ds.X, 1, [1e-4], ops2, selection="fixed", fixed_lambda=1e-4)
+        fit(ds.X, 1, [1e-4], ops2, selection="fixed")
     calls.clear()
     result = fit(ds.X, 1, [1e-4], ops2, selection="gcv")
     trace = result.components[0].objective_trace
@@ -350,7 +348,7 @@ def test_gcv_on_one_point_grid_equals_fixed_fit(ops2):
     ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.1, 31)
     lam = 1e-4
     gcv = fit(ds.X, 2, [lam], ops2, selection="gcv")
-    fixed = fit(ds.X, 2, [lam], ops2, selection="fixed", fixed_lambda=lam)
+    fixed = fit(ds.X, 2, [lam], ops2, selection="fixed")
     for a, b, trace in zip(gcv.components, fixed.components,
                            gcv.selection_traces):
         np.testing.assert_array_equal(a.scores, b.scores)
@@ -398,9 +396,9 @@ def test_fit_missing_equals_fit_when_fully_observed(ops2):
     obs = ObservationSet.from_masked(ds.X.values, locs)
     lam = 1e-3
     dense = fit(
-        ds.X, 1, [lam], ops2, selection="fixed", fixed_lambda=lam, center=False
+        ds.X, 1, [lam], ops2, selection="fixed", center=False
     )
-    ragged = fit_missing(obs, 1, [lam], ops2, selection="fixed", fixed_lambda=lam)
+    ragged = fit_missing(obs, 1, [lam], ops2, selection="fixed")
     np.testing.assert_allclose(
         ragged.components[0].f_coefficients,
         dense.components[0].f_coefficients,
@@ -423,7 +421,7 @@ def test_fit_missing_recovers_under_dropout(ops3):
     values[mask] = np.nan
     obs = ObservationSet.from_masked(values, vertex_locations(ops3.mesh))
     result = fit_missing(
-        obs, 1, [1e-4], ops3, selection="fixed", fixed_lambda=1e-4
+        obs, 1, [1e-4], ops3, selection="fixed"
     )
     est = result.components[0].f_coefficients
     v1 = ds.true_components[:, 0].copy()
@@ -438,7 +436,7 @@ def test_fit_missing_single_observation_function(ops1):
     values[0, 1:] = np.nan
     obs = ObservationSet.from_masked(values, vertex_locations(ops1.mesh))
     result = fit_missing(
-        obs, 1, [1e-3], ops1, selection="fixed", fixed_lambda=1e-3
+        obs, 1, [1e-3], ops1, selection="fixed"
     )
     assert np.isfinite(result.components[0].scores).all()
 
@@ -511,7 +509,7 @@ def test_fit_missing_reuse_matches_refactoring(ops2, monkeypatch):
 
     def run():
         return fit_missing(
-            obs, 2, [1e-3], ops2, selection="fixed", fixed_lambda=1e-3
+            obs, 2, [1e-3], ops2, selection="fixed"
         )
 
     reused = run()

@@ -222,6 +222,25 @@ def test_kfold_checks_folds_before_factoring(ops1, monkeypatch):
         fit(ds.X, 1, [1e-3, 1.0], ops1, folds=11)
 
 
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("method", ["kfold", "gcv"])
+def test_fit_factors_each_candidate_once(ops2, monkeypatch, method, threads):
+    # one store serves every component, fold and alternation of a fit;
+    # concurrent lookups of a candidate wait for its one factorization
+    factored = []
+    init = solver.SaddleSystem.__init__
+
+    def counted(self, *args):
+        factored.append(args[-1])
+        init(self, *args)
+
+    monkeypatch.setattr(solver.SaddleSystem, "__init__", counted)
+    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.3, 8)
+    grid = [1e-4, 1e-2, 1e-4, 1.0]
+    fit(ds.X, 2, grid, ops2, selection=method, folds=4, threads=threads)
+    assert sorted(factored) == [1e-4, 1e-2, 1.0]
+
+
 def test_kfold_deterministic_and_seed_sensitive(ops1):
     ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 3)
     grid = [1e-6, 1e-3, 1.0]
@@ -434,12 +453,12 @@ def test_gcv_hutchinson_close_to_exact(ops2, monkeypatch):
 def test_gcv_trace_cache_reused(ops1):
     ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 17)
     u = np.ones(10) / np.sqrt(10.0)
-    cache = {}
-    gcv_select(ds.X, u, [1e-3, 1e-1], ops1, trace_cache=cache)
-    assert set(cache) == {1e-3, 1e-1}
-    primed = {lam: trace.value for lam, trace in cache.items()}
-    gcv_select(ds.X, u, [1e-3, 1e-1], ops1, trace_cache=cache)
-    assert {lam: trace.value for lam, trace in cache.items()} == primed
+    store = selection._Systems(ops1)
+    gcv_select(ds.X, u, [1e-3, 1e-1], ops1, systems=store)
+    assert set(store.traces) == set(store) == {1e-3, 1e-1}
+    primed = {lam: trace.value for lam, trace in store.traces.items()}
+    gcv_select(ds.X, u, [1e-3, 1e-1], ops1, systems=store)
+    assert {lam: trace.value for lam, trace in store.traces.items()} == primed
 
 
 def test_gcv_exact_traces_report_no_error(ops1):
@@ -490,23 +509,23 @@ def test_gcv_adaptive_choice_matches_full_probing(ops2, stochastic_traces,
 
 def test_gcv_tied_candidates_refine_to_the_cap(ops2, stochastic_traces):
     X, u = gcv_case(ops2, 15)
-    cache = {}
-    trace = gcv_select(X, u, [1e-3, 1e-3], ops2, trace_cache=cache)
+    store = selection._Systems(ops2)
+    trace = gcv_select(X, u, [1e-3, 1e-3], ops2, systems=store)
     assert trace.scores[0] == trace.scores[1]
     assert list(trace.trace_probes) == [64, 64]
-    assert cache[1e-3].probes == 64
+    assert store.traces[1e-3].probes == 64
 
 
 def test_gcv_capped_trace_matches_direct_hutchinson(ops2, stochastic_traces):
     X, u = gcv_case(ops2, 15)
-    cache = {}
-    gcv_select(X, u, [1e-3, 1e-3], ops2, trace_cache=cache)
+    store = selection._Systems(ops2)
+    gcv_select(X, u, [1e-3, 1e-3], ops2, systems=store)
     s = ops2.location_count
     signs = np.random.default_rng(1899).integers(0, 2, size=(s, 64)) * 2.0 - 1.0
     system = solver.SaddleSystem(ops2, estimator.data_gram(ops2), 1e-3)
     f_block, _ = system.solve_many(ops2.psi.T @ signs)
     direct = float(np.einsum("sk,sk->", signs, ops2.psi @ f_block)) / 64
-    assert cache[1e-3].value == pytest.approx(direct, rel=1e-12)
+    assert store.traces[1e-3].value == pytest.approx(direct, rel=1e-12)
 
 
 def test_gcv_fit_independent_of_threads(ops2, stochastic_traces):

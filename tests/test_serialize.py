@@ -190,7 +190,7 @@ def test_arrays_from_documents_roundtrip(ops1, tmp_path):
 
     ds = generate_sphere_dataset(ops1.mesh, ops1, 12, (4.0, 2.0), 0.0, 0)
     result = fit(
-        ds.X, 2, [1e-6], ops1, selection="fixed", fixed_lambda=1e-6
+        ds.X, 2, [1e-6], ops1, selection="fixed"
     )
     doc = result_to_dict(result)
     values, scores, norms, curve = arrays_from_result(doc)
