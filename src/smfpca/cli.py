@@ -134,12 +134,12 @@ def cmd_fit(config):
     locations = meshmod.vertex_locations(surface)
     ops = fem.assemble(surface, locations)
 
-    if config["lambda_grid"] is None:
-        grid = selection.default_lambda_grid(ops)
-        config = dict(config, lambda_grid=[float(v) for v in grid])
     grid = config["lambda_grid"]
     if config["selection"] == "fixed" and config["fixed_lambda"] is not None:
         grid = [config["fixed_lambda"]]
+    elif grid is None:
+        grid = [float(v) for v in selection.default_lambda_grid(ops)]
+        config = dict(config, lambda_grid=grid)
 
     common = dict(
         n_components=config["n_components"],
@@ -440,6 +440,8 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # Warnings read like the errors, without the library's file and line.
+    warnings.formatwarning = lambda message, *_: f"smfpca: warning: {message}\n"
     sys.exit(main())
 
 

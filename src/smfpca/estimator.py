@@ -625,10 +625,6 @@ class _MissingState:
     def n(self):
         return len(self.values)
 
-    @property
-    def total_observations(self):
-        return sum(psi_i.shape[0] for psi_i in self.psis)
-
     def subset(self, rows):
         state = copy.copy(self)
         state.psis = [self.psis[i] for i in rows]

@@ -123,34 +123,55 @@ def default_lambda_grid(ops: FemOperators):
 # -- K-fold cross-validation ------------------------------------------
 
 
-def _kfold_trace(n, lambda_grid, folds, seed, prepare, fold_residuals, scale,
+def _residuals(blocks, comp, lam, ops):
+    """Squared residual of each validation block ``(values, psi)``, whose
+    rows (one for a masked function) are scored on the block's evaluated
+    unnormalized profile: projection over profile energy plus penalty."""
+    f_un = comp.function_norm * comp.f_coefficients
+    g_un = comp.function_norm * comp.g_coefficients
+    pen = lam * estimator.penalty_value(g_un, ops)
+    residuals = []
+    for values, psi in blocks:
+        profile = psi @ f_un
+        denom = float(profile @ profile) + pen
+        inner = values @ profile
+        u_val = inner / denom if denom > 0 else np.zeros_like(inner)
+        resid = values - np.multiply.outer(u_val, profile)
+        residuals.append(float(np.dot(resid.ravel(), resid.ravel())))
+    return residuals
+
+
+def _kfold_trace(n, lambda_grid, folds, seed, ops, prepare, fit,
                  threads) -> SelectionTrace:
     """Check ``lambda_grid`` and score every candidate over ``folds``
     folds of ``range(n)``, drawn from ``seed`` by `make_folds`.
-    ``prepare(train_rows)`` gives each fold its training set and first
-    start, once. The candidates run in ascending order, each over every
-    fold (the folds mapped over ``threads``), so consecutive fits share
-    one candidate's factored system: ``fold_residuals(lam, train,
-    val_rows, start)`` returns the validation rows' squared residuals and
-    the fold's start for the next candidate. Each candidate's residuals
-    are summed in fold order and divided by ``scale``."""
+    ``prepare(train_rows, val_rows)`` gives each fold its training set,
+    first start and validation blocks, once. The candidates run in
+    ascending order, each over every fold (mapped over ``threads``), so
+    consecutive fits share one factored system; ``fit(lam, train,
+    start)`` returns the component and the fold's next start. A
+    candidate scores the sum of its `_residuals`, in fold order, over
+    the number of values validated."""
     grid = estimator._check_grid(lambda_grid)
     assignments = make_folds(n, folds, seed)
-    prepared = [prepare(np.setdiff1d(np.arange(n), val)) for val in assignments]
-    trains = [train for train, _ in prepared]
-    starts = [start for _, start in prepared]
+    trains, starts, blocks = zip(*(
+        prepare(np.setdiff1d(np.arange(n), val), val) for val in assignments
+    ))
+    validated = sum(values.size for fold in blocks for values, _ in fold)
     scores = np.empty(len(grid))
     for j in np.argsort(grid, kind="stable"):
         lam = float(grid[j])
-        fitted = _map_ordered(
-            lambda f: fold_residuals(lam, trains[f], assignments[f], starts[f]),
-            range(len(assignments)), threads,
-        )
+
+        def score(f):
+            comp, start = fit(lam, trains[f], starts[f])
+            return _residuals(blocks[f], comp, lam, ops), start
+
+        fitted = _map_ordered(score, range(len(assignments)), threads)
         total = 0.0
         for residuals, _ in fitted:
             for residual in residuals:
                 total += residual
-        scores[j] = total / scale
+        scores[j] = total / validated
         starts = [start for _, start in fitted]
     return SelectionTrace(
         lambda_grid=grid, scores=scores,
@@ -194,29 +215,18 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     """
     systems = _Systems(ops) if systems is None else systems
 
-    def prepare(train_rows):
+    def prepare(train_rows, val_rows):
         train = estimator.DataMatrix(X.values[train_rows])
-        return train, estimator.initialize(train)
+        return train, estimator.initialize(train), [(X.values[val_rows], ops.psi)]
 
-    def fold_residuals(lam, train, val_rows, start):
+    def fit(lam, train, start):
         comp = estimator.fit_component(
             train, lam, ops, system=systems[lam],
             max_iterations=max_iterations, tolerance=tolerance, start=start,
         )
-        f_un = comp.function_norm * comp.f_coefficients
-        g_un = comp.function_norm * comp.g_coefficients
-        profile = ops.psi @ f_un
-        denom = float(profile @ profile) + lam * estimator.penalty_value(g_un, ops)
-        validation = X.values[val_rows]
-        if denom > 0:
-            u_val = (validation @ profile) / denom
-        else:
-            u_val = np.zeros(len(val_rows))
-        resid = validation - np.outer(u_val, profile)
-        return [float(np.dot(resid.ravel(), resid.ravel()))], start
+        return comp, start
 
-    return _kfold_trace(X.n, lambda_grid, folds, seed, prepare, fold_residuals,
-                        X.n * X.s, threads)
+    return _kfold_trace(X.n, lambda_grid, folds, seed, ops, prepare, fit, threads)
 
 
 def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
@@ -237,29 +247,19 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
     scores, which are close to its own fit. The scores therefore depend
     on the set of candidates, not on their order in ``lambda_grid``.
     """
-    def prepare(train_rows):
+    def prepare(train_rows, val_rows):
         train = state.subset(train_rows)
-        return train, estimator._initial_scores_missing(train)
+        blocks = [(state.values[i], state.psis[i]) for i in val_rows]
+        return train, estimator._initial_scores_missing(train), blocks
 
-    def fold_residuals(lam, train, val_rows, start):
+    def fit(lam, train, start):
         comp = estimator._fit_component_missing(
             train, lam, ops, max_iterations, tolerance, start
         )
-        f_un = comp.function_norm * comp.f_coefficients
-        g_un = comp.function_norm * comp.g_coefficients
-        pen = lam * estimator.penalty_value(g_un, ops)
-        residuals = []
-        for i in val_rows:
-            evaluated = state.psis[i] @ f_un
-            denom = float(evaluated @ evaluated) + pen
-            inner = float(state.values[i] @ evaluated)
-            u_i = inner / denom if denom > 0 else 0.0
-            resid = state.values[i] - u_i * evaluated
-            residuals.append(float(resid @ resid))
-        return residuals, comp.scores
+        return comp, comp.scores
 
-    return _kfold_trace(state.n, lambda_grid, folds, seed, prepare,
-                        fold_residuals, state.total_observations, threads)
+    return _kfold_trace(state.n, lambda_grid, folds, seed, ops, prepare, fit,
+                        threads)
 
 
 # -- generalized cross-validation -------------------------------------

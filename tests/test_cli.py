@@ -10,7 +10,7 @@ import pytest
 import scipy.io
 
 import smfpca
-from smfpca import cli, load_mesh, save_mesh, selection
+from smfpca import TriangleMesh, cli, load_mesh, save_mesh, selection
 from smfpca.serialize import load_json, read_data_csv, write_data_csv
 
 
@@ -114,7 +114,8 @@ def test_fit_produces_result_bundle(tmp_path):
     assert (out / "scores.csv").read_text().splitlines()[0] == "pc_1,pc_2"
     manifest = load_json(out / "manifest.json")
     assert manifest["command"] == "fit"
-    assert manifest["config"]["lambda_grid"] is not None
+    # a fixed fit searches no grid, so its manifest names none
+    assert manifest["config"]["lambda_grid"] is None
     assert "numpy" in manifest["versions"]
 
 
@@ -260,15 +261,34 @@ FAILING = {
                             2, "--sigmas: misaligned takes one sigma, got 2"),
     "misaligned-sigmas-0": (SIM + ["--generator", "misaligned", "--sigmas", ""],
                             2, "--sigmas: misaligned takes one sigma, got 0"),
+    "unreferenced-vertex": (["fit", "--mesh", "orphan.off", "--data", "orphan.csv"],
+                            2, "vertex not referenced by any triangle (element 42)"),
+    "masked-zero-data": (FIT + ["--data", "zero-gappy.csv"],
+                         3, "observations accumulate to zero everywhere"),
+    "result-no-components": (["evaluate", "--result", "empty-result.json",
+                              "--truth", "truth.json"],
+                             2, "result document holds no components"),
 }
 
 
 @pytest.fixture(scope="module")
 def sim_inputs(tmp_path_factory):
-    """A level-1 simulation, plus a constant data matrix on its mesh."""
+    """A level-1 simulation, plus on its mesh a constant data matrix and
+    all-zero data with 20% blank cells; the mesh with one more vertex,
+    which no triangle references, and data for it; and a result document
+    without components."""
     src = simulate_sphere(tmp_path_factory.mktemp("sim"))
-    K = load_mesh(src / "mesh.off").K
-    write_data_csv(src / "constant.csv", np.ones((5, K)))
+    mesh = load_mesh(src / "mesh.off")
+    write_data_csv(src / "constant.csv", np.ones((5, mesh.K)))
+    zero = np.zeros((5, mesh.K))
+    zero[np.random.default_rng(0).random(zero.shape) < 0.2] = np.nan
+    write_data_csv(src / "zero-gappy.csv", zero)
+    with pytest.warns(UserWarning, match="not referenced"):
+        orphan = TriangleMesh(np.vstack([mesh.vertices, [2.0, 0.0, 0.0]]),
+                              mesh.triangles)
+    save_mesh(orphan, src / "orphan.off")
+    write_data_csv(src / "orphan.csv", np.ones((5, orphan.K)))
+    (src / "empty-result.json").write_text('{"components": []}\n')
     return src
 
 
@@ -334,6 +354,20 @@ def test_console_entry_point(tmp_path):
     assert fit.returncode == 2
     assert fit.stderr == f"smfpca: error: file not found: {missing}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_console_warning_reads_like_an_error(tmp_path):
+    src = simulate_sphere(tmp_path / "sim")
+    values = read_data_csv(src / "data.csv")
+    values[::3, ::4] = np.nan
+    gappy = tmp_path / "gappy.csv"
+    write_data_csv(gappy, values)
+    fit = python("-m", "smfpca.cli", "fit", "--mesh", str(src / "mesh.off"),
+                 "--data", str(gappy), "--outdir", str(tmp_path / "fit"),
+                 "--selection", "fixed", "--fixed-lambda", "1e-3")
+    assert fit.returncode == 0
+    assert fit.stderr == ("smfpca: warning: data has missing entries: fitting "
+                          "per-function observations, centering skipped\n")
 
 
 def test_fit_bad_data_cell_exit_2(tmp_path, capsys):
@@ -627,7 +661,11 @@ def test_evaluate_append_mode(tmp_path):
     ev = tmp_path / "ev"
     args = ["evaluate", "--result", out / "result.json",
             "--truth", src / "truth.json", "--outdir", ev]
-    assert run(args) == 0
+    # appending to a fresh directory starts the file a plain run writes
+    assert run(args[:-1] + [tmp_path / "plain"]) == 0
+    assert run(args + ["--append"]) == 0
+    metrics = (ev / "metrics.csv").read_bytes()
+    assert metrics == (tmp_path / "plain" / "metrics.csv").read_bytes()
     assert run(args + ["--replicate", 1, "--append"]) == 0
     lines = (ev / "metrics.csv").read_text().splitlines()
     assert len(lines) == 1 + 12
