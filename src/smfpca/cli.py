@@ -123,6 +123,11 @@ def _write_outputs(command, config, files):
 
 
 def cmd_fit(config):
+    # Every fit factors: load SuperLU with the inputs, not at the first
+    # factorization inside the fit (the solver loads it on first use so
+    # that the other commands never do).
+    import scipy.sparse.linalg  # noqa: F401
+
     surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
     data_path = _require(config, "data", "--data")
     values = serialize.read_data_csv(data_path)

@@ -482,22 +482,24 @@ def fit(
 def _extract(data, n_components, fit_one, deflate_one, mean_field):
     """The component driver of `fit` and `fit_missing`: ``fit_one(data,
     index)`` returns a component and its selection trace, and
-    ``deflate_one`` removes the component from the data before the next.
-    Stops with DegenerateData once deflation has exhausted the data."""
+    ``deflate_one`` removes the component from the data before the next
+    (only then: the last component is not deflated). Stops with
+    DegenerateData once deflation has exhausted the data."""
     components = []
     traces = []
     initial = data.xnorm2
     for comp_index in range(n_components):
-        if comp_index and data.xnorm2 <= _EXHAUSTED * initial:
-            raise DegenerateData(
-                f"component {comp_index + 1}: the data are exhausted after "
-                f"{comp_index} (squared norm {data.xnorm2:.3g} left of "
-                f"{initial:.3g}); ask for fewer components"
-            )
+        if comp_index:
+            data = deflate_one(data, components[-1])
+            if data.xnorm2 <= _EXHAUSTED * initial:
+                raise DegenerateData(
+                    f"component {comp_index + 1}: the data are exhausted after "
+                    f"{comp_index} (squared norm {data.xnorm2:.3g} left of "
+                    f"{initial:.3g}); ask for fewer components"
+                )
         component, trace = fit_one(data, comp_index)
         components.append(component)
         traces.append(trace)
-        data = deflate_one(data, component)
     adjusted = adjusted_total_variance(components)
     return SmFpcaResult(
         components=components, adjusted_variance=adjusted,

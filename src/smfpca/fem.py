@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
 
 from .errors import ConvergenceFailure, DimensionMismatch
 from .mesh import SurfaceLocation, TriangleMesh
@@ -180,6 +179,8 @@ def lb_eigenpairs(ops: FemOperators, count: int):
     # member when the subspace is sized to the request.
     v0 = np.random.default_rng(0).standard_normal(K)
     extra = min(count + max(5, count // 2), K - 1)
+    import scipy.sparse.linalg as splinalg  # ARPACK; loaded on first use
+
     try:
         values, vectors = splinalg.eigsh(
             ops.stiffness,

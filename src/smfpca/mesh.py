@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateTriangle,
@@ -55,15 +53,21 @@ class SurfaceLocation:
         b = np.asarray(self.barycentric, dtype=np.float64)
         if b.shape != (3,):
             raise DimensionMismatch("barycentric coordinates must be a 3-vector")
-        # written so that NaN weights fail both checks
-        if not b.min() >= -BARY_EPSILON:
+        # Three Python floats cost less to check than numpy calls. They
+        # round as numpy's would: the sums take numpy's order (0 + w0 +
+        # w1 + w2), and max(0.0, w) clamps -0.0 to 0.0 as np.maximum
+        # does. Written so that NaN fails both checks.
+        w0, w1, w2 = b.tolist()
+        if not (w0 >= -BARY_EPSILON and w1 >= -BARY_EPSILON
+                and w2 >= -BARY_EPSILON):
             raise InputError(f"negative barycentric weight {b.min():g}")
-        total = b.sum()
+        total = 0.0 + w0 + w1 + w2
         if not abs(total - 1.0) <= BARY_EPSILON:
             raise InputError(f"barycentric weights sum to {total:g}, expected 1")
-        b = np.maximum(b, 0.0)
-        b = b / b.sum()
-        b.flags.writeable = False
+        w0, w1, w2 = max(0.0, w0), max(0.0, w1), max(0.0, w2)
+        total = 0.0 + w0 + w1 + w2
+        b = np.array([w0 / total, w1 / total, w2 / total])
+        b.setflags(write=False)
         object.__setattr__(self, "triangle_index", index)
         object.__setattr__(self, "barycentric", b)
 
@@ -214,10 +218,35 @@ class TriangleMesh:
         self.edge_count = int(uniq.size)
         self.boundary_edge_count = int((counts == 1).sum())
         self.closed = bool(counts.size) and bool((counts == 2).all())
-        edges = sparse.coo_matrix((np.ones(uniq.size), (uniq // K, uniq % K)),
-                                  shape=(self.K, self.K))
-        count, self.component_labels = connected_components(edges, directed=False)
-        self.component_count = int(count)
+        self.component_labels, self.component_count = _components(
+            self.K, uniq // K, uniq % K)
+
+
+def _components(count, heads, tails):
+    """Connected components of the graph on ``count`` vertices with the
+    edges (heads[i], tails[i]): each vertex's component, numbered in the
+    order of the components' lowest vertices, and the component count.
+
+    Each round hooks the larger root of every edge whose ends lie in two
+    trees onto the smaller, then points every vertex straight at its
+    root. Roots only decrease, so each component ends rooted at its
+    lowest vertex.
+    """
+    root = np.arange(count)
+    while True:
+        a, b = root[heads], root[tails]
+        apart = a != b
+        if not apart.any():
+            break
+        a, b = a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    is_root = root == np.arange(count)
+    return np.cumsum(is_root)[root] - 1, int(is_root.sum())
 
 
 def vertex_locations(mesh: TriangleMesh):
@@ -236,12 +265,8 @@ def vertex_locations(mesh: TriangleMesh):
         raise TopologyError(
             "vertex not referenced by any triangle", element_index=int(missing[0])
         )
-    locs = []
     eye = np.eye(3)
-    for k in range(mesh.K):
-        pos = first[k]
-        locs.append(SurfaceLocation(int(pos // 3), eye[pos % 3]))
-    return locs
+    return [SurfaceLocation(pos // 3, eye[pos % 3]) for pos in first.tolist()]
 
 
 # -- OFF input/output -------------------------------------------------
@@ -299,7 +324,12 @@ def load_mesh(path) -> TriangleMesh:
     if n_vertices < 0 or n_faces < 0:
         raise ParseError("negative count", line=lineno)
 
-    # the counts are claims; allocate no more rows than the file has lines
+    blocks = _converted_blocks(significant[cursor:], n_vertices, n_faces)
+    if blocks is not None:
+        return TriangleMesh(*blocks)
+
+    # The line scan names the first faulty line. The counts are claims:
+    # allocate no more rows than the file has lines.
     vertices = np.empty((min(n_vertices, len(significant) - cursor), 3))
     for k in range(n_vertices):
         lineno, text = next_line(f"vertex line {k}")
@@ -335,6 +365,35 @@ def load_mesh(path) -> TriangleMesh:
         lineno, text = significant[cursor]
         raise ParseError(f"unexpected trailing content {text!r}", line=lineno)
     return TriangleMesh(vertices, triangles)
+
+
+def _converted_blocks(lines, n_vertices, n_faces):
+    """The vertex and face blocks that make up ``lines``, a list of
+    ``(lineno, text)``, each converted by one numpy call; None when a
+    block is empty, short or faulty, or content follows them. numpy
+    accepts a token exactly when `float` (or `int`) does, so this passes
+    what the line scan of `load_mesh` passes."""
+    if not n_vertices or not n_faces or len(lines) != n_vertices + n_faces:
+        return None
+    blocks = []
+    for rows, width, dtype in ((lines[:n_vertices], 3, np.float64),
+                               (lines[n_vertices:], 4, np.int64)):
+        texts = [text for _, text in rows]
+        if any(len(text.split()) != width for text in texts):
+            return None
+        # One flat token list: a list per line, all alive at once, would
+        # be enough new objects (8k at level 4) to set off a full
+        # garbage collection.
+        try:
+            tokens = np.array(" ".join(texts).split(), dtype=dtype)
+        except (ValueError, OverflowError):
+            return None
+        blocks.append(tokens.reshape(-1, width))
+    vertices, faces = blocks
+    indices = faces[:, 1:]
+    if (faces[:, 0] != 3).any() or (indices < 0).any() or (indices >= n_vertices).any():
+        return None
+    return vertices, indices
 
 
 def save_mesh(mesh: TriangleMesh, path):

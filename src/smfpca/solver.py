@@ -69,7 +69,6 @@ import weakref
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
 
 from .errors import DimensionMismatch, InputError, SingularSystem
 from .fem import FemOperators
@@ -123,6 +122,8 @@ class SaddleSystem:
     """
 
     def __init__(self, ops: FemOperators, upper_left, lam: float):
+        import scipy.sparse.linalg as splinalg  # SuperLU; loaded on first use
+
         lam = float(lam)
         if not 0 < lam < np.inf:
             raise InputError(
@@ -312,6 +313,8 @@ def _mesh_order(ops):
     SuperLU computes the order when it factors a matrix of that pattern;
     the diagonally dominant values keep its factorization trivial.
     """
+    import scipy.sparse.linalg as splinalg
+
     graph = (abs(ops.mass) + abs(ops.stiffness)).tocsc()
     graph.data[:] = 1.0
     graph = (graph + sparse.diags(np.diff(graph.indptr).astype(np.float64))).tocsc()

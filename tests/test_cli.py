@@ -337,11 +337,58 @@ def python(*args, **kwargs):
                           text=True, timeout=60, **kwargs)
 
 
+# Loaded by the CLI only where a command uses them: importing them is a
+# large share of a process's start-up.
+_HEAVY_MODULES = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph",
+                  "scipy.spatial")
+
+
 def test_cli_import_leaves_out_scipy_spatial():
-    # no command needs it; importing it is a large share of start-up
-    code = "import sys, smfpca.cli; print('scipy.spatial' in sys.modules)"
+    code = ("import sys, smfpca.cli; "
+            f"print([m for m in {_HEAVY_MODULES!r} if m in sys.modules])")
     out = python("-c", code, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+# Runs a command in a fresh process, then prints whether SuperLU's module
+# was loaded when the fit began (None without a fit) and at the end.
+_LOADED_AT_FIT = """
+import sys
+import smfpca.cli
+from smfpca import estimator
+
+seen = [None]
+fit = estimator.fit
+
+def probe(*args, **kwargs):
+    seen[0] = "scipy.sparse.linalg" in sys.modules
+    return fit(*args, **kwargs)
+
+estimator.fit = probe
+code = smfpca.cli.main(sys.argv[1:])
+print(code, seen[0], "scipy.sparse.linalg" in sys.modules)
+"""
+
+
+def test_only_fit_loads_the_sparse_solver(tmp_path):
+    sim, fit, ev = tmp_path / "sim", tmp_path / "fit", tmp_path / "ev"
+    commands = {
+        "simulate": ["simulate", "--generator", "sphere", "--sphere", "1",
+                     "--n", "12", "--outdir", sim],
+        "fit": ["fit", "--mesh", sim / "mesh.off", "--data", sim / "data.csv",
+                "--n-components", "2", "--selection", "fixed",
+                "--fixed-lambda", "1e-4", "--outdir", fit],
+        "evaluate": ["evaluate", "--result", fit / "result.json",
+                     "--truth", sim / "truth.json", "--mesh", sim / "mesh.off",
+                     "--data", sim / "data.csv", "--outdir", ev],
+        "mesh-info": ["mesh-info", "--mesh", sim / "mesh.off"],
+    }
+    loaded = {}
+    for name, argv in commands.items():
+        out = python("-c", _LOADED_AT_FIT, *map(str, argv), check=True).stdout
+        loaded[name] = out.splitlines()[-1]
+    assert loaded == {"simulate": "0 None False", "fit": "0 True True",
+                      "evaluate": "0 None False", "mesh-info": "0 None False"}
 
 
 def test_console_entry_point(tmp_path):

@@ -595,6 +595,31 @@ def test_exhausted_data_stop_with_degenerate_data(ops1):
         fit_missing(obs, 3, [1e-3], ops1, selection="fixed")
 
 
+def test_deflation_only_between_components(ops2, monkeypatch):
+    # n components need n - 1 deflations; the last component's would be
+    # thrown away
+    calls = {"dense": 0, "masked": 0}
+    dense, masked = estimator.deflate, estimator._MissingState.deflated
+
+    def counting_dense(*args):
+        calls["dense"] += 1
+        return dense(*args)
+
+    def counting_masked(*args):
+        calls["masked"] += 1
+        return masked(*args)
+
+    monkeypatch.setattr(estimator, "deflate", counting_dense)
+    monkeypatch.setattr(estimator._MissingState, "deflated", counting_masked)
+    ds = generate_sphere_dataset(ops2.mesh, ops2, 15, (4.0, 2.0), 0.1, 33)
+    for n_components in (1, 3):
+        calls.update(dense=0, masked=0)
+        fit(ds.X, n_components, [1e-3], ops2, selection="fixed")
+        fit_missing(masked_observations(ops2, 15, 33), n_components, [1e-3],
+                    ops2, selection="fixed")
+        assert calls == {"dense": n_components - 1, "masked": n_components - 1}
+
+
 def test_fit_missing_rejects_gcv(ops1):
     ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 26)
     obs = ObservationSet.from_masked(ds.X.values, vertex_locations(ops1.mesh))

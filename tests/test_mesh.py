@@ -12,8 +12,10 @@ from smfpca import (
     unit_sphere_mesh,
     vertex_locations,
 )
+from smfpca import mesh as meshmod
 from smfpca.errors import DegenerateTriangle
-from smfpca.mesh import SurfaceLocation, TriangleMesh
+from smfpca.mesh import BARY_EPSILON, SurfaceLocation, TriangleMesh
+from test_acceptance import jittered_torus, open_hemisphere
 
 
 # -- construction and validation --------------------------------------
@@ -40,6 +42,47 @@ def test_component_labels(sphere1, two_spheres):
                                   np.repeat([0, 1], sphere1.K))
     with pytest.raises(ValueError):
         two_spheres.component_labels[0] = 1
+
+
+def csgraph_components(mesh):
+    """The reference labelling: scipy's connected components of the
+    mesh's edge graph. (The package itself does not import csgraph.)"""
+    import scipy.sparse as sparse
+    from scipy.sparse.csgraph import connected_components
+
+    t = mesh.triangles
+    edges = sparse.coo_matrix(
+        (np.ones(t.size), (t.ravel(), np.roll(t, -1, axis=1).ravel())),
+        shape=(mesh.K, mesh.K))
+    return connected_components(edges, directed=False)
+
+
+def shuffled_copies(sphere, tetra):
+    """Two spheres and a tetrahedron in one mesh, its vertices numbered
+    at random, so the components' vertices interleave."""
+    parts = [(sphere, 0.0), (sphere, 3.0), (tetra, 6.0)]
+    vertices = np.vstack([m.vertices + [shift, 0.0, 0.0] for m, shift in parts])
+    offsets = np.cumsum([0] + [m.K for m, _ in parts])
+    triangles = np.vstack([m.triangles + o for (m, _), o in zip(parts, offsets)])
+    new_index = np.random.default_rng(5).permutation(len(vertices))
+    moved = np.empty_like(vertices)
+    moved[new_index] = vertices
+    return TriangleMesh(moved, new_index[triangles])
+
+
+def test_component_labels_match_csgraph(sphere1, two_spheres, tetra):
+    meshes = [unit_sphere_mesh(level) for level in range(6)]
+    meshes += [two_spheres, shuffled_copies(sphere1, tetra),
+               jittered_torus(64, 24, 0), open_hemisphere(4)]
+    with pytest.warns(UserWarning, match="not referenced"):
+        # an unreferenced vertex is a component of its own
+        meshes.append(TriangleMesh(np.vstack([sphere1.vertices, [5.0, 5.0, 5.0]]),
+                                   sphere1.triangles))
+    for mesh in meshes:
+        count, labels = csgraph_components(mesh)
+        assert mesh.component_count == count
+        np.testing.assert_array_equal(mesh.component_labels, labels)
+    assert [m.component_count for m in meshes[6:]] == [2, 3, 1, 1, 2]
 
 
 def test_vertices_out_of_range():
@@ -244,6 +287,23 @@ def test_surface_location_validation():
     assert loc.barycentric.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_surface_location_weights_round_as_numpy():
+    # the clamped, renormalized weights equal numpy's, bit for bit,
+    # -0.0 and tiny negatives included
+    rng = np.random.default_rng(9)
+    triples = rng.dirichlet(np.ones(3), 500)
+    triples[:100, 1] += triples[:100, 0]
+    triples[:100, 0] = -0.0
+    tiny = -rng.uniform(0, 0.9 * BARY_EPSILON, 100)
+    triples[100:200, 2] += triples[100:200, 1] - tiny
+    triples[100:200, 1] = tiny
+    triples[200:300, :] = np.eye(3)[rng.integers(0, 3, 100)]
+    for w in triples:
+        clamped = np.maximum(w, 0.0)
+        expected = clamped / clamped.sum()
+        assert SurfaceLocation(0, w).barycentric.tobytes() == expected.tobytes()
+
+
 # -- OFF files --------------------------------------------------------
 
 
@@ -265,28 +325,137 @@ def test_off_accepts_comments_and_blanks(tmp_path):
     assert m.K == 4 and m.closed
 
 
-@pytest.mark.parametrize(
-    "content,needle",
-    [
-        ("NOT_OFF\n3 1 0\n", "line 1"),
-        ("OFF\n3 1\n", "line 2"),
-        ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1\n", "line 5"),
-        ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n", "line 6"),
-        ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 999\n", "line 6"),
-        ("OFF\n3 1 3\n0 0 0\n1 0 0\n", "line"),
-        ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 1 0\n", "line 7"),
-        ("OFF\n3\n", "line 2: counts line must read"),
-        ("OFF\n3 1 3 0\n", "line 2: counts line must read"),
-        ("OFF\n3 x 3\n", "line 2: counts line must hold integers"),
-        ("OFF\n3 -1 3\n", "line 2: negative count"),
-        ("OFF\n3 1 3\n0 0 0\n1 y 0\n", "line 4: non-numeric vertex"),
-        ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1.5 2\n",
-         "line 6: non-integer face token"),
-    ],
-)
+OFF_FAULTS = [
+    ("NOT_OFF\n3 1 0\n", "line 1"),
+    ("OFF\n3 1\n", "line 2"),
+    ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1\n", "line 5"),
+    ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n", "line 6"),
+    ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 999\n", "line 6"),
+    ("OFF\n3 1 3\n0 0 0\n1 0 0\n", "line"),
+    ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 1 0\n", "line 7"),
+    ("OFF\n3\n", "line 2: counts line must read"),
+    ("OFF\n3 1 3 0\n", "line 2: counts line must read"),
+    ("OFF\n3 x 3\n", "line 2: counts line must hold integers"),
+    ("OFF\n3 -1 3\n", "line 2: negative count"),
+    ("OFF\n3 1 3\n0 0 0\n1 y 0\n", "line 4: non-numeric vertex"),
+    ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1.5 2\n",
+     "line 6: non-integer face token"),
+]
+
+
+@pytest.mark.parametrize("content,needle", OFF_FAULTS)
 def test_off_parse_errors_carry_line_numbers(tmp_path, content, needle):
     path = tmp_path / "bad.off"
     path.write_text(content)
     with pytest.raises(ParseError, match=needle):
         load_mesh(path)
 
+
+def load_outcome(path):
+    """What `load_mesh` makes of ``path``: the mesh's arrays as bytes, or
+    the type and message of the error it raises."""
+    try:
+        mesh = load_mesh(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return mesh.vertices.tobytes(), mesh.triangles.tobytes()
+
+
+def scanned_outcome(path, monkeypatch):
+    """The same with the blocks' array conversion switched off, so that
+    the line scan reads every line."""
+    with monkeypatch.context() as patch:
+        patch.setattr(meshmod, "_converted_blocks", lambda *args: None)
+        return load_outcome(path)
+
+
+def off_lines(mesh, tmp_path):
+    save_mesh(mesh, tmp_path / "good.off")
+    return (tmp_path / "good.off").read_text().splitlines()
+
+
+def test_off_faults_read_as_the_line_scan_reads_them(tmp_path, sphere1,
+                                                     monkeypatch):
+    # in small files, and in a level-1 sphere, where the vertex block
+    # opens on line 3 and the face block on line 45
+    contents = [content for content, _ in OFF_FAULTS]
+    lines = off_lines(sphere1, tmp_path)
+    faulty = [
+        {20: "1.0 2.0"}, {21: "1.0 2.0 3.0 4.0"}, {22: "1.0 2.0 3.0e"},
+        {50: "3 0 1"}, {51: "4 0 1 2"}, {52: "3 0 1 42"}, {53: "3 -1 1 2"},
+        {54: "3 0 1 2 5"}, {55: "3 0 1 99999999999999999999"},
+        {56: "99999999999999999999 0 1 2"}, {125: "3 0 1 2"},
+        # a short line and a long one hold as many tokens as two good ones
+        {20: "1.0 2.0", 21: "1.0 2.0 3.0 4.0"}, {50: "3 0 1", 51: "3 0 1 2 5"},
+    ]
+    for replacements in faulty:
+        edited = list(lines)
+        for lineno, replacement in replacements.items():
+            edited[lineno - 1: lineno] = [replacement]
+        contents.append("\n".join(edited) + "\n")
+    contents.append("\n".join(lines[:-1]) + "\n")  # one face line short
+    for j, content in enumerate(contents):
+        path = tmp_path / f"bad{j}.off"
+        path.write_text(content)
+        outcome = load_outcome(path)
+        assert outcome[0] is ParseError, content
+        assert outcome == scanned_outcome(path, monkeypatch)
+    path.write_text("\n".join(lines[:52] + ["3 0 1 42"] + lines[53:]))
+    assert load_outcome(path)[1] == "line 53: vertex index 42 out of range [0, 42)"
+
+
+@pytest.mark.parametrize("token", ["1_0", "infinity", "+3", "3.0", "0x10",
+                                   "+1.5", "1.5d3", "nan", "1e", "-0"])
+def test_off_tokens_read_as_the_line_scan_reads_them(tmp_path, sphere1, token,
+                                                     monkeypatch):
+    lines = off_lines(sphere1, tmp_path)
+    vertex, face = lines[6].split(), lines[50].split()
+    edited = {
+        "coordinate": (6, " ".join([token] + vertex[1:])),
+        "face count": (50, " ".join([token] + face[1:])),
+        "face index": (50, " ".join(face[:3] + [token])),
+    }
+    outcomes = {}
+    for site, (index, line) in edited.items():
+        path = tmp_path / f"{site}.off"
+        path.write_text("\n".join(lines[:index] + [line] + lines[index + 1:]))
+        outcomes[site] = load_outcome(path)
+        assert outcomes[site] == scanned_outcome(path, monkeypatch)
+    # the scan accepts a token that float() or int() reads to a value
+    # its place allows
+    def accepted(site):
+        try:
+            value = float(token) if site == "coordinate" else int(token)
+        except ValueError:
+            return False
+        return {"coordinate": True, "face count": value == 3,
+                "face index": 0 <= value < sphere1.K}[site]
+
+    for site, outcome in outcomes.items():
+        assert (outcome[0] is not ParseError) == accepted(site), site
+
+
+def test_off_roundtrip_is_bitwise(tmp_path, sphere2, monkeypatch):
+    # full-precision coordinates over a wide range of scales, with -0.0
+    rng = np.random.default_rng(8)
+    vertices = sphere2.vertices * (1 + 1e-3 * rng.standard_normal((sphere2.K, 3)))
+    vertices[vertices == 0.0] = -0.0
+    assert np.signbit(vertices[vertices == 0.0]).all()
+    converted = []
+    convert = meshmod._converted_blocks
+
+    def recording(*args):
+        blocks = convert(*args)
+        converted.append(blocks is not None)
+        return blocks
+
+    monkeypatch.setattr(meshmod, "_converted_blocks", recording)
+    for scale in (1e-60, 1e-7, 1.0, 3e5, 1e60):
+        mesh = TriangleMesh(vertices * scale, sphere2.triangles)
+        path = tmp_path / "m.off"
+        save_mesh(mesh, path)
+        again = load_mesh(path)
+        assert again.vertices.tobytes() == mesh.vertices.tobytes()
+        assert again.triangles.tobytes() == mesh.triangles.tobytes()
+    # every file took the array conversion, not the line scan
+    assert converted == [True] * 5
