@@ -123,9 +123,10 @@ def _write_outputs(command, config, files):
 
 
 def cmd_fit(config):
-    # Every fit factors: load SuperLU with the inputs, not at the first
-    # factorization inside the fit (the solver loads it on first use so
-    # that the other commands never do).
+    # Every fit factors: load SuperLU, and with it the LAPACK wrappers of
+    # scipy.linalg, with the inputs, not at the first factorization inside
+    # the fit (the solver loads them on first use so that the other
+    # commands never do).
     import scipy.sparse.linalg  # noqa: F401
 
     surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))

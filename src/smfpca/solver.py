@@ -22,16 +22,25 @@ It is factored in one of two forms, chosen from the data block. When
 UL = diag(w) with every w_j > 0 and none below a fixed share of the
 largest, f = W^-1 (r1 - sqrt(lam) R1 h) is eliminated and the K x K
 Schur complement S = R0 + lam R1 W^-1 R1, symmetric positive definite,
-is factored with diagonal pivots; its LU holds a fifth to a third fewer
-entries than the saddle one. Such blocks are psi' psi for full data at
-the vertices, c I, and the weighted Gram matrix of masked data at the
-vertices once weighted functions observe every vertex. S is formed as
-R0 + (lam / c) R1 P R1 with c = max w and P = diag(c / w), which is
-exactly I for a c I block, so that block rounds as if P were absent.
-R1 P R1 couples second-ring neighbours, which the one-ring order below
-misses (4.6M LU entries against 0.5M at level 4), so S is ordered by
-minimum degree at each factorization: finding an order to cache costs a
-factorization too.
+is factored by LAPACK's banded Cholesky (dpbtrf). Such blocks are
+psi' psi for full data at the vertices, c I, and the weighted Gram
+matrix of masked data at the vertices once weighted functions observe
+every vertex. S is formed as R0 + (lam / c) R1 P R1 with c = max w and
+P = diag(c / w), which is exactly I for a c I block, so that block
+rounds as if P were absent. S couples second-ring neighbours: its
+pattern lies in that of |R0| + |R1| |R1|, whatever lam, fold,
+component or weights. One Cuthill-McKee order of that pattern
+(Cuthill & McKee 1969; George & Liu, Computer Solution of Large Sparse
+Positive Definite Systems, 1981), taken per mesh component from a
+pseudo-peripheral vertex, therefore serves every Schur complement on an
+operator set and is computed once for it. On icospheres of levels 3 to
+6 it leaves a band of half-width 83, 163, 323 and 643, whose
+(width + 1) K entries hold every fill-in of the factor. The band keeps
+the zeros inside it, so it outgrows the sparse LU of a minimum-degree
+order as the mesh grows (25 against 34 MiB at level 5, 201 against
+183 MiB at level 6), but dense kernels factor it 3.5 to 4 times faster
+at levels 4 to 6; a solve through it takes about 15% longer at levels
+5 and 6.
 
 Every other block keeps the saddle form: psi' psi at a few vertices or
 at points inside triangles, and diagonal blocks with a zero or a
@@ -82,16 +91,18 @@ _REFINE_STEPS = 12
 # A diagonal data block is factored as its K x K Schur complement only
 # when its smallest entry is at least this share of its largest: the
 # eliminated solve loses accuracy as the share falls. Worst relative
-# residual of the saddle system (diag(w), w spread over [share, 1]; 3
-# draws x 3 right-hand sides) over the default grid at levels 3 / 4,
-# and at lam = 1, seven times the level-3 grid's top, on level 3:
-#   share 1 (c I)   1.2e-15 / 6.6e-16   4.9e-15
-#   share 0.1       4.1e-15 / 2.0e-15   1.7e-14
-#   share 0.01      1.0e-14 / 5.6e-15   5.2e-14
-#   share 1e-3      4.9e-14 / 2.0e-14   2.6e-13
-# At 0.1 the residual stays within 4x of the c I block's and 20x below
-# _REFINE_TOLERANCE. On the masked-data benchmark's inputs (seeds 1-10,
-# 1320 factorizations) the smallest share was 0.28.
+# residual of the saddle system through the banded factor (diag(w), w
+# spread over [share, 1]; 3 draws x 3 right-hand sides) over the default
+# grid at levels 3 / 4, and at lam = 1, seven times the level-3 grid's
+# top, on level 3:
+#   share 1 (c I)   8.5e-16 / 5.2e-16   2.9e-15
+#   share 0.1       2.7e-15 / 1.7e-15   1.2e-14
+#   share 0.01      8.2e-15 / 6.2e-15   3.0e-14
+#   share 1e-3      8.2e-14 / 2.7e-14   2.5e-13
+# At 0.1 the residual stays within 4x of the c I block's and, on the
+# grids, over 30x below _REFINE_TOLERANCE. On the masked-data
+# benchmark's inputs (seeds 1-10, 1320 factorizations) the smallest
+# share was 0.28.
 _SCHUR_SHARE = 0.1
 
 
@@ -101,8 +112,11 @@ class SaddleSystem:
     The constructor performs the factorization, for reuse across solves.
     ``matrix`` is the 2K x 2K saddle system in the unknowns
     (f, sqrt(lam) g), in its natural order: what every solve inverts,
-    not necessarily what is factored (a positive diagonal data block is
-    factored as its K x K Schur complement; see the module docstring).
+    not necessarily what is factored: a positive diagonal data block is
+    factored as its K x K Schur complement, by banded Cholesky in the
+    operator set's Cuthill-McKee order, and any other block as the
+    saddle system, by sparse LU in its pair order (see the module
+    docstring).
     Instances are immutable; `solve` and `solve_with_block` are
     reentrant and safe to call from several threads on one instance.
 
@@ -117,33 +131,39 @@ class SaddleSystem:
     Raises
     ------
     SingularSystem
-        Factorization breakdown; typically a rank-deficient data block
-        paired with a penalty that does not close the kernel.
+        Factorization breakdown, or a Schur complement that is not
+        numerically positive definite; typically a rank-deficient data
+        block paired with a penalty that does not close the kernel.
     """
 
     def __init__(self, ops: FemOperators, upper_left, lam: float):
-        import scipy.sparse.linalg as splinalg  # SuperLU; loaded on first use
-
         lam = float(lam)
         if not 0 < lam < np.inf:
             raise InputError(
                 f"smoothing parameter must be positive and finite, got {lam:g}"
             )
-        K = ops.vertex_count
         self._labels = ops.mesh.component_labels
         upper_left = _checked_block(upper_left, self._labels)
         self.lam = lam
-        self.k = K
+        self.k = ops.vertex_count
         self._upper_left = upper_left
         self._root = np.sqrt(lam)
         self._coupling = self._root * ops.stiffness
         self._mass = ops.mass
-        self._p = None
+        self._p = self._lu = self._band = None
         weights = _schur_weights(upper_left)
         if weights is None:
+            import scipy.sparse.linalg as splinalg  # SuperLU; loaded on first use
+
             self._order = _elimination_order(ops)
-            factored = self.matrix[self._order][:, self._order]
-            permc_spec = "NATURAL"
+            try:
+                self._lu = splinalg.splu(
+                    self.matrix[self._order][:, self._order], permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
+                )
+            except RuntimeError as exc:
+                raise SingularSystem(
+                    f"saddle-point factorization failed: {exc}") from exc
         else:
             # S = R0 + (lam/c) R1 P R1; P is exactly I for a c I block,
             # which then rounds as R0 + (lam/c) R1 R1
@@ -151,16 +171,9 @@ class SaddleSystem:
             self._p = self._scale / weights
             scaled = ops.stiffness.copy()
             scaled.data *= self._p[scaled.indices]
-            factored = (ops.mass + (lam / self._scale)
-                        * (scaled @ ops.stiffness)).tocsc()
-            permc_spec = "MMD_AT_PLUS_A"
-        try:
-            self._lu = splinalg.splu(
-                factored, permc_spec=permc_spec,
-                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:
-            raise SingularSystem(f"saddle-point factorization failed: {exc}") from exc
+            schur = ops.mass + (lam / self._scale) * (scaled @ ops.stiffness)
+            self._order, width = _band_order(ops)
+            self._band = _cholesky_band(schur.tocoo(), self._order, width)
 
     @property
     def matrix(self):
@@ -227,16 +240,24 @@ class SaddleSystem:
 
     def _solve(self, rhs):
         """Apply the inverse of ``matrix`` through the reordered saddle
-        factors, or through the Schur complement S of the diagonal block
-        UL = c P^-1: S h = (sqrt(lam)/c) R1 P r1 - r2, then
+        factors, or through the banded Cholesky factor of the Schur
+        complement S of the diagonal block UL = c P^-1:
+        S h = (sqrt(lam)/c) R1 P r1 - r2, then
         f = P (r1 - sqrt(lam) R1 h) / c."""
         if self._p is None:
             x = np.empty_like(rhs)
             x[self._order] = self._lu.solve(rhs[self._order])
             return x
+        import scipy.linalg as linalg
+
         top, bottom = rhs[: self.k], rhs[self.k :]
         p = self._p if rhs.ndim == 1 else self._p[:, None]
-        h = self._lu.solve(self._coupling @ (p * top) / self._scale - bottom)
+        h = np.empty_like(bottom)
+        h[self._order] = linalg.cho_solve_banded(
+            (self._band, True),
+            (self._coupling @ (p * top) / self._scale - bottom)[self._order],
+            overwrite_b=True, check_finite=False,
+        )
         return np.concatenate([p * (top - self._coupling @ h) / self._scale, h])
 
     def _split(self, x):
@@ -282,27 +303,58 @@ def _schur_weights(upper_left):
     return None
 
 
-# One elimination order per operator set, shared by every system built
-# on it (from any thread); entries go away with their operators. The
-# order depends only on the operators' sparsity pattern, and any
-# g-before-f order is exact, so a cached one never changes correctness.
+def _cholesky_band(schur, order, width):
+    """The lower Cholesky factor of the symmetric positive definite COO
+    matrix ``schur`` in the vertex order ``order``, in LAPACK's lower
+    band storage: entry (i, j), i >= j, of the reordered matrix at
+    [i - j, j]. ``width`` bounds |i - j| over the stored entries."""
+    import scipy.linalg as linalg  # loaded with scipy.sparse.linalg by fit
+
+    position = np.argsort(order)
+    rows, cols = position[schur.row], position[schur.col]
+    lower = rows >= cols
+    band = np.zeros((width + 1, order.size), order="F")
+    band[rows[lower] - cols[lower], cols[lower]] = schur.data[lower]
+    try:
+        return linalg.cholesky_banded(band, overwrite_ab=True, lower=True,
+                                      check_finite=False)
+    except linalg.LinAlgError as exc:
+        raise SingularSystem(
+            f"Schur complement factorization failed: {exc}") from exc
+
+
+# One order per operator set and kind, shared by every system built on
+# it (from any thread); entries go away with their operators. Each order
+# depends only on the operators' sparsity pattern, and any g-before-f
+# saddle order or any vertex order of the Schur complement is exact, so
+# a cached one never changes correctness.
 _ORDERS = weakref.WeakKeyDictionary()
+_BAND_ORDERS = weakref.WeakKeyDictionary()
 _ORDERS_LOCK = threading.Lock()
 
 
-def _elimination_order(ops):
-    """The 2K elimination order for systems on ``ops``: the vertices in
-    `_mesh_order`, each contributing its g unknown (K + v), then its f
-    unknown (v)."""
+def _cached(cache, ops, build):
+    """``build(ops)``, computed on first use and kept in ``cache``."""
     with _ORDERS_LOCK:
-        order = _ORDERS.get(ops)
-        if order is None:
-            K = ops.vertex_count
-            vertices = _mesh_order(ops)
-            order = np.empty(2 * K, dtype=np.intp)
-            order[0::2] = K + vertices
-            order[1::2] = vertices
-            _ORDERS[ops] = order
+        value = cache.get(ops)
+        if value is None:
+            value = cache[ops] = build(ops)
+    return value
+
+
+def _elimination_order(ops):
+    """The 2K elimination order for saddle systems on ``ops``: the
+    vertices in `_mesh_order`, each contributing its g unknown (K + v),
+    then its f unknown (v)."""
+    return _cached(_ORDERS, ops, _paired_order)
+
+
+def _paired_order(ops):
+    K = ops.vertex_count
+    vertices = _mesh_order(ops)
+    order = np.empty(2 * K, dtype=np.intp)
+    order[0::2] = K + vertices
+    order[1::2] = vertices
     return order
 
 
@@ -322,3 +374,65 @@ def _mesh_order(ops):
                        options=dict(SymmetricMode=True))
     # perm_c maps a column to its position in the order
     return np.argsort(lu.perm_c)
+
+
+def _band_order(ops):
+    """The vertex order of the Schur complements on ``ops`` and the
+    half-bandwidth they have in it, as (order, width)."""
+    return _cached(_BAND_ORDERS, ops, _cuthill_mckee)
+
+
+def _cuthill_mckee(ops):
+    """A Cuthill-McKee order (the vertex placed first, second, ...) of
+    the two-ring graph |R0| + |R1| |R1|, which holds the pattern of every
+    Schur complement R0 + (lam/c) R1 P R1 on ``ops``, and the largest
+    distance in that order between two of its adjacent vertices.
+
+    The mesh components follow one another, each ordered from a
+    pseudo-peripheral vertex found by two breadth-first sweeps: one from
+    the component's lowest vertex, then one from the least-degree vertex
+    of its last level; the order starts at the least-degree vertex of
+    the second sweep's last level.
+    """
+    stiffness = abs(ops.stiffness)
+    graph = (abs(ops.mass) + stiffness @ stiffness).tocsr()
+    labels = ops.mesh.component_labels
+    degree = np.diff(graph.indptr)
+    starts = np.unique(labels, return_index=True)[1]
+    for _ in range(2):
+        _, depth = _level_sets(graph, starts)
+        # per component: deepest first, then least degree, then lowest index
+        far = np.lexsort((degree, -depth, labels))
+        starts = far[np.r_[True, labels[far[1:]] != labels[far[:-1]]]]
+    order, _ = _level_sets(graph, starts)
+    order = order[np.argsort(labels[order], kind="stable")]
+    position = np.argsort(order)
+    edges = graph.tocoo()
+    return order, int(np.abs(position[edges.row] - position[edges.col]).max())
+
+
+def _level_sets(graph, starts):
+    """Breadth-first search of the symmetric CSR ``graph`` from
+    ``starts``, one vertex per component in component order: the
+    vertices level by level, each level in Cuthill-McKee order (after
+    the first-placed neighbour in the level before, then by ascending
+    degree, then by index), and each vertex's depth."""
+    indptr, indices = graph.indptr, graph.indices
+    degree = np.diff(indptr)
+    rank = np.full(len(degree), -1)  # place in the sequence, -1 until placed
+    depth = np.zeros(len(degree), dtype=np.intp)
+    level, placed, levels = starts, 0, []
+    while level.size:
+        rank[level] = placed + np.arange(level.size)
+        depth[level] = len(levels)
+        placed += level.size
+        levels.append(level)
+        counts = degree[level]
+        slots = (np.repeat(indptr[level] - (np.cumsum(counts) - counts), counts)
+                 + np.arange(counts.sum()))
+        found, parent = indices[slots], np.repeat(rank[level], counts)
+        fresh = rank[found] < 0
+        found, parent = found[fresh], parent[fresh]
+        found = found[np.lexsort((found, degree[found], parent))]
+        level = found[np.sort(np.unique(found, return_index=True)[1])]
+    return np.concatenate(levels), depth

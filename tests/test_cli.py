@@ -329,10 +329,12 @@ def test_fit_data_not_utf8_exit_2(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
-def python(*args, **kwargs):
-    """Run a fresh interpreter with this package's source on its path."""
+def python(*args, env=(), **kwargs):
+    """Run a fresh interpreter with this package's source on its path and
+    the variables ``env`` added to its environment."""
     paths = [str(Path(smfpca.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = dict(os.environ, **dict(env),
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=60, **kwargs)
 
@@ -351,7 +353,8 @@ def test_cli_import_leaves_out_scipy_spatial():
 
 
 # Runs a command in a fresh process, then prints whether SuperLU's module
-# was loaded when the fit began (None without a fit) and at the end.
+# was loaded when the fit began (None without a fit) and at the end, and
+# whether the sparse graph module was loaded at the end.
 _LOADED_AT_FIT = """
 import sys
 import smfpca.cli
@@ -366,7 +369,8 @@ def probe(*args, **kwargs):
 
 estimator.fit = probe
 code = smfpca.cli.main(sys.argv[1:])
-print(code, seen[0], "scipy.sparse.linalg" in sys.modules)
+print(code, seen[0], "scipy.sparse.linalg" in sys.modules,
+      "scipy.sparse.csgraph" in sys.modules)
 """
 
 
@@ -387,8 +391,44 @@ def test_only_fit_loads_the_sparse_solver(tmp_path):
     for name, argv in commands.items():
         out = python("-c", _LOADED_AT_FIT, *map(str, argv), check=True).stdout
         loaded[name] = out.splitlines()[-1]
-    assert loaded == {"simulate": "0 None False", "fit": "0 True True",
-                      "evaluate": "0 None False", "mesh-info": "0 None False"}
+    assert loaded == {"simulate": "0 None False False",
+                      "fit": "0 True True False",
+                      "evaluate": "0 None False False",
+                      "mesh-info": "0 None False False"}
+
+
+def assert_relative(a, b, tolerance):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.linalg.norm(a - b) <= tolerance * np.linalg.norm(b)
+
+
+def test_fit_blas_thread_count_keeps_choices(tmp_path):
+    # Two BLAS threads round the level-4 banded factorization differently
+    # (about 2e-16 relative), so the bytes of result.json are reproducible
+    # for a fixed BLAS thread count only; every choice must still agree.
+    sim = tmp_path / "sim"
+    assert run(["simulate", "--generator", "sphere", "--sphere", 4,
+                "--n", 50, "--seed", 5, "--outdir", sim]) == 0
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {name: threads for name in ("OPENBLAS_NUM_THREADS",
+                                          "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        argv = fit_args(sim, out, ["--selection", "gcv"])
+        python("-m", "smfpca.cli", *map(str, argv), env=env, check=True)
+        results.append(load_json(out / "result.json"))
+    one, two = results
+    assert len(one["components"]) == len(two["components"]) == 2
+    for a, b in zip(one["components"], two["components"]):
+        assert a["lambda"] == b["lambda"]
+        assert a["iterations"] == b["iterations"]
+        for key in ("chosen", "chosenLambda", "history", "lambdaGrid"):
+            assert a["selection"][key] == b["selection"][key]
+        assert_relative(a["selection"]["scores"], b["selection"]["scores"], 1e-12)
+        for key in ("vertexValues", "gCoefficients", "scores", "objectiveTrace"):
+            assert_relative(a[key], b[key], 1e-12)
+    for key in ("adjustedVariance", "cumulativeVariance", "meanField"):
+        assert_relative(one[key], two[key], 1e-12)
 
 
 def test_console_entry_point(tmp_path):

@@ -124,6 +124,15 @@ def test_solve_many_matches_repeated_solve(ops1):
         np.testing.assert_array_equal(G[:, j], g)
 
 
+def factored_size(system):
+    """K when ``system`` holds the banded Cholesky factor of its K x K
+    Schur complement, 2K when it holds the LU of the saddle system."""
+    if system._lu is None:
+        return system._band.shape[1]
+    assert system._band is None
+    return system._lu.shape[0]
+
+
 def weighted_gram(ops, seed, spread):
     """psi' diag(w) psi with location weights w in [1, 1 + spread]."""
     w = 1.0 + spread * np.random.default_rng(seed).random(ops.location_count)
@@ -164,7 +173,7 @@ def test_solve_with_block_from_diagonal_schur_form_matches_fresh_factorization(
     # refinement from the K x K form of a non-uniform diagonal block onto
     # a nearby diagonal block (also K x K) or one with off-diagonal terms
     old = diagonal_block(ops2, 0.3, 21)
-    assert SaddleSystem(ops2, old, lam)._lu.shape == (ops2.vertex_count,) * 2
+    assert factored_size(SaddleSystem(ops2, old, lam)) == ops2.vertex_count
     w = old.diagonal()
     if target == "diagonal":
         new = sparse.diags(w * (1 + 0.05 * np.random.default_rng(22).random(w.size)),
@@ -314,8 +323,7 @@ def test_factored_form_follows_data_block(ops2, block):
     K = ops2.vertex_count
     system = SaddleSystem(ops2, data_blocks(ops2)[block], 1e-3)
     assert system.matrix.shape == (2 * K, 2 * K)
-    size = K if block in SCHUR_BLOCKS else 2 * K
-    assert system._lu.shape == (size, size)
+    assert factored_size(system) == (K if block in SCHUR_BLOCKS else 2 * K)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -334,8 +342,11 @@ def test_matches_dense_lu_oracle_across_lambda(ops2, block):
 
 
 def test_factorization_takes_diagonal_pivots(ops2):
-    # threshold pivoting would leave perm_r != perm_c and bring back fill
-    for upper_left in data_blocks(ops2).values():
+    # threshold pivoting would leave perm_r != perm_c and bring back fill;
+    # the Schur complement's Cholesky factor does not pivot at all
+    for block, upper_left in data_blocks(ops2).items():
+        if block in SCHUR_BLOCKS:
+            continue
         for lam in oracle_lambdas(ops2):
             lu = SaddleSystem(ops2, upper_left, lam)._lu
             np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
@@ -348,43 +359,87 @@ def test_elimination_order_pairs_g_before_f(ops2):
     np.testing.assert_array_equal(order[0::2], K + order[1::2])
 
 
+def test_band_order_covers_every_vertex_of_disconnected_mesh(two_spheres,
+                                                            sphere1, ops1):
+    # each component is ordered on its own, one after the other, so the
+    # second sphere repeats the first's order and the band its width
+    ops = assemble(two_spheres, vertex_locations(two_spheres))
+    K, half = two_spheres.K, sphere1.K
+    order, width = solver._band_order(ops)
+    assert sorted(order) == list(range(K))
+    np.testing.assert_array_equal(two_spheres.component_labels[order],
+                                  np.repeat([0, 1], half))
+    alone, alone_width = solver._band_order(ops1)
+    np.testing.assert_array_equal(order, np.concatenate([alone, alone + half]))
+    assert width == alone_width
+    # the width bounds every entry of every Schur complement's pattern
+    position = np.argsort(order)
+    pattern = (abs(ops.mass) + abs(ops.stiffness) @ abs(ops.stiffness)).tocoo()
+    assert np.abs(position[pattern.row] - position[pattern.col]).max() == width
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0])
+def test_banded_schur_solve_matches_saddle_on_disconnected_mesh(
+        two_spheres, monkeypatch, lam):
+    ops = assemble(two_spheres, vertex_locations(two_spheres))
+    K = two_spheres.K
+    w = 1.0 + np.random.default_rng(35).random(K)
+    rhs = np.random.default_rng(36).standard_normal((K, 2))
+    blocks = (data_gram(ops), sparse.diags(w, format="csr"))
+    schur = [SaddleSystem(ops, block, lam) for block in blocks]
+    monkeypatch.setattr(solver, "_schur_weights", lambda block: None)
+    saddle = [SaddleSystem(ops, block, lam) for block in blocks]
+    for a, b in zip(schur, saddle):
+        assert (factored_size(a), factored_size(b)) == (K, 2 * K)
+        F, G = a.solve_many(rhs)
+        F_ref, G_ref = b.solve_many(rhs)
+        assert relative_error(F, F_ref) <= 1e-12
+        assert relative_error(G, G_ref) <= 1e-12
+
+
 def lu_entries(system):
     return system._lu.L.nnz + system._lu.U.nnz
 
 
 def test_schur_complement_has_less_fill_than_saddle(ops3, monkeypatch):
-    # the K x K form orders each factorization by minimum degree on its
-    # own pattern; the one-ring mesh order would bring the fill back
-    # (79,336 against 116,236 entries on this mesh)
+    # the K x K form is stored as a band in the two-ring Cuthill-McKee
+    # order (84 x 642 = 53,928 entries against the saddle LU's 116,236
+    # on this mesh)
     gram = data_gram(ops3)
     schur = SaddleSystem(ops3, gram, 1e-3)
     monkeypatch.setattr(solver, "_schur_weights", lambda block: None)
     saddle = SaddleSystem(ops3, gram, 1e-3)
-    assert schur._lu.shape == (ops3.vertex_count,) * 2
-    assert saddle._lu.shape == (2 * ops3.vertex_count,) * 2
-    assert lu_entries(schur) < lu_entries(saddle)
+    assert factored_size(schur) == ops3.vertex_count
+    assert factored_size(saddle) == 2 * ops3.vertex_count
+    assert schur._band.size < lu_entries(saddle)
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked):
-    # dense data (psi'psi = I) factor the K x K form, which needs no
-    # saddle order; masked data at triangle centroids, whose data blocks
-    # are not diagonal, the saddle form, one order per operator set
+    # dense data (psi'psi = I) factor the K x K form, which needs only
+    # the band order; masked data at triangle centroids, whose data
+    # blocks are not diagonal, the saddle form, which needs only the
+    # saddle order; each is computed once per operator set
     ops = assemble(sphere2, vertex_locations(sphere2))
     ds = generate_sphere_dataset(sphere2, ops, 20, (4.0, 2.0), 0.1, 31)
-    orders, factors = [], []
-    mesh_order = solver._mesh_order
+    orders, band_orders, factors = [], [], []
+    mesh_order, cuthill_mckee = solver._mesh_order, solver._cuthill_mckee
     factor = solver.SaddleSystem.__init__
 
     def counting_order(ops_arg):
         orders.append(ops_arg)
         return mesh_order(ops_arg)
 
+    def counting_band_order(ops_arg):
+        band_orders.append(ops_arg)
+        return cuthill_mckee(ops_arg)
+
     def counting_factor(self, *args):
         factor(self, *args)
-        factors.append(self._lu.shape[0])
+        factors.append(factored_size(self))
 
     monkeypatch.setattr(solver, "_mesh_order", counting_order)
+    monkeypatch.setattr(solver, "_cuthill_mckee", counting_band_order)
     monkeypatch.setattr(solver.SaddleSystem, "__init__", counting_factor)
     grid = [1e-5, 1e-3, 1e-1]
     if masked:
@@ -398,10 +453,10 @@ def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked)
     assert len(factors) >= len(grid)
     K = ops.vertex_count
     if masked:
-        assert orders == [ops]
+        assert (orders, band_orders) == ([ops], [])
         assert set(factors) == {2 * K}
     else:
-        assert orders == []
+        assert (orders, band_orders) == ([], [ops])
         assert set(factors) == {K}
 
 
@@ -430,6 +485,31 @@ def test_elimination_order_computed_once_under_concurrent_first_use(
     assert all(order is orders[0] for order in orders)
 
 
+def test_band_order_computed_once_under_concurrent_first_use(sphere2,
+                                                            monkeypatch):
+    ops = assemble(sphere2, vertex_locations(sphere2))
+    calls = []
+    cuthill_mckee = solver._cuthill_mckee
+
+    def slow_order(ops_arg):
+        calls.append(None)
+        time.sleep(0.05)  # the window a check-then-set race would need
+        return cuthill_mckee(ops_arg)
+
+    monkeypatch.setattr(solver, "_cuthill_mckee", slow_order)
+    barrier = threading.Barrier(8)
+
+    def first_use():
+        barrier.wait(timeout=10)
+        return solver._band_order(ops)
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        futures = [pool.submit(first_use) for _ in range(8)]
+        orders = [future.result(timeout=30) for future in futures]
+    assert len(calls) == 1
+    assert all(order is orders[0] for order in orders)
+
+
 def test_vertex_masked_kfold_matches_saddle_form(sphere2, monkeypatch):
     # data at the vertices give diagonal weighted Gram blocks, factored
     # as their K x K Schur complement; forcing the 2K saddle form must
@@ -447,7 +527,7 @@ def test_vertex_masked_kfold_matches_saddle_form(sphere2, monkeypatch):
 
         def counting_factor(self, *args):
             factor(self, *args)
-            factors.append(self._lu.shape[0])
+            factors.append(factored_size(self))
 
         monkeypatch.setattr(solver.SaddleSystem, "__init__", counting_factor)
         result = fit_missing(obs, 2, grid, ops, selection="kfold", folds=3)
