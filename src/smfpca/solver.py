@@ -39,7 +39,7 @@ operator set and is computed once for it. On icospheres of levels 3 to
 the zeros inside it, so it outgrows the sparse LU of a minimum-degree
 order as the mesh grows (25 against 34 MiB at level 5, 201 against
 183 MiB at level 6), but dense kernels factor it 3.5 to 4 times faster
-at levels 4 to 6; a solve through it takes about 15% longer at levels
+at levels 4 to 6; a solve through it takes 13 to 21% longer at levels
 5 and 6.
 
 Every other block keeps the saddle form: psi' psi at a few vertices or
