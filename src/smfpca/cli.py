@@ -123,11 +123,11 @@ def _write_outputs(command, config, files):
 
 
 def cmd_fit(config):
-    # Every fit factors: load SuperLU, and with it the LAPACK wrappers of
-    # scipy.linalg, with the inputs, not at the first factorization inside
-    # the fit (the solver loads them on first use so that the other
-    # commands never do).
-    import scipy.sparse.linalg  # noqa: F401
+    # Every fit factors: load the LAPACK wrappers of scipy.linalg with the
+    # inputs, not at the first factorization inside the fit (the solver
+    # loads them on first use so that the other commands never do).
+    # SuperLU loads only if a system needs the saddle form.
+    import scipy.linalg  # noqa: F401
 
     surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
     data_path = _require(config, "data", "--data")
@@ -156,7 +156,6 @@ def cmd_fit(config):
         max_iterations=config["max_iterations"],
         tolerance=config["tolerance"],
         seed=config["seed"],
-        threads=config["threads"],
     )
     if np.isnan(values).any():
         warnings.warn(
@@ -354,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="max_iterations")
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument(
         "--export-matrices", dest="export_matrices", action="store_true",
         help="also write mass/stiffness/psi in MatrixMarket form",

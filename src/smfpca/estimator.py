@@ -399,7 +399,6 @@ def fit(
     max_iterations: int = 15,
     tolerance: float = 1e-6,
     seed: int = 0,
-    threads: int = 1,
 ) -> SmFpcaResult:
     """Extract ``n_components`` components, choosing the smoothing
     parameter per component.
@@ -430,9 +429,6 @@ def fit(
     seed : int
         Non-negative; drives the fold shuffle, and component c derives
         its own stream.
-    threads : int
-        Worker threads for K-fold folds and GCV candidates, at least 1;
-        results are identical for any thread count.
 
     Returns
     -------
@@ -447,7 +443,7 @@ def fit(
     """
     grid = _check_selection(
         n_components, selection, lambda_grid, ("kfold", "gcv", "fixed"),
-        max_iterations, tolerance, threads, seed,
+        max_iterations, tolerance, seed,
     )
     if center:
         mean_field = X.values.mean(axis=0)
@@ -460,14 +456,13 @@ def fit(
     def fit_one(work, comp_index):
         if selection == "gcv":
             return _fit_component_gcv(work, grid, ops, systems,
-                                      max_iterations, tolerance, threads)
+                                      max_iterations, tolerance)
         lam, trace = float(grid[0]), None
         if selection == "kfold":
             trace = _selection.kfold_select(
                 work, grid, folds, ops,
                 seed=[seed, comp_index], systems=systems,
                 max_iterations=max_iterations, tolerance=tolerance,
-                threads=threads,
             )
             lam = float(grid[trace.chosen])
         component = fit_component(
@@ -508,17 +503,14 @@ def _extract(data, n_components, fit_one, deflate_one, mean_field):
     )
 
 
-def _fit_component_gcv(X, grid, ops, systems, max_iterations, tolerance,
-                       threads):
+def _fit_component_gcv(X, grid, ops, systems, max_iterations, tolerance):
     # The parameter is re-selected at every alternation from the scores
     # of that iteration, so the objective is not comparable (and not
     # asserted monotone) across iterations; the last choice stands.
     selections = []
 
     def choose(u):
-        selections.append(_selection.gcv_select(
-            X, u, grid, ops, systems=systems, threads=threads,
-        ))
+        selections.append(_selection.gcv_select(X, u, grid, ops, systems=systems))
         return float(grid[selections[-1].chosen])
 
     component = _alternate(_DenseTerm(X, ops, systems), score_step(X, initialize(X)),
@@ -528,13 +520,11 @@ def _fit_component_gcv(X, grid, ops, systems, max_iterations, tolerance,
 
 
 def _check_selection(n_components, selection, lambda_grid, methods,
-                     max_iterations, tolerance, threads, seed):
+                     max_iterations, tolerance, seed):
     """The argument checks of `fit` and `fit_missing`; returns the
     checked grid."""
     if n_components < 1:
         raise InputError("n_components must be at least 1")
-    if threads < 1:
-        raise InputError(f"threads must be at least 1, got {threads}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     if max_iterations < 0:
@@ -735,7 +725,6 @@ def fit_missing(
     max_iterations: int = 15,
     tolerance: float = 1e-6,
     seed: int = 0,
-    threads: int = 1,
 ) -> SmFpcaResult:
     """Extract components from per-function observation lists.
 
@@ -764,7 +753,7 @@ def fit_missing(
     """
     grid = _check_selection(
         n_components, selection, lambda_grid, ("kfold", "fixed"),
-        max_iterations, tolerance, threads, seed,
+        max_iterations, tolerance, seed,
     )
 
     def fit_one(state, comp_index):
@@ -774,7 +763,6 @@ def fit_missing(
                 state, grid, folds, ops,
                 seed=[seed, comp_index],
                 max_iterations=max_iterations, tolerance=tolerance,
-                threads=threads,
             )
             lam = float(grid[trace.chosen])
         return _fit_component_missing(state, lam, ops, max_iterations, tolerance), trace

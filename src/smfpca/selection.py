@@ -11,9 +11,7 @@ until the choice is clear of the estimate's error.
 """
 
 import functools
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,18 +66,11 @@ def make_folds(n: int, folds: int, seed):
     return np.array_split(perm, folds)
 
 
-def _map_ordered(fn, items, threads):
-    if threads and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 class _Systems(dict):
     """The candidates of one dense fit: their factored systems, keyed by
     lambda, over one psi' psi block. A candidate is factored on its first
-    lookup, under a lock, so concurrent lookups factor it once; each then
-    lives as long as the store. ``traces`` holds each candidate's GCV
+    lookup and then lives as long as the store, which one fit owns and
+    no second thread reaches. ``traces`` holds each candidate's GCV
     smoother trace (a `_Trace`)."""
 
     def __init__(self, ops: FemOperators):
@@ -87,13 +78,10 @@ class _Systems(dict):
         self.ops = ops
         self.gram = estimator.data_gram(ops)
         self.traces = {}
-        self._lock = threading.Lock()
 
     def __missing__(self, lam):
-        with self._lock:
-            if lam not in self:
-                self[lam] = solver.SaddleSystem(self.ops, self.gram, lam)
-        return super().__getitem__(lam)
+        self[lam] = system = solver.SaddleSystem(self.ops, self.gram, lam)
+        return system
 
 
 def default_lambda_grid(ops: FemOperators):
@@ -141,38 +129,33 @@ def _residuals(blocks, comp, lam, ops):
     return residuals
 
 
-def _kfold_trace(n, lambda_grid, folds, seed, ops, prepare, fit,
-                 threads) -> SelectionTrace:
+def _kfold_trace(n, lambda_grid, folds, seed, ops, prepare,
+                 fit) -> SelectionTrace:
     """Check ``lambda_grid`` and score every candidate over ``folds``
     folds of ``range(n)``, drawn from ``seed`` by `make_folds`.
     ``prepare(train_rows, val_rows)`` gives each fold its training set,
     first start and validation blocks, once. The candidates run in
-    ascending order, each over every fold (mapped over ``threads``), so
-    consecutive fits share one factored system; ``fit(lam, train,
-    start)`` returns the component and the fold's next start. A
-    candidate scores the sum of its `_residuals`, in fold order, over
-    the number of values validated."""
+    ascending order, each over every fold in turn, so consecutive fits
+    share one factored system; ``fit(lam, train, start)`` returns the
+    component and the fold's next start. A candidate scores the sum of
+    its `_residuals`, in fold order, over the number of values
+    validated."""
     grid = estimator._check_grid(lambda_grid)
     assignments = make_folds(n, folds, seed)
     trains, starts, blocks = zip(*(
         prepare(np.setdiff1d(np.arange(n), val), val) for val in assignments
     ))
     validated = sum(values.size for fold in blocks for values, _ in fold)
+    starts = list(starts)
     scores = np.empty(len(grid))
     for j in np.argsort(grid, kind="stable"):
         lam = float(grid[j])
-
-        def score(f):
-            comp, start = fit(lam, trains[f], starts[f])
-            return _residuals(blocks[f], comp, lam, ops), start
-
-        fitted = _map_ordered(score, range(len(assignments)), threads)
         total = 0.0
-        for residuals, _ in fitted:
-            for residual in residuals:
+        for f, train in enumerate(trains):
+            comp, starts[f] = fit(lam, train, starts[f])
+            for residual in _residuals(blocks[f], comp, lam, ops):
                 total += residual
         scores[j] = total / validated
-        starts = [start for _, start in fitted]
     return SelectionTrace(
         lambda_grid=grid, scores=scores,
         chosen=int(np.argmin(scores)), method="kfold",
@@ -181,7 +164,7 @@ def _kfold_trace(n, lambda_grid, folds, seed, ops, prepare, fit,
 
 def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
                  systems=None, max_iterations: int = 15,
-                 tolerance: float = 1e-6, threads: int = 1) -> SelectionTrace:
+                 tolerance: float = 1e-6) -> SelectionTrace:
     """Choose the smoothing parameter by K-fold cross-validation.
 
     For each candidate and fold, one component is fitted to the
@@ -194,7 +177,7 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     starts from them (continuing from the previous candidate's fit saves
     nothing here, since the warm start is already a few solves from
     convergence). The candidates run in ascending order, each over the
-    folds, which run concurrently on ``threads`` workers.
+    folds.
 
     Parameters
     ----------
@@ -209,9 +192,6 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     systems : _Systems, optional
         The fit's store of factored candidates, new when None; a
         candidate missing from it is factored on its first fit.
-    threads : int
-        Folds evaluated concurrently; scores are identical for any
-        thread count.
     """
     systems = _Systems(ops) if systems is None else systems
 
@@ -226,13 +206,12 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         )
         return comp, start
 
-    return _kfold_trace(X.n, lambda_grid, folds, seed, ops, prepare, fit, threads)
+    return _kfold_trace(X.n, lambda_grid, folds, seed, ops, prepare, fit)
 
 
 def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
                          seed=0, max_iterations: int = 15,
-                         tolerance: float = 1e-6,
-                         threads: int = 1) -> SelectionTrace:
+                         tolerance: float = 1e-6) -> SelectionTrace:
     """K-fold selection over per-function observation lists.
 
     The validation score of function i divides its observation/profile
@@ -240,12 +219,11 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
     weighted penalty; residuals run over observed entries only and are
     averaged over the total observation count. Each fold builds its
     training state and initial scores once. The candidates run in
-    ascending order of the parameter, each over the folds (which run
-    concurrently on ``threads`` workers; scores are identical for any
-    thread count). In each fold the first candidate starts from the
-    initial scores and each later one from its predecessor's converged
-    scores, which are close to its own fit. The scores therefore depend
-    on the set of candidates, not on their order in ``lambda_grid``.
+    ascending order of the parameter, each over the folds. In each fold
+    the first candidate starts from the initial scores and each later
+    one from its predecessor's converged scores, which are close to its
+    own fit. The scores therefore depend on the set of candidates, not
+    on their order in ``lambda_grid``.
     """
     def prepare(train_rows, val_rows):
         train = state.subset(train_rows)
@@ -258,15 +236,14 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
         )
         return comp, comp.scores
 
-    return _kfold_trace(state.n, lambda_grid, folds, seed, ops, prepare, fit,
-                        threads)
+    return _kfold_trace(state.n, lambda_grid, folds, seed, ops, prepare, fit)
 
 
 # -- generalized cross-validation -------------------------------------
 
 
-def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
-               threads: int = 1) -> SelectionTrace:
+def gcv_select(X, u, lambda_grid, ops: FemOperators,
+               systems=None) -> SelectionTrace:
     """Choose the smoothing parameter by GCV on the regression step.
 
     The data vector is the projection of the data matrix onto the unit
@@ -279,11 +256,10 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
     (``_PROBE_BLOCK``) seeded Hutchinson probes. A trace error SE(T)
     moves the score by score * 2 SE(T) / (s gap), gap = 1 - T/s. While
     some candidate's score, give or take 3 (``_SEPARATION``) such errors,
-    overlaps that of the smallest score, both get one more block (the
-    blocks mapped over ``threads``), up to 64 (``_PROBE_CAP``) probes
-    each. The probes are fixed columns of one seeded matrix, so the
-    scores do not depend on the thread count. Candidates whose trace gap
-    closes to zero score +inf and are skipped with a warning.
+    overlaps that of the smallest score, both get one more block, up to
+    64 (``_PROBE_CAP``) probes each. The probes are fixed columns of one
+    seeded matrix. Candidates whose trace gap closes to zero score +inf
+    and are skipped with a warning.
 
     Raises
     ------
@@ -299,19 +275,16 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
     systems = _Systems(ops) if systems is None else systems
     traces = systems.traces
     lams = [float(lam) for lam in grid]
-    distinct = list(dict.fromkeys(lams))
 
     rhs = ops.psi.T @ z
-
-    def residual(lam):
+    mean_square = {}
+    for lam in dict.fromkeys(lams):
         system = systems[lam]
         f, _ = system.solve(rhs)
         resid = z - ops.psi @ f
+        mean_square[lam] = float(resid @ resid) / s
         if lam not in traces:
             traces[lam] = _smoother_trace(system, ops)
-        return float(resid @ resid) / s
-
-    mean_square = dict(zip(distinct, _map_ordered(residual, distinct, threads)))
     while True:
         scores, errors = _gcv_scores(lams, mean_square, traces, s)
         best = int(np.argmin(scores))
@@ -322,11 +295,8 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators, systems=None,
                   if 0 < traces[lam].probes < _PROBE_CAP]
         if not close or not refine:
             break
-        refined = _map_ordered(
-            lambda lam: _smoother_trace(systems[lam], ops, traces[lam]),
-            refine, threads,
-        )
-        traces.update(zip(refine, refined))
+        for lam in refine:
+            traces[lam] = _smoother_trace(systems[lam], ops, traces[lam])
 
     for lam, score in zip(lams, scores):
         if score == np.inf:

@@ -192,11 +192,13 @@ class SaddleSystem:
         """Solve the system with ``upper_left`` as its new data block,
         reusing this factorization as a preconditioner.
 
-        Runs iterative refinement ``x += LU^-1 r`` from ``start``, the
-        pair (f, g), until the residual of the new system drops below
-        1e-13 of the right-hand side. Returns (f, g), or None when the
-        new block is too far from the factored one for refinement to
-        converge within its step budget; the caller then factors anew.
+        Runs iterative refinement from ``start``, the pair (f, g): each
+        step adds the solve of the new system's residual through this
+        factorization, whichever form it holds, until the residual
+        drops to ``_REFINE_TOLERANCE`` of the right-hand side. Returns
+        (f, g), or None when the new block is too far from the factored
+        one for refinement to converge within ``_REFINE_STEPS`` steps;
+        the caller then factors anew.
 
         Raises
         ------
@@ -308,7 +310,7 @@ def _cholesky_band(schur, order, width):
     matrix ``schur`` in the vertex order ``order``, in LAPACK's lower
     band storage: entry (i, j), i >= j, of the reordered matrix at
     [i - j, j]. ``width`` bounds |i - j| over the stored entries."""
-    import scipy.linalg as linalg  # loaded with scipy.sparse.linalg by fit
+    import scipy.linalg as linalg  # loaded with the inputs by fit
 
     position = np.argsort(order)
     rows, cols = position[schur.row], position[schur.col]

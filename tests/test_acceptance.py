@@ -240,12 +240,12 @@ def test_criterion_10_manifest_determinism(tmp_path):
     )
     assert code == 0
     outs = []
-    for name, threads in (("a", 1), ("b", 1), ("c", 4)):
+    for name in "abc":
         out = tmp_path / name
         code = cli.main(
             ["fit", "--mesh", str(sim / "mesh.off"),
              "--data", str(sim / "data.csv"), "--outdir", str(out),
-             "--n-components", "2", "--threads", str(threads)]
+             "--n-components", "2"]
         )
         assert code == 0
         outs.append((out / "result.json").read_bytes())
@@ -259,7 +259,7 @@ def test_criterion_10_manifest_determinism(tmp_path):
     ok = all(b == outs[0] for b in outs[1:])
     report(
         10, ok,
-        f"{len(outs)} runs (threads 1/1/4 + manifest rerun) byte-identical: {ok}",
+        f"{len(outs)} runs (3 fits + manifest rerun) byte-identical: {ok}",
     )
 
 

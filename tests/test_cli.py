@@ -131,36 +131,20 @@ def test_fit_manifest_rerun_byte_identical(tmp_path):
     assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
 
 
-def test_fit_threads_do_not_change_results(tmp_path):
-    src = simulate_sphere(tmp_path / "sim")
-    out1 = tmp_path / "t1"
-    out4 = tmp_path / "t4"
-    assert run(fit_args(src, out1, ["--threads", 1])) == 0
-    assert run(fit_args(src, out4, ["--threads", 4])) == 0
-    r1 = (out1 / "result.json").read_bytes()
-    r4 = (out4 / "result.json").read_bytes()
-    assert r1 == r4
-
-
 def test_fit_gcv_writes_history(tmp_path, monkeypatch):
     # every location count is above this limit, so traces come from probes
     monkeypatch.setattr(selection, "EXACT_TRACE_LIMIT", 1)
     src = tmp_path / "sim"
     assert run(["simulate", "--generator", "sphere", "--sphere", 2,
                 "--n", 20, "--seed", 3, "--outdir", src]) == 0
-    results = []
-    for threads in (1, 4):
-        out = tmp_path / f"t{threads}"
-        extra = ["--selection", "gcv", "--threads", threads]
-        assert run(fit_args(src, out, extra)) == 0
-        results.append(out / "result.json")
-    for comp in load_json(results[0])["components"]:
+    out = tmp_path / "fit"
+    assert run(fit_args(src, out, ["--selection", "gcv"])) == 0
+    for comp in load_json(out / "result.json")["components"]:
         trace = comp["selection"]
         assert trace["method"] == "gcv"
         assert trace["history"]
         assert set(trace["history"]) <= set(trace["lambdaGrid"])
         assert trace["history"][-1] == trace["chosenLambda"] == comp["lambda"]
-    assert results[0].read_bytes() == results[1].read_bytes()
 
 
 def test_fit_missing_mesh_exit_2(tmp_path, capsys):
@@ -184,7 +168,7 @@ def test_fit_non_finite_lambda_exit_2(tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize("extra", [
-    ["--threads", "0"], ["--threads", "-2"], ["--max-iterations", "-3"],
+    ["--n-components", "0"], ["--seed", "-2"], ["--max-iterations", "-3"],
     ["--tolerance", "nan"], ["--tolerance", "-1"],
 ])
 def test_fit_invalid_numeric_option_exit_2(tmp_path, capsys, extra):
@@ -352,36 +336,48 @@ def test_cli_import_leaves_out_scipy_spatial():
     assert out.strip() == "[]"
 
 
-# Runs a command in a fresh process, then prints whether SuperLU's module
-# was loaded when the fit began (None without a fit) and at the end, and
-# whether the sparse graph module was loaded at the end.
+# Runs a command in a fresh process, then prints its exit code, whether
+# the LAPACK wrappers and SuperLU were loaded when the fit began (None
+# without a fit), and whether SuperLU and the sparse graph module were
+# loaded at the end.
 _LOADED_AT_FIT = """
 import sys
 import smfpca.cli
 from smfpca import estimator
 
-seen = [None]
-fit = estimator.fit
+seen = [None, None]
 
-def probe(*args, **kwargs):
-    seen[0] = "scipy.sparse.linalg" in sys.modules
-    return fit(*args, **kwargs)
+def probe(fit):
+    def probed(*args, **kwargs):
+        seen[:] = [m in sys.modules for m in ("scipy.linalg", "scipy.sparse.linalg")]
+        return fit(*args, **kwargs)
+    return probed
 
-estimator.fit = probe
+estimator.fit = probe(estimator.fit)
+estimator.fit_missing = probe(estimator.fit_missing)
 code = smfpca.cli.main(sys.argv[1:])
-print(code, seen[0], "scipy.sparse.linalg" in sys.modules,
+print(code, *seen, "scipy.sparse.linalg" in sys.modules,
       "scipy.sparse.csgraph" in sys.modules)
 """
 
 
 def test_only_fit_loads_the_sparse_solver(tmp_path):
+    # A dense fit factors only through the band routines of scipy.linalg;
+    # SuperLU loads during a fit whose system needs the saddle form, as a
+    # masked fit with a never-observed vertex does.
     sim, fit, ev = tmp_path / "sim", tmp_path / "fit", tmp_path / "ev"
+    simulate_sphere(sim)
+    blank = read_data_csv(sim / "data.csv")
+    blank[:, 3] = np.nan
+    write_data_csv(tmp_path / "blank.csv", blank)
+    fit_common = ["--mesh", sim / "mesh.off", "--n-components", "2",
+                  "--selection", "fixed", "--fixed-lambda", "1e-4"]
     commands = {
         "simulate": ["simulate", "--generator", "sphere", "--sphere", "1",
-                     "--n", "12", "--outdir", sim],
-        "fit": ["fit", "--mesh", sim / "mesh.off", "--data", sim / "data.csv",
-                "--n-components", "2", "--selection", "fixed",
-                "--fixed-lambda", "1e-4", "--outdir", fit],
+                     "--n", "12", "--outdir", tmp_path / "sim2"],
+        "fit": ["fit", "--data", sim / "data.csv", "--outdir", fit, *fit_common],
+        "masked fit": ["fit", "--data", tmp_path / "blank.csv",
+                       "--outdir", tmp_path / "masked", *fit_common],
         "evaluate": ["evaluate", "--result", fit / "result.json",
                      "--truth", sim / "truth.json", "--mesh", sim / "mesh.off",
                      "--data", sim / "data.csv", "--outdir", ev],
@@ -391,10 +387,11 @@ def test_only_fit_loads_the_sparse_solver(tmp_path):
     for name, argv in commands.items():
         out = python("-c", _LOADED_AT_FIT, *map(str, argv), check=True).stdout
         loaded[name] = out.splitlines()[-1]
-    assert loaded == {"simulate": "0 None False False",
-                      "fit": "0 True True False",
-                      "evaluate": "0 None False False",
-                      "mesh-info": "0 None False False"}
+    assert loaded == {"simulate": "0 None None False False",
+                      "fit": "0 True False False False",
+                      "masked fit": "0 True False True False",
+                      "evaluate": "0 None None False False",
+                      "mesh-info": "0 None None False False"}
 
 
 def assert_relative(a, b, tolerance):
@@ -580,6 +577,29 @@ def test_fit_unknown_config_key_exit_2(tmp_path, capsys):
     assert "lambda_gird" in capsys.readouterr().err
 
 
+def test_fit_thread_option_is_refused(tmp_path, capsys):
+    # fits run on one thread; a manifest that still records the retired
+    # thread count is refused like any unknown key, and writes nothing
+    src = simulate_sphere(tmp_path / "sim")
+    old = tmp_path / "old"
+    assert run(fit_args(src, old, ["--selection", "fixed",
+                                   "--fixed-lambda", "1e-4"])) == 0
+    manifest = load_json(old / "manifest.json")
+    assert "threads" not in manifest["config"]
+    cfg = tmp_path / "old_manifest.json"
+    cfg.write_text(json.dumps(dict(manifest["config"], threads=1)))
+    capsys.readouterr()
+    out = tmp_path / "rerun"
+    assert run(["fit", "--config", cfg, "--outdir", out]) == 2
+    assert "unknown config keys: threads" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        run(fit_args(src, tmp_path / "flag", ["--threads", 2]))
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "simulate", "evaluate", "mesh-info"])
 def test_config_keys_are_the_flag_destinations(command):
     # the config check looks each key's flag up here, and a flag left
@@ -594,7 +614,7 @@ PARSED_DEFAULTS = {
         "mesh": None, "data": None, "outdir": ".", "n_components": 3,
         "lambda_grid": None, "selection": "kfold", "folds": 5,
         "fixed_lambda": None, "center": True, "max_iterations": 15,
-        "tolerance": 1e-6, "seed": 0, "threads": 1, "export_matrices": False,
+        "tolerance": 1e-6, "seed": 0, "export_matrices": False,
     },
     "simulate": {
         "generator": "sphere", "mesh": None, "sphere": None, "outdir": ".",
@@ -641,7 +661,7 @@ def test_fit_centering_flags(tmp_path, config, flags, centered):
 @pytest.mark.parametrize("bad", [
     {"n_components": "2"}, {"tolerance": "x"}, {"max_iterations": None},
     {"selection": "fixed", "fixed_lambda": "1"}, {"folds": 2.5},
-    {"center": "no"}, {"threads": 2.5}, {"selection": "loo"},
+    {"center": "no"}, {"export_matrices": 1}, {"selection": "loo"},
     {"lambda_grid": 1e-3}, {"lambda_grid": [1e-3, "1"]}, {"seed": True},
 ])
 def test_fit_config_value_of_wrong_type_exit_2(tmp_path, capsys, bad):

@@ -312,7 +312,6 @@ def test_fit_validates_arguments(ops1):
         with pytest.raises(InputError, match="lambda grid"):
             fit(X, 1, [bad], ops1, selection="fixed")
     for options, match in [
-        (dict(threads=0), "threads"), (dict(threads=-2), "threads"),
         (dict(max_iterations=-3), "max_iterations"),
         (dict(tolerance=np.nan), "tolerance"), (dict(tolerance=-1.0), "tolerance"),
         (dict(tolerance=np.inf), "tolerance"), (dict(seed=-1), "seed"),
@@ -630,8 +629,8 @@ def test_fit_missing_rejects_gcv(ops1):
 def test_fit_missing_validates_numeric_options(ops1):
     ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 26)
     obs = ObservationSet.from_masked(ds.X.values, vertex_locations(ops1.mesh))
-    for options in (dict(threads=0), dict(max_iterations=-1),
-                    dict(tolerance=np.nan), dict(seed=-1)):
+    for options in (dict(max_iterations=-1), dict(tolerance=np.nan),
+                    dict(seed=-1)):
         with pytest.raises(InputError):
             fit_missing(obs, 1, [1e-3], ops1, selection="fixed", **options)
 

@@ -1,4 +1,3 @@
-import sys
 
 import numpy as np
 import pytest
@@ -222,11 +221,9 @@ def test_kfold_checks_folds_before_factoring(ops1, monkeypatch):
         fit(ds.X, 1, [1e-3, 1.0], ops1, folds=11)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("method", ["kfold", "gcv"])
-def test_fit_factors_each_candidate_once(ops2, monkeypatch, method, threads):
-    # one store serves every component, fold and alternation of a fit;
-    # concurrent lookups of a candidate wait for its one factorization
+def test_fit_factors_each_candidate_once(ops2, monkeypatch, method):
+    # one store serves every component, fold and alternation of a fit
     factored = []
     init = solver.SaddleSystem.__init__
 
@@ -237,7 +234,7 @@ def test_fit_factors_each_candidate_once(ops2, monkeypatch, method, threads):
     monkeypatch.setattr(solver.SaddleSystem, "__init__", counted)
     ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.3, 8)
     grid = [1e-4, 1e-2, 1e-4, 1.0]
-    fit(ds.X, 2, grid, ops2, selection=method, folds=4, threads=threads)
+    fit(ds.X, 2, grid, ops2, selection=method, folds=4)
     assert sorted(factored) == [1e-4, 1e-2, 1.0]
 
 
@@ -249,31 +246,6 @@ def test_kfold_deterministic_and_seed_sensitive(ops1):
     c = kfold_select(ds.X, grid, 5, ops1, seed=5)
     np.testing.assert_array_equal(a.scores, b.scores)
     assert not np.array_equal(a.scores, c.scores)
-
-
-def test_kfold_threads_bitwise_equal(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 6)
-    grid = [1e-6, 1e-4, 1e-2, 1.0]
-    serial = kfold_select(ds.X, grid, 4, ops1, seed=0, threads=1)
-    threaded = kfold_select(ds.X, grid, 4, ops1, seed=0, threads=4)
-    np.testing.assert_array_equal(serial.scores, threaded.scores)
-    assert serial.chosen == threaded.chosen
-
-
-def test_kfold_missing_threads_bitwise_equal(ops1):
-    # concurrent folds read the full state (its map and observations) and
-    # hand their scores on; frequent thread switches make interleaving likely
-    state = masked_state(ops1, 20, 6)
-    grid = [1e-6, 1e-4, 1e-2, 1.0]
-    serial = kfold_select_missing(state, grid, 4, ops1, seed=0, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = kfold_select_missing(state, grid, 4, ops1, seed=0, threads=4)
-    finally:
-        sys.setswitchinterval(interval)
-    np.testing.assert_array_equal(serial.scores, threaded.scores)
-    assert serial.chosen == threaded.chosen
 
 
 def test_kfold_matches_per_pair_oracle_bitwise(ops1):
@@ -528,19 +500,6 @@ def test_gcv_capped_trace_matches_direct_hutchinson(ops2, stochastic_traces):
     assert store.traces[1e-3].value == pytest.approx(direct, rel=1e-12)
 
 
-def test_gcv_fit_independent_of_threads(ops2, stochastic_traces):
-    X, _ = gcv_case(ops2, 15)
-    grid = default_lambda_grid(ops2)
-    one = fit(X, 2, grid, ops2, selection="gcv", threads=1)
-    four = fit(X, 2, grid, ops2, selection="gcv", threads=4)
-    for a, b, ta, tb in zip(one.components, four.components,
-                            one.selection_traces, four.selection_traces):
-        np.testing.assert_array_equal(ta.scores, tb.scores)
-        np.testing.assert_array_equal(ta.trace_probes, tb.trace_probes)
-        assert ta.history == tb.history
-        np.testing.assert_array_equal(a.f_coefficients, b.f_coefficients)
-        np.testing.assert_array_equal(a.g_coefficients, b.g_coefficients)
-        np.testing.assert_array_equal(a.scores, b.scores)
 
 
 # -- default grid -----------------------------------------------------

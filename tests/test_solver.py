@@ -447,9 +447,9 @@ def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked)
         values = (location_matrix(sphere2, centroids) @ ds.X.values.T).T
         values[np.random.default_rng(32).random(values.shape) < 0.2] = np.nan
         obs = ObservationSet.from_masked(values, centroids)
-        fit_missing(obs, 1, grid, ops, selection="kfold", folds=3, threads=4)
+        fit_missing(obs, 1, grid, ops, selection="kfold", folds=3)
     else:
-        fit(ds.X, 2, grid, ops, selection="kfold", folds=3, threads=4)
+        fit(ds.X, 2, grid, ops, selection="kfold", folds=3)
     assert len(factors) >= len(grid)
     K = ops.vertex_count
     if masked:
