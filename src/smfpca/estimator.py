@@ -609,6 +609,7 @@ class _MissingState:
             (np.concatenate(products), (entry.ravel(), np.concatenate(functions))),
             shape=(pattern.size, n),
         )
+        self._gram_map_t = self.gram_map.T  # a CSR view, for every `energies`
         self._gram_rows = pattern // K
         self._gram_indices = pattern % K
         self._gram_indptr = np.searchsorted(self._gram_rows, np.arange(K + 1))
@@ -623,13 +624,14 @@ class _MissingState:
         # The pattern keeps the full state's entries; those no training
         # function touches hold explicit zeros.
         state.gram_map = self.gram_map[:, rows]
+        state._gram_map_t = state.gram_map.T
         # slicing, not restacking, keeps the full state's layout and rounding
         state._set_values([self.values[i] for i in rows], self.d_matrix[:, rows])
         return state
 
     def energies(self, f):
         """Each function's profile energy ||psi_i f||^2."""
-        return self.gram_map.T @ (f[self._gram_rows] * f[self._gram_indices])
+        return self._gram_map_t @ (f[self._gram_rows] * f[self._gram_indices])
 
     def weighted_gram(self, u):
         """Sum over functions of u_i^2 psi_i' psi_i, as `gram_map` applied

@@ -26,21 +26,32 @@ is factored by LAPACK's banded Cholesky (dpbtrf). Such blocks are
 psi' psi for full data at the vertices, c I, and the weighted Gram
 matrix of masked data at the vertices once weighted functions observe
 every vertex. S is formed as R0 + (lam / c) R1 P R1 with c = max w and
-P = diag(c / w), which is exactly I for a c I block, so that block
-rounds as if P were absent. S couples second-ring neighbours: its
-pattern lies in that of |R0| + |R1| |R1|, whatever lam, fold,
-component or weights. One Cuthill-McKee order of that pattern
-(Cuthill & McKee 1969; George & Liu, Computer Solution of Large Sparse
-Positive Definite Systems, 1981), taken per mesh component from a
-pseudo-peripheral vertex, therefore serves every Schur complement on an
-operator set and is computed once for it. On icospheres of levels 3 to
-6 it leaves a band of half-width 83, 163, 323 and 643, whose
-(width + 1) K entries hold every fill-in of the factor. The band keeps
-the zeros inside it, so it outgrows the sparse LU of a minimum-degree
-order as the mesh grows (25 against 34 MiB at level 5, 201 against
-183 MiB at level 6), but dense kernels factor it 3.5 to 4 times faster
-at levels 4 to 6; a solve through it takes 13 to 21% longer at levels
-5 and 6.
+P = diag(c / w), which is exactly I for a c I block. S couples
+second-ring neighbours: its pattern lies in that of |R0| + |R1| |R1|,
+whatever lam, fold, component or weights. One Cuthill-McKee order of
+that pattern (Cuthill & McKee 1969; George & Liu, Computer Solution of
+Large Sparse Positive Definite Systems, 1981), taken per mesh component
+from a pseudo-peripheral vertex, therefore serves every Schur complement
+on an operator set. It is computed once for the set, with a layout that
+writes S straight into LAPACK's band storage: the band slot of each
+entry of R0 and, for each vertex v, the products R1[a, v] R1[v, b] at
+the slots of the entries (a, b) that v couples. A factorization then
+forms its band with one sparse matrix-vector product, those products
+against P's diagonal, then a scaling and an add of R0: no sparse matrix
+product and no sort. Each entry's terms are summed over ascending v, as
+the sparse product R1 R1 sums them, so a c I block gives the band of
+R0 + (lam / c) R1 R1 to the bit; any other P rounds each term as
+(R1[a, v] R1[v, b]) p_v, not (R1[a, v] p_v) R1[v, b]. On icospheres of
+levels 3 to 6 the order leaves a band of half-width 83, 163, 323 and
+643, whose (width + 1) K entries hold every fill-in of the factor. The
+band keeps the zeros inside it, so it outgrows the sparse LU of a
+minimum-degree order as the mesh grows (25 against 34 MiB at level 5,
+201 against 183 MiB at level 6), but a factorization, band included,
+takes 0.58, 4.7 and 47 ms at levels 3, 4 and 5, against 4.4 to 6.6, 34
+to 39 and 230 to 360 ms for SuperLU's LU of S in a minimum-degree order
+(forming S as a sparse product and sorting it into the band, the band
+factorization took 1.75, 7.4 and 56 ms; one core, BLAS on one thread);
+a solve through it takes 13 to 21% longer at levels 5 and 6.
 
 Every other block keeps the saddle form: psi' psi at a few vertices or
 at points inside triangles, and diagonal blocks with a zero or a
@@ -148,7 +159,10 @@ class SaddleSystem:
         self.k = ops.vertex_count
         self._upper_left = upper_left
         self._root = np.sqrt(lam)
-        self._coupling = self._root * ops.stiffness
+        # shares R1's index arrays: a system stores only its own values
+        self._coupling = sparse.csr_matrix(
+            (self._root * ops.stiffness.data, ops.stiffness.indices,
+             ops.stiffness.indptr), shape=ops.stiffness.shape)
         self._mass = ops.mass
         self._p = self._lu = self._band = None
         weights = _schur_weights(upper_left)
@@ -165,15 +179,19 @@ class SaddleSystem:
                 raise SingularSystem(
                     f"saddle-point factorization failed: {exc}") from exc
         else:
-            # S = R0 + (lam/c) R1 P R1; P is exactly I for a c I block,
-            # which then rounds as R0 + (lam/c) R1 R1
+            import scipy.linalg as linalg  # loaded with the inputs by fit
+
             self._scale = float(weights.max())
             self._p = self._scale / weights
-            scaled = ops.stiffness.copy()
-            scaled.data *= self._p[scaled.indices]
-            schur = ops.mass + (lam / self._scale) * (scaled @ ops.stiffness)
-            self._order, width = _band_order(ops)
-            self._band = _cholesky_band(schur.tocoo(), self._order, width)
+            layout = _band_layout(ops)
+            self._order = layout.order
+            try:
+                self._band = linalg.cholesky_banded(
+                    layout.schur(self._p, lam / self._scale), overwrite_ab=True,
+                    lower=True, check_finite=False)
+            except linalg.LinAlgError as exc:
+                raise SingularSystem(
+                    f"Schur complement factorization failed: {exc}") from exc
 
     @property
     def matrix(self):
@@ -269,7 +287,8 @@ class SaddleSystem:
 
 def _checked_block(upper_left, labels):
     k = len(labels)
-    upper_left = sparse.csr_matrix(upper_left)
+    if not (sparse.issparse(upper_left) and upper_left.format == "csr"):
+        upper_left = sparse.csr_matrix(upper_left)
     if upper_left.shape != (k, k):
         raise DimensionMismatch(
             f"upper-left block must be {k}x{k}, got {upper_left.shape}"
@@ -305,33 +324,15 @@ def _schur_weights(upper_left):
     return None
 
 
-def _cholesky_band(schur, order, width):
-    """The lower Cholesky factor of the symmetric positive definite COO
-    matrix ``schur`` in the vertex order ``order``, in LAPACK's lower
-    band storage: entry (i, j), i >= j, of the reordered matrix at
-    [i - j, j]. ``width`` bounds |i - j| over the stored entries."""
-    import scipy.linalg as linalg  # loaded with the inputs by fit
-
-    position = np.argsort(order)
-    rows, cols = position[schur.row], position[schur.col]
-    lower = rows >= cols
-    band = np.zeros((width + 1, order.size), order="F")
-    band[rows[lower] - cols[lower], cols[lower]] = schur.data[lower]
-    try:
-        return linalg.cholesky_banded(band, overwrite_ab=True, lower=True,
-                                      check_finite=False)
-    except linalg.LinAlgError as exc:
-        raise SingularSystem(
-            f"Schur complement factorization failed: {exc}") from exc
-
-
-# One order per operator set and kind, shared by every system built on
-# it (from any thread); entries go away with their operators. Each order
-# depends only on the operators' sparsity pattern, and any g-before-f
-# saddle order or any vertex order of the Schur complement is exact, so
-# a cached one never changes correctness.
+# One saddle order and one band layout per operator set, shared by every
+# system built on it (from any thread); entries go away with their
+# operators. Each order depends only on the operators' sparsity pattern,
+# and any g-before-f saddle order or any vertex order of the Schur
+# complement is exact, so a cached one never changes correctness; the
+# layout also holds the operators' values, which stay fixed once
+# assembled.
 _ORDERS = weakref.WeakKeyDictionary()
-_BAND_ORDERS = weakref.WeakKeyDictionary()
+_LAYOUTS = weakref.WeakKeyDictionary()
 _ORDERS_LOCK = threading.Lock()
 
 
@@ -378,17 +379,92 @@ def _mesh_order(ops):
     return np.argsort(lu.perm_c)
 
 
-def _band_order(ops):
-    """The vertex order of the Schur complements on ``ops`` and the
-    half-bandwidth they have in it, as (order, width)."""
-    return _cached(_BAND_ORDERS, ops, _cuthill_mckee)
+def _band_layout(ops):
+    """The `_BandLayout` of the Schur complements on ``ops``."""
+    return _cached(_LAYOUTS, ops, _BandLayout)
 
 
-def _cuthill_mckee(ops):
+class _BandLayout:
+    """Where the entries of every Schur complement R0 + s R1 P R1 on one
+    operator set go in LAPACK's lower band storage, in the vertex order
+    ``order``: entry (i, j), i >= j, of the reordered matrix at
+    [i - j, j] of a (width + 1, K) array, which is the flat Fortran-order
+    slot i + width j.
+
+    ``triples`` maps P to R1 P R1 on those slots: its column v holds
+    R1[a, v] R1[v, b] at the slot of each entry (a, b) that v couples,
+    so ``triples @ p`` sums the terms of every entry over ascending v,
+    as a sparse product R1 P R1 does. ``mass_slots`` and
+    ``mass_values`` place R0's lower-triangle entries. Both factors of a
+    term are read from row v of R1, which is symmetric as assembled.
+    """
+
+    def __init__(self, ops):
+        K = ops.vertex_count
+        stiffness = abs(ops.stiffness)
+        self.order = _cuthill_mckee((abs(ops.mass) + stiffness @ stiffness).tocsr(),
+                                    ops.mesh.component_labels)
+        del stiffness
+        position = np.empty(K, dtype=np.int32)
+        position[self.order] = np.arange(K, dtype=np.int32)
+        # R1's rows with their entries ascending in band position: the
+        # lower-triangle entries that vertex v couples pair an entry of
+        # row v with each entry of row v up to itself
+        rows = sparse.csr_matrix(
+            (ops.stiffness.data.copy(), position[ops.stiffness.indices],
+             ops.stiffness.indptr), shape=(K, K))
+        rows.sort_indices()
+        indptr, column, value = rows.indptr, rows.indices, rows.data
+        counts = np.diff(indptr)
+        mass = ops.mass.tocoo()
+        i, j = position[mass.row], position[mass.col]
+        kept = i >= j
+        filled = counts > 0
+        self.width = int(max((column[indptr[1:][filled] - 1]
+                              - column[indptr[:-1][filled]]).max(),
+                             (i - j)[kept].max()))
+        index = (np.int32 if (self.width + 1) * K <= np.iinfo(np.int32).max
+                 else np.int64)
+        self.mass_slots = _slots(i[kept], j[kept], self.width, index)
+        self.mass_values = mass.data[kept]
+        # an entry of rank r in its row pairs with the row's first r + 1
+        # entries, listed entry by entry in ``lower``
+        starts = np.repeat(indptr[:-1], counts)
+        pairs = np.arange(1, column.size + 1) - starts
+        ends = np.cumsum(pairs)
+        lower = np.arange(ends[-1]) + np.repeat(starts + pairs - ends, pairs)
+        del starts, ends
+        products = np.repeat(value, pairs)
+        products *= value[lower]
+        self.triples = sparse.csc_matrix(
+            (products, _slots(np.repeat(column, pairs), column[lower], self.width,
+                              index),
+             np.r_[0, np.cumsum(counts * (counts + 1) // 2)]),
+            shape=((self.width + 1) * K, K))
+
+    def schur(self, p, scale):
+        """R0 + scale R1 diag(p) R1 in the band storage: a new
+        Fortran-ordered (width + 1, K) array."""
+        band = self.triples @ p
+        band *= scale
+        band[self.mass_slots] += self.mass_values
+        return band.reshape((self.width + 1, -1), order="F")
+
+
+def _slots(i, j, width, index):
+    """The flat slots i + width j of band entries (i, j), as ``index``
+    integers."""
+    slots = j.astype(index)
+    slots *= width
+    slots += i
+    return slots
+
+
+def _cuthill_mckee(graph, labels):
     """A Cuthill-McKee order (the vertex placed first, second, ...) of
-    the two-ring graph |R0| + |R1| |R1|, which holds the pattern of every
-    Schur complement R0 + (lam/c) R1 P R1 on ``ops``, and the largest
-    distance in that order between two of its adjacent vertices.
+    the symmetric CSR ``graph``, here the two-ring graph |R0| + |R1| |R1|,
+    which holds the pattern of every Schur complement R0 + s R1 P R1;
+    ``labels`` holds the mesh component of each vertex.
 
     The mesh components follow one another, each ordered from a
     pseudo-peripheral vertex found by two breadth-first sweeps: one from
@@ -396,21 +472,39 @@ def _cuthill_mckee(ops):
     of its last level; the order starts at the least-degree vertex of
     the second sweep's last level.
     """
-    stiffness = abs(ops.stiffness)
-    graph = (abs(ops.mass) + stiffness @ stiffness).tocsr()
-    labels = ops.mesh.component_labels
     degree = np.diff(graph.indptr)
     starts = np.unique(labels, return_index=True)[1]
     for _ in range(2):
-        _, depth = _level_sets(graph, starts)
+        depth = _depths(graph, starts)
         # per component: deepest first, then least degree, then lowest index
         far = np.lexsort((degree, -depth, labels))
         starts = far[np.r_[True, labels[far[1:]] != labels[far[:-1]]]]
-    order, _ = _level_sets(graph, starts)
-    order = order[np.argsort(labels[order], kind="stable")]
-    position = np.argsort(order)
-    edges = graph.tocoo()
-    return order, int(np.abs(position[edges.row] - position[edges.col]).max())
+    order = _level_sets(graph, starts)
+    return order[np.argsort(labels[order], kind="stable")]
+
+
+def _neighbours(graph, level):
+    """The neighbours in the CSR ``graph`` of each vertex of ``level`` in
+    turn, and how many each vertex has."""
+    indptr = graph.indptr
+    counts = indptr[level + 1] - indptr[level]
+    slots = (np.repeat(indptr[level] - (np.cumsum(counts) - counts), counts)
+             + np.arange(counts.sum()))
+    return graph.indices[slots], counts
+
+
+def _depths(graph, starts):
+    """Each vertex's breadth-first distance in the symmetric CSR
+    ``graph`` from ``starts``, one vertex per component."""
+    depth = np.full(graph.shape[0], -1)
+    depth[starts] = 0
+    level, d = starts, 0
+    while level.size:
+        d += 1
+        found, _ = _neighbours(graph, level)
+        depth[found[depth[found] < 0]] = d
+        level = np.flatnonzero(depth == d)
+    return depth
 
 
 def _level_sets(graph, starts):
@@ -418,23 +512,18 @@ def _level_sets(graph, starts):
     ``starts``, one vertex per component in component order: the
     vertices level by level, each level in Cuthill-McKee order (after
     the first-placed neighbour in the level before, then by ascending
-    degree, then by index), and each vertex's depth."""
-    indptr, indices = graph.indptr, graph.indices
-    degree = np.diff(indptr)
+    degree, then by index)."""
+    degree = np.diff(graph.indptr)
     rank = np.full(len(degree), -1)  # place in the sequence, -1 until placed
-    depth = np.zeros(len(degree), dtype=np.intp)
     level, placed, levels = starts, 0, []
     while level.size:
         rank[level] = placed + np.arange(level.size)
-        depth[level] = len(levels)
         placed += level.size
         levels.append(level)
-        counts = degree[level]
-        slots = (np.repeat(indptr[level] - (np.cumsum(counts) - counts), counts)
-                 + np.arange(counts.sum()))
-        found, parent = indices[slots], np.repeat(rank[level], counts)
+        found, counts = _neighbours(graph, level)
+        parent = np.repeat(rank[level], counts)
         fresh = rank[found] < 0
         found, parent = found[fresh], parent[fresh]
         found = found[np.lexsort((found, degree[found], parent))]
         level = found[np.sort(np.unique(found, return_index=True)[1])]
-    return np.concatenate(levels), depth
+    return np.concatenate(levels)

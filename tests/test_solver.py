@@ -10,7 +10,8 @@ from smfpca import DimensionMismatch, InputError, SaddleSystem, SingularSystem, 
 from smfpca import ObservationSet, SurfaceLocation, fit, fit_missing, solver
 from smfpca import vertex_locations
 from smfpca.estimator import _MissingState, data_gram
-from smfpca.fem import location_matrix
+from smfpca.fem import FemOperators, location_matrix
+from smfpca.mesh import TriangleMesh
 from smfpca.selection import default_lambda_grid
 from smfpca.synth import generate_sphere_dataset
 
@@ -365,17 +366,68 @@ def test_band_order_covers_every_vertex_of_disconnected_mesh(two_spheres,
     # second sphere repeats the first's order and the band its width
     ops = assemble(two_spheres, vertex_locations(two_spheres))
     K, half = two_spheres.K, sphere1.K
-    order, width = solver._band_order(ops)
+    layout = solver._band_layout(ops)
+    order, width = layout.order, layout.width
     assert sorted(order) == list(range(K))
     np.testing.assert_array_equal(two_spheres.component_labels[order],
                                   np.repeat([0, 1], half))
-    alone, alone_width = solver._band_order(ops1)
-    np.testing.assert_array_equal(order, np.concatenate([alone, alone + half]))
-    assert width == alone_width
+    alone = solver._band_layout(ops1)
+    np.testing.assert_array_equal(order, np.concatenate([alone.order,
+                                                         alone.order + half]))
+    assert width == alone.width
     # the width bounds every entry of every Schur complement's pattern
     position = np.argsort(order)
     pattern = (abs(ops.mass) + abs(ops.stiffness) @ abs(ops.stiffness)).tocoo()
     assert np.abs(position[pattern.row] - position[pattern.col]).max() == width
+
+
+def product_band(layout, mass, stiffness, p, scale):
+    """Oracle: the lower band of mass + scale stiffness diag(p) stiffness
+    in ``layout``'s order, assembled from the sparse product."""
+    scaled = stiffness.copy()  # stiffness diag(p), its rows still sorted
+    scaled.data *= p[scaled.indices]
+    schur = (mass + scale * (scaled @ stiffness)).tocoo()
+    position = np.argsort(layout.order)
+    i, j = position[schur.row], position[schur.col]
+    lower = i >= j
+    band = np.zeros((layout.width + 1, len(p)), order="F")
+    band[i[lower] - j[lower], j[lower]] = schur.data[lower]
+    return band
+
+
+def open_cap(mesh):
+    """The triangles of ``mesh`` with a vertex above z = 0: an open mesh."""
+    keep = (mesh.vertices[mesh.triangles, 2] > 0).any(axis=1)
+    used, inverse = np.unique(mesh.triangles[keep], return_inverse=True)
+    return TriangleMesh(mesh.vertices[used], inverse.reshape(-1, 3))
+
+
+@pytest.mark.parametrize("mesh", ["sphere2", "two_spheres", "open"])
+def test_layout_band_matches_sparse_product(request, sphere2, mesh):
+    mesh = open_cap(sphere2) if mesh == "open" else request.getfixturevalue(mesh)
+    ops = assemble(mesh, vertex_locations(mesh))
+    layout = solver._band_layout(ops)
+    K, scale = mesh.K, 0.37
+    # psi'psi = c I gives P = I, whose band is the product's bit for bit
+    ones = np.ones(K)
+    np.testing.assert_array_equal(
+        layout.schur(ones, scale),
+        product_band(layout, ops.mass, ops.stiffness, ones, scale))
+    # otherwise each entry's terms are summed in another rounding order
+    p = 1.0 / (0.1 + 0.9 * np.random.default_rng(37).random(K))
+    gap = np.abs(layout.schur(p, scale)
+                 - product_band(layout, ops.mass, ops.stiffness, p, scale))
+    size = product_band(layout, abs(ops.mass), abs(ops.stiffness), p, scale)
+    assert (gap <= 4 * np.finfo(float).eps * size).all()
+
+
+def test_schur_complement_breakdown_raises(ops2):
+    # with the mass negated, S = -R0 + lam R1 R1 is negative on the constants
+    ops = FemOperators(ops2.psi, -ops2.mass, ops2.stiffness, ops2.mesh)
+    system = SaddleSystem(ops2, data_gram(ops2), 1e-3)
+    assert factored_size(system) == ops2.vertex_count
+    with pytest.raises(SingularSystem, match="Schur complement"):
+        SaddleSystem(ops, data_gram(ops), 1e-3)
 
 
 @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0])
@@ -417,29 +469,29 @@ def test_schur_complement_has_less_fill_than_saddle(ops3, monkeypatch):
 @pytest.mark.parametrize("masked", [False, True])
 def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked):
     # dense data (psi'psi = I) factor the K x K form, which needs only
-    # the band order; masked data at triangle centroids, whose data
+    # the band layout; masked data at triangle centroids, whose data
     # blocks are not diagonal, the saddle form, which needs only the
     # saddle order; each is computed once per operator set
     ops = assemble(sphere2, vertex_locations(sphere2))
     ds = generate_sphere_dataset(sphere2, ops, 20, (4.0, 2.0), 0.1, 31)
-    orders, band_orders, factors = [], [], []
-    mesh_order, cuthill_mckee = solver._mesh_order, solver._cuthill_mckee
+    orders, layouts, factors = [], [], []
+    mesh_order, band_layout = solver._mesh_order, solver._BandLayout
     factor = solver.SaddleSystem.__init__
 
     def counting_order(ops_arg):
         orders.append(ops_arg)
         return mesh_order(ops_arg)
 
-    def counting_band_order(ops_arg):
-        band_orders.append(ops_arg)
-        return cuthill_mckee(ops_arg)
+    def counting_layout(ops_arg):
+        layouts.append(ops_arg)
+        return band_layout(ops_arg)
 
     def counting_factor(self, *args):
         factor(self, *args)
         factors.append(factored_size(self))
 
     monkeypatch.setattr(solver, "_mesh_order", counting_order)
-    monkeypatch.setattr(solver, "_cuthill_mckee", counting_band_order)
+    monkeypatch.setattr(solver, "_BandLayout", counting_layout)
     monkeypatch.setattr(solver.SaddleSystem, "__init__", counting_factor)
     grid = [1e-5, 1e-3, 1e-1]
     if masked:
@@ -453,10 +505,10 @@ def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked)
     assert len(factors) >= len(grid)
     K = ops.vertex_count
     if masked:
-        assert (orders, band_orders) == ([ops], [])
+        assert (orders, layouts) == ([ops], [])
         assert set(factors) == {2 * K}
     else:
-        assert (orders, band_orders) == ([], [ops])
+        assert (orders, layouts) == ([], [ops])
         assert set(factors) == {K}
 
 
@@ -489,25 +541,25 @@ def test_band_order_computed_once_under_concurrent_first_use(sphere2,
                                                             monkeypatch):
     ops = assemble(sphere2, vertex_locations(sphere2))
     calls = []
-    cuthill_mckee = solver._cuthill_mckee
+    band_layout = solver._BandLayout
 
-    def slow_order(ops_arg):
+    def slow_layout(ops_arg):
         calls.append(None)
         time.sleep(0.05)  # the window a check-then-set race would need
-        return cuthill_mckee(ops_arg)
+        return band_layout(ops_arg)
 
-    monkeypatch.setattr(solver, "_cuthill_mckee", slow_order)
+    monkeypatch.setattr(solver, "_BandLayout", slow_layout)
     barrier = threading.Barrier(8)
 
     def first_use():
         barrier.wait(timeout=10)
-        return solver._band_order(ops)
+        return solver._band_layout(ops)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         futures = [pool.submit(first_use) for _ in range(8)]
-        orders = [future.result(timeout=30) for future in futures]
+        layouts = [future.result(timeout=30) for future in futures]
     assert len(calls) == 1
-    assert all(order is orders[0] for order in orders)
+    assert all(layout is layouts[0] for layout in layouts)
 
 
 def test_vertex_masked_kfold_matches_saddle_form(sphere2, monkeypatch):
