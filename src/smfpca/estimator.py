@@ -27,7 +27,9 @@ components are not double counted.
 """
 
 import copy
+import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -73,9 +75,10 @@ class DataMatrix:
     def s(self) -> int:
         return self.values.shape[1]
 
-    @property
+    @cached_property
     def xnorm2(self) -> float:
-        """Squared Frobenius norm of the values."""
+        """Squared Frobenius norm of the values, computed on first read
+        (the values are read-only)."""
         flat = self.values.ravel()
         return float(np.dot(flat, flat))
 
@@ -152,6 +155,10 @@ class PcComponent:
     iterations : int
     objective_trace : list of float
         Objective value after each alternation step.
+    converged : bool
+        True when the tolerance test stopped the alternation, False when
+        the iteration budget ran out first. A budget of 0 or 1 makes one
+        pass, which leaves no change to test, so it never converges.
     """
 
     scores: np.ndarray
@@ -161,6 +168,7 @@ class PcComponent:
     function_norm: float
     iterations: int
     objective_trace: list
+    converged: bool
 
 
 @dataclass(eq=False)
@@ -180,7 +188,9 @@ def data_gram(ops: FemOperators):
 
 
 def initialize(X: DataMatrix):
-    """Starting profile: leading right singular vector of the data matrix.
+    """Starting profile: leading right singular vector of the data matrix,
+    from the eigendecomposition of its smaller Gram matrix
+    (`_leading_right_vector`).
 
     The sign is fixed so the largest-magnitude entry is positive, which
     makes the full fit invariant to a global sign flip of the data.
@@ -188,9 +198,25 @@ def initialize(X: DataMatrix):
     values = X.values
     if not values.any():
         raise DegenerateData("data matrix is identically zero")
-    _, _, vt = np.linalg.svd(values, full_matrices=False)
-    f_s, _ = _fix_sign(vt[0].copy())
+    f_s, _ = _fix_sign(_leading_right_vector(values))
     return f_s
+
+
+def _leading_right_vector(values):
+    """Unit leading right singular vector of the nonzero n x s ``values``,
+    sign unfixed.
+
+    It is the leading eigenvector of the smaller Gram matrix: of
+    values' values when n > s; when n <= s, the leading eigenvector u of
+    values values' gives it as values' u, normalized. Only a warm start
+    is made from it, which the alternation refines to its tolerance, so
+    the Gram matrix's squared condition number costs nothing there.
+    """
+    n, s = values.shape
+    if n > s:
+        return np.linalg.eigh(values.T @ values)[1][:, -1]
+    u = np.linalg.eigh(values @ values.T)[1][:, -1]
+    return _unit(values.T @ u, "leading singular vector vanished")
 
 
 def score_step(X: DataMatrix, f_s):
@@ -239,10 +265,12 @@ def fit_component(
     profile ``start`` (by default ``initialize(X)``, the singular-vector
     initialization) until the relative change of the coefficient vector
     drops below ``tolerance`` or ``max_iterations`` passes complete
-    (a budget of 0 still performs one pass). The fitted function is then
-    normalized to unit surface L2 norm, recording the pre-normalization
-    norm, and the sign convention is applied jointly to scores and
-    coefficients.
+    (a budget of 0 still performs one pass). ``converged`` records which
+    of the two stopped it; a budget of 0 or 1 makes one pass, which
+    leaves no change to test, so such a fit never converges. The fitted
+    function is then normalized to unit surface L2 norm, recording the
+    pre-normalization norm, and the sign convention is applied jointly
+    to scores and coefficients.
 
     Raises
     ------
@@ -304,6 +332,7 @@ def _alternate(term, u, lam, max_iterations, tolerance, choose=None):
     ``lam`` is fixed."""
     trace = []
     f_prev = None
+    converged = False
     for it in range(max(1, max_iterations)):
         if it > 0:
             u = term.scores(f, g, lam)
@@ -324,9 +353,10 @@ def _alternate(term, u, lam, max_iterations, tolerance, choose=None):
         if f_prev is not None:
             base = float(np.linalg.norm(f_prev))
             if base > 0 and float(np.linalg.norm(f - f_prev)) <= tolerance * base:
+                converged = True
                 break
         f_prev = f
-    return _finalize_component(u, f, g, lam, len(trace), trace, term.ops)
+    return _finalize_component(u, f, g, lam, trace, converged, term.ops)
 
 
 def _checked_start(start, length, what):
@@ -340,7 +370,7 @@ def _checked_start(start, length, what):
     return start
 
 
-def _finalize_component(u, f, g, lam, iterations, trace, ops):
+def _finalize_component(u, f, g, lam, trace, converged, ops):
     norm2 = l2_inner(ops, f, f)
     if norm2 <= 0.0:
         raise DegenerateData("fitted component function vanished")
@@ -356,8 +386,9 @@ def _finalize_component(u, f, g, lam, iterations, trace, ops):
         g_coefficients=g,
         lam=lam,
         function_norm=c,
-        iterations=iterations,
+        iterations=len(trace),
         objective_trace=trace,
+        converged=converged,
     )
 
 
@@ -422,7 +453,9 @@ def fit(
         Subtract the columnwise mean field first (stored on the result).
     max_iterations : int
         Alternation budget per component fit, at least 0 (0 still
-        performs one pass).
+        performs one pass). Each returned component that runs out of it
+        before meeting ``tolerance`` warns once; a budget of 0 or 1 never
+        meets it (see `fit_component`). Selection candidates do not warn.
     tolerance : float
         Relative change of the coefficient vector that stops the
         alternation; non-negative and finite.
@@ -478,8 +511,10 @@ def _extract(data, n_components, fit_one, deflate_one, mean_field):
     """The component driver of `fit` and `fit_missing`: ``fit_one(data,
     index)`` returns a component and its selection trace, and
     ``deflate_one`` removes the component from the data before the next
-    (only then: the last component is not deflated). Stops with
-    DegenerateData once deflation has exhausted the data."""
+    (only then: the last component is not deflated). Warns once for each
+    component that did not converge (selection candidates, fitted inside
+    ``fit_one``, do not). Stops with DegenerateData once deflation has
+    exhausted the data."""
     components = []
     traces = []
     initial = data.xnorm2
@@ -493,6 +528,13 @@ def _extract(data, n_components, fit_one, deflate_one, mean_field):
                     f"{initial:.3g}); ask for fewer components"
                 )
         component, trace = fit_one(data, comp_index)
+        if not component.converged:
+            warnings.warn(
+                f"component {comp_index + 1}: the alternation stopped at its "
+                f"cap of {component.iterations} iterations before meeting "
+                f"the tolerance",
+                stacklevel=3,
+            )
         components.append(component)
         traces.append(trace)
     adjusted = adjusted_total_variance(components)
@@ -657,11 +699,14 @@ class _MissingState:
 
 
 def _initial_scores_missing(state):
+    """Starting scores of a masked fit: the projection, normalized, of the
+    accumulated observations (one row per function, one column per
+    vertex) onto their sign-fixed leading right singular vector, taken
+    from the smaller Gram matrix (`_leading_right_vector`)."""
     accumulated = state.d_matrix.T
     if not accumulated.any():
         raise DegenerateData("observations accumulate to zero everywhere")
-    _, _, vt = np.linalg.svd(accumulated, full_matrices=False)
-    v, _ = _fix_sign(vt[0].copy())
+    v, _ = _fix_sign(_leading_right_vector(accumulated))
     return _unit(accumulated @ v, "initial score projection vanished")
 
 

@@ -45,6 +45,7 @@ def result_to_dict(result):
                 "lambda": float(comp.lam),
                 "functionNorm": float(comp.function_norm),
                 "iterations": int(comp.iterations),
+                "converged": bool(comp.converged),
                 "scores": _float_list(comp.scores),
                 "vertexValues": _float_list(comp.f_coefficients),
                 "gCoefficients": _float_list(comp.g_coefficients),

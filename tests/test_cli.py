@@ -119,6 +119,20 @@ def test_fit_produces_result_bundle(tmp_path):
     assert "numpy" in manifest["versions"]
 
 
+def test_fit_records_convergence(tmp_path):
+    src = simulate_sphere(tmp_path / "sim")
+    fixed = ["--selection", "fixed", "--fixed-lambda", "1e-5"]
+    assert run(fit_args(src, tmp_path / "fit", fixed)) == 0
+    result = load_json(tmp_path / "fit" / "result.json")
+    assert [c["converged"] for c in result["components"]] == [True, True]
+    with pytest.warns(UserWarning, match="cap of 1 iterations") as records:
+        assert run(fit_args(src, tmp_path / "capped",
+                            fixed + ["--max-iterations", 1])) == 0
+    assert len(records) == 2
+    capped = load_json(tmp_path / "capped" / "result.json")
+    assert [c["converged"] for c in capped["components"]] == [False, False]
+
+
 def test_fit_manifest_rerun_byte_identical(tmp_path):
     src = simulate_sphere(tmp_path / "sim")
     out1 = tmp_path / "f1"

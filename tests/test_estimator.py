@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from smfpca import (
     adjusted_total_variance,
     assemble,
     SaddleSystem,
+    default_lambda_grid,
     deflate,
     fit,
     fit_component,
@@ -25,6 +28,7 @@ from smfpca import (
 )
 from smfpca import estimator, solver
 from smfpca.estimator import data_gram
+from smfpca.fem import _fix_sign
 from smfpca.synth import generate_sphere_dataset, sphere_pc_functions
 
 
@@ -57,6 +61,89 @@ def test_initialize_sign_convention(ops1):
 def test_initialize_zero_data():
     with pytest.raises(DegenerateData):
         initialize(DataMatrix(np.zeros((4, 6))))
+
+
+def svd_leading(values):
+    return np.linalg.svd(values, full_matrices=False)[2][0]
+
+
+def svd_start(values):
+    """The sign-fixed leading right singular vector, taken by SVD."""
+    return _fix_sign(svd_leading(values))[0]
+
+
+def sine(a, b):
+    """Sine of the angle between the lines of unit vectors a and b."""
+    return float(np.linalg.norm(a - (a @ b) * b))
+
+
+def with_spectrum(n, s, sigmas, seed):
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((n, len(sigmas))))
+    right, _ = np.linalg.qr(rng.standard_normal((s, len(sigmas))))
+    return (left * sigmas) @ right.T
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (9, 9)])
+def test_leading_right_vector_matches_svd(shape):
+    values = np.random.default_rng(41).standard_normal(shape)
+    v = estimator._leading_right_vector(values)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert sine(v, svd_leading(values)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12)])
+def test_leading_right_vector_of_rank_one(shape):
+    rng = np.random.default_rng(42)
+    right = rng.standard_normal(shape[1])
+    v = estimator._leading_right_vector(np.outer(rng.standard_normal(shape[0]), right))
+    assert sine(v, right / np.linalg.norm(right)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12)])
+def test_leading_right_vector_under_a_tight_gap(shape):
+    # sigma_2 / sigma_1 = 0.9: the Gram matrix squares it to 0.81, which
+    # still leaves the leading eigenvector well conditioned
+    values = with_spectrum(*shape, [1.0, 0.9, 0.5, 0.1], 43)
+    assert sine(estimator._leading_right_vector(values), svd_leading(values)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12)])
+def test_initialize_sign_fixed_under_negation(shape):
+    values = np.random.default_rng(44).standard_normal(shape)
+    f_s = initialize(DataMatrix(values))
+    assert f_s[np.argmax(np.abs(f_s))] > 0
+    np.testing.assert_array_equal(initialize(DataMatrix(-values)), f_s)
+    np.testing.assert_allclose(f_s, svd_start(values), rtol=0, atol=1e-12)
+
+
+def test_initial_scores_missing_match_svd(ops2):
+    state = estimator._MissingState(masked_observations(ops2, 10, 45), ops2)
+    accumulated = state.d_matrix.T
+    expected = accumulated @ svd_start(accumulated)
+    expected /= np.linalg.norm(expected)
+    u = estimator._initial_scores_missing(state)
+    np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_initial_scores_missing_zero_data(ops1):
+    locations = vertex_locations(ops1.mesh)
+    obs = ObservationSet([(locations[:3], np.zeros(3)), (locations[4:6], np.zeros(2))])
+    with pytest.raises(DegenerateData):
+        estimator._initial_scores_missing(estimator._MissingState(obs, ops1))
+
+
+def test_default_start_matches_an_svd_start(ops2):
+    # the Gram warm start and a sign-fixed SVD start converge alike
+    ds = generate_sphere_dataset(ops2.mesh, ops2, 50, (4.0, 2.0), 0.1, 46)
+    lam = float(default_lambda_grid(ops2)[6])
+    default = fit_component(ds.X, lam, ops2)
+    started = fit_component(ds.X, lam, ops2, start=svd_start(ds.X.values))
+    assert default.converged and started.converged
+    assert default.iterations == started.iterations
+    np.testing.assert_allclose(default.f_coefficients, started.f_coefficients,
+                               rtol=0, atol=1e-12)
 
 
 # -- score step -------------------------------------------------------
@@ -185,6 +272,46 @@ def test_fit_component_zero_budget_single_pass(ops1):
     comp = fit_component(X, 1e-4, ops1, max_iterations=0)
     assert comp.iterations == 1
     assert len(comp.objective_trace) == 1
+
+
+def test_converged_only_when_the_tolerance_stops(ops1):
+    X, _, _ = rank_one_data(ops1, seed=12)
+    full = fit_component(X, 1e-4, ops1)
+    assert full.converged and full.iterations < 15
+    # one pass leaves no change to test
+    for budget in (0, 1):
+        assert not fit_component(X, 1e-4, ops1, max_iterations=budget).converged
+    capped = fit_component(X, 1e-4, ops1, max_iterations=full.iterations - 1)
+    assert not capped.converged
+    exact = fit_component(X, 1e-4, ops1, max_iterations=full.iterations)
+    assert exact.converged and exact.iterations == full.iterations
+
+
+@pytest.mark.parametrize("selection", ["kfold", "gcv", "fixed"])
+def test_fit_warns_once_per_capped_component(ops1, selection):
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 47)
+    grid = [1e-3] if selection == "fixed" else [1e-4, 1e-3, 1e-2]
+    # every candidate fit is capped too, and stays silent
+    with pytest.warns(UserWarning, match="cap of 1 iterations") as records:
+        result = fit(ds.X, 2, grid, ops1, selection=selection, folds=3,
+                     max_iterations=1)
+    assert [str(r.message)[:12] for r in records] == ["component 1:", "component 2:"]
+    assert not any(c.converged for c in result.components)
+
+
+def test_fit_missing_warns_once_per_capped_component(ops1):
+    obs = masked_observations(ops1, 15, 48)
+    with pytest.warns(UserWarning, match="cap of 1 iterations") as records:
+        fit_missing(obs, 2, [1e-4, 1e-3], ops1, folds=3, max_iterations=1)
+    assert len(records) == 2
+
+
+def test_converged_fit_is_silent(ops1):
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 47)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit(ds.X, 2, [1e-4, 1e-3, 1e-2], ops1, folds=3)
+    assert all(c.converged for c in result.components)
 
 
 def test_fit_component_scale_equivariance(ops1):
@@ -318,9 +445,10 @@ def test_fit_validates_arguments(ops1):
     ]:
         with pytest.raises(InputError, match=match):
             fit(X, 1, [1e-3], ops1, selection="fixed", **options)
-    # zero iterations is documented as one pass
-    assert fit(X, 1, [1e-3], ops1, selection="fixed",
-               max_iterations=0).components[0].iterations == 1
+    # zero iterations is documented as one pass, which cannot converge
+    with pytest.warns(UserWarning, match="cap of 1 iterations"):
+        result = fit(X, 1, [1e-3], ops1, selection="fixed", max_iterations=0)
+    assert result.components[0].iterations == 1
 
 
 def test_monotonicity_guard_fires_only_at_fixed_lambda(ops2, monkeypatch):
@@ -662,3 +790,10 @@ def test_data_matrix_validation():
         DataMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         DataMatrix(np.zeros(5))
+
+
+def test_data_matrix_norm_is_computed_once():
+    X = DataMatrix(np.arange(12.0).reshape(3, 4))
+    assert "xnorm2" not in vars(X)
+    assert X.xnorm2 == float(np.dot(X.values.ravel(), X.values.ravel())) == 506.0
+    assert vars(X)["xnorm2"] == 506.0  # kept for every later read
