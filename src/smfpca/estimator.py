@@ -744,7 +744,7 @@ class _MissingTerm:
         rhs = self.state.d_matrix @ u
         solution = None
         if self._system is not None:
-            solution = self._system.solve_with_block(self._gram, rhs, self._solution)
+            solution = self._system.solve_with_block(self._gram, rhs, self._solution[0])
         if solution is None:
             self._system = solver.SaddleSystem(self.ops, self._gram, lam)
             solution = self._system.solve(rhs)

@@ -25,9 +25,9 @@ Schur complement S = R0 + lam R1 W^-1 R1, symmetric positive definite,
 is factored by LAPACK's banded Cholesky (dpbtrf). Such blocks are
 psi' psi for full data at the vertices, c I, and the weighted Gram
 matrix of masked data at the vertices once weighted functions observe
-every vertex. S is formed as R0 + (lam / c) R1 P R1 with c = max w and
-P = diag(c / w), which is exactly I for a c I block. S couples
-second-ring neighbours: its pattern lies in that of |R0| + |R1| |R1|,
+every vertex. S is formed as R0 + lam R1 P R1 with P = W^-1, which is
+exactly I for full data at the vertices. S couples second-ring
+neighbours: its pattern lies in that of |R0| + |R1| |R1|,
 whatever lam, fold, component or weights. One Cuthill-McKee order of
 that pattern (Cuthill & McKee 1969; George & Liu, Computer Solution of
 Large Sparse Positive Definite Systems, 1981), taken per mesh component
@@ -39,8 +39,8 @@ the slots of the entries (a, b) that v couples. A factorization then
 forms its band with one sparse matrix-vector product, those products
 against P's diagonal, then a scaling and an add of R0: no sparse matrix
 product and no sort. Each entry's terms are summed over ascending v, as
-the sparse product R1 R1 sums them, so a c I block gives the band of
-R0 + (lam / c) R1 R1 to the bit; any other P rounds each term as
+the sparse product R1 R1 sums them, so W = I gives the band of
+R0 + lam R1 R1 to the bit; any other P rounds each term as
 (R1[a, v] R1[v, b]) p_v, not (R1[a, v] p_v) R1[v, b]. On icospheres of
 levels 3 to 6 the order leaves a band of half-width 83, 163, 323 and
 643, whose (width + 1) K entries hold every fill-in of the factor. The
@@ -81,7 +81,10 @@ When only the data block changes between solves, as it does across the
 alternations of a missing-data fit, a stored factorization serves as the
 preconditioner of iterative refinement on the new system instead of
 being recomputed. Either form applies the exact inverse of the saddle
-system, so either can precondition any new block.
+system, so either can precondition any new block. The two systems
+differ only in the data block, by E, so refinement iterates on f alone:
+each step solves the stored system for (b - E f, 0), after which the
+new system's residual is (E (f_prev - f), 0).
 """
 
 import threading
@@ -95,7 +98,7 @@ from .fem import FemOperators
 
 # Iterative refinement against a stale factorization stops once the
 # residual is this small relative to the right-hand side, or gives up
-# after this many correction steps.
+# after this many solves.
 _REFINE_TOLERANCE = 1e-13
 _REFINE_STEPS = 12
 
@@ -123,11 +126,11 @@ class SaddleSystem:
     The constructor performs the factorization, for reuse across solves.
     ``matrix`` is the 2K x 2K saddle system in the unknowns
     (f, sqrt(lam) g), in its natural order: what every solve inverts,
-    not necessarily what is factored: a positive diagonal data block is
-    factored as its K x K Schur complement, by banded Cholesky in the
-    operator set's Cuthill-McKee order, and any other block as the
-    saddle system, by sparse LU in its pair order (see the module
-    docstring).
+    not necessarily what is factored: a positive diagonal data block W
+    is factored as its K x K Schur complement R0 + lam R1 W^-1 R1, by
+    banded Cholesky in the operator set's Cuthill-McKee order, and any
+    other block as the saddle system, by sparse LU in its pair order
+    (see the module docstring).
     Instances are immutable; `solve` and `solve_with_block` are
     reentrant and safe to call from several threads on one instance.
 
@@ -181,13 +184,12 @@ class SaddleSystem:
         else:
             import scipy.linalg as linalg  # loaded with the inputs by fit
 
-            self._scale = float(weights.max())
-            self._p = self._scale / weights
+            self._p = 1.0 / weights
             layout = _band_layout(ops)
             self._order = layout.order
             try:
                 self._band = linalg.cholesky_banded(
-                    layout.schur(self._p, lam / self._scale), overwrite_ab=True,
+                    layout.schur(self._p, lam), overwrite_ab=True,
                     lower=True, check_finite=False)
             except linalg.LinAlgError as exc:
                 raise SingularSystem(
@@ -204,85 +206,81 @@ class SaddleSystem:
 
         Returns the pair (f, g) of coefficient vectors.
         """
-        return self._split(self._solve(self._full_rhs(rhs_top)))
+        f, h = self._solve(self._checked_rhs(rhs_top))
+        return f, h / self._root
 
     def solve_with_block(self, upper_left, rhs_top, start):
         """Solve the system with ``upper_left`` as its new data block,
         reusing this factorization as a preconditioner.
 
-        Runs iterative refinement from ``start``, the pair (f, g): each
-        step adds the solve of the new system's residual through this
-        factorization, whichever form it holds, until the residual
-        drops to ``_REFINE_TOLERANCE`` of the right-hand side. Returns
-        (f, g), or None when the new block is too far from the factored
-        one for refinement to converge within ``_REFINE_STEPS`` steps;
-        the caller then factors anew.
+        Iterative refinement from f = ``start``, of shape (K,): with E
+        the change of the data block, each step sets f to the f of this
+        factorization's solve of (rhs_top - E f, 0), and stops once the
+        new system's residual, (E (f_prev - f), 0), drops to
+        ``_REFINE_TOLERANCE`` of the right-hand side. Returns (f, g), or
+        None when the new block is too far from the factored one to
+        converge within ``_REFINE_STEPS`` solves; the caller then
+        factors anew.
 
         Raises
         ------
+        DimensionMismatch
+            ``rhs_top`` or ``start`` is not of shape (K,).
         SingularSystem
             The new block vanishes on the constant field of a mesh
             component, as in the constructor.
         """
-        upper_left = _checked_block(upper_left, self._labels)
-        rhs = self._full_rhs(rhs_top)
-        x = np.concatenate([start[0], self._root * np.asarray(start[1])])
+        change = _checked_block(upper_left, self._labels) - self._upper_left
+        rhs = self._checked_rhs(rhs_top)
+        shift = change @ self._checked_rhs(start, "start")
         limit = _REFINE_TOLERANCE * float(np.linalg.norm(rhs))
-        for step in range(_REFINE_STEPS + 1):
-            f, h = x[: self.k], x[self.k :]
-            r = rhs - np.concatenate([upper_left @ f + self._coupling @ h,
-                                      self._coupling @ f - self._mass @ h])
-            if float(np.linalg.norm(r)) <= limit:
-                return self._split(x)
-            if step == _REFINE_STEPS:
-                return None
-            x += self._solve(r)
+        for _ in range(_REFINE_STEPS):
+            f, h = self._solve(rhs - shift)
+            shift, previous = change @ f, shift
+            if float(np.linalg.norm(previous - shift)) <= limit:
+                return f, h / self._root
+        return None
 
     def solve_many(self, rhs_top):
         """Solve for a (K, m) block of right-hand sides at once.
 
         Returns (F, G), each of shape (K, m).
         """
-        return self._split(self._solve(self._full_rhs(rhs_top, ndim=2)))
+        f, h = self._solve(self._checked_rhs(rhs_top, ndim=2))
+        return f, h / self._root
 
-    def _full_rhs(self, rhs_top, ndim=1):
-        """``rhs_top``, of shape (K,), or (K, m) when ``ndim`` is 2, over a
-        zero bottom block."""
+    def _checked_rhs(self, rhs_top, what="right-hand side", ndim=1):
+        """``rhs_top`` as floats, checked to have shape (K,), or (K, m)
+        when ``ndim`` is 2."""
         rhs_top = np.asarray(rhs_top, dtype=np.float64)
         if rhs_top.ndim != ndim or rhs_top.shape[0] != self.k:
             expected = f"({self.k},)" if ndim == 1 else f"({self.k}, m)"
             raise DimensionMismatch(
-                f"right-hand side must have shape {expected}, got {rhs_top.shape}"
+                f"{what} must have shape {expected}, got {rhs_top.shape}"
             )
-        rhs = np.zeros((2 * self.k,) + rhs_top.shape[1:])
-        rhs[: self.k] = rhs_top
-        return rhs
+        return rhs_top
 
-    def _solve(self, rhs):
-        """Apply the inverse of ``matrix`` through the reordered saddle
-        factors, or through the banded Cholesky factor of the Schur
-        complement S of the diagonal block UL = c P^-1:
-        S h = (sqrt(lam)/c) R1 P r1 - r2, then
-        f = P (r1 - sqrt(lam) R1 h) / c."""
+    def _solve(self, top):
+        """(f, sqrt(lam) g) solving ``matrix`` for the top block ``top``
+        over a zero bottom block: through the reordered saddle factors,
+        or through the banded Cholesky factor of the Schur complement
+        S = R0 + lam R1 W^-1 R1 of the diagonal block W:
+        S h = sqrt(lam) R1 W^-1 top, then f = W^-1 (top - sqrt(lam) R1 h)."""
         if self._p is None:
+            rhs = np.zeros((2 * self.k,) + top.shape[1:])
+            rhs[: self.k] = top
             x = np.empty_like(rhs)
             x[self._order] = self._lu.solve(rhs[self._order])
-            return x
+            return x[: self.k], x[self.k :]
         import scipy.linalg as linalg
 
-        top, bottom = rhs[: self.k], rhs[self.k :]
-        p = self._p if rhs.ndim == 1 else self._p[:, None]
-        h = np.empty_like(bottom)
+        p = self._p if top.ndim == 1 else self._p[:, None]
+        h = np.empty_like(top)
         h[self._order] = linalg.cho_solve_banded(
-            (self._band, True),
-            (self._coupling @ (p * top) / self._scale - bottom)[self._order],
+            (self._band, True), (self._coupling @ (p * top))[self._order],
             overwrite_b=True, check_finite=False,
         )
-        return np.concatenate([p * (top - self._coupling @ h) / self._scale, h])
-
-    def _split(self, x):
-        """(f, g) from a solution in the unknowns (f, sqrt(lam) g)."""
-        return x[: self.k].copy(), x[self.k :] / self._root
+        return p * (top - self._coupling @ h), h
 
 
 def _checked_block(upper_left, labels):

@@ -350,6 +350,70 @@ def test_criterion_12_any_topology():
     report(12, ok, "; ".join(lines) + " vs 0.012")
 
 
+def folded_strip(folded):
+    """An 84 x 20 grid of 0.05 squares, each split in two: the flat strip
+    [0, 4.2] x [0, 1], or the same strip folded isometrically along the
+    grid lines x = 2 and x = 2.2 into a U of two sheets of length 2, 0.2
+    apart, with the vertices in the same order."""
+    i, j = np.meshgrid(np.arange(85), np.arange(21), indexing="ij")
+    x, z = 0.05 * i, np.zeros(i.shape)
+    if folded:
+        x = np.where(i <= 40, x, np.where(i <= 44, 2.0, 0.05 * (84 - i)))
+        z = np.where(i <= 40, z, np.where(i <= 44, 0.05 * (i - 40), 0.2))
+    vertices = np.stack([x, 0.05 * j, z], axis=-1).reshape(-1, 3)
+    a = (i[:-1, :-1] * 21 + j[:-1, :-1]).ravel()
+    return TriangleMesh(vertices, np.concatenate([np.stack([a, a + 21, a + 22], 1),
+                                                  np.stack([a, a + 22, a + 1], 1)]))
+
+
+def test_criterion_13_smoothing_follows_the_surface():
+    # eigen data (indices 1 and 2, sigmas 4 and 2, n=50, noise 0.1) drawn
+    # on a flat strip (K=1785) and fitted there and on the strip folded
+    # into a U. FEM operators depend only on edge lengths, so the fold
+    # leaves them, and the fit, unchanged: on seeds 1-10 the operators
+    # differed by 5.4e-15 (mass) and 3.5e-15 (stiffness) relative, both
+    # fits chose the same lambda, and their components differed by at
+    # most 1.1e-15. Multivariate PCA loadings smoothed by a Gaussian
+    # kernel in R^3 at the bandwidth best on the flat strip (0.125 of
+    # 0.05-0.2 on every seed) leak across the 0.2 gap once folded: their
+    # principal angle grew 2.87-3.72 times (0.0019-0.0025 rad flat,
+    # 0.0070-0.0072 rad folded)
+    flat, folded = folded_strip(False), folded_strip(True)
+    ops = [assemble(mesh, vertex_locations(mesh)) for mesh in (flat, folded)]
+    mass_gap = abs(ops[0].mass - ops[1].mass).max() / abs(ops[0].mass).max()
+    stiffness_gap = (abs(ops[0].stiffness - ops[1].stiffness).max()
+                     / abs(ops[0].stiffness).max())
+    with pytest.warns(UserWarning, match="mesh is not closed"):
+        ds = generate_eigen_dataset(flat, ops[0], (1, 2), (4.0, 2.0), 50, 0.1, 1)
+    fits = [fit(ds.X, 2, default_lambda_grid(o), o, selection="kfold") for o in ops]
+    same_lams = ([c.lam for c in fits[0].components]
+                 == [c.lam for c in fits[1].components])
+    fit_gap = max(float(np.abs(a.f_coefficients - b.f_coefficients).max())
+                  for a, b in zip(fits[0].components, fits[1].components))
+
+    loadings = np.stack([c.coefficients for c in mv_pca(ds.X, 2, ops[0])], axis=1)
+
+    def smoothed_angle(mesh, h):
+        """The principal angle of the loadings after Nadaraya-Watson
+        smoothing with a Gaussian kernel of bandwidth h in R^3."""
+        v = mesh.vertices
+        sq = (v * v).sum(axis=1)
+        kernel = np.exp((2.0 * v @ v.T - sq[:, None] - sq[None, :]) / (2.0 * h * h))
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        return principal_angle(ds.true_components, kernel @ loadings)
+
+    flat_angles = {h: smoothed_angle(flat, h)
+                   for h in (0.05, 0.075, 0.1, 0.125, 0.15, 0.2)}
+    h = min(flat_angles, key=flat_angles.get)
+    leak = smoothed_angle(folded, h) / flat_angles[h]
+    ok = (mass_gap < 1e-13 and stiffness_gap < 1e-13 and same_lams
+          and fit_gap < 1e-12 and leak >= 2.0)
+    report(13, ok, f"operator gaps {mass_gap:.1e} / {stiffness_gap:.1e} vs 1e-13; "
+                   f"same lambdas {same_lams}; component gap {fit_gap:.1e} vs 1e-12; "
+                   f"kernel smoothing at h={h:g} folded / flat angle {leak:.2f} vs 2")
+
+
+@pytest.mark.filterwarnings("default:misalignment smoke:UserWarning")  # logged only
 def test_misalignment_smoke_kfold_smooths_more(ops2):
     """Qualitative check, logged but never failing: under phase
     misalignment K-fold tends to choose heavier smoothing than GCV."""

@@ -713,9 +713,14 @@ def exhaustible_observations(ops, n):
 def test_exhausted_data_stop_with_degenerate_data(ops1):
     # centered data of 12 functions hold at most 11 components
     ds = generate_sphere_dataset(ops1.mesh, ops1, 12, (4.0, 2.0), 0.1, 3)
-    assert len(fit(ds.X, 11, [1e-3], ops1, selection="fixed").components) == 11
-    with pytest.raises(DegenerateData, match="component 12: the data are exhausted"):
-        fit(ds.X, 100, [1e-3], ops1, selection="fixed")
+    # components 3 to 8 of these data stop at the iteration cap
+    with pytest.warns(UserWarning, match="the alternation stopped at its cap") as caught:
+        assert len(fit(ds.X, 11, [1e-3], ops1, selection="fixed").components) == 11
+    assert len(caught) == 6
+    with pytest.warns(UserWarning, match="the alternation stopped at its cap") as caught:
+        with pytest.raises(DegenerateData, match="component 12: the data are exhausted"):
+            fit(ds.X, 100, [1e-3], ops1, selection="fixed")
+    assert len(caught) == 6
     obs = exhaustible_observations(ops1, 6)
     assert len(fit_missing(obs, 1, [1e-3], ops1, selection="fixed").components) == 1
     with pytest.raises(DegenerateData, match="component 2: the data are exhausted"):
@@ -739,12 +744,19 @@ def test_deflation_only_between_components(ops2, monkeypatch):
     monkeypatch.setattr(estimator, "deflate", counting_dense)
     monkeypatch.setattr(estimator._MissingState, "deflated", counting_masked)
     ds = generate_sphere_dataset(ops2.mesh, ops2, 15, (4.0, 2.0), 0.1, 33)
-    for n_components in (1, 3):
+
+    def fit_both(n_components):
         calls.update(dense=0, masked=0)
         fit(ds.X, n_components, [1e-3], ops2, selection="fixed")
         fit_missing(masked_observations(ops2, 15, 33), n_components, [1e-3],
                     ops2, selection="fixed")
         assert calls == {"dense": n_components - 1, "masked": n_components - 1}
+
+    fit_both(1)
+    # the third component stops at the iteration cap on both paths
+    with pytest.warns(UserWarning, match="component 3: the alternation") as caught:
+        fit_both(3)
+    assert len(caught) == 2
 
 
 def test_fit_missing_rejects_gcv(ops1):

@@ -149,11 +149,17 @@ def assert_refined_matches_fresh(ops, old, lam, new=None):
         new = weighted_gram(ops, 8, 0.1)
     rhs = rhs_for(ops, 9)
     system = SaddleSystem(ops, old, lam)
-    start = system.solve(rhs_for(ops, 10))
+    start = system.solve(rhs_for(ops, 10))[0]
     f, g = system.solve_with_block(new, rhs, start)
-    f_ref, g_ref = SaddleSystem(ops, new, lam).solve(rhs)
+    fresh = SaddleSystem(ops, new, lam)
+    f_ref, g_ref = fresh.solve(rhs)
     assert relative_error(f, f_ref) < 1e-12
     assert relative_error(g, g_ref) < 1e-12
+    # the stopping test on the data-block change bounds the residual of
+    # the whole new system in the unknowns (f, sqrt(lam) g)
+    residual = fresh.matrix @ np.concatenate([f, np.sqrt(lam) * g])
+    residual[: ops.vertex_count] -= rhs
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("lam", [1e-3, 1.0])
@@ -189,7 +195,7 @@ def test_solve_with_distant_block_reports_nonconvergence(ops1):
     far = 1e6 * old
     rhs = rhs_for(ops1, 11)
     system = SaddleSystem(ops1, old, 0.1)
-    assert system.solve_with_block(far, rhs, system.solve(rhs)) is None
+    assert system.solve_with_block(far, rhs, system.solve(rhs)[0]) is None
     # the caller's fallback: factor the new block; with the data block
     # dwarfing the penalty, g is less well conditioned than f (the sparse
     # and dense solvers agree on it to about 4e-10)
@@ -206,7 +212,7 @@ def test_solve_with_block_orthogonal_to_constants_raises(ops1):
     system = SaddleSystem(ops1, data_gram(ops1), 1.0)
     rhs = rhs_for(ops1, 12)
     with pytest.raises(SingularSystem):
-        system.solve_with_block(block, rhs, system.solve(rhs))
+        system.solve_with_block(block, rhs, system.solve(rhs)[0])
 
 
 def test_singular_data_block_raises(ops1):
@@ -241,7 +247,7 @@ def test_unobserved_mesh_component_raises(two_spheres):
         SaddleSystem(ops, observed, 1.0)
     system = SaddleSystem(ops, data_gram(ops), 1.0)
     with pytest.raises(SingularSystem):
-        system.solve_with_block(observed, np.ones(K), system.solve(np.ones(K)))
+        system.solve_with_block(observed, np.ones(K), system.solve(np.ones(K))[0])
 
 
 def test_invalid_lambda(ops1):
@@ -256,9 +262,37 @@ def test_shape_mismatch(ops1, ops2):
     system = SaddleSystem(ops1, data_gram(ops1), 1.0)
     with pytest.raises(DimensionMismatch):
         system.solve(np.zeros(ops1.vertex_count + 1))
-    start = system.solve(np.ones(ops1.vertex_count))
+    start = system.solve(np.ones(ops1.vertex_count))[0]
     with pytest.raises(DimensionMismatch):
         system.solve_with_block(data_gram(ops2), np.ones(ops1.vertex_count), start)
+
+
+@pytest.mark.parametrize("start", ["short pair", "one-element tuple"])
+def test_solve_with_block_malformed_start_raises(ops1, start):
+    K = ops1.vertex_count
+    system = SaddleSystem(ops1, data_gram(ops1), 1.0)
+    f, g = system.solve(np.ones(K))
+    start = (f[:-1], g[:-1]) if start == "short pair" else (f,)
+    with pytest.raises(DimensionMismatch, match=rf"start must have shape \({K},\)"):
+        system.solve_with_block(weighted_gram(ops1, 3, 0.05), np.ones(K), start)
+
+
+@pytest.mark.parametrize("form", ["schur", "saddle"])
+def test_solve_with_block_from_zero_start_matches_fresh_factorization(ops2, form):
+    # a block a few percent off the factored one, from f = 0: the first
+    # solve is the factored system's own, the rest refine onto the new one
+    if form == "schur":
+        old, new = data_gram(ops2), weighted_gram(ops2, 8, 0.05)
+    else:
+        old = data_blocks(ops2)["interior-points"]
+        new = (old + 0.03 * weighted_gram(ops2, 8, 0.1)).tocsr()
+    rhs = rhs_for(ops2, 13)
+    system = SaddleSystem(ops2, old, 0.01)
+    assert factored_size(system) == (1 if form == "schur" else 2) * ops2.vertex_count
+    f, g = system.solve_with_block(new, rhs, np.zeros(ops2.vertex_count))
+    f_ref, g_ref = SaddleSystem(ops2, new, 0.01).solve(rhs)
+    assert relative_error(f, f_ref) <= 1e-12
+    assert relative_error(g, g_ref) <= 1e-12
 
 
 def diagonal_block(ops, share, seed):
