@@ -36,7 +36,10 @@ class SelectionTrace:
     """Grid, scores, and choice of one selection run.
 
     ``chosen`` is the index of the smallest score (first index on
-    ties). For per-iteration GCV, ``history`` lists the parameter
+    ties). K-fold selection scores only the candidates its walk reaches
+    (see `kfold_select`) and leaves the others NaN, written as null in
+    the result document; ``chosen`` is then the smallest scored one.
+    For per-iteration GCV, ``history`` lists the parameter
     chosen at each alternation; the last entry is the one kept. GCV also
     records each candidate's smoother trace, its standard error and its
     probe count (both 0 when the trace is exact); these stay out of the
@@ -131,15 +134,17 @@ def _residuals(blocks, comp, lam, ops):
 
 def _kfold_trace(n, lambda_grid, folds, seed, ops, prepare,
                  fit) -> SelectionTrace:
-    """Check ``lambda_grid`` and score every candidate over ``folds``
+    """Check ``lambda_grid`` and score its candidates over ``folds``
     folds of ``range(n)``, drawn from ``seed`` by `make_folds`.
     ``prepare(train_rows, val_rows)`` gives each fold its training set,
     first start and validation blocks, once. The candidates run in
-    ascending order, each over every fold in turn, so consecutive fits
+    descending order, each over every fold in turn, so consecutive fits
     share one factored system; ``fit(lam, train, start)`` returns the
     component and the fold's next start. A candidate scores the sum of
     its `_residuals`, in fold order, over the number of values
-    validated."""
+    validated. The walk stops after the first candidate that scores
+    strictly above the best so far (equal scores walk on, so the first
+    index wins ties); candidates it does not reach stay NaN."""
     grid = estimator._check_grid(lambda_grid)
     assignments = make_folds(n, folds, seed)
     trains, starts, blocks = zip(*(
@@ -147,8 +152,9 @@ def _kfold_trace(n, lambda_grid, folds, seed, ops, prepare,
     ))
     validated = sum(values.size for fold in blocks for values, _ in fold)
     starts = list(starts)
-    scores = np.empty(len(grid))
-    for j in np.argsort(grid, kind="stable"):
+    scores = np.full(len(grid), np.nan)
+    best = np.inf
+    for j in np.argsort(-grid, kind="stable"):
         lam = float(grid[j])
         total = 0.0
         for f, train in enumerate(trains):
@@ -156,9 +162,12 @@ def _kfold_trace(n, lambda_grid, folds, seed, ops, prepare,
             for residual in _residuals(blocks[f], comp, lam, ops):
                 total += residual
         scores[j] = total / validated
+        if scores[j] > best:
+            break
+        best = scores[j]
     return SelectionTrace(
         lambda_grid=grid, scores=scores,
-        chosen=int(np.argmin(scores)), method="kfold",
+        chosen=int(np.nanargmin(scores)), method="kfold",
     )
 
 
@@ -176,8 +185,13 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     the candidate, so each fold computes them once and every candidate
     starts from them (continuing from the previous candidate's fit saves
     nothing here, since the warm start is already a few solves from
-    convergence). The candidates run in ascending order, each over the
-    folds.
+    convergence). The candidates run from the largest parameter down,
+    each over the folds, and the walk stops at the first candidate that
+    scores strictly above the best so far: on a unimodal score curve
+    that is one candidate past the minimum. Unreached candidates score
+    NaN and are neither fitted nor factored. A dense candidate's score
+    does not depend on the others, so the choice is the full grid's
+    whenever the curve falls to its minimum and rises after it.
 
     Parameters
     ----------
@@ -187,8 +201,7 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         Between 2 and the function count.
     ops : FemOperators
     seed
-        Seeds the fold shuffle only; the grid is always evaluated in
-        full.
+        Seeds the fold shuffle only.
     systems : _Systems, optional
         The fit's store of factored candidates, new when None; a
         candidate missing from it is factored on its first fit.
@@ -219,11 +232,12 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
     weighted penalty; residuals run over observed entries only and are
     averaged over the total observation count. Each fold builds its
     training state and initial scores once. The candidates run in
-    ascending order of the parameter, each over the folds. In each fold
-    the first candidate starts from the initial scores and each later
-    one from its predecessor's converged scores, which are close to its
-    own fit. The scores therefore depend on the set of candidates, not
-    on their order in ``lambda_grid``.
+    descending order of the parameter, each over the folds, and stop as
+    in `kfold_select`. In each fold the first candidate starts from the
+    initial scores and each later one from its predecessor's converged
+    scores, which are close to its own fit. The scores therefore depend
+    on the candidates walked before, not on their order in
+    ``lambda_grid``.
     """
     def prepare(train_rows, val_rows):
         train = state.subset(train_rows)

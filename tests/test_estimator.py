@@ -419,7 +419,12 @@ def test_fit_selection_traces_align(ops2):
     for comp, trace in zip(result.components, result.selection_traces):
         assert comp.lam == trace.lambda_grid[trace.chosen]
         assert trace.scores.shape == (3,)
-        assert np.isfinite(trace.scores).all()
+        # the walk scores the grid from the top down; the rest stay NaN
+        scored = ~np.isnan(trace.scores)
+        assert scored[-1] and np.array_equal(scored, np.sort(scored))
+        assert np.isfinite(trace.scores[scored]).all()
+        assert trace.scores[trace.chosen] == trace.scores[scored].min()
+    assert any(np.isnan(trace.scores).any() for trace in result.selection_traces)
 
 
 def test_fit_validates_arguments(ops1):

@@ -75,16 +75,31 @@ def dense_kfold_oracle(X, grid, folds, ops, seed):
     return np.array(scores)
 
 
+def walk(scores, grid):
+    """The descending walk's view of a full score list: candidates from
+    the largest parameter down, through the first one that scores
+    strictly above the best before it; the rest NaN."""
+    walked = np.full(len(grid), np.nan)
+    best = np.inf
+    for j in sorted(range(len(grid)), key=lambda j: -grid[j]):
+        walked[j] = scores[j]
+        if scores[j] > best:
+            break
+        best = min(best, scores[j])
+    return walked
+
+
 def masked_kfold_oracle(state, grid, folds, ops, seed):
-    """Missing-data K-fold scores: each fold fits the candidates in
-    ascending order on a fresh training subset, the first from fresh
-    initial scores and each later one from its predecessor's scores."""
+    """Missing-data K-fold scores: each fold fits every candidate in
+    descending order on a fresh training subset, the first from fresh
+    initial scores and each later one from its predecessor's scores;
+    the walk then keeps those it reaches."""
     assignments = make_folds(state.n, folds, seed)
     totals = [0.0] * len(grid)
     for val_rows in assignments:
         train = state.subset(np.setdiff1d(np.arange(state.n), val_rows))
         start = estimator._initial_scores_missing(train)
-        for j in sorted(range(len(grid)), key=lambda j: grid[j]):
+        for j in sorted(range(len(grid)), key=lambda j: -grid[j]):
             lam = grid[j]
             comp = estimator._fit_component_missing(train, lam, ops, 15, 1e-6, start)
             start = comp.scores
@@ -97,7 +112,8 @@ def masked_kfold_oracle(state, grid, folds, ops, seed):
                 )
                 resid = state.values[i] - u_i * evaluated
                 totals[j] += float(resid @ resid)
-    return np.array(totals) / sum(len(values) for values in state.values)
+    counted = sum(len(values) for values in state.values)
+    return walk(np.array(totals) / counted, grid)
 
 
 def count_calls(monkeypatch, name):
@@ -256,12 +272,77 @@ def test_kfold_matches_per_pair_oracle_bitwise(ops1):
     np.testing.assert_array_equal(trace.scores, oracle)
 
 
+def one_point_scores(X, grid, folds, ops, seed):
+    """Oracle for the dense walk: each candidate scored alone on a
+    one-point grid (a dense score does not depend on the other
+    candidates)."""
+    return np.array([
+        kfold_select(X, [lam], folds, ops, seed=seed).scores[0] for lam in grid
+    ])
+
+
+@pytest.mark.parametrize("grid, walked, chosen", [
+    # from 10 down to 1e-3, one past the minimum at 1e-2
+    (np.logspace(-8, 1, 10), [False] * 5 + [True] * 5, 6),
+    # the minimum is the smallest candidate: every candidate is scored
+    ([10.0, 1e-2, 1.0, 1e-1], [True] * 4, 1),
+    ([1e-2], [True], 0),
+])
+def test_kfold_walk_matches_one_point_oracle_bitwise(ops1, grid, walked, chosen):
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 21)
+    trace = kfold_select(ds.X, grid, 4, ops1, seed=2)
+    oracle = one_point_scores(ds.X, grid, 4, ops1, seed=2)
+    scored = ~np.isnan(trace.scores)
+    assert scored.tolist() == walked
+    np.testing.assert_array_equal(trace.scores[scored], oracle[scored])
+    assert trace.chosen == int(np.argmin(oracle)) == chosen
+
+
+def test_kfold_walk_goes_on_through_ties_and_keeps_the_first(ops1):
+    # a duplicated parameter scores the same bitwise: the walk goes on past
+    # the tie and the first index wins
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 21)
+    grid = [1.0, 1e-2, 1e-1, 1e-2, 1e-3, 1e-4]
+    trace = kfold_select(ds.X, grid, 4, ops1, seed=2)
+    assert trace.scores[1] == trace.scores[3]
+    assert np.isnan(trace.scores).tolist() == [False] * 5 + [True]
+    assert trace.scores[4] > trace.scores[1]
+    assert trace.chosen == 1
+
+
+def test_fit_kfold_factors_only_walked_candidates(ops1, monkeypatch):
+    # the fit's store factors each walked candidate once, which includes
+    # every chosen one, and never a candidate the walks left unscored
+    factored = []
+    init = solver.SaddleSystem.__init__
+
+    def counted(self, *args):
+        factored.append(args[-1])
+        init(self, *args)
+
+    monkeypatch.setattr(solver.SaddleSystem, "__init__", counted)
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 21)
+    grid = np.logspace(-8, 1, 10)
+    result = fit(ds.X, 2, grid, ops1, selection="kfold", folds=4)
+    walked = {
+        float(lam) for trace in result.selection_traces
+        for lam, score in zip(trace.lambda_grid, trace.scores)
+        if not np.isnan(score)
+    }
+    assert {comp.lam for comp in result.components} <= walked
+    assert sorted(factored) == sorted(walked)
+    assert len(factored) < len(grid)
+
+
 def test_kfold_missing_matches_per_pair_oracle_bitwise(ops1):
     state = masked_state(ops1, 20, 22)
-    grid = [1e-6, 1e-3, 1e-1, 10.0]
+    grid = [1e-6, 1e-3, 1e-8, 1e-1, 10.0]
     trace = kfold_select_missing(state, grid, 4, ops1, seed=3)
     oracle = masked_kfold_oracle(state, grid, 4, ops1, seed=3)
+    # NaN in the same places: the walk stops past the minimum at 1e-3
     np.testing.assert_array_equal(trace.scores, oracle)
+    assert np.isnan(trace.scores).tolist() == [False, False, True, False, False]
+    assert trace.chosen == 1
 
 
 def test_explicit_warm_start_is_bitwise_default(ops1):
@@ -284,9 +365,10 @@ def test_explicit_warm_start_is_bitwise_default(ops1):
         assert a.objective_trace == b.objective_trace
 
 
-def test_kfold_missing_continues_in_ascending_lambda(ops1, monkeypatch):
+def test_kfold_missing_continues_in_descending_lambda(ops1, monkeypatch):
     # within a fold, each candidate starts from the scores its predecessor
-    # in ascending order converged to; the first from the fold's start
+    # in descending order converged to, the first from the fold's start;
+    # the chain ends one candidate past the minimum
     chains, starts = {}, {}
     fit_one = estimator._fit_component_missing
     initial = estimator._initial_scores_missing
@@ -304,10 +386,11 @@ def test_kfold_missing_continues_in_ascending_lambda(ops1, monkeypatch):
     monkeypatch.setattr(estimator, "_fit_component_missing", spy_fit)
     monkeypatch.setattr(estimator, "_initial_scores_missing", spy_initial)
     grid = [1e-2, 1e-6, 1.0, 1e-4]
-    kfold_select_missing(masked_state(ops1, 15, 27), grid, 3, ops1, seed=0)
+    trace = kfold_select_missing(masked_state(ops1, 15, 27), grid, 3, ops1, seed=0)
+    assert trace.lambda_grid[trace.chosen] == 1e-2
     assert len(chains) == 3
     for fold, chain in chains.items():
-        assert [lam for lam, _, _ in chain] == sorted(grid)
+        assert [lam for lam, _, _ in chain] == [1.0, 1e-2, 1e-4]
         assert chain[0][1] is starts[fold]
         for (_, _, previous), (_, start, _) in zip(chain, chain[1:]):
             assert start is previous
