@@ -17,9 +17,14 @@ optional ``--config`` JSON file, then explicit flags. Only a command that
 succeeds writes: its files into the output directory, then last the
 resolved configuration as ``manifest.json``, which re-runs it exactly as
 ``--config``. Exit codes: 0 success, 2 input error, 3 numerical error.
+A command runs with the BLAS copies that numpy and scipy bundle pinned to
+one thread, so that its outputs do not depend on the BLAS thread count.
 """
 
 import argparse
+import contextlib
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -123,12 +128,6 @@ def _write_outputs(command, config, files):
 
 
 def cmd_fit(config):
-    # Every fit factors: load the LAPACK wrappers of scipy.linalg with the
-    # inputs, not at the first factorization inside the fit (the solver
-    # loads them on first use so that the other commands never do).
-    # SuperLU loads only if a system needs the saddle form.
-    import scipy.linalg  # noqa: F401
-
     surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
     data_path = _require(config, "data", "--data")
     values = serialize.read_data_csv(data_path)
@@ -421,13 +420,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The OpenBLAS copies that numpy and scipy bundle: the package, the file
+# beside it, and the suffix of the copy's thread getter and setter.
+_BLAS_COPIES = ((np, "numpy.libs/libscipy_openblas64_-*.so", "64_"),
+                (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin each bundled OpenBLAS copy that is loaded to one thread, and
+    restore its count on exit. A copy is only looked up (RTLD_NOLOAD),
+    never loaded. One warning names the packages whose copy or thread
+    setter is missing: their results may depend on the thread count."""
+    restore, missing = [], []
+    for package, pattern, suffix in _BLAS_COPIES:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        paths = glob.glob(os.path.join(site, pattern))
+        try:
+            blas = ctypes.CDLL(paths[0], mode=os.RTLD_NOLOAD) if paths else None
+        except OSError:  # not loaded by this command
+            continue
+        get = getattr(blas, f"scipy_openblas_get_num_threads{suffix}", None)
+        set_ = getattr(blas, f"scipy_openblas_set_num_threads{suffix}", None)
+        if get is None or set_ is None:
+            missing.append(package.__name__)
+            continue
+        restore.append((set_, get()))
+        set_(1)
+    if missing:
+        warnings.warn(f"cannot pin the BLAS of {' and '.join(missing)} to one "
+                      "thread; outputs may depend on the BLAS thread count")
+    try:
+        yield
+    finally:
+        for set_, count in restore:
+            set_(count)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "fit":
+        # Every fit factors: load the LAPACK wrappers of scipy.linalg, and
+        # the BLAS under them, before the pin and the inputs, not at the
+        # first factorization inside the fit (the solver loads them on
+        # first use so that the other commands never do). SuperLU loads
+        # only if a system needs the saddle form.
+        import scipy.linalg  # noqa: F401
     try:
-        outputs = args.func(_resolve(args, args.defaults))
-        if outputs is not None:  # mesh-info prints instead
-            _write_outputs(args.command, *outputs)
+        with _one_blas_thread():
+            outputs = args.func(_resolve(args, args.defaults))
+            if outputs is not None:  # mesh-info prints instead
+                _write_outputs(args.command, *outputs)
         return 0
     except OSError as exc:
         name = exc.filename if exc.filename else exc

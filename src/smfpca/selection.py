@@ -7,7 +7,10 @@ unnormalized fitted profile. GCV scores the smoothing of the projected
 data vector through the trace of the smoother matrix, computed exactly
 by blocked solves for moderate location counts and by a seeded
 Hutchinson estimator beyond that, whose probes are solved in blocks
-until the choice is clear of the estimate's error.
+until the choice is clear of the estimate's error. Both selectors score
+through one walk, `_walk`: from the largest parameter down, stopping one
+past the first rise, so that candidates below the minimum are neither
+factored nor scored.
 """
 
 import functools
@@ -23,7 +26,8 @@ from .fem import FemOperators
 # Above this location count, exact smoother traces give way to a
 # stochastic estimate: Hutchinson probes, solved a block at a time until
 # the GCV choice stands _SEPARATION standard errors clear of every other
-# candidate, or the candidates still in doubt hold _PROBE_CAP probes.
+# scored candidate, or the candidates still in doubt hold _PROBE_CAP
+# probes.
 EXACT_TRACE_LIMIT = 2000
 _PROBE_BLOCK = 16
 _PROBE_CAP = 64
@@ -36,14 +40,15 @@ class SelectionTrace:
     """Grid, scores, and choice of one selection run.
 
     ``chosen`` is the index of the smallest score (first index on
-    ties). K-fold selection scores only the candidates its walk reaches
-    (see `kfold_select`) and leaves the others NaN, written as null in
-    the result document; ``chosen`` is then the smallest scored one.
-    For per-iteration GCV, ``history`` lists the parameter
-    chosen at each alternation; the last entry is the one kept. GCV also
-    records each candidate's smoother trace, its standard error and its
-    probe count (both 0 when the trace is exact); these stay out of the
-    result document.
+    ties). Both selectors score only the candidates their walk reaches
+    (see `kfold_select` and `gcv_select`) and leave the others NaN,
+    written as null in the result document; ``chosen`` is then the
+    smallest scored one. For per-iteration GCV, ``history`` lists the
+    parameter chosen at each alternation, and the scores are the last
+    alternation's walk; the last entry is the one kept. GCV also records
+    each scored candidate's smoother trace, its standard error and its
+    probe count (both 0 when the trace is exact), NaN where unscored;
+    these stay out of the result document.
     """
 
     lambda_grid: np.ndarray
@@ -111,6 +116,33 @@ def default_lambda_grid(ops: FemOperators):
     return scale * np.logspace(-6, 2, 13)
 
 
+def _walk(grid, score, settle=None):
+    """The one walk of both selectors over the checked ``grid``.
+
+    Candidates are scored by ``score(j)`` from the largest parameter
+    down, and the walk stops after the first one that scores strictly
+    above the best so far: on a unimodal score curve, one past the
+    minimum. Equal scores walk on, so `np.nanargmin` of the result keeps
+    the first index on ties. Candidates the walk does not reach stay
+    NaN. Before a rise ends the walk, ``settle(scores, j, best)``, when
+    given, may re-estimate the scored candidates in place (``best`` is
+    the earlier one with the smallest score) and returns whether it did;
+    if so, candidate ``j`` is compared again.
+    """
+    scores = np.full(len(grid), np.nan)
+    walked = []
+    for j in np.argsort(-grid, kind="stable"):
+        scores[j] = score(j)
+        while walked:
+            best = min(walked, key=scores.__getitem__)
+            if scores[j] <= scores[best]:
+                break
+            if settle is None or not settle(scores, j, best):
+                return scores
+        walked.append(j)
+    return scores
+
+
 # -- K-fold cross-validation ------------------------------------------
 
 
@@ -137,14 +169,12 @@ def _kfold_trace(n, lambda_grid, folds, seed, ops, prepare,
     """Check ``lambda_grid`` and score its candidates over ``folds``
     folds of ``range(n)``, drawn from ``seed`` by `make_folds`.
     ``prepare(train_rows, val_rows)`` gives each fold its training set,
-    first start and validation blocks, once. The candidates run in
-    descending order, each over every fold in turn, so consecutive fits
+    first start and validation blocks, once. The candidates run in the
+    order of `_walk`, each over every fold in turn, so consecutive fits
     share one factored system; ``fit(lam, train, start)`` returns the
     component and the fold's next start. A candidate scores the sum of
     its `_residuals`, in fold order, over the number of values
-    validated. The walk stops after the first candidate that scores
-    strictly above the best so far (equal scores walk on, so the first
-    index wins ties); candidates it does not reach stay NaN."""
+    validated; candidates the walk does not reach stay NaN."""
     grid = estimator._check_grid(lambda_grid)
     assignments = make_folds(n, folds, seed)
     trains, starts, blocks = zip(*(
@@ -152,19 +182,17 @@ def _kfold_trace(n, lambda_grid, folds, seed, ops, prepare,
     ))
     validated = sum(values.size for fold in blocks for values, _ in fold)
     starts = list(starts)
-    scores = np.full(len(grid), np.nan)
-    best = np.inf
-    for j in np.argsort(-grid, kind="stable"):
+
+    def score(j):
         lam = float(grid[j])
         total = 0.0
         for f, train in enumerate(trains):
             comp, starts[f] = fit(lam, train, starts[f])
             for residual in _residuals(blocks[f], comp, lam, ops):
                 total += residual
-        scores[j] = total / validated
-        if scores[j] > best:
-            break
-        best = scores[j]
+        return total / validated
+
+    scores = _walk(grid, score)
     return SelectionTrace(
         lambda_grid=grid, scores=scores,
         chosen=int(np.nanargmin(scores)), method="kfold",
@@ -186,7 +214,7 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     starts from them (continuing from the previous candidate's fit saves
     nothing here, since the warm start is already a few solves from
     convergence). The candidates run from the largest parameter down,
-    each over the folds, and the walk stops at the first candidate that
+    each over the folds, and `_walk` stops at the first candidate that
     scores strictly above the best so far: on a unimodal score curve
     that is one candidate past the minimum. Unreached candidates score
     NaN and are neither fitted nor factored. A dense candidate's score
@@ -263,17 +291,26 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators,
     The data vector is the projection of the data matrix onto the unit
     scores ``u``. Each candidate's score is the mean squared smoothing
     residual divided by (1 - trace(S)/s)^2, where S maps the data
-    vector to the smoothed profile. The trace is exact up to
-    ``EXACT_TRACE_LIMIT`` locations. Beyond, every candidate starts from
-    the probes it holds in the traces of ``systems`` (the fit's
-    `_Systems` store, new when None), or from one block of 16
-    (``_PROBE_BLOCK``) seeded Hutchinson probes. A trace error SE(T)
-    moves the score by score * 2 SE(T) / (s gap), gap = 1 - T/s. While
-    some candidate's score, give or take 3 (``_SEPARATION``) such errors,
-    overlaps that of the smallest score, both get one more block, up to
-    64 (``_PROBE_CAP``) probes each. The probes are fixed columns of one
-    seeded matrix. Candidates whose trace gap closes to zero score +inf
-    and are skipped with a warning.
+    vector to the smoothed profile. The candidates are scored in the
+    order of `_walk`, from the largest parameter down to one past the
+    first rise; the rest stay NaN and are neither factored nor traced.
+    A candidate's score does not depend on the others, so the choice is
+    the full grid's whenever the curve falls to its minimum and rises
+    after it. The trace is exact up to ``EXACT_TRACE_LIMIT`` locations.
+    Beyond, every candidate starts from the probes it holds in the
+    traces of ``systems`` (the fit's `_Systems` store, new when None),
+    or from one block of 16 (``_PROBE_BLOCK``) seeded Hutchinson probes.
+    A trace error SE(T) moves the score by score * 2 SE(T) / (s gap),
+    gap = 1 - T/s. Two scores overlap when, give or take 3
+    (``_SEPARATION``) such errors each, they meet. A rise that overlaps
+    the best so far ends the walk only once both hold 64 (``_PROBE_CAP``)
+    probes: both get one more block, and the rise is compared again with
+    whichever earlier candidate is then the best; if the risen candidate
+    becomes the best, the walk goes on. After the walk, while some scored
+    candidate overlaps the smallest score, both get one more block, up to
+    the cap. The probes are fixed columns of one seeded matrix.
+    Candidates whose trace gap closes to zero score +inf and are skipped
+    with a warning.
 
     Raises
     ------
@@ -289,62 +326,84 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators,
     systems = _Systems(ops) if systems is None else systems
     traces = systems.traces
     lams = [float(lam) for lam in grid]
-
     rhs = ops.psi.T @ z
     mean_square = {}
-    for lam in dict.fromkeys(lams):
-        system = systems[lam]
+
+    def estimate(j):
+        return _gcv_score(mean_square[lams[j]], traces[lams[j]], s)
+
+    def score(j):
+        system = systems[lams[j]]
         f, _ = system.solve(rhs)
         resid = z - ops.psi @ f
-        mean_square[lam] = float(resid @ resid) / s
-        if lam not in traces:
-            traces[lam] = _smoother_trace(system, ops)
-    while True:
-        scores, errors = _gcv_scores(lams, mean_square, traces, s)
-        best = int(np.argmin(scores))
-        reach = scores[best] + _SEPARATION * errors[best]
-        close = [lams[j] for j in np.flatnonzero(np.isfinite(scores))
-                 if j != best and scores[j] - _SEPARATION * errors[j] <= reach]
-        refine = [lam for lam in dict.fromkeys([lams[best]] + close)
-                  if 0 < traces[lam].probes < _PROBE_CAP]
-        if not close or not refine:
-            break
-        for lam in refine:
-            traces[lam] = _smoother_trace(systems[lam], ops, traces[lam])
+        mean_square[lams[j]] = float(resid @ resid) / s
+        if lams[j] not in traces:
+            traces[lams[j]] = _smoother_trace(system, ops)
+        return estimate(j)[0]
 
-    for lam, score in zip(lams, scores):
-        if score == np.inf:
+    def overlaps(j, best):
+        (score_j, error_j), (score_best, error_best) = estimate(j), estimate(best)
+        return score_j - _SEPARATION * error_j <= score_best + _SEPARATION * error_best
+
+    def refine(candidates):
+        """One more probe block for each stochastic trace among
+        ``candidates`` below the cap; False when there is none."""
+        due = [lam for lam in dict.fromkeys(lams[j] for j in candidates)
+               if 0 < traces[lam].probes < _PROBE_CAP]
+        for lam in due:
+            traces[lam] = _smoother_trace(systems[lam], ops, traces[lam])
+        return bool(due)
+
+    def rescore(scores):
+        for j in np.flatnonzero(~np.isnan(scores)):
+            scores[j] = estimate(j)[0]
+
+    def settle(scores, j, best):
+        if not overlaps(j, best) or not refine([best, j]):
+            return False
+        rescore(scores)
+        return True
+
+    scores = _walk(grid, score, settle)
+    scored = np.flatnonzero(~np.isnan(scores))
+    while True:
+        best = scored[np.argmin(scores[scored])]
+        close = [j for j in scored if j != best and np.isfinite(scores[j])
+                 and overlaps(j, best)]
+        if not close or not refine([best] + close):
+            break
+        rescore(scores)
+
+    for j in scored:
+        if scores[j] == np.inf:
             warnings.warn(
                 f"smoother trace reaches the location count at lambda "
-                f"{lam:g}; assigning an infinite score",
+                f"{lams[j]:g}; assigning an infinite score",
                 stacklevel=2,
             )
     if not np.isfinite(scores).any():
         raise DegenerateSmoother("every candidate produced an undefined score")
-    kept = [traces[lam] for lam in lams]
+    trace_values, trace_errors, trace_probes = np.full((3, len(grid)), np.nan)
+    for j in scored:
+        kept = traces[lams[j]]
+        trace_values[j], trace_errors[j], trace_probes[j] = (
+            kept.value, kept.error, kept.probes)
     return SelectionTrace(
         lambda_grid=grid, scores=scores,
-        chosen=int(np.argmin(scores)), method="gcv",
-        trace_values=np.array([t.value for t in kept]),
-        trace_errors=np.array([t.error for t in kept]),
-        trace_probes=np.array([t.probes for t in kept]),
+        chosen=int(np.nanargmin(scores)), method="gcv",
+        trace_values=trace_values, trace_errors=trace_errors,
+        trace_probes=trace_probes,
     )
 
 
-def _gcv_scores(lams, mean_square, traces, s):
-    """Each candidate's GCV score and the standard error its trace
-    estimate gives it; +inf (error 0) where the trace gap closes."""
-    scores = np.empty(len(lams))
-    errors = np.zeros(len(lams))
-    for j, lam in enumerate(lams):
-        trace = traces[lam]
-        gap = 1.0 - trace.value / s
-        if gap <= 1e-12:
-            scores[j] = np.inf
-            continue
-        scores[j] = mean_square[lam] / gap**2
-        errors[j] = scores[j] * 2.0 * trace.error / (s * gap)
-    return scores, errors
+def _gcv_score(mean_square, trace, s):
+    """A candidate's GCV score and the standard error its trace estimate
+    gives it; +inf (error 0) where the trace gap closes."""
+    gap = 1.0 - trace.value / s
+    if gap <= 1e-12:
+        return np.inf, 0.0
+    score = mean_square / gap**2
+    return score, score * 2.0 * trace.error / (s * gap)
 
 
 @dataclass(frozen=True, eq=False)

@@ -421,38 +421,73 @@ def test_only_fit_loads_the_sparse_solver(tmp_path):
                       "mesh-info": "0 None None False False"}
 
 
-def assert_relative(a, b, tolerance):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    assert np.linalg.norm(a - b) <= tolerance * np.linalg.norm(b)
-
-
 def test_fit_blas_thread_count_keeps_choices(tmp_path):
-    # Two BLAS threads round the level-4 banded factorization differently
-    # (about 2e-16 relative), so the bytes of result.json are reproducible
-    # for a fixed BLAS thread count only; every choice must still agree.
+    # Two BLAS threads would round the level-4 banded factorization
+    # differently (about 2e-16 relative); the command pins the bundled
+    # BLAS copies to one thread, so the outputs keep every byte.
     sim = tmp_path / "sim"
     assert run(["simulate", "--generator", "sphere", "--sphere", 4,
                 "--n", 50, "--seed", 5, "--outdir", sim]) == 0
-    results = []
+    outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}"
         env = {name: threads for name in ("OPENBLAS_NUM_THREADS",
                                           "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         argv = fit_args(sim, out, ["--selection", "gcv"])
         python("-m", "smfpca.cli", *map(str, argv), env=env, check=True)
-        results.append(load_json(out / "result.json"))
-    one, two = results
-    assert len(one["components"]) == len(two["components"]) == 2
-    for a, b in zip(one["components"], two["components"]):
-        assert a["lambda"] == b["lambda"]
-        assert a["iterations"] == b["iterations"]
-        for key in ("chosen", "chosenLambda", "history", "lambdaGrid"):
-            assert a["selection"][key] == b["selection"][key]
-        assert_relative(a["selection"]["scores"], b["selection"]["scores"], 1e-12)
-        for key in ("vertexValues", "gCoefficients", "scores", "objectiveTrace"):
-            assert_relative(a[key], b[key], 1e-12)
-    for key in ("adjustedVariance", "cumulativeVariance", "meanField"):
-        assert_relative(one[key], two[key], 1e-12)
+        outputs.append({name: (out / name).read_bytes() for name in
+                        ("result.json", "scores.csv", "vertex_values.csv")})
+    assert outputs[0] == outputs[1]
+
+
+_BLAS_THREADS = """
+import ctypes, glob, os, sys
+import numpy, scipy, scipy.linalg
+import smfpca.cli
+from smfpca import estimator
+
+def counts():
+    found = []
+    for package, pattern, suffix in smfpca.cli._BLAS_COPIES:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        blas = ctypes.CDLL(glob.glob(os.path.join(site, pattern))[0])
+        found.append(blas[f"scipy_openblas_get_num_threads{suffix}"]())
+    return found
+
+inside = []
+
+def probed(*args, **kwargs):
+    inside.extend(counts())
+    return fit(*args, **kwargs)
+
+fit, estimator.fit = estimator.fit, probed
+before = counts()
+code = smfpca.cli.main(sys.argv[1:])
+print(code, before, inside, counts())
+"""
+
+
+def test_fit_pins_blas_to_one_thread_and_restores_it(tmp_path):
+    src = simulate_sphere(tmp_path / "sim")
+    argv = fit_args(src, tmp_path / "fit", ["--selection", "fixed",
+                                            "--fixed-lambda", "1e-3"])
+    env = {name: "2" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS")}
+    out = python("-c", _BLAS_THREADS, *map(str, argv), env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "0 [2, 2] [1, 1] [2, 2]"
+
+
+def test_missing_blas_setter_warns_once(tmp_path, monkeypatch):
+    src = simulate_sphere(tmp_path / "sim")
+    monkeypatch.setattr(cli, "_BLAS_COPIES", [
+        (np, "numpy.libs/libscipy_openblas64_-*.so", "_absent"),
+        (np, "numpy.libs/no_such_blas-*.so", ""),
+    ])
+    with pytest.warns(UserWarning, match="cannot pin the BLAS") as records:
+        assert run(fit_args(src, tmp_path / "fit", ["--selection", "fixed",
+                                                    "--fixed-lambda", "1e-3"])) == 0
+    assert len(records) == 1
+    assert "numpy and numpy" in str(records[0].message)
 
 
 def test_console_entry_point(tmp_path):

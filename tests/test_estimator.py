@@ -26,7 +26,7 @@ from smfpca import (
     score_step,
     vertex_locations,
 )
-from smfpca import estimator, solver
+from smfpca import estimator, selection, solver
 from smfpca.estimator import data_gram
 from smfpca.fem import _fix_sign
 from smfpca.synth import generate_sphere_dataset, sphere_pc_functions
@@ -490,6 +490,67 @@ def test_gcv_on_one_point_grid_equals_fixed_fit(ops2):
         assert a.iterations == b.iterations
         assert a.objective_trace == b.objective_trace
         assert trace.history == [lam] * a.iterations
+
+
+# -- the global optimum -----------------------------------------------
+
+
+def smoothed_gram(values, ops, lam):
+    """Oracle: C = X psi A^-1 psi' X' with A = psi'psi + lam R1 R0^-1 R1,
+    from one n-column solve. The function step is f = A^-1 psi'X'u and
+    the score step u ~ X psi f = C u, so the alternation is the power
+    method on C, and at unit u the objective is ||X||^2 - u'Cu."""
+    system = SaddleSystem(ops, data_gram(ops), lam)
+    f_block, _ = system.solve_many(ops.psi.T @ values.T)
+    gram = values @ (ops.psi @ f_block)
+    return (gram + gram.T) / 2.0
+
+
+def off_axis(u, v):
+    # the part of u orthogonal to the unit vector v; sqrt(1 - cos^2) would
+    # floor near 1e-8
+    return float(np.linalg.norm(u - (v @ u) * v))
+
+
+@pytest.mark.parametrize("index", [4, 6, 8])
+def test_fixed_fit_reaches_the_global_optimum(ops2, index):
+    # on seeds 1-10 (n=30, level 2, tolerance 1e-12) the scores lay within
+    # 1.6e-12 of C's top two eigenvectors and the objectives matched to
+    # 1.1e-15 relative to ||X||^2
+    lam = float(default_lambda_grid(ops2)[index])
+    for seed in range(1, 11):
+        ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.1, seed)
+        result = fit(ds.X, 2, [lam], ops2, selection="fixed",
+                     tolerance=1e-12, max_iterations=500)
+        first, second = result.components
+        values = ds.X.values - result.mean_field
+        mu, vectors = np.linalg.eigh(smoothed_gram(values, ops2, lam))
+        assert off_axis(first.scores, vectors[:, -1]) < 5e-12
+        assert off_axis(second.scores, vectors[:, -2]) < 5e-12
+        xnorm2 = float((values ** 2).sum())
+        assert first.objective_trace[-1] == pytest.approx(xnorm2 - mu[-1], abs=5e-15 * xnorm2)
+        # the second component is the first of the deflated data
+        rest = values - np.outer(first.scores, first.scores @ values)
+        top = np.linalg.eigvalsh(smoothed_gram(rest, ops2, lam))[-1]
+        assert second.objective_trace[-1] == pytest.approx(
+            float((rest ** 2).sum()) - top, abs=5e-15 * xnorm2)
+
+
+def test_kfold_candidate_reaches_the_global_optimum(ops2):
+    # folds are not re-centred, so a fold's training rows give C[train,
+    # train]; seeds 1-10 gave gaps up to 8.8e-13 and 9.4e-16 relative
+    lam = float(default_lambda_grid(ops2)[6])
+    for seed in range(1, 11):
+        ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.1, seed)
+        values = ds.X.values - ds.X.values.mean(axis=0)
+        gram = smoothed_gram(values, ops2, lam)
+        train = np.setdiff1d(np.arange(30), selection.make_folds(30, 5, seed)[0])
+        comp = fit_component(DataMatrix(values[train]), lam, ops2,
+                             tolerance=1e-12, max_iterations=500)
+        mu, vectors = np.linalg.eigh(gram[np.ix_(train, train)])
+        assert off_axis(comp.scores, vectors[:, -1]) < 5e-12
+        xnorm2 = float((values[train] ** 2).sum())
+        assert comp.objective_trace[-1] == pytest.approx(xnorm2 - mu[-1], abs=5e-15 * xnorm2)
 
 
 # -- variance accounting ----------------------------------------------

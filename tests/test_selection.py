@@ -431,15 +431,91 @@ def test_kfold_rejects_bad_grid(ops1):
 # -- GCV selection ----------------------------------------------------
 
 
-def test_gcv_matches_dense_oracle(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 25, (4.0, 2.0), 0.2, 8)
+def one_point_gcv(X, u, grid, ops):
+    """Oracle for the GCV walk: each candidate scored alone on a
+    one-point grid (a candidate's score does not depend on the others)."""
+    return np.array([gcv_select(X, u, [lam], ops).scores[0] for lam in grid])
+
+
+def test_gcv_matches_dense_oracle(ops2):
+    ds = generate_sphere_dataset(ops2.mesh, ops2, 25, (4.0, 2.0), 0.2, 8)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(25)
     u /= np.linalg.norm(u)
-    grid = np.array([1e-4, 1e-2, 1.0])
-    trace = gcv_select(ds.X, u, grid, ops1)
-    oracle = dense_gcv_scores(ops1, ds.X.values.T @ u, grid)
-    np.testing.assert_allclose(trace.scores, oracle, rtol=1e-8)
+    for grid, walked in (
+            # from 1e2 down to 1e-4, one past the minimum at 1e-3
+            (np.logspace(-8, 2, 11), [False] * 4 + [True] * 7),
+            # the minimum is the smallest candidate: every one is scored
+            (np.array([1e-4, 1e-2, 1.0]), [True] * 3),
+            # a duplicated minimum scores the same bitwise: the walk goes
+            # on past the tie and the first index wins
+            (np.array([1e2, 1e-3, 1e-2, 1e-3, 1e-4, 1e-5]), [True] * 5 + [False])):
+        trace = gcv_select(ds.X, u, grid, ops2)
+        oracle = dense_gcv_scores(ops2, ds.X.values.T @ u, grid)
+        scored = ~np.isnan(trace.scores)
+        assert scored.tolist() == walked
+        np.testing.assert_array_equal(np.isnan(walk(oracle, grid)), ~scored)
+        np.testing.assert_allclose(trace.scores[scored], oracle[scored], rtol=1e-8)
+        alone = one_point_gcv(ds.X, u, grid, ops2)
+        np.testing.assert_array_equal(trace.scores[scored], alone[scored])
+        assert trace.chosen == int(np.argmin(oracle)) == int(np.argmin(alone))
+        for values in (trace.trace_values, trace.trace_errors, trace.trace_probes):
+            assert np.isnan(values).tolist() == (~scored).tolist()
+
+
+def test_gcv_walk_keeps_the_larger_lambda_of_two_minima(ops2):
+    # a smooth field (degree 1), a rough one (degree 8) and noise: the
+    # curve falls to a local minimum at 10^-0.5, where the rough field is
+    # smoothed away, rises, then falls lower once the rough field is kept.
+    # The walk stops one past the first minimum and keeps it, as the
+    # K-fold walk does; the full grid's choice is the smallest candidate
+    x, y, height = ops2.mesh.vertices.T
+    rough = ((x + 1j * y) ** 8).real
+    noise = np.random.default_rng(0).standard_normal(ops2.location_count)
+    z = 3.0 * height + rough / np.sqrt(np.mean(rough ** 2)) + 0.3 * noise
+    grid = np.logspace(-8, 2, 21)
+    oracle = dense_gcv_scores(ops2, z, grid)
+    assert oracle[15] < min(oracle[14], oracle[16]) and int(np.argmin(oracle)) < 14
+    trace = gcv_select(DataMatrix(z[None, :]), [1.0], grid, ops2)
+    assert (~np.isnan(trace.scores)).tolist() == [False] * 14 + [True] * 7
+    np.testing.assert_allclose(trace.scores[14:], oracle[14:], rtol=1e-8)
+    assert trace.chosen == 15
+
+
+def test_fit_gcv_factors_only_walked_candidates(ops2, monkeypatch):
+    # across the alternations' walks, the fit's store factors and traces
+    # each walked candidate once, which includes every chosen one, and
+    # never a candidate no walk reached
+    factored, traced, selections = [], [], []
+    init, smoother_trace = solver.SaddleSystem.__init__, selection._smoother_trace
+
+    def counted_init(self, *args):
+        factored.append(args[-1])
+        init(self, *args)
+
+    def counted_trace(system, *args):
+        traced.append(system.lam)
+        return smoother_trace(system, *args)
+
+    def recorded(*args, **kwargs):
+        selections.append(gcv_select(*args, **kwargs))
+        return selections[-1]
+
+    monkeypatch.setattr(solver.SaddleSystem, "__init__", counted_init)
+    monkeypatch.setattr(selection, "_smoother_trace", counted_trace)
+    monkeypatch.setattr(selection, "gcv_select", recorded)
+    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.3, 21)
+    grid = default_lambda_grid(ops2)
+    result = fit(ds.X, 2, grid, ops2, selection="gcv")
+    walked = {
+        float(lam) for trace in selections
+        for lam, score in zip(trace.lambda_grid, trace.scores)
+        if not np.isnan(score)
+    }
+    assert len(selections) == sum(c.iterations for c in result.components)
+    assert {comp.lam for comp in result.components} <= walked
+    assert sorted(factored) == sorted(traced) == sorted(walked)
+    assert len(factored) < len(grid)
 
 
 def test_gcv_sign_invariant(ops1):
@@ -543,11 +619,43 @@ def stochastic_traces(monkeypatch):
 @pytest.mark.parametrize("seed", [15, 16, 22])
 def test_gcv_probe_counts_are_whole_blocks(ops2, stochastic_traces, seed):
     X, u = gcv_case(ops2, seed)
-    trace = gcv_select(X, u, default_lambda_grid(ops2), ops2)
-    assert set(trace.trace_probes) <= {16, 32, 48, 64}
-    assert (trace.trace_errors > 0).all()
+    grid = default_lambda_grid(ops2)
+    trace = gcv_select(X, u, grid, ops2)
+    scored = ~np.isnan(trace.scores)
+    # a top-down run of the grid that stops before its bottom
+    assert scored.tolist() == sorted(scored.tolist()) and not scored.all()
+    assert set(trace.trace_probes[scored]) <= {16, 32, 48, 64}
+    assert (trace.trace_errors[scored] > 0).all()
+    for values in (trace.trace_values, trace.trace_errors, trace.trace_probes):
+        assert np.isnan(values).tolist() == (~scored).tolist()
     # the neighbours of the choice needed more than one block
-    assert trace.trace_probes.max() > 16
+    assert np.nanmax(trace.trace_probes) > 16
+
+
+@pytest.mark.parametrize("seed", [15, 16, 17, 18, 19, 22, 23])
+@pytest.mark.parametrize("fine", [False, True])
+def test_gcv_walk_ends_on_a_clear_or_capped_rise(ops2, stochastic_traces, seed,
+                                                 fine):
+    # the candidate that ends the walk scores above the choice, and every
+    # scored candidate stands 3 standard errors clear of the choice or
+    # both hold the cap of 64 probes. On the fine grid, 13 points within
+    # a factor 3 of the default grid's choice, neighbouring scores differ
+    # by less than their errors: a rise is refined, and compared again,
+    # before it ends the walk
+    X, u = gcv_case(ops2, seed)
+    grid = default_lambda_grid(ops2)
+    if fine:
+        grid = grid[gcv_select(X, u, grid, ops2).chosen] * np.geomspace(1 / 3, 3, 13)
+    trace = gcv_select(X, u, grid, ops2)
+    s, best = ops2.location_count, trace.chosen
+    scored = np.flatnonzero(~np.isnan(trace.scores))
+    gap = 1.0 - trace.trace_values / s
+    spread = 3.0 * trace.scores * 2.0 * trace.trace_errors / (s * gap)
+    last = scored[0]  # the grid ascends
+    assert trace.scores[last] > trace.scores[best]
+    for j in scored[scored != best]:
+        clear = trace.scores[j] - spread[j] > trace.scores[best] + spread[best]
+        assert clear or trace.trace_probes[[j, best]].tolist() == [64, 64]
 
 
 @pytest.mark.parametrize("seed", [15, 16, 17, 18, 19])
@@ -558,7 +666,15 @@ def test_gcv_adaptive_choice_matches_full_probing(ops2, stochastic_traces,
     adaptive = gcv_select(X, u, grid, ops2)
     monkeypatch.setattr(selection, "_PROBE_BLOCK", 64)
     full = gcv_select(X, u, grid, ops2)
-    assert (full.trace_probes == 64).all()
+    scored = ~np.isnan(full.scores)
+    assert (full.trace_probes[scored] == 64).all()
+    # with every trace at the cap, a score does not depend on the others:
+    # the walk's scores are the one-point grids' and its choice the full
+    # grid's
+    alone = one_point_gcv(X, u, grid, ops2)
+    np.testing.assert_array_equal(full.scores[scored], alone[scored])
+    np.testing.assert_array_equal(np.isnan(walk(alone, grid)), ~scored)
+    assert full.chosen == int(np.argmin(alone))
     assert adaptive.chosen == full.chosen
 
 
