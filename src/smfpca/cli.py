@@ -17,8 +17,9 @@ optional ``--config`` JSON file, then explicit flags. Only a command that
 succeeds writes: its files into the output directory, then last the
 resolved configuration as ``manifest.json``, which re-runs it exactly as
 ``--config``. Exit codes: 0 success, 2 input error, 3 numerical error.
-A command runs with the BLAS copies that numpy and scipy bundle pinned to
-one thread, so that its outputs do not depend on the BLAS thread count.
+A command runs with the BLAS copies that numpy and scipy bundle, where it
+computes with them, pinned to one thread, so that its outputs do not
+depend on the BLAS thread count.
 """
 
 import argparse
@@ -420,56 +421,74 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The OpenBLAS copies that numpy and scipy bundle: the package, the file
-# beside it, and the suffix of the copy's thread getter and setter.
-_BLAS_COPIES = ((np, "numpy.libs/libscipy_openblas64_-*.so", "64_"),
-                (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
+def _bundled(package, pattern):
+    return os.path.join(os.path.dirname(os.path.dirname(package.__file__)), pattern)
+
+
+# The OpenBLAS copies that numpy and scipy bundle: a glob of the file
+# beside the package, and the suffix of the copy's thread getter and
+# setter.
+_BLAS_COPIES = {
+    "numpy": (_bundled(np, "numpy.libs/libscipy_openblas64_-*.so"), "64_"),
+    "scipy": (_bundled(scipy, "scipy.libs/libscipy_openblas-*.so"), ""),
+}
+
+
+def _blas_users(command, config):
+    """The packages whose BLAS ``command`` computes with. Fits factor
+    through scipy.linalg and the eigen generator runs ARPACK, both on
+    scipy's BLAS, which their modules load on first use; it is loaded
+    here instead, so that the pin reaches it (and a fit's factorization
+    wrappers load with the inputs, not inside the fit)."""
+    if command == "mesh-info":
+        return ()
+    if command == "fit" or config.get("generator") == "eigen":
+        import scipy.linalg  # noqa: F401
+        return ("numpy", "scipy")
+    return ("numpy",)
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Pin each bundled OpenBLAS copy that is loaded to one thread, and
-    restore its count on exit. A copy is only looked up (RTLD_NOLOAD),
-    never loaded. One warning names the packages whose copy or thread
-    setter is missing: their results may depend on the thread count."""
-    restore, missing = [], []
-    for package, pattern, suffix in _BLAS_COPIES:
-        site = os.path.dirname(os.path.dirname(package.__file__))
-        paths = glob.glob(os.path.join(site, pattern))
-        try:
-            blas = ctypes.CDLL(paths[0], mode=os.RTLD_NOLOAD) if paths else None
-        except OSError:  # not loaded by this command
-            continue
-        get = getattr(blas, f"scipy_openblas_get_num_threads{suffix}", None)
-        set_ = getattr(blas, f"scipy_openblas_set_num_threads{suffix}", None)
-        if get is None or set_ is None:
-            missing.append(package.__name__)
-            continue
-        restore.append((set_, get()))
-        set_(1)
-    if missing:
-        warnings.warn(f"cannot pin the BLAS of {' and '.join(missing)} to one "
+def _one_blas_thread(packages):
+    """Pin the loaded OpenBLAS copy of each of ``packages`` to one
+    thread, and restore its count on exit. Every file that matches a
+    copy's glob is looked up (RTLD_NOLOAD), none is loaded. One warning
+    names the packages with no loaded copy that has a thread setter:
+    their results may depend on the thread count."""
+    restore, unpinned = [], []
+    for package in packages:
+        pattern, suffix = _BLAS_COPIES[package]
+        pinned = False
+        for path in sorted(glob.glob(pattern)):
+            try:
+                blas = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:  # not a loaded copy
+                continue
+            get = getattr(blas, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(blas, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                restore.append((set_, get()))
+                set_(1)
+                pinned = True
+        if not pinned:
+            unpinned.append(package)
+    if unpinned:
+        warnings.warn(f"cannot pin the BLAS of {' and '.join(unpinned)} to one "
                       "thread; outputs may depend on the BLAS thread count")
     try:
         yield
     finally:
-        for set_, count in restore:
+        for set_, count in reversed(restore):
             set_(count)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fit":
-        # Every fit factors: load the LAPACK wrappers of scipy.linalg, and
-        # the BLAS under them, before the pin and the inputs, not at the
-        # first factorization inside the fit (the solver loads them on
-        # first use so that the other commands never do). SuperLU loads
-        # only if a system needs the saddle form.
-        import scipy.linalg  # noqa: F401
     try:
-        with _one_blas_thread():
-            outputs = args.func(_resolve(args, args.defaults))
+        config = _resolve(args, args.defaults)
+        with _one_blas_thread(_blas_users(args.command, config)):
+            outputs = args.func(config)
             if outputs is not None:  # mesh-info prints instead
                 _write_outputs(args.command, *outputs)
         return 0

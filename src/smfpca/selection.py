@@ -124,21 +124,22 @@ def _walk(grid, score, settle=None):
     above the best so far: on a unimodal score curve, one past the
     minimum. Equal scores walk on, so `np.nanargmin` of the result keeps
     the first index on ties. Candidates the walk does not reach stay
-    NaN. Before a rise ends the walk, ``settle(scores, j, best)``, when
-    given, may re-estimate the scored candidates in place (``best`` is
-    the earlier one with the smallest score) and returns whether it did;
-    if so, candidate ``j`` is compared again.
+    NaN. On a rise, ``settle(scores)``, when given, may first
+    re-estimate the scored candidates in place; the rise is then
+    compared again.
     """
     scores = np.full(len(grid), np.nan)
     walked = []
+
+    def risen(j):
+        return walked and scores[j] > scores[walked].min()
+
     for j in np.argsort(-grid, kind="stable"):
         scores[j] = score(j)
-        while walked:
-            best = min(walked, key=scores.__getitem__)
-            if scores[j] <= scores[best]:
-                break
-            if settle is None or not settle(scores, j, best):
-                return scores
+        if settle is not None and risen(j):
+            settle(scores)
+        if risen(j):
+            return scores
         walked.append(j)
     return scores
 
@@ -296,19 +297,21 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators,
     first rise; the rest stay NaN and are neither factored nor traced.
     A candidate's score does not depend on the others, so the choice is
     the full grid's whenever the curve falls to its minimum and rises
-    after it. The trace is exact up to ``EXACT_TRACE_LIMIT`` locations.
+    after it. A walk whose smallest score is the top candidate has not
+    bracketed a minimum (on a 42-vertex icosphere the curve rises below
+    the top, then falls lower still), so then every candidate is
+    scored. The trace is exact up to ``EXACT_TRACE_LIMIT`` locations.
     Beyond, every candidate starts from the probes it holds in the
     traces of ``systems`` (the fit's `_Systems` store, new when None),
     or from one block of 16 (``_PROBE_BLOCK``) seeded Hutchinson probes.
     A trace error SE(T) moves the score by score * 2 SE(T) / (s gap),
     gap = 1 - T/s. Two scores overlap when, give or take 3
-    (``_SEPARATION``) such errors each, they meet. A rise that overlaps
-    the best so far ends the walk only once both hold 64 (``_PROBE_CAP``)
-    probes: both get one more block, and the rise is compared again with
-    whichever earlier candidate is then the best; if the risen candidate
-    becomes the best, the walk goes on. After the walk, while some scored
-    candidate overlaps the smallest score, both get one more block, up to
-    the cap. The probes are fixed columns of one seeded matrix.
+    (``_SEPARATION``) such errors each, they meet. On a rise, and again
+    after the walk, while some scored candidate overlaps the smallest
+    score, both get one more block, up to 64 (``_PROBE_CAP``) probes; a
+    rise then ends the walk only if it still scores above the best, so
+    an overlapping rise ends it only once clear or capped. The probes
+    are fixed columns of one seeded matrix.
     Candidates whose trace gap closes to zero score +inf and are skipped
     with a warning.
 
@@ -345,35 +348,31 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators,
         (score_j, error_j), (score_best, error_best) = estimate(j), estimate(best)
         return score_j - _SEPARATION * error_j <= score_best + _SEPARATION * error_best
 
-    def refine(candidates):
-        """One more probe block for each stochastic trace among
-        ``candidates`` below the cap; False when there is none."""
-        due = [lam for lam in dict.fromkeys(lams[j] for j in candidates)
-               if 0 < traces[lam].probes < _PROBE_CAP]
-        for lam in due:
-            traces[lam] = _smoother_trace(systems[lam], ops, traces[lam])
-        return bool(due)
-
-    def rescore(scores):
-        for j in np.flatnonzero(~np.isnan(scores)):
-            scores[j] = estimate(j)[0]
-
-    def settle(scores, j, best):
-        if not overlaps(j, best) or not refine([best, j]):
-            return False
-        rescore(scores)
-        return True
+    def settle(scores):
+        """While scored candidates overlap the smallest score, one more
+        probe block for each of them and for it, up to the cap."""
+        scored = np.flatnonzero(~np.isnan(scores))
+        while True:
+            best = scored[np.argmin(scores[scored])]
+            close = [j for j in scored if j != best and np.isfinite(scores[j])
+                     and overlaps(j, best)]
+            due = [lam for lam in dict.fromkeys(lams[j] for j in [best] + close)
+                   if 0 < traces[lam].probes < _PROBE_CAP]
+            if not close or not due:
+                return
+            for lam in due:
+                traces[lam] = _smoother_trace(systems[lam], ops, traces[lam])
+            for j in scored:
+                scores[j] = estimate(j)[0]
 
     scores = _walk(grid, score, settle)
+    if np.nanargmin(scores) == np.argmax(grid):
+        # A minimum at the top is not bracketed by a larger candidate:
+        # the curve may rise and fall again below it. Score the rest.
+        for j in np.flatnonzero(np.isnan(scores)):
+            scores[j] = score(j)
+    settle(scores)
     scored = np.flatnonzero(~np.isnan(scores))
-    while True:
-        best = scored[np.argmin(scores[scored])]
-        close = [j for j in scored if j != best and np.isfinite(scores[j])
-                 and overlaps(j, best)]
-        if not close or not refine([best] + close):
-            break
-        rescore(scores)
-
     for j in scored:
         if scores[j] == np.inf:
             warnings.warn(

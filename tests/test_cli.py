@@ -1,4 +1,5 @@
 import contextlib
+import glob
 import json
 import os
 import subprocess
@@ -442,52 +443,114 @@ def test_fit_blas_thread_count_keeps_choices(tmp_path):
 
 _BLAS_THREADS = """
 import ctypes, glob, os, sys
-import numpy, scipy, scipy.linalg
-import smfpca.cli
-from smfpca import estimator
+import smfpca.cli as cli
 
 def counts():
-    found = []
-    for package, pattern, suffix in smfpca.cli._BLAS_COPIES:
-        site = os.path.dirname(os.path.dirname(package.__file__))
-        blas = ctypes.CDLL(glob.glob(os.path.join(site, pattern))[0])
-        found.append(blas[f"scipy_openblas_get_num_threads{suffix}"]())
+    found = {}
+    for package, (pattern, suffix) in cli._BLAS_COPIES.items():
+        for path in glob.glob(pattern):
+            try:
+                blas = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue
+            found[package] = blas[f"scipy_openblas_get_num_threads{suffix}"]()
     return found
 
-inside = []
+inside = {}
 
-def probed(*args, **kwargs):
-    inside.extend(counts())
-    return fit(*args, **kwargs)
+def probe(command):
+    def probed(config):
+        outputs = command(config)
+        inside.update(counts())
+        return outputs
+    return probed
 
-fit, estimator.fit = estimator.fit, probed
+for name in ("cmd_fit", "cmd_simulate", "cmd_evaluate", "cmd_mesh_info"):
+    setattr(cli, name, probe(getattr(cli, name)))
 before = counts()
-code = smfpca.cli.main(sys.argv[1:])
+code = cli.main(sys.argv[1:])
 print(code, before, inside, counts())
 """
 
 
-def test_fit_pins_blas_to_one_thread_and_restores_it(tmp_path):
-    src = simulate_sphere(tmp_path / "sim")
-    argv = fit_args(src, tmp_path / "fit", ["--selection", "fixed",
-                                            "--fixed-lambda", "1e-3"])
+def test_commands_pin_the_blas_they_load_and_restore_it(tmp_path):
+    # Under two BLAS threads, each loaded bundled copy reads one thread
+    # once the command's computation has run (the eigen generator's
+    # ARPACK and a fit's band factorization included), and its old count
+    # after. mesh-info computes nothing with BLAS and pins nothing.
+    sim = simulate_sphere(tmp_path / "sim")
+    assert run(fit_args(sim, tmp_path / "fit", ["--selection", "fixed",
+                                                "--fixed-lambda", "1e-3"])) == 0
+    commands = {
+        "fit": fit_args(sim, tmp_path / "fit2", ["--selection", "fixed",
+                                                 "--fixed-lambda", "1e-3"]),
+        "eigen": ["simulate", "--generator", "eigen", "--sphere", 2,
+                  "--n", 12, "--outdir", tmp_path / "eigen"],
+        "sphere": ["simulate", "--generator", "sphere", "--sphere", 1,
+                   "--n", 12, "--outdir", tmp_path / "sphere"],
+        "evaluate": ["evaluate", "--result", tmp_path / "fit" / "result.json",
+                     "--truth", sim / "truth.json", "--mesh", sim / "mesh.off",
+                     "--data", sim / "data.csv", "--outdir", tmp_path / "ev"],
+        "mesh-info": ["mesh-info", "--mesh", sim / "mesh.off"],
+    }
     env = {name: "2" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                   "MKL_NUM_THREADS")}
-    out = python("-c", _BLAS_THREADS, *map(str, argv), env=env, check=True)
-    assert out.stdout.splitlines()[-1] == "0 [2, 2] [1, 1] [2, 2]"
+    seen = {}
+    for name, argv in commands.items():
+        out = python("-c", _BLAS_THREADS, *map(str, argv), env=env, check=True)
+        assert "cannot pin" not in out.stderr
+        seen[name] = out.stdout.splitlines()[-1]
+    both = "0 {'numpy': 2} {'numpy': 1, 'scipy': 1} {'numpy': 2, 'scipy': 2}"
+    numpy_only = "0 {'numpy': 2} {'numpy': 1} {'numpy': 2}"
+    assert seen == {"fit": both, "eigen": both, "sphere": numpy_only,
+                    "evaluate": numpy_only,
+                    "mesh-info": "0 {'numpy': 2} {'numpy': 2} {'numpy': 2}"}
+
+
+def test_blas_pin_tries_every_matching_file(tmp_path, monkeypatch):
+    # a stale file sorted before the loaded copy does not hide it
+    pattern, suffix = cli._BLAS_COPIES["numpy"]
+    loaded = cli.ctypes.CDLL(glob.glob(pattern)[0], mode=os.RTLD_NOLOAD)
+    get = loaded[f"scipy_openblas_get_num_threads{suffix}"]
+    set_ = loaded[f"scipy_openblas_set_num_threads{suffix}"]
+    (tmp_path / "libblas-a.so").write_bytes(b"")
+    (tmp_path / "libblas-b.so").symlink_to(glob.glob(pattern)[0])
+    monkeypatch.setitem(cli._BLAS_COPIES, "numpy",
+                        (str(tmp_path / "libblas-*.so"), suffix))
+    inside = []
+    simulate = cli.cmd_simulate
+
+    def probed(config):
+        inside.append(get())
+        return simulate(config)
+
+    monkeypatch.setattr(cli, "cmd_simulate", probed)
+    original = get()
+    set_(2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_sphere(tmp_path / "sim")
+        assert inside == [1] and get() == 2
+    finally:
+        set_(original)
 
 
 def test_missing_blas_setter_warns_once(tmp_path, monkeypatch):
     src = simulate_sphere(tmp_path / "sim")
-    monkeypatch.setattr(cli, "_BLAS_COPIES", [
-        (np, "numpy.libs/libscipy_openblas64_-*.so", "_absent"),
-        (np, "numpy.libs/no_such_blas-*.so", ""),
-    ])
+    monkeypatch.setattr(cli, "_BLAS_COPIES", {
+        "numpy": (cli._BLAS_COPIES["numpy"][0], "_absent"),
+        "scipy": (str(tmp_path / "no_such_blas-*.so"), ""),
+    })
     with pytest.warns(UserWarning, match="cannot pin the BLAS") as records:
         assert run(fit_args(src, tmp_path / "fit", ["--selection", "fixed",
                                                     "--fixed-lambda", "1e-3"])) == 0
     assert len(records) == 1
-    assert "numpy and numpy" in str(records[0].message)
+    assert "of numpy and scipy to" in str(records[0].message)
+    # a command that computes nothing with BLAS does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["mesh-info", "--mesh", src / "mesh.off"]) == 0
 
 
 def test_console_entry_point(tmp_path):

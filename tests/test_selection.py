@@ -437,7 +437,24 @@ def one_point_gcv(X, u, grid, ops):
     return np.array([gcv_select(X, u, [lam], ops).scores[0] for lam in grid])
 
 
-def test_gcv_matches_dense_oracle(ops2):
+def test_gcv_matches_dense_oracle(ops1):
+    # On the 42-vertex icosphere the curve over np.logspace(-8, 2, 11)
+    # rises below its top (2.354, 2.365, 2.392 times its minimum), then
+    # falls to that minimum at the bottom. A walk's best at the top
+    # brackets no minimum, so every candidate is scored
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 25, (4.0, 2.0), 0.2, 8)
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal(25)
+    u /= np.linalg.norm(u)
+    for grid in (np.array([1e-4, 1e-2, 1.0]), np.logspace(-8, 2, 11)):
+        trace = gcv_select(ds.X, u, grid, ops1)
+        oracle = dense_gcv_scores(ops1, ds.X.values.T @ u, grid)
+        np.testing.assert_allclose(trace.scores, oracle, rtol=1e-8)
+        assert trace.chosen == int(np.argmin(oracle)) == 0
+    assert oracle[-1] < oracle[-2]
+
+
+def test_gcv_walk_matches_dense_oracle(ops2):
     ds = generate_sphere_dataset(ops2.mesh, ops2, 25, (4.0, 2.0), 0.2, 8)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(25)
