@@ -28,6 +28,7 @@ from .errors import (
     NonMonotoneObjective,
 )
 from .mesh import (
+    Locations,
     SurfaceLocation,
     TriangleMesh,
     load_mesh,
@@ -82,7 +83,7 @@ __all__ = [
     "InvalidFoldCount", "ResourceLimit", "NotASphere", "SingularSystem",
     "ConvergenceFailure", "DegenerateData", "DegenerateSmoother",
     "RankDeficient", "NonMonotoneObjective",
-    "SurfaceLocation", "TriangleMesh",
+    "Locations", "SurfaceLocation", "TriangleMesh",
     "load_mesh", "save_mesh", "unit_sphere_mesh", "vertex_locations",
     "FemOperators", "EigenPair", "assemble", "l2_inner", "lb_eigenpairs",
     "SaddleSystem",

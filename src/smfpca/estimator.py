@@ -43,6 +43,7 @@ from .errors import (
     NonMonotoneObjective,
 )
 from .fem import FemOperators, _fix_sign, l2_inner, location_matrix
+from .mesh import as_locations, _checked_already
 
 _MONOTONE_SLACK = 1e-9
 # Deflated data whose squared norm has fallen to this share of the
@@ -83,31 +84,41 @@ class DataMatrix:
         return float(np.dot(flat, flat))
 
 
-@dataclass(eq=False)
 class ObservationSet:
-    """Per-function observation lists for partially observed data.
+    """Per-function observations for partially observed data.
 
-    `functions` holds one (locations, values) pair per function, where
-    locations is a list of SurfaceLocation and values the matching
-    1-d array. Every function must carry at least one observation.
+    Every point sits in one location array, `locations` (a `Locations`),
+    and `functions` holds one (rows, values) pair per function: the rows
+    of `locations` it is observed at and the matching 1-d values. Build
+    one from a (locations, values) pair per function, where locations is
+    a `Locations` or a sequence of `SurfaceLocation`, or from a
+    NaN-masked matrix with `from_masked`. Every function must carry at
+    least one observation.
     """
 
-    functions: list
-
-    def __post_init__(self):
-        if not self.functions:
+    def __init__(self, functions):
+        if not functions:
             raise DimensionMismatch("observation set holds no functions")
-        functions = []
-        for i, (locs, vals) in enumerate(self.functions):
+        pairs = [(as_locations(locs), vals) for locs, vals in functions]
+        ends = np.cumsum([len(locs) for locs, _ in pairs])
+        self._store(
+            _checked_already(np.concatenate([locs.triangles for locs, _ in pairs]),
+                             np.concatenate([locs.weights for locs, _ in pairs])),
+            [(np.arange(end - len(locs), end), vals)
+             for (locs, vals), end in zip(pairs, ends)],
+        )
+
+    def _store(self, locations, functions):
+        self.locations, self.functions = locations, []
+        for i, (rows, vals) in enumerate(functions):
             vals = np.asarray(vals, dtype=np.float64)
-            if vals.ndim != 1 or len(locs) != vals.shape[0] or vals.shape[0] < 1:
+            if vals.ndim != 1 or len(rows) != vals.shape[0] or vals.shape[0] < 1:
                 raise DimensionMismatch(
                     f"function {i}: locations and values must align and be nonempty"
                 )
             if not np.isfinite(vals).all():
                 raise InputError(f"function {i}: non-finite observation")
-            functions.append((list(locs), vals))
-        self.functions = functions
+            self.functions.append((rows, vals))
 
     @property
     def n(self) -> int:
@@ -115,22 +126,24 @@ class ObservationSet:
 
     @classmethod
     def from_masked(cls, values, locations):
-        """Build from a dense matrix with NaN marking unobserved entries."""
+        """Build from a dense matrix with NaN marking unobserved entries;
+        column j is observed at row j of ``locations``, which every
+        function shares."""
         values = np.asarray(values, dtype=np.float64)
+        locations = as_locations(locations)
         if values.ndim != 2 or values.shape[1] != len(locations):
             raise DimensionMismatch(
                 "masked matrix columns must match the location list"
             )
         functions = []
-        for i in range(values.shape[0]):
-            mask = ~np.isnan(values[i])
-            idx = np.flatnonzero(mask)
+        for i, row in enumerate(values):
+            idx = np.flatnonzero(~np.isnan(row))
             if idx.size == 0:
                 raise DimensionMismatch(f"function {i} has no observed entries")
-            functions.append(
-                ([locations[j] for j in idx], values[i, idx].copy())
-            )
-        return cls(functions)
+            functions.append((idx, row[idx]))
+        obs = cls.__new__(cls)
+        obs._store(locations, functions)
+        return obs
 
 
 @dataclass(eq=False)
@@ -614,8 +627,10 @@ class _MissingState:
 
     def __init__(self, obs: ObservationSet, ops: FemOperators):
         self.ops = ops
-        self.psis = [location_matrix(ops.mesh, locs) for locs, _ in obs.functions]
-        self._map_grams()
+        psi = location_matrix(ops.mesh, obs.locations)
+        rows = [rows_i for rows_i, _ in obs.functions]
+        self.psis = [psi[rows_i] for rows_i in rows]
+        self._map_grams(psi[np.concatenate(rows)], [len(rows_i) for rows_i in rows])
         self._set_values([vals for _, vals in obs.functions])
 
     def _set_values(self, values, d_matrix=None):
@@ -628,15 +643,15 @@ class _MissingState:
         self.d_matrix = d_matrix
         self.xnorm2 = float(sum(float(v @ v) for v in values))
 
-    def _map_grams(self):
+    def _map_grams(self, stack, counts):
         """Build `gram_map` and the pattern (CSR `_gram_indices` and
         `_gram_indptr`, and `_gram_rows`) from the stacked location
-        matrices, their rows grouped by entry count."""
-        stack = sparse.vstack(self.psis, format="csr")
+        matrices, ``counts[i]`` rows for function i, their rows grouped
+        by entry count."""
         K = stack.shape[1]
         lengths = np.diff(stack.indptr)
-        n = len(self.psis)
-        owner = np.repeat(np.arange(n), [psi_i.shape[0] for psi_i in self.psis])
+        n = len(counts)
+        owner = np.repeat(np.arange(n), counts)
         keys, products, functions = [], [], []
         for k in np.unique(lengths[lengths > 0]):
             rows = np.flatnonzero(lengths == k)
@@ -773,7 +788,7 @@ def fit_missing(
     tolerance: float = 1e-6,
     seed: int = 0,
 ) -> SmFpcaResult:
-    """Extract components from per-function observation lists.
+    """Extract components from per-function observations.
 
     The score update divides each function's observation/function inner
     product by that function's own profile energy plus the weighted

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ConvergenceFailure, DimensionMismatch
-from .mesh import SurfaceLocation, TriangleMesh
+from .mesh import TriangleMesh, as_locations
 
 _ELEMENT_MASS = np.array(
     [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
@@ -71,8 +71,8 @@ def assemble(mesh: TriangleMesh, locations) -> FemOperators:
     Parameters
     ----------
     mesh : TriangleMesh
-    locations : list of SurfaceLocation
-        Sampling points; rows of psi follow this order.
+    locations : Locations or sequence of SurfaceLocation
+        Sampling points; rows of psi follow their order.
 
     Returns
     -------
@@ -99,29 +99,15 @@ def assemble(mesh: TriangleMesh, locations) -> FemOperators:
 
 
 def location_matrix(mesh: TriangleMesh, locations) -> sparse.csr_matrix:
-    """Sparse (len(locations), K) matrix of the barycentric weights that
-    evaluate vertex coefficients at ``locations``."""
-    locations = list(locations)
-    # the first bad location raises, whichever check it fails
-    checked = next((j for j, loc in enumerate(locations)
-                    if not isinstance(loc, SurfaceLocation)), len(locations))
-    # an index beyond int64 makes an object array, still compared exactly
-    triangles = np.array([loc.triangle_index for loc in locations[:checked]])
-    outside = np.flatnonzero((triangles < 0) | (triangles >= mesh.T))
-    if outside.size:
-        j = int(outside[0])
-        raise DimensionMismatch(
-            f"location {j} references triangle {locations[j].triangle_index} "
-            f"of a {mesh.T}-triangle mesh"
-        )
-    if checked < len(locations):
-        raise DimensionMismatch(f"location {checked} is not a SurfaceLocation")
-    weights = np.array([loc.barycentric for loc in locations]).reshape(-1, 3)
+    """Sparse (s, K) matrix of the barycentric weights that evaluate
+    vertex coefficients at ``locations``, a `Locations` or a sequence of
+    `SurfaceLocation` (see `as_locations`)."""
+    locations = as_locations(locations, mesh.T)
+    weights = locations.weights
     rows, corners = np.nonzero(weights > 0.0)
-    corner_vertices = mesh.triangles[triangles.astype(np.intp)]
+    vertices = mesh.triangles[locations.triangles[rows].astype(np.intp), corners]
     mat = sparse.csr_matrix(
-        (weights[rows, corners], (rows, corner_vertices[rows, corners])),
-        shape=(len(locations), mesh.K),
+        (weights[rows, corners], (rows, vertices)), shape=(len(locations), mesh.K)
     )
     mat.sum_duplicates()
     return mat

@@ -30,46 +30,110 @@ BARY_EPSILON = 1e-9
 SPHERE_VERTEX_CAP = 1_000_000
 
 
+class Locations:
+    """Points on the surface in array form: ``triangles``, shape (s,),
+    holds each point's triangle index and ``weights``, shape (s, 3), its
+    barycentric weights over that triangle's vertices.
+
+    Construction keeps read-only checked copies. An index must be an
+    integer as `operator.index` takes one (2.0 is refused, not
+    truncated); one beyond int64 stays exact in an object array. Weights
+    in [-BARY_EPSILON, 0) become 0 and each row is renormalized to sum
+    to 1 (summed in numpy's order, w0 + w1 + w2); larger violations and
+    non-finite weights raise :class:`InputError` for the first bad row,
+    named when there are several.
+    """
+
+    def __init__(self, triangles, weights):
+        t = np.array(triangles)
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim != 2 or w.shape[1] != 3:
+            raise DimensionMismatch("barycentric coordinates must be a 3-vector")
+        if t.shape != w.shape[:1]:
+            raise DimensionMismatch(f"{t.size} triangle indices for {len(w)} weight rows")
+        integral = np.ones(len(t), dtype=bool)
+        if t.dtype.kind not in "iu":  # what operator.index takes
+            items = t.tolist()
+            integral = np.array([hasattr(type(x), "__index__") for x in items], bool)
+            if integral.all():
+                t = np.array([operator.index(x) for x in items])
+        # written so that NaN fails both weight checks
+        negative = ~(w >= -BARY_EPSILON).all(axis=1)
+        with np.errstate(invalid="ignore"):  # inf - inf is reported below
+            total = w[:, 0] + w[:, 1] + w[:, 2]
+        bad = ~integral | negative | ~(np.abs(total - 1.0) <= BARY_EPSILON)
+        if bad.any():
+            j = int(np.argmax(bad))
+            row = f"location {j}: " if len(t) > 1 else ""
+            if not integral[j]:
+                raise InputError(
+                    f"{row}triangle index must be an integer, found {items[j]!r}")
+            if negative[j]:
+                raise InputError(f"{row}negative barycentric weight {w[j].min():g}")
+            raise InputError(f"{row}barycentric weights sum to {total[j]:g}, expected 1")
+        w = np.maximum(w, 0.0)
+        w /= (w[:, 0] + w[:, 1] + w[:, 2])[:, None]
+        t.flags.writeable = w.flags.writeable = False
+        self.triangles, self.weights = t, w
+
+    def __len__(self):
+        return len(self.triangles)
+
+
+def _checked_already(triangles, weights):
+    """`Locations` of rows checked before: checking them again would
+    renormalize their weights twice, which can move them by a rounding."""
+    locations = object.__new__(Locations)
+    triangles.flags.writeable = weights.flags.writeable = False
+    locations.triangles, locations.weights = triangles, weights
+    return locations
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceLocation:
-    """A point on the surface: a triangle index plus barycentric weights.
-
-    Weights are clamped into [0, 1] at construction: values in
-    [-BARY_EPSILON, 0) become 0 and the triple is renormalized to sum
-    to 1. Larger violations, non-finite weights and a triangle index
-    that is not an integer raise :class:`InputError`.
+    """One point on the surface: a triangle index plus barycentric
+    weights, the one-point form of `Locations`, checked as its rows are.
     """
 
     triangle_index: int
     barycentric: np.ndarray
 
     def __post_init__(self):
-        try:
-            index = operator.index(self.triangle_index)
-        except TypeError:
-            raise InputError(
-                f"triangle index must be an integer, found {self.triangle_index!r}"
-            ) from None
-        b = np.asarray(self.barycentric, dtype=np.float64)
-        if b.shape != (3,):
-            raise DimensionMismatch("barycentric coordinates must be a 3-vector")
-        # Three Python floats cost less to check than numpy calls. They
-        # round as numpy's would: the sums take numpy's order (0 + w0 +
-        # w1 + w2), and max(0.0, w) clamps -0.0 to 0.0 as np.maximum
-        # does. Written so that NaN fails both checks.
-        w0, w1, w2 = b.tolist()
-        if not (w0 >= -BARY_EPSILON and w1 >= -BARY_EPSILON
-                and w2 >= -BARY_EPSILON):
-            raise InputError(f"negative barycentric weight {b.min():g}")
-        total = 0.0 + w0 + w1 + w2
-        if not abs(total - 1.0) <= BARY_EPSILON:
-            raise InputError(f"barycentric weights sum to {total:g}, expected 1")
-        w0, w1, w2 = max(0.0, w0), max(0.0, w1), max(0.0, w2)
-        total = 0.0 + w0 + w1 + w2
-        b = np.array([w0 / total, w1 / total, w2 / total])
-        b.setflags(write=False)
-        object.__setattr__(self, "triangle_index", index)
-        object.__setattr__(self, "barycentric", b)
+        row = Locations([self.triangle_index],
+                        np.asarray(self.barycentric, dtype=np.float64)[None])
+        object.__setattr__(self, "triangle_index", row.triangles.tolist()[0])
+        object.__setattr__(self, "barycentric", row.weights[0])
+
+
+def as_locations(locations, triangle_count=None) -> Locations:
+    """``locations`` as one `Locations`: itself, or a sequence of
+    `SurfaceLocation` stacked once. The first location that is not a
+    SurfaceLocation, or that lies outside a mesh of ``triangle_count``
+    triangles when that is given, raises :class:`DimensionMismatch`.
+    """
+    if isinstance(locations, Locations):
+        stacked, count = locations, len(locations)
+    else:
+        locations = list(locations)
+        count = next((j for j, loc in enumerate(locations)
+                      if not isinstance(loc, SurfaceLocation)), len(locations))
+        # an index beyond int64 makes an object array, still compared exactly
+        stacked = _checked_already(
+            np.array([loc.triangle_index for loc in locations[:count]]),
+            np.array([loc.barycentric for loc in locations[:count]]).reshape(-1, 3),
+        )
+    if triangle_count is not None:
+        t = stacked.triangles
+        outside = np.flatnonzero((t < 0) | (t >= triangle_count))
+        if outside.size:
+            j = int(outside[0])
+            raise DimensionMismatch(
+                f"location {j} references triangle {t[j]} "
+                f"of a {triangle_count}-triangle mesh"
+            )
+    if count < len(locations):
+        raise DimensionMismatch(f"location {count} is not a SurfaceLocation")
+    return stacked
 
 
 class TriangleMesh:
@@ -249,9 +313,9 @@ def _components(count, heads, tails):
     return np.cumsum(is_root)[root] - 1, int(is_root.sum())
 
 
-def vertex_locations(mesh: TriangleMesh):
-    """One surface location per vertex: its indicator in the lowest-index
-    triangle referencing it.
+def vertex_locations(mesh: TriangleMesh) -> Locations:
+    """Every vertex as a surface location, in array form: row k is vertex
+    k's indicator in the lowest-index triangle referencing it.
 
     Raises
     ------
@@ -265,8 +329,7 @@ def vertex_locations(mesh: TriangleMesh):
         raise TopologyError(
             "vertex not referenced by any triangle", element_index=int(missing[0])
         )
-    eye = np.eye(3)
-    return [SurfaceLocation(pos // 3, eye[pos % 3]) for pos in first.tolist()]
+    return Locations(first // 3, np.eye(3)[first % 3])
 
 
 # -- OFF input/output -------------------------------------------------

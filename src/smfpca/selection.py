@@ -254,7 +254,7 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
 def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
                          seed=0, max_iterations: int = 15,
                          tolerance: float = 1e-6) -> SelectionTrace:
-    """K-fold selection over per-function observation lists.
+    """K-fold selection over per-function observations.
 
     The validation score of function i divides its observation/profile
     inner product by that function's own profile energy plus the

@@ -1,13 +1,16 @@
+import copy
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from smfpca import (
     DataMatrix,
     DegenerateData,
     DimensionMismatch,
     InputError,
+    Locations,
     NonMonotoneObjective,
     ObservationSet,
     SurfaceLocation,
@@ -28,7 +31,7 @@ from smfpca import (
 )
 from smfpca import estimator, selection, solver
 from smfpca.estimator import data_gram
-from smfpca.fem import _fix_sign
+from smfpca.fem import _fix_sign, location_matrix
 from smfpca.synth import generate_sphere_dataset, sphere_pc_functions
 
 
@@ -129,7 +132,10 @@ def test_initial_scores_missing_match_svd(ops2):
 
 def test_initial_scores_missing_zero_data(ops1):
     locations = vertex_locations(ops1.mesh)
-    obs = ObservationSet([(locations[:3], np.zeros(3)), (locations[4:6], np.zeros(2))])
+    obs = ObservationSet([
+        (Locations(locations.triangles[:3], locations.weights[:3]), np.zeros(3)),
+        (Locations(locations.triangles[4:6], locations.weights[4:6]), np.zeros(2)),
+    ])
     with pytest.raises(DegenerateData):
         estimator._initial_scores_missing(estimator._MissingState(obs, ops1))
 
@@ -735,8 +741,9 @@ def test_fit_missing_objective_never_rises(ops2):
     assert rises == 0
 
 
-def barycentric_observations(ops, n, seed):
-    """Observations at random interior points (three weights each)."""
+def barycentric_functions(ops, n, seed):
+    """(locations, values) pairs at random interior points (three
+    weights each)."""
     rng = np.random.default_rng(seed)
     functions = []
     for _ in range(n):
@@ -744,11 +751,46 @@ def barycentric_observations(ops, n, seed):
         locs = [SurfaceLocation(int(t), w) for t, w in zip(
             rng.integers(0, ops.mesh.T, count), rng.dirichlet(np.ones(3), count))]
         functions.append((locs, rng.standard_normal(count)))
-    return ObservationSet(functions)
+    return functions
+
+
+def assert_same_sparse(a, b):
+    assert a.format == b.format and a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 def test_weighted_gram_and_energies_match_explicit_sums(ops2):
-    state = estimator._MissingState(barycentric_observations(ops2, 12, 30), ops2)
+    # Each psi_i is a row slice of one psi: a row selection of I on
+    # masked vertex data, and each function's own location matrix at
+    # points inside triangles. The map, the accumulated observations and
+    # a subset are those of the per-function matrices stacked, bytewise.
+    masked = masked_observations(ops2, 12, 30)
+    eye = sparse.identity(ops2.vertex_count, format="csr")
+    functions = barycentric_functions(ops2, 12, 30)
+    for obs, refs in (
+        (masked, [eye[rows] for rows, _ in masked.functions]),
+        (ObservationSet(functions),
+         [location_matrix(ops2.mesh, locs) for locs, _ in functions]),
+    ):
+        state = estimator._MissingState(obs, ops2)
+        for psi_i, ref in zip(state.psis, refs):
+            assert_same_sparse(psi_i, ref)
+        stacked = copy.copy(state)
+        stacked._map_grams(sparse.vstack(refs, format="csr"), [r.shape[0] for r in refs])
+        assert_same_sparse(state.gram_map, stacked.gram_map)
+        for name in ("_gram_rows", "_gram_indices", "_gram_indptr"):
+            assert getattr(state, name).tobytes() == getattr(stacked, name).tobytes()
+        accumulated = [ref.T @ vals for ref, (_, vals) in zip(refs, obs.functions)]
+        assert state.d_matrix.tobytes() == np.stack(accumulated, axis=1).tobytes()
+        rows = np.array([0, 3, 4, 9, 11])
+        part = state.subset(rows)
+        assert all(a is state.psis[i] for a, i in zip(part.psis, rows))
+        assert_same_sparse(part.gram_map, state.gram_map[:, rows])
+        assert part.d_matrix.tobytes() == state.d_matrix[:, rows].tobytes()
+
+    # the explicit sums run on the last state, at points inside triangles
     assert max(np.diff(p.indptr).max() for p in state.psis) == 3
     component = estimator._fit_component_missing(state, 1e-3, ops2, 15, 1e-6)
     rng = np.random.default_rng(31)
@@ -849,18 +891,33 @@ def test_observation_set_validation(ops1):
     bad[0, 0] = 1.0
     with pytest.raises(DimensionMismatch):
         ObservationSet.from_masked(bad, locs)
+    # an entry that is not a location fails at construction, not in a fit
+    point = SurfaceLocation(0, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DimensionMismatch, match="^location 1 is not a SurfaceLocation$"):
+        ObservationSet([([point], [1.0]), ([point, (0, [1.0, 0.0, 0.0])], [1.0, 2.0])])
+    with pytest.raises(DimensionMismatch, match="^location 1 is not a SurfaceLocation$"):
+        ObservationSet.from_masked(np.ones((2, 2)), [point, "not a location"])
 
 
 def test_observation_set_leaves_its_argument_alone(ops1):
     locs = vertex_locations(ops1.mesh)
-    pairs = [(tuple(locs[:2]), [1.0, 2.0]), (locs[2:5], np.ones(3))]
+    points = [SurfaceLocation(int(t), w) for t, w in zip(locs.triangles[:2], locs.weights[:2])]
+    pairs = [(tuple(points), [1.0, 2.0]),
+             (Locations(locs.triangles[2:5], locs.weights[2:5]), np.ones(3))]
     original = list(pairs)
     obs = ObservationSet(pairs)
     assert all(a is b for a, b in zip(pairs, original))
     assert obs.functions is not pairs
     assert ObservationSet(tuple(pairs)).n == 2
-    for locations, values in obs.functions:
-        assert type(locations) is list and values.dtype == np.float64
+    # one location array holds every point, and each function its rows
+    assert obs.locations.triangles.tolist() == locs.triangles[:5].tolist()
+    assert obs.locations.weights.tobytes() == locs.weights[:5].tobytes()
+    for (rows, values), expected in zip(obs.functions, ([0, 1], [2, 3, 4])):
+        assert rows.tolist() == expected and values.dtype == np.float64
+    # from_masked shares the caller's locations and keeps only row indices
+    masked = ObservationSet.from_masked(np.where(np.eye(2, len(locs)), 1.0, np.nan), locs)
+    assert masked.locations is locs
+    assert [rows.tolist() for rows, _ in masked.functions] == [[0], [1]]
 
 
 def test_data_matrix_validation():

@@ -11,7 +11,7 @@ from smfpca import (
     vertex_locations,
 )
 from smfpca.fem import location_matrix
-from smfpca.mesh import SurfaceLocation, TriangleMesh
+from smfpca.mesh import Locations, SurfaceLocation, TriangleMesh, as_locations
 
 
 def midpoint_quadrature_inner(mesh, a, b):
@@ -157,13 +157,19 @@ def test_location_matrix_bytes_match_per_location_loop(sphere2, count):
     weights = rng.dirichlet(np.ones(3), count)
     weights[rng.random((count, 3)) < 0.2] = 0.0
     weights[weights.sum(axis=1) == 0.0, 0] = 1.0
-    locs = [SurfaceLocation(int(t), w / w.sum()) for t, w in
-            zip(rng.integers(0, sphere2.T, count), weights)]
-    mat, ref = location_matrix(sphere2, locs), location_matrix_loop(sphere2, locs)
-    assert mat.shape == ref.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(mat, name), getattr(ref, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    triangles = rng.integers(0, sphere2.T, count)
+    locs = [SurfaceLocation(int(t), w / w.sum()) for t, w in zip(triangles, weights)]
+    ref = location_matrix_loop(sphere2, locs)
+    # the array form of the same points, checked and renormalized at once,
+    # and the one-point list stacked once
+    array = Locations(triangles, weights / weights.sum(axis=1)[:, None])
+    assert array.weights.tobytes() == as_locations(locs).weights.tobytes()
+    for given in (locs, array, as_locations(tuple(locs))):
+        mat = location_matrix(sphere2, given)
+        assert mat.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(mat, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_location_matrix_reports_first_bad_location(sphere1):
@@ -178,6 +184,16 @@ def test_location_matrix_reports_first_bad_location(sphere1):
         location_matrix(sphere1, [SurfaceLocation(-1, np.array([1.0, 0.0, 0.0]))])
     with pytest.raises(DimensionMismatch, match=f"location 0 references triangle {2**70}"):
         location_matrix(sphere1, [SurfaceLocation(2**70, np.array([1.0, 0.0, 0.0]))])
+    # many rows, the bad one not first, in array form and as a list
+    eye = np.eye(3)[[0, 1, 2, 0]]
+    for bad in (-1, sphere1.T, 2**70):
+        with pytest.raises(DimensionMismatch, match=f"^location 2 references triangle "
+                           f"{bad} of a {sphere1.T}-triangle mesh$"):
+            location_matrix(sphere1, Locations(np.array([0, 5, bad, -1], object), eye))
+    with pytest.raises(DimensionMismatch, match="^location 3 is not a SurfaceLocation$"):
+        location_matrix(sphere1, [good, good, good, Locations([0], eye[:1]), outside])
+    with pytest.raises(DimensionMismatch, match="^location 3 references triangle"):
+        location_matrix(sphere1, [good, good, good, outside, "not a location"])
 
 
 def test_psi_interpolates_linear_fields(sphere1):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from smfpca import (
 )
 from smfpca import mesh as meshmod
 from smfpca.errors import DegenerateTriangle
-from smfpca.mesh import BARY_EPSILON, SurfaceLocation, TriangleMesh
+from smfpca.mesh import BARY_EPSILON, Locations, SurfaceLocation, TriangleMesh
 from test_acceptance import jittered_torus, open_hemisphere
 
 
@@ -260,12 +262,11 @@ def test_icosphere_cap():
 
 def test_vertex_locations_cover_all_vertices(sphere1):
     locs = vertex_locations(sphere1)
-    assert len(locs) == sphere1.K
-    for k in (0, 13, 41):
-        loc = locs[k]
-        point = loc.barycentric @ sphere1.vertices[sphere1.triangles[loc.triangle_index]]
-        np.testing.assert_allclose(point, sphere1.vertices[k], atol=1e-14)
-        assert loc.barycentric.max() == 1.0
+    assert type(locs) is Locations and len(locs) == sphere1.K
+    corners = sphere1.vertices[sphere1.triangles[locs.triangles]]
+    points = np.einsum("sc,scd->sd", locs.weights, corners)
+    np.testing.assert_allclose(points, sphere1.vertices, atol=1e-14)
+    assert (locs.weights.max(axis=1) == 1.0).all()
 
 
 def test_surface_location_validation():
@@ -285,6 +286,42 @@ def test_surface_location_validation():
     loc = SurfaceLocation(0, np.array([-1e-12, 0.4, 0.6 + 1e-12]))
     assert loc.barycentric.min() == 0.0
     assert loc.barycentric.sum() == pytest.approx(1.0, abs=1e-15)
+
+    # Many rows: the first bad row raises, named, with the one-point
+    # message; the rows after it are bad too, in another way.
+    for bad, message in (
+        ([-0.1, 0.6, 0.5], "negative barycentric weight -0.1"),
+        ([0.5, 0.6, 0.2], "barycentric weights sum to 1.3, expected 1"),
+        ([np.nan, 0.5, 0.5], "negative barycentric weight nan"),
+        ([np.inf, 0.5, 0.5], "barycentric weights sum to inf, expected 1"),
+        ([np.inf, -np.inf, 1.0], "negative barycentric weight -inf"),
+    ):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            SurfaceLocation(2, bad)
+        weights = [[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], bad, [-1.0, 1.0, 1.0]]
+        with pytest.raises(InputError, match=f"^location 2: {re.escape(message)}$"):
+            Locations([0, 1, 2, 3], weights)
+    eye = np.eye(3)
+    with pytest.raises(InputError, match=r"^location 1: triangle index must be "
+                       r"an integer, found 2\.5$"):
+        Locations(np.array([0, 2.5, "x"], dtype=object), eye)
+    # a float array holds no integers, so its first row is the bad one
+    with pytest.raises(InputError, match="^location 0: .* found 0.0$"):
+        Locations(np.array([0.0, 1.0, 2.0]), eye)
+    for weights in (np.ones((3, 2)), np.ones(3), np.ones((3, 3, 1))):
+        with pytest.raises(DimensionMismatch, match="must be a 3-vector"):
+            Locations([0, 1, 2], weights)
+    with pytest.raises(DimensionMismatch, match="3 triangle indices for 2 weight rows"):
+        Locations([0, 1, 2], eye[:2])
+    # exact integer indices of any width are kept, in read-only copies
+    triangles = np.array([3, 1, 2**70], dtype=object)
+    locs = Locations(triangles, eye)
+    assert locs.triangles.tolist() == [3, 1, 2**70]
+    assert Locations(np.array([3, 1], np.uint8), eye[:2]).triangles.tolist() == [3, 1]
+    triangles[0] = 7
+    assert locs.triangles[0] == 3
+    with pytest.raises(ValueError):
+        locs.weights[0, 0] = 0.5
 
 
 def test_surface_location_weights_round_as_numpy():
