@@ -29,7 +29,6 @@ from .errors import (
 )
 from .mesh import (
     Locations,
-    SurfaceLocation,
     TriangleMesh,
     load_mesh,
     save_mesh,
@@ -83,7 +82,7 @@ __all__ = [
     "InvalidFoldCount", "ResourceLimit", "NotASphere", "SingularSystem",
     "ConvergenceFailure", "DegenerateData", "DegenerateSmoother",
     "RankDeficient", "NonMonotoneObjective",
-    "Locations", "SurfaceLocation", "TriangleMesh",
+    "Locations", "TriangleMesh",
     "load_mesh", "save_mesh", "unit_sphere_mesh", "vertex_locations",
     "FemOperators", "EigenPair", "assemble", "l2_inner", "lb_eigenpairs",
     "SaddleSystem",

@@ -129,6 +129,9 @@ def _write_outputs(command, config, files):
 
 
 def cmd_fit(config):
+    if config["fixed_lambda"] is not None and (
+            config["selection"] != "fixed" or config["lambda_grid"] is not None):
+        raise InputError("--fixed-lambda needs --selection fixed and no --lambda-grid")
     surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
     data_path = _require(config, "data", "--data")
     values = serialize.read_data_csv(data_path)
@@ -141,7 +144,7 @@ def cmd_fit(config):
     ops = fem.assemble(surface, locations)
 
     grid = config["lambda_grid"]
-    if config["selection"] == "fixed" and config["fixed_lambda"] is not None:
+    if config["fixed_lambda"] is not None:
         grid = [config["fixed_lambda"]]
     elif grid is None:
         grid = [float(v) for v in selection.default_lambda_grid(ops)]

@@ -43,7 +43,7 @@ from .errors import (
     NonMonotoneObjective,
 )
 from .fem import FemOperators, _fix_sign, l2_inner, location_matrix
-from .mesh import as_locations, _checked_already
+from .mesh import Locations
 
 _MONOTONE_SLACK = 1e-9
 # Deflated data whose squared norm has fallen to this share of the
@@ -87,38 +87,35 @@ class DataMatrix:
 class ObservationSet:
     """Per-function observations for partially observed data.
 
-    Every point sits in one location array, `locations` (a `Locations`),
-    and `functions` holds one (rows, values) pair per function: the rows
-    of `locations` it is observed at and the matching 1-d values. Build
-    one from a (locations, values) pair per function, where locations is
-    a `Locations` or a sequence of `SurfaceLocation`, or from a
-    NaN-masked matrix with `from_masked`. Every function must carry at
-    least one observation.
+    Every point sits in one location array, ``locations`` (a
+    `Locations`), and ``functions`` holds one (rows, values) pair per
+    function: the 1-d integer rows of ``locations`` it is observed at
+    and the matching finite values, at least one. `from_masked` builds
+    one from a NaN-masked matrix.
     """
 
-    def __init__(self, functions):
-        if not functions:
-            raise DimensionMismatch("observation set holds no functions")
-        pairs = [(as_locations(locs), vals) for locs, vals in functions]
-        ends = np.cumsum([len(locs) for locs, _ in pairs])
-        self._store(
-            _checked_already(np.concatenate([locs.triangles for locs, _ in pairs]),
-                             np.concatenate([locs.weights for locs, _ in pairs])),
-            [(np.arange(end - len(locs), end), vals)
-             for (locs, vals), end in zip(pairs, ends)],
-        )
-
-    def _store(self, locations, functions):
+    def __init__(self, locations, functions):
+        if not isinstance(locations, Locations):
+            raise DimensionMismatch(
+                f"locations must be a Locations, got {type(locations).__name__}")
         self.locations, self.functions = locations, []
         for i, (rows, vals) in enumerate(functions):
-            vals = np.asarray(vals, dtype=np.float64)
-            if vals.ndim != 1 or len(rows) != vals.shape[0] or vals.shape[0] < 1:
+            rows, vals = np.asarray(rows), np.asarray(vals, dtype=np.float64)
+            if vals.ndim != 1 or rows.shape != vals.shape:
+                raise DimensionMismatch(f"function {i}: rows and values must be 1-d and align")
+            if vals.size == 0:
+                raise DimensionMismatch(f"function {i} has no observed entries")
+            if rows.dtype.kind not in "iu":
+                raise DimensionMismatch(f"function {i}: rows must be integers, not {rows.dtype}")
+            outside = rows[(rows < 0) | (rows >= len(locations))]
+            if outside.size:
                 raise DimensionMismatch(
-                    f"function {i}: locations and values must align and be nonempty"
-                )
+                    f"function {i}: row {outside[0]} of {len(locations)} locations")
             if not np.isfinite(vals).all():
                 raise InputError(f"function {i}: non-finite observation")
             self.functions.append((rows, vals))
+        if not self.functions:
+            raise DimensionMismatch("observation set holds no functions")
 
     @property
     def n(self) -> int:
@@ -130,20 +127,12 @@ class ObservationSet:
         column j is observed at row j of ``locations``, which every
         function shares."""
         values = np.asarray(values, dtype=np.float64)
-        locations = as_locations(locations)
         if values.ndim != 2 or values.shape[1] != len(locations):
             raise DimensionMismatch(
                 "masked matrix columns must match the location list"
             )
-        functions = []
-        for i, row in enumerate(values):
-            idx = np.flatnonzero(~np.isnan(row))
-            if idx.size == 0:
-                raise DimensionMismatch(f"function {i} has no observed entries")
-            functions.append((idx, row[idx]))
-        obs = cls.__new__(cls)
-        obs._store(locations, functions)
-        return obs
+        observed = [np.flatnonzero(~np.isnan(row)) for row in values]
+        return cls(locations, [(rows, row[rows]) for rows, row in zip(observed, values)])
 
 
 @dataclass(eq=False)
@@ -737,8 +726,9 @@ class _MissingTerm:
 
     The data block moves only through u, so the fit's first factorization
     preconditions every later solve; a new one is made only when
-    refinement against it fails to converge. That state is per fit, so
-    one `_MissingState` can serve concurrent fits."""
+    refinement against it fails to converge. That state is per fit, and
+    the fit only reads its `_MissingState`, so one state serves every fit
+    made on it in turn."""
 
     def __init__(self, state: _MissingState, ops: FemOperators):
         self.state = state

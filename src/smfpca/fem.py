@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import ConvergenceFailure, DimensionMismatch
-from .mesh import TriangleMesh, as_locations
+from .mesh import Locations, TriangleMesh
 
 _ELEMENT_MASS = np.array(
     [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
@@ -65,13 +65,13 @@ class EigenPair:
     coefficients: np.ndarray
 
 
-def assemble(mesh: TriangleMesh, locations) -> FemOperators:
+def assemble(mesh: TriangleMesh, locations: Locations) -> FemOperators:
     """Assemble psi, mass, and stiffness for a mesh and sampling locations.
 
     Parameters
     ----------
     mesh : TriangleMesh
-    locations : Locations or sequence of SurfaceLocation
+    locations : Locations
         Sampling points; rows of psi follow their order.
 
     Returns
@@ -98,14 +98,21 @@ def assemble(mesh: TriangleMesh, locations) -> FemOperators:
     )
 
 
-def location_matrix(mesh: TriangleMesh, locations) -> sparse.csr_matrix:
+def location_matrix(mesh: TriangleMesh, locations: Locations) -> sparse.csr_matrix:
     """Sparse (s, K) matrix of the barycentric weights that evaluate
-    vertex coefficients at ``locations``, a `Locations` or a sequence of
-    `SurfaceLocation` (see `as_locations`)."""
-    locations = as_locations(locations, mesh.T)
+    vertex coefficients at ``locations``."""
+    if not isinstance(locations, Locations):
+        raise DimensionMismatch(
+            f"locations must be a Locations, got {type(locations).__name__}")
+    t = locations.triangles
+    outside = np.flatnonzero((t < 0) | (t >= mesh.T))
+    if outside.size:
+        j = int(outside[0])
+        raise DimensionMismatch(
+            f"location {j} references triangle {t[j]} of a {mesh.T}-triangle mesh")
     weights = locations.weights
     rows, corners = np.nonzero(weights > 0.0)
-    vertices = mesh.triangles[locations.triangles[rows].astype(np.intp), corners]
+    vertices = mesh.triangles[t[rows].astype(np.intp), corners]
     mat = sparse.csr_matrix(
         (weights[rows, corners], (rows, vertices)), shape=(len(locations), mesh.K)
     )

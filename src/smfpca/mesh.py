@@ -10,7 +10,6 @@ properties only read it, so concurrent reads are safe.
 
 import operator
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +36,11 @@ class Locations:
 
     Construction keeps read-only checked copies. An index must be an
     integer as `operator.index` takes one (2.0 is refused, not
-    truncated); one beyond int64 stays exact in an object array. Weights
-    in [-BARY_EPSILON, 0) become 0 and each row is renormalized to sum
-    to 1 (summed in numpy's order, w0 + w1 + w2); larger violations and
-    non-finite weights raise :class:`InputError` for the first bad row,
-    named when there are several.
+    truncated, and so is a bool); one beyond int64 stays exact in an
+    object array. Weights in [-BARY_EPSILON, 0) become 0 and each row is
+    renormalized to sum to 1 (summed in numpy's order, w0 + w1 + w2);
+    larger violations and non-finite weights raise :class:`InputError`
+    naming the first bad row.
     """
 
     def __init__(self, triangles, weights):
@@ -52,9 +51,11 @@ class Locations:
         if t.shape != w.shape[:1]:
             raise DimensionMismatch(f"{t.size} triangle indices for {len(w)} weight rows")
         integral = np.ones(len(t), dtype=bool)
-        if t.dtype.kind not in "iu":  # what operator.index takes
-            items = t.tolist()
-            integral = np.array([hasattr(type(x), "__index__") for x in items], bool)
+        if t.dtype.kind not in "iu" or not isinstance(triangles, np.ndarray):
+            # what operator.index takes, bools aside: numpy reads [0, True] as [0, 1]
+            items = t.tolist() if t.dtype.kind not in "iu" else list(triangles)
+            integral = np.array([hasattr(type(x), "__index__")
+                                 and not isinstance(x, (bool, np.bool_)) for x in items], bool)
             if integral.all():
                 t = np.array([operator.index(x) for x in items])
         # written so that NaN fails both weight checks
@@ -64,13 +65,13 @@ class Locations:
         bad = ~integral | negative | ~(np.abs(total - 1.0) <= BARY_EPSILON)
         if bad.any():
             j = int(np.argmax(bad))
-            row = f"location {j}: " if len(t) > 1 else ""
             if not integral[j]:
                 raise InputError(
-                    f"{row}triangle index must be an integer, found {items[j]!r}")
+                    f"location {j}: triangle index must be an integer, found {items[j]!r}")
             if negative[j]:
-                raise InputError(f"{row}negative barycentric weight {w[j].min():g}")
-            raise InputError(f"{row}barycentric weights sum to {total[j]:g}, expected 1")
+                raise InputError(f"location {j}: negative barycentric weight {w[j].min():g}")
+            raise InputError(
+                f"location {j}: barycentric weights sum to {total[j]:g}, expected 1")
         w = np.maximum(w, 0.0)
         w /= (w[:, 0] + w[:, 1] + w[:, 2])[:, None]
         t.flags.writeable = w.flags.writeable = False
@@ -78,62 +79,6 @@ class Locations:
 
     def __len__(self):
         return len(self.triangles)
-
-
-def _checked_already(triangles, weights):
-    """`Locations` of rows checked before: checking them again would
-    renormalize their weights twice, which can move them by a rounding."""
-    locations = object.__new__(Locations)
-    triangles.flags.writeable = weights.flags.writeable = False
-    locations.triangles, locations.weights = triangles, weights
-    return locations
-
-
-@dataclass(frozen=True, eq=False)
-class SurfaceLocation:
-    """One point on the surface: a triangle index plus barycentric
-    weights, the one-point form of `Locations`, checked as its rows are.
-    """
-
-    triangle_index: int
-    barycentric: np.ndarray
-
-    def __post_init__(self):
-        row = Locations([self.triangle_index],
-                        np.asarray(self.barycentric, dtype=np.float64)[None])
-        object.__setattr__(self, "triangle_index", row.triangles.tolist()[0])
-        object.__setattr__(self, "barycentric", row.weights[0])
-
-
-def as_locations(locations, triangle_count=None) -> Locations:
-    """``locations`` as one `Locations`: itself, or a sequence of
-    `SurfaceLocation` stacked once. The first location that is not a
-    SurfaceLocation, or that lies outside a mesh of ``triangle_count``
-    triangles when that is given, raises :class:`DimensionMismatch`.
-    """
-    if isinstance(locations, Locations):
-        stacked, count = locations, len(locations)
-    else:
-        locations = list(locations)
-        count = next((j for j, loc in enumerate(locations)
-                      if not isinstance(loc, SurfaceLocation)), len(locations))
-        # an index beyond int64 makes an object array, still compared exactly
-        stacked = _checked_already(
-            np.array([loc.triangle_index for loc in locations[:count]]),
-            np.array([loc.barycentric for loc in locations[:count]]).reshape(-1, 3),
-        )
-    if triangle_count is not None:
-        t = stacked.triangles
-        outside = np.flatnonzero((t < 0) | (t >= triangle_count))
-        if outside.size:
-            j = int(outside[0])
-            raise DimensionMismatch(
-                f"location {j} references triangle {t[j]} "
-                f"of a {triangle_count}-triangle mesh"
-            )
-    if count < len(locations):
-        raise DimensionMismatch(f"location {count} is not a SurfaceLocation")
-    return stacked
 
 
 class TriangleMesh:

@@ -29,7 +29,7 @@ from smfpca import (
 )
 from smfpca.estimator import adjusted_total_variance, data_gram
 from smfpca.fem import location_matrix
-from smfpca.mesh import SurfaceLocation, TriangleMesh
+from smfpca.mesh import Locations, TriangleMesh
 from smfpca.solver import SaddleSystem
 from smfpca.synth import generate_eigen_dataset, generate_sphere_dataset
 
@@ -270,16 +270,21 @@ def different_grid_observations(mesh, n, points, sigmas, noise, seed):
     rng = np.random.default_rng(seed)
     fields = np.stack(sphere_pc_functions(mesh), axis=1)
     scores = rng.standard_normal((n, 2)) * np.asarray(sigmas)
-    functions = []
-    for i in range(n):
-        tris = rng.choice(mesh.T, size=points, p=mesh.areas / mesh.total_area())
+    tris, weights, draws = [], [], []
+    for _ in range(n):
+        tris.append(rng.choice(mesh.T, size=points, p=mesh.areas / mesh.total_area()))
         r1, r2 = rng.random((2, points))
         s = np.sqrt(r1)
-        weights = np.stack([1.0 - s, s * (1.0 - r2), s * r2], axis=1)
-        locs = [SurfaceLocation(int(t), w) for t, w in zip(tris, weights)]
-        values = location_matrix(mesh, locs) @ (fields @ scores[i])
-        functions.append((locs, values + noise * rng.standard_normal(points)))
-    return fields, ObservationSet(functions)
+        weights.append(np.stack([1.0 - s, s * (1.0 - r2), s * r2], axis=1))
+        draws.append(rng.standard_normal(points))
+    locations = Locations(np.concatenate(tris), np.concatenate(weights))
+    psi = location_matrix(mesh, locations)
+    functions = []
+    for i in range(n):
+        rows = np.arange(i * points, (i + 1) * points)
+        values = psi[rows] @ (fields @ scores[i])
+        functions.append((rows, values + noise * draws[i]))
+    return fields, ObservationSet(locations, functions)
 
 
 def test_criterion_11_different_grids(ops2):

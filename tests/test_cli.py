@@ -183,6 +183,28 @@ def test_fit_non_finite_lambda_exit_2(tmp_path, capsys, extra):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--fixed-lambda", "1e-3"], {}),
+    (["--selection", "kfold", "--fixed-lambda", "1e-3"], {}),
+    (["--selection", "gcv", "--fixed-lambda", "1e-3"], {}),
+    (["--selection", "fixed", "--fixed-lambda", "1e-3", "--lambda-grid", "1,2"], {}),
+    (["--fixed-lambda", "1e-3"], {"selection": "kfold"}),
+    (["--selection", "fixed"], {"fixed_lambda": 1e-3, "lambda_grid": [1.0, 2.0]}),
+    (["--fixed-lambda", "1e-3"], {"selection": "fixed", "lambda_grid": [1.0]}),
+], ids=["default-kfold", "kfold", "gcv", "fixed-with-grid", "config-kfold",
+        "config-grid", "flag-over-config-grid"])
+def test_fit_fixed_lambda_beside_a_search_exit_2(tmp_path, capsys, flags, config):
+    # a fixed lambda is neither dropped by a search nor recorded beside
+    # a grid it did not search
+    src = simulate_sphere(tmp_path / "sim")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(fit_args(src, tmp_path / "fit", ["--config", cfg, *flags])) == 2
+    assert "--fixed-lambda needs --selection fixed and no --lambda-grid" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "fit" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["--n-components", "0"], ["--seed", "-2"], ["--max-iterations", "-3"],
     ["--tolerance", "nan"], ["--tolerance", "-1"],

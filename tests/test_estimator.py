@@ -1,4 +1,5 @@
 import copy
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from smfpca import (
     Locations,
     NonMonotoneObjective,
     ObservationSet,
-    SurfaceLocation,
     adjusted_total_variance,
     assemble,
     SaddleSystem,
@@ -131,11 +131,8 @@ def test_initial_scores_missing_match_svd(ops2):
 
 
 def test_initial_scores_missing_zero_data(ops1):
-    locations = vertex_locations(ops1.mesh)
-    obs = ObservationSet([
-        (Locations(locations.triangles[:3], locations.weights[:3]), np.zeros(3)),
-        (Locations(locations.triangles[4:6], locations.weights[4:6]), np.zeros(2)),
-    ])
+    obs = ObservationSet(vertex_locations(ops1.mesh),
+                         [(np.arange(3), np.zeros(3)), (np.arange(4, 6), np.zeros(2))])
     with pytest.raises(DegenerateData):
         estimator._initial_scores_missing(estimator._MissingState(obs, ops1))
 
@@ -742,16 +739,19 @@ def test_fit_missing_objective_never_rises(ops2):
 
 
 def barycentric_functions(ops, n, seed):
-    """(locations, values) pairs at random interior points (three
-    weights each)."""
+    """An observation set at random interior points (three weights
+    each), and each function's own location matrix."""
     rng = np.random.default_rng(seed)
-    functions = []
+    draws = []
     for _ in range(n):
         count = int(rng.integers(3, 12))
-        locs = [SurfaceLocation(int(t), w) for t, w in zip(
-            rng.integers(0, ops.mesh.T, count), rng.dirichlet(np.ones(3), count))]
-        functions.append((locs, rng.standard_normal(count)))
-    return functions
+        draws.append((rng.integers(0, ops.mesh.T, count),
+                      rng.dirichlet(np.ones(3), count), rng.standard_normal(count)))
+    triangles, weights, values = zip(*draws)
+    ends = np.cumsum([len(v) for v in values])
+    obs = ObservationSet(Locations(np.concatenate(triangles), np.concatenate(weights)),
+                         [(np.arange(end - len(v), end), v) for v, end in zip(values, ends)])
+    return obs, [location_matrix(ops.mesh, Locations(t, w)) for t, w in zip(triangles, weights)]
 
 
 def assert_same_sparse(a, b):
@@ -768,11 +768,9 @@ def test_weighted_gram_and_energies_match_explicit_sums(ops2):
     # a subset are those of the per-function matrices stacked, bytewise.
     masked = masked_observations(ops2, 12, 30)
     eye = sparse.identity(ops2.vertex_count, format="csr")
-    functions = barycentric_functions(ops2, 12, 30)
     for obs, refs in (
         (masked, [eye[rows] for rows, _ in masked.functions]),
-        (ObservationSet(functions),
-         [location_matrix(ops2.mesh, locs) for locs, _ in functions]),
+        barycentric_functions(ops2, 12, 30),
     ):
         state = estimator._MissingState(obs, ops2)
         for psi_i, ref in zip(state.psis, refs):
@@ -885,33 +883,46 @@ def test_fit_missing_validates_numeric_options(ops1):
 
 def test_observation_set_validation(ops1):
     locs = vertex_locations(ops1.mesh)
-    with pytest.raises(DimensionMismatch):
-        ObservationSet([])
-    bad = np.full((2, len(locs)), np.nan)
+    K = len(locs)
+    with pytest.raises(DimensionMismatch, match="^observation set holds no functions$"):
+        ObservationSet(locs, [])
+    bad = np.full((2, K), np.nan)
     bad[0, 0] = 1.0
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^function 1 has no observed entries$"):
         ObservationSet.from_masked(bad, locs)
-    # an entry that is not a location fails at construction, not in a fit
-    point = SurfaceLocation(0, np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(DimensionMismatch, match="^location 1 is not a SurfaceLocation$"):
-        ObservationSet([([point], [1.0]), ([point, (0, [1.0, 0.0, 0.0])], [1.0, 2.0])])
-    with pytest.raises(DimensionMismatch, match="^location 1 is not a SurfaceLocation$"):
-        ObservationSet.from_masked(np.ones((2, 2)), [point, "not a location"])
+    # points not in one Locations fail at construction, not in a fit
+    points = [(0, [1.0, 0.0, 0.0])]
+    with pytest.raises(DimensionMismatch, match="^locations must be a Locations, got list$"):
+        ObservationSet(points, [([0], [1.0])])
+    with pytest.raises(DimensionMismatch, match="^locations must be a Locations, got list$"):
+        ObservationSet.from_masked(np.ones((1, 1)), points)
+    # rows are 1-d integers in range, aligned with nonempty values
+    for rows, values, message in (
+        ([0.0, 1.0], [1.0, 2.0], "function 1: rows must be integers, not float64"),
+        (np.array([True, False]), [1.0, 2.0], "function 1: rows must be integers, not bool"),
+        ([[0, 1]], [1.0, 2.0], "function 1: rows and values must be 1-d and align"),
+        ([[0, 1]], [[1.0, 2.0]], "function 1: rows and values must be 1-d and align"),
+        ([0, 1, 2], [1.0, 2.0], "function 1: rows and values must be 1-d and align"),
+        ([], [], "function 1 has no observed entries"),
+        ([0, -1], [1.0, 2.0], f"function 1: row -1 of {K} locations"),
+        ([0, K], [1.0, 2.0], f"function 1: row {K} of {K} locations"),
+    ):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            ObservationSet(locs, [([0], [1.0]), (rows, values)])
+    with pytest.raises(InputError, match="^function 1: non-finite observation$"):
+        ObservationSet(locs, [([0], [1.0]), ([1], [np.nan])])
 
 
 def test_observation_set_leaves_its_argument_alone(ops1):
     locs = vertex_locations(ops1.mesh)
-    points = [SurfaceLocation(int(t), w) for t, w in zip(locs.triangles[:2], locs.weights[:2])]
-    pairs = [(tuple(points), [1.0, 2.0]),
-             (Locations(locs.triangles[2:5], locs.weights[2:5]), np.ones(3))]
+    pairs = [([0, 1], [1.0, 2.0]), (np.arange(2, 5), np.ones(3))]
     original = list(pairs)
-    obs = ObservationSet(pairs)
+    obs = ObservationSet(locs, pairs)
     assert all(a is b for a, b in zip(pairs, original))
     assert obs.functions is not pairs
-    assert ObservationSet(tuple(pairs)).n == 2
-    # one location array holds every point, and each function its rows
-    assert obs.locations.triangles.tolist() == locs.triangles[:5].tolist()
-    assert obs.locations.weights.tobytes() == locs.weights[:5].tobytes()
+    assert ObservationSet(locs, tuple(pairs)).n == ObservationSet(locs, iter(pairs)).n == 2
+    # the points are the caller's Locations, and each function keeps its rows
+    assert obs.locations is locs
     for (rows, values), expected in zip(obs.functions, ([0, 1], [2, 3, 4])):
         assert rows.tolist() == expected and values.dtype == np.float64
     # from_masked shares the caller's locations and keeps only row indices

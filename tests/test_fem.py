@@ -11,7 +11,7 @@ from smfpca import (
     vertex_locations,
 )
 from smfpca.fem import location_matrix
-from smfpca.mesh import Locations, SurfaceLocation, TriangleMesh, as_locations
+from smfpca.mesh import Locations, TriangleMesh
 
 
 def midpoint_quadrature_inner(mesh, a, b):
@@ -117,11 +117,7 @@ def test_psi_identity_at_vertices(ops2):
 
 
 def test_psi_interior_rows(sphere1):
-    locs = [
-        SurfaceLocation(4, np.array([1.0 / 3] * 3)),
-        SurfaceLocation(9, np.array([0.5, 0.5, 0.0])),
-        SurfaceLocation(0, np.array([0.2, 0.3, 0.5])),
-    ]
+    locs = Locations([4, 9, 0], [[1.0 / 3] * 3, [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
     ops = assemble(sphere1, locs)
     dense = ops.psi.toarray()
     assert dense.shape == (3, sphere1.K)
@@ -138,13 +134,13 @@ def location_matrix_loop(mesh, locations):
     """Oracle: the location matrix built one location and corner at a
     time, in row order, keeping the positive weights."""
     rows, cols, data = [], [], []
-    for j, loc in enumerate(locations):
-        corners = mesh.triangles[loc.triangle_index]
+    for j, (t, weights) in enumerate(zip(locations.triangles, locations.weights)):
+        corners = mesh.triangles[t]
         for c in range(3):
-            if loc.barycentric[c] > 0.0:
+            if weights[c] > 0.0:
                 rows.append(j)
                 cols.append(corners[c])
-                data.append(loc.barycentric[c])
+                data.append(weights[c])
     mat = sparse.csr_matrix((data, (rows, cols)), shape=(len(locations), mesh.K))
     mat.sum_duplicates()
     return mat
@@ -158,55 +154,47 @@ def test_location_matrix_bytes_match_per_location_loop(sphere2, count):
     weights[rng.random((count, 3)) < 0.2] = 0.0
     weights[weights.sum(axis=1) == 0.0, 0] = 1.0
     triangles = rng.integers(0, sphere2.T, count)
-    locs = [SurfaceLocation(int(t), w / w.sum()) for t, w in zip(triangles, weights)]
+    locs = Locations(triangles, weights / weights.sum(axis=1)[:, None])
     ref = location_matrix_loop(sphere2, locs)
-    # the array form of the same points, checked and renormalized at once,
-    # and the one-point list stacked once
-    array = Locations(triangles, weights / weights.sum(axis=1)[:, None])
-    assert array.weights.tobytes() == as_locations(locs).weights.tobytes()
-    for given in (locs, array, as_locations(tuple(locs))):
-        mat = location_matrix(sphere2, given)
-        assert mat.shape == ref.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(mat, name), getattr(ref, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    mat = location_matrix(sphere2, locs)
+    assert mat.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(mat, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_location_matrix_reports_first_bad_location(sphere1):
-    good = SurfaceLocation(0, np.array([1.0, 0.0, 0.0]))
-    outside = SurfaceLocation(sphere1.T, np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(DimensionMismatch, match="location 1 references triangle "
-                       f"{sphere1.T} of a {sphere1.T}-triangle mesh"):
-        location_matrix(sphere1, [good, outside, "not a location"])
-    with pytest.raises(DimensionMismatch, match="location 1 is not a SurfaceLocation"):
-        location_matrix(sphere1, [good, (0, [1.0, 0.0, 0.0]), outside])
-    with pytest.raises(DimensionMismatch, match="location 0 references triangle -1"):
-        location_matrix(sphere1, [SurfaceLocation(-1, np.array([1.0, 0.0, 0.0]))])
-    with pytest.raises(DimensionMismatch, match=f"location 0 references triangle {2**70}"):
-        location_matrix(sphere1, [SurfaceLocation(2**70, np.array([1.0, 0.0, 0.0]))])
-    # many rows, the bad one not first, in array form and as a list
+    one = [[1.0, 0.0, 0.0]]
+    for bad in (-1, sphere1.T, 2**70):
+        with pytest.raises(DimensionMismatch, match=f"^location 0 references triangle "
+                           f"{bad} of a {sphere1.T}-triangle mesh$"):
+            location_matrix(sphere1, Locations([bad], one))
+    # many rows, the bad one not first
     eye = np.eye(3)[[0, 1, 2, 0]]
     for bad in (-1, sphere1.T, 2**70):
         with pytest.raises(DimensionMismatch, match=f"^location 2 references triangle "
                            f"{bad} of a {sphere1.T}-triangle mesh$"):
             location_matrix(sphere1, Locations(np.array([0, 5, bad, -1], object), eye))
-    with pytest.raises(DimensionMismatch, match="^location 3 is not a SurfaceLocation$"):
-        location_matrix(sphere1, [good, good, good, Locations([0], eye[:1]), outside])
-    with pytest.raises(DimensionMismatch, match="^location 3 references triangle"):
-        location_matrix(sphere1, [good, good, good, outside, "not a location"])
+
+
+def test_location_matrix_takes_only_locations(sphere1):
+    points = [(0, [1.0, 0.0, 0.0]), (1, [0.0, 1.0, 0.0])]
+    for given in (points, vertex_locations(sphere1).triangles):
+        for build in (location_matrix, assemble):
+            with pytest.raises(DimensionMismatch, match="^locations must be a Locations, "
+                               f"got {type(given).__name__}$"):
+                build(sphere1, given)
 
 
 def test_psi_interpolates_linear_fields(sphere1):
     # psi applied to nodal values of an affine field reproduces the
     # field at the sample points exactly
-    locs = [
-        SurfaceLocation(t, np.array([0.6, 0.3, 0.1])) for t in range(0, 20, 3)
-    ]
+    locs = Locations(np.arange(0, 20, 3), np.tile([0.6, 0.3, 0.1], (7, 1)))
     ops = assemble(sphere1, locs)
     field = 2.0 * sphere1.vertices[:, 0] - sphere1.vertices[:, 2] + 0.25
     sampled = ops.psi @ field
-    for loc, value in zip(locs, sampled):
-        p = loc.barycentric @ sphere1.vertices[sphere1.triangles[loc.triangle_index]]
+    for t, weights, value in zip(locs.triangles, locs.weights, sampled):
+        p = weights @ sphere1.vertices[sphere1.triangles[t]]
         assert value == pytest.approx(2.0 * p[0] - p[2] + 0.25, abs=1e-12)
 
 
@@ -292,4 +280,4 @@ def test_eigenpair_count_bounds(ops1):
 
 def test_assemble_rejects_foreign_location(sphere1):
     with pytest.raises(DimensionMismatch):
-        assemble(sphere1, [SurfaceLocation(sphere1.T + 5, np.array([1.0, 0.0, 0.0]))])
+        assemble(sphere1, Locations([sphere1.T + 5], [[1.0, 0.0, 0.0]]))

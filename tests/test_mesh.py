@@ -16,7 +16,7 @@ from smfpca import (
 )
 from smfpca import mesh as meshmod
 from smfpca.errors import DegenerateTriangle
-from smfpca.mesh import BARY_EPSILON, Locations, SurfaceLocation, TriangleMesh
+from smfpca.mesh import BARY_EPSILON, Locations, TriangleMesh
 from test_acceptance import jittered_torus, open_hemisphere
 
 
@@ -270,25 +270,28 @@ def test_vertex_locations_cover_all_vertices(sphere1):
 
 
 def test_surface_location_validation():
-    with pytest.raises(InputError):
-        SurfaceLocation(0, np.array([0.5, 0.6, 0.2]))
-    with pytest.raises(InputError):
-        SurfaceLocation(0, np.array([-0.1, 0.6, 0.5]))
+    # one row: every message names it
+    one = [1.0, 0.0, 0.0]
+    with pytest.raises(InputError, match="^location 0: barycentric weights sum to 1.3"):
+        Locations([0], [[0.5, 0.6, 0.2]])
+    with pytest.raises(InputError, match="^location 0: negative barycentric weight -0.1$"):
+        Locations([0], [[-0.1, 0.6, 0.5]])
     # NaN fails both weight checks instead of slipping past them
-    with pytest.raises(InputError, match="negative barycentric weight nan"):
-        SurfaceLocation(0, np.array([np.nan, 0.5, 0.5]))
-    with pytest.raises(InputError, match="sum to inf"):
-        SurfaceLocation(0, np.array([np.inf, 0.5, 0.5]))
+    with pytest.raises(InputError, match="^location 0: negative barycentric weight nan$"):
+        Locations([0], [[np.nan, 0.5, 0.5]])
+    with pytest.raises(InputError, match="^location 0: barycentric weights sum to inf"):
+        Locations([0], [[np.inf, 0.5, 0.5]])
     # a fractional triangle index is refused, not truncated
-    with pytest.raises(InputError, match="triangle index must be an integer"):
-        SurfaceLocation(2.9, np.array([1.0, 0.0, 0.0]))
-    assert SurfaceLocation(np.int64(2), np.array([1.0, 0.0, 0.0])).triangle_index == 2
-    loc = SurfaceLocation(0, np.array([-1e-12, 0.4, 0.6 + 1e-12]))
-    assert loc.barycentric.min() == 0.0
-    assert loc.barycentric.sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(InputError, match="^location 0: triangle index must be an "
+                       r"integer, found 2\.9$"):
+        Locations([2.9], [one])
+    assert Locations([np.int64(2)], [one]).triangles.tolist() == [2]
+    loc = Locations([0], [[-1e-12, 0.4, 0.6 + 1e-12]])
+    assert loc.weights.min() == 0.0
+    assert loc.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
-    # Many rows: the first bad row raises, named, with the one-point
-    # message; the rows after it are bad too, in another way.
+    # Many rows: the first bad row raises, named; the rows after it are
+    # bad too, in another way.
     for bad, message in (
         ([-0.1, 0.6, 0.5], "negative barycentric weight -0.1"),
         ([0.5, 0.6, 0.2], "barycentric weights sum to 1.3, expected 1"),
@@ -296,8 +299,8 @@ def test_surface_location_validation():
         ([np.inf, 0.5, 0.5], "barycentric weights sum to inf, expected 1"),
         ([np.inf, -np.inf, 1.0], "negative barycentric weight -inf"),
     ):
-        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            SurfaceLocation(2, bad)
+        with pytest.raises(InputError, match=f"^location 0: {re.escape(message)}$"):
+            Locations([2], [bad])
         weights = [[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], bad, [-1.0, 1.0, 1.0]]
         with pytest.raises(InputError, match=f"^location 2: {re.escape(message)}$"):
             Locations([0, 1, 2, 3], weights)
@@ -324,9 +327,22 @@ def test_surface_location_validation():
         locs.weights[0, 0] = 0.5
 
 
+def test_locations_refuse_bools():
+    # a mask passed by mistake is not read as triangles 0 and 1
+    eye = np.eye(3)
+    for triangles, row, found in ((np.array([True]), 0, "True"),
+                                  (np.array([False, True, True]), 0, "False"),
+                                  ([0, True, 2], 1, "True"),
+                                  ((0, 1, np.True_), 2, "np.True_"),
+                                  (np.array([0, 1, False], dtype=object), 2, "False")):
+        with pytest.raises(InputError, match=f"^location {row}: triangle index must "
+                           f"be an integer, found {re.escape(found)}$"):
+            Locations(triangles, eye[:len(triangles)])
+
+
 def test_surface_location_weights_round_as_numpy():
     # the clamped, renormalized weights equal numpy's, bit for bit,
-    # -0.0 and tiny negatives included
+    # -0.0 and tiny negatives included, row by row and all at once
     rng = np.random.default_rng(9)
     triples = rng.dirichlet(np.ones(3), 500)
     triples[:100, 1] += triples[:100, 0]
@@ -335,10 +351,13 @@ def test_surface_location_weights_round_as_numpy():
     triples[100:200, 2] += triples[100:200, 1] - tiny
     triples[100:200, 1] = tiny
     triples[200:300, :] = np.eye(3)[rng.integers(0, 3, 100)]
+    expected = []
     for w in triples:
         clamped = np.maximum(w, 0.0)
-        expected = clamped / clamped.sum()
-        assert SurfaceLocation(0, w).barycentric.tobytes() == expected.tobytes()
+        expected.append(clamped / clamped.sum())
+        assert Locations([0], [w]).weights[0].tobytes() == expected[-1].tobytes()
+    all_rows = Locations(np.zeros(len(triples), int), triples).weights
+    assert all_rows.tobytes() == np.stack(expected).tobytes()
 
 
 # -- OFF files --------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sparse
 
 from smfpca import DimensionMismatch, InputError, SaddleSystem, SingularSystem, assemble
-from smfpca import ObservationSet, SurfaceLocation, fit, fit_missing, solver
+from smfpca import Locations, ObservationSet, fit, fit_missing, solver
 from smfpca import vertex_locations
 from smfpca.estimator import _MissingState, data_gram
 from smfpca.fem import FemOperators, location_matrix
@@ -314,8 +314,8 @@ def data_blocks(ops):
     with_zero[5, 5] = 0.0
     rng = np.random.default_rng(13)
     few = ops.psi[np.sort(rng.choice(ops.location_count, 12, replace=False))]
-    centroids = assemble(ops.mesh, [SurfaceLocation(t, np.full(3, 1 / 3))
-                                    for t in range(ops.mesh.T)]).psi
+    centroids = assemble(ops.mesh, Locations(np.arange(ops.mesh.T),
+                                             np.full((ops.mesh.T, 3), 1 / 3))).psi
     values = rng.standard_normal((8, ops.location_count))
     values[rng.random(values.shape) < 0.3] = np.nan
     state = _MissingState(
@@ -529,7 +529,7 @@ def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked)
     monkeypatch.setattr(solver.SaddleSystem, "__init__", counting_factor)
     grid = [1e-5, 1e-3, 1e-1]
     if masked:
-        centroids = [SurfaceLocation(t, np.full(3, 1 / 3)) for t in range(sphere2.T)]
+        centroids = Locations(np.arange(sphere2.T), np.full((sphere2.T, 3), 1 / 3))
         values = (location_matrix(sphere2, centroids) @ ds.X.values.T).T
         values[np.random.default_rng(32).random(values.shape) < 0.2] = np.nan
         obs = ObservationSet.from_masked(values, centroids)
