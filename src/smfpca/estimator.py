@@ -95,10 +95,7 @@ class ObservationSet:
     """
 
     def __init__(self, locations, functions):
-        if not isinstance(locations, Locations):
-            raise DimensionMismatch(
-                f"locations must be a Locations, got {type(locations).__name__}")
-        self.locations, self.functions = locations, []
+        self.locations, self.functions = _checked_locations(locations), []
         for i, (rows, vals) in enumerate(functions):
             rows, vals = np.asarray(rows), np.asarray(vals, dtype=np.float64)
             if vals.ndim != 1 or rows.shape != vals.shape:
@@ -127,12 +124,19 @@ class ObservationSet:
         column j is observed at row j of ``locations``, which every
         function shares."""
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != len(locations):
+        if values.ndim != 2 or values.shape[1] != len(_checked_locations(locations)):
             raise DimensionMismatch(
                 "masked matrix columns must match the location list"
             )
         observed = [np.flatnonzero(~np.isnan(row)) for row in values]
         return cls(locations, [(rows, row[rows]) for rows, row in zip(observed, values)])
+
+
+def _checked_locations(locations):
+    if not isinstance(locations, Locations):
+        raise DimensionMismatch(
+            f"locations must be a Locations, got {type(locations).__name__}")
+    return locations
 
 
 @dataclass(eq=False)
@@ -635,30 +639,21 @@ class _MissingState:
     def _map_grams(self, stack, counts):
         """Build `gram_map` and the pattern (CSR `_gram_indices` and
         `_gram_indptr`, and `_gram_rows`) from the stacked location
-        matrices, ``counts[i]`` rows for function i, their rows grouped
-        by entry count."""
-        K = stack.shape[1]
-        lengths = np.diff(stack.indptr)
-        n = len(counts)
+        matrices, ``counts[i]`` rows for function i, and note whether
+        the pattern is the whole diagonal (`_diagonal`)."""
+        K, n = stack.shape[1], len(counts)
         owner = np.repeat(np.arange(n), counts)
-        keys, products, functions = [], [], []
-        for k in np.unique(lengths[lengths > 0]):
-            rows = np.flatnonzero(lengths == k)
-            at = stack.indptr[rows][:, None] + np.arange(k)
-            cols = stack.indices[at].astype(np.int64)
-            vals = stack.data[at]
-            keys.append((cols[:, :, None] * K + cols[:, None, :]).ravel())
-            products.append((vals[:, :, None] * vals[:, None, :]).ravel())
-            functions.append(np.repeat(owner[rows], k * k))
-        pattern, entry = np.unique(np.concatenate(keys), return_inverse=True)
+        one_each = (np.diff(stack.indptr) == 1).all()
+        pattern, entry, products, functions = (
+            _diagonal_pattern if one_each else _sorted_pattern)(stack, owner)
         self.gram_map = sparse.csc_matrix(
-            (np.concatenate(products), (entry.ravel(), np.concatenate(functions))),
-            shape=(pattern.size, n),
-        )
+            (products, (entry, functions)), shape=(pattern.size, n))
         self._gram_map_t = self.gram_map.T  # a CSR view, for every `energies`
         self._gram_rows = pattern // K
         self._gram_indices = pattern % K
         self._gram_indptr = np.searchsorted(self._gram_rows, np.arange(K + 1))
+        # one entry per row, every vertex seen: each block is diag(w)
+        self._diagonal = bool(one_each and pattern.size == K)
 
     @property
     def n(self):
@@ -681,13 +676,14 @@ class _MissingState:
 
     def weighted_gram(self, u):
         """Sum over functions of u_i^2 psi_i' psi_i, as `gram_map` applied
-        to u^2 on the fixed pattern."""
+        to u^2 on the fixed pattern: a CSR matrix, or the K-vector w of
+        diag(w) when the pattern is the whole diagonal."""
+        weights = self.gram_map @ (np.asarray(u) ** 2)
+        if self._diagonal:
+            return weights
         K = self.ops.vertex_count
         return sparse.csr_matrix(
-            (self.gram_map @ (np.asarray(u) ** 2), self._gram_indices,
-             self._gram_indptr),
-            shape=(K, K),
-        )
+            (weights, self._gram_indices, self._gram_indptr), shape=(K, K))
 
     def deflated(self, component):
         # Subtract each function's share of the fitted component at its
@@ -700,6 +696,38 @@ class _MissingState:
             for i, (psi_i, vals) in enumerate(zip(self.psis, self.values))
         ])
         return new
+
+
+def _sorted_pattern(stack, owner):
+    """The pattern of the stacked location matrices ``stack`` (row r of
+    function ``owner[r]``) as sorted keys a K + b of its entries (a, b),
+    and for each product of two entries of a row, its key's rank, its
+    value and its function; rows are taken in groups of one entry
+    count."""
+    K = stack.shape[1]
+    lengths = np.diff(stack.indptr)
+    keys, products, functions = [], [], []
+    for k in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == k)
+        at = stack.indptr[rows][:, None] + np.arange(k)
+        cols = stack.indices[at].astype(np.int64)
+        vals = stack.data[at]
+        keys.append((cols[:, :, None] * K + cols[:, None, :]).ravel())
+        products.append((vals[:, :, None] * vals[:, None, :]).ravel())
+        functions.append(np.repeat(owner[rows], k * k))
+    pattern, entry = np.unique(np.concatenate(keys), return_inverse=True)
+    return pattern, entry.ravel(), np.concatenate(products), np.concatenate(functions)
+
+
+def _diagonal_pattern(stack, owner):
+    """`_sorted_pattern` for a ``stack`` with one entry in every row,
+    without the sort: the keys are the observed vertices v, as v K + v,
+    and each entry's rank is its vertex's among them."""
+    K = stack.shape[1]
+    observed = np.bincount(stack.indices, minlength=K) > 0
+    rank = np.cumsum(observed) - 1
+    return (np.flatnonzero(observed) * (K + 1), rank[stack.indices],
+            stack.data * stack.data, owner)
 
 
 def _initial_scores_missing(state):
@@ -759,10 +787,11 @@ class _MissingTerm:
     def objective(self, u, f, g, lam):
         pen = penalty_value(g, self.ops)
         # sum_i u_i^2 ||psi_i f||^2 is f' gram f
+        gram_f = self._gram * f if self._gram.ndim == 1 else self._gram @ f
         fit_term = (
             self.xnorm2
             - 2.0 * float(u @ (self.state.d_matrix.T @ f))
-            + float(f @ (self._gram @ f))
+            + float(f @ gram_f)
         )
         return fit_term + lam * pen
 

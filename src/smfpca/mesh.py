@@ -57,7 +57,8 @@ class Locations:
             integral = np.array([hasattr(type(x), "__index__")
                                  and not isinstance(x, (bool, np.bool_)) for x in items], bool)
             if integral.all():
-                t = np.array([operator.index(x) for x in items])
+                # an empty list would make a float array
+                t = np.array([operator.index(x) for x in items] or np.empty(0, np.intp))
         # written so that NaN fails both weight checks
         negative = ~(w >= -BARY_EPSILON).all(axis=1)
         with np.errstate(invalid="ignore"):  # inf - inf is reported below

@@ -84,9 +84,17 @@ being recomputed. Either form applies the exact inverse of the saddle
 system, so either can precondition any new block. The two systems
 differ only in the data block, by E, so refinement iterates on f alone:
 each step solves the stored system for (b - E f, 0), after which the
-new system's residual is (E (f_prev - f), 0).
+new system's residual is (E (f_prev - f), 0). A diagonal block
+UL = diag(w) may be passed as the K-vector w, as a missing-data fit at
+the vertices passes it; the system keeps it so, and when the stored and
+the new block are both vectors, E is the vector w_new - w_old and E f
+an elementwise product: no sparse matrix is subtracted or multiplied.
+Only the saddle form, and `SaddleSystem.matrix`, assemble diag(w) as a
+sparse matrix, keeping its zero entries stored, as they are in a
+weighted Gram matrix that a fold's functions leave empty at a vertex.
 """
 
+import functools
 import threading
 import weakref
 
@@ -137,8 +145,9 @@ class SaddleSystem:
     Parameters
     ----------
     ops : FemOperators
-    upper_left : sparse matrix, shape (K, K)
-        Symmetric positive semidefinite data block.
+    upper_left : sparse matrix, shape (K, K), or ndarray, shape (K,)
+        Symmetric positive semidefinite data block; a 1-d array w
+        stands for diag(w) and is kept and refined as that vector.
     lam : float
         Positive smoothing parameter.
 
@@ -167,7 +176,7 @@ class SaddleSystem:
             (self._root * ops.stiffness.data, ops.stiffness.indices,
              ops.stiffness.indptr), shape=ops.stiffness.shape)
         self._mass = ops.mass
-        self._p = self._lu = self._band = None
+        self._p = self._lu = self._band = self._pbtrs = None
         weights = _schur_weights(upper_left)
         if weights is None:
             import scipy.sparse.linalg as splinalg  # SuperLU; loaded on first use
@@ -194,11 +203,13 @@ class SaddleSystem:
             except linalg.LinAlgError as exc:
                 raise SingularSystem(
                     f"Schur complement factorization failed: {exc}") from exc
+            # LAPACK's banded solve, called without cho_solve_banded's checks
+            self._pbtrs, = linalg.get_lapack_funcs(("pbtrs",), (self._band,))
 
     @property
     def matrix(self):
         """The 2K x 2K saddle system, assembled anew on each read."""
-        return sparse.bmat([[self._upper_left, self._coupling],
+        return sparse.bmat([[_as_sparse(self._upper_left), self._coupling],
                             [self._coupling, -self._mass]], format="csc")
 
     def solve(self, rhs_top):
@@ -230,13 +241,17 @@ class SaddleSystem:
             The new block vanishes on the constant field of a mesh
             component, as in the constructor.
         """
-        change = _checked_block(upper_left, self._labels) - self._upper_left
+        new, old = _checked_block(upper_left, self._labels), self._upper_left
+        if new.ndim == old.ndim == 1:  # diag(w_new) - diag(w_old), elementwise
+            change = functools.partial(np.multiply, new - old)
+        else:
+            change = (_as_sparse(new) - _as_sparse(old)).dot
         rhs = self._checked_rhs(rhs_top)
-        shift = change @ self._checked_rhs(start, "start")
+        shift = change(self._checked_rhs(start, "start"))
         limit = _REFINE_TOLERANCE * float(np.linalg.norm(rhs))
         for _ in range(_REFINE_STEPS):
             f, h = self._solve(rhs - shift)
-            shift, previous = change @ f, shift
+            shift, previous = change(f), shift
             if float(np.linalg.norm(previous - shift)) <= limit:
                 return f, h / self._root
         return None
@@ -272,22 +287,26 @@ class SaddleSystem:
             x = np.empty_like(rhs)
             x[self._order] = self._lu.solve(rhs[self._order])
             return x[: self.k], x[self.k :]
-        import scipy.linalg as linalg
-
         p = self._p if top.ndim == 1 else self._p[:, None]
         h = np.empty_like(top)
-        h[self._order] = linalg.cho_solve_banded(
-            (self._band, True), (self._coupling @ (p * top))[self._order],
-            overwrite_b=True, check_finite=False,
-        )
+        # info is nonzero only for malformed arguments, which these are not
+        h[self._order], _ = self._pbtrs(
+            self._band, (self._coupling @ (p * top))[self._order],
+            lower=True, overwrite_b=True)
         return p * (top - self._coupling @ h), h
 
 
 def _checked_block(upper_left, labels):
+    """``upper_left`` as a float K-vector w, standing for diag(w), when
+    it is 1-d, else as a CSR matrix; checked to close the constant field
+    of every mesh component (``labels``)."""
     k = len(labels)
-    if not (sparse.issparse(upper_left) and upper_left.format == "csr"):
+    if not sparse.issparse(upper_left):
+        upper_left = np.asarray(upper_left, dtype=np.float64)
+    if upper_left.ndim != 1 and not (sparse.issparse(upper_left)
+                                     and upper_left.format == "csr"):
         upper_left = sparse.csr_matrix(upper_left)
-    if upper_left.shape != (k, k):
+    if upper_left.shape != ((k,) if upper_left.ndim == 1 else (k, k)):
         raise DimensionMismatch(
             f"upper-left block must be {k}x{k}, got {upper_left.shape}"
         )
@@ -298,8 +317,11 @@ def _checked_block(upper_left, labels):
     # through on a tiny pivot and return garbage. A data block couples
     # only vertices of one triangle, so a component's energy is the sum
     # of (UL 1) over its vertices.
-    energies = np.bincount(labels, upper_left @ np.ones(k))
-    traces = np.bincount(labels, upper_left.diagonal())
+    if upper_left.ndim == 1:
+        energies = traces = np.bincount(labels, upper_left)
+    else:
+        energies = np.bincount(labels, upper_left @ np.ones(k))
+        traces = np.bincount(labels, upper_left.diagonal())
     closed = (traces > 0.0) & (energies > 1e-12 * traces)
     if not closed.all():
         raise SingularSystem(
@@ -311,15 +333,26 @@ def _checked_block(upper_left, labels):
 
 
 def _schur_weights(upper_left):
-    """The diagonal w of the CSR block ``upper_left`` when it is diagonal
-    with every entry positive and at least `_SCHUR_SHARE` of the
-    largest, else None."""
-    weights = upper_left.diagonal()
+    """The diagonal w of the block ``upper_left`` (a K-vector, or a CSR
+    matrix) when it is diagonal with every entry positive and at least
+    `_SCHUR_SHARE` of the largest, else None."""
+    weights = upper_left if upper_left.ndim == 1 else upper_left.diagonal()
     if (weights.min() > 0
             and weights.min() >= _SCHUR_SHARE * weights.max()
-            and upper_left.count_nonzero() == len(weights)):
+            and (upper_left.ndim == 1
+                 or upper_left.count_nonzero() == len(weights))):
         return weights
     return None
+
+
+def _as_sparse(upper_left):
+    """The block ``upper_left`` as a CSR matrix: a K-vector w becomes
+    diag(w), its zeros kept as stored entries."""
+    if upper_left.ndim == 2:
+        return upper_left
+    k = upper_left.size
+    return sparse.csr_matrix((upper_left, np.arange(k), np.arange(k + 1)),
+                             shape=(k, k))
 
 
 # One saddle order and one band layout per operator set, shared by every

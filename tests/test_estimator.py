@@ -807,6 +807,94 @@ def test_weighted_gram_and_energies_match_explicit_sums(ops2):
         np.testing.assert_allclose(current.energies(f), energies, rtol=1e-12)
 
 
+def test_diagonal_pattern_matches_sorted_build(ops2, monkeypatch):
+    # vertex data have one entry per observation row, so the pattern is
+    # the observed vertices, found without sorting the entry keys; the
+    # map is the sorted build's, bytewise, whether every vertex is seen
+    # (the blocks are then diagonal) or not
+    masked = masked_observations(ops2, 12, 30)
+    values = np.full((3, ops2.vertex_count), np.nan)
+    values[:, ::4] = 1.0
+    sparse_seen = ObservationSet.from_masked(values, vertex_locations(ops2.mesh))
+    names = ("_gram_rows", "_gram_indices", "_gram_indptr", "_diagonal")
+    quick = [estimator._MissingState(obs, ops2) for obs in (masked, sparse_seen)]
+    monkeypatch.setattr(estimator, "_diagonal_pattern", estimator._sorted_pattern)
+    for obs, state in zip((masked, sparse_seen), quick):
+        sorted_build = estimator._MissingState(obs, ops2)
+        assert_same_sparse(state.gram_map, sorted_build.gram_map)
+        for name in names:
+            assert np.asarray(getattr(state, name)).tobytes() == \
+                np.asarray(getattr(sorted_build, name)).tobytes(), name
+    assert [state._diagonal for state in quick] == [True, False]
+
+
+def vertex_observed_once(ops, n, seed):
+    """Masked vertex data in which only function 0 observes vertex 0: a
+    fold holding function 0 out leaves a zero on its blocks' diagonals."""
+    ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.1, seed)
+    values = ds.X.values.copy()
+    values[np.random.default_rng(seed).random(values.shape) < 0.2] = np.nan
+    values[0, 0], values[1:, 0] = 1.0, np.nan
+    return ObservationSet.from_masked(values, vertex_locations(ops.mesh))
+
+
+def test_fit_missing_vector_blocks_match_csr_blocks(ops2, monkeypatch):
+    # masked vertex data seen at every vertex carry each data block as
+    # its diagonal; the same fit with the block made a CSR matrix (zeros
+    # kept) is the same to the byte, through both factored forms
+    obs = vertex_observed_once(ops2, 15, 40)
+    weighted_gram = estimator._MissingState.weighted_gram
+    factor = solver.SaddleSystem.__init__
+
+    def run():
+        sizes = []
+
+        def counting_factor(self, *args):
+            factor(self, *args)
+            sizes.append(1 if self._lu is None else 2)
+
+        monkeypatch.setattr(solver.SaddleSystem, "__init__", counting_factor)
+        result = fit_missing(obs, 2, [1e-4, 1e-2, 1.0], ops2, selection="kfold", folds=3)
+        return result, sizes
+
+    vector, vector_sizes = run()
+    monkeypatch.setattr(estimator._MissingState, "weighted_gram",
+                        lambda self, u: solver._as_sparse(weighted_gram(self, u)))
+    csr, csr_sizes = run()
+    assert set(vector_sizes) == {1, 2} and vector_sizes == csr_sizes
+    for a, b in zip(vector.selection_traces, csr.selection_traces):
+        assert a.scores.tobytes() == b.scores.tobytes()
+    for a, b in zip(vector.components, csr.components):
+        assert (a.lam, a.iterations, a.objective_trace) == (b.lam, b.iterations,
+                                                           b.objective_trace)
+        for name in ("scores", "f_coefficients", "g_coefficients"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_fit_missing_vertex_blocks_take_no_sparse_subtraction(ops2, monkeypatch):
+    # refinement on diagonal blocks forms their change as a vector
+    refine = solver.SaddleSystem.solve_with_block
+    calls = []
+
+    def counting_refine(self, *args):
+        calls.append(None)
+        return refine(self, *args)
+
+    def refuse(*args):
+        raise AssertionError("sparse subtraction")
+
+    monkeypatch.setattr(solver.SaddleSystem, "solve_with_block", counting_refine)
+    monkeypatch.setattr(sparse.csr_matrix, "__sub__", refuse)
+    fit_missing(vertex_observed_once(ops2, 15, 41), 2, [1e-4, 1e-2, 1.0], ops2,
+                selection="kfold", folds=3)
+    assert len(calls) > 20
+
+
+def test_from_masked_refuses_locations_without_length():
+    with pytest.raises(DimensionMismatch, match="^locations must be a Locations, got int$"):
+        ObservationSet.from_masked(np.ones((2, 3)), 5)
+
+
 def exhaustible_observations(ops, n):
     """Constant fields seen at one common vertex subset: a masked fit
     reproduces them, so one component exhausts the data."""

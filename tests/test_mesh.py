@@ -327,6 +327,13 @@ def test_surface_location_validation():
         locs.weights[0, 0] = 0.5
 
 
+def test_empty_locations_hold_integer_triangles():
+    for triangles in ([], (), np.zeros(0), np.zeros(0, dtype=object)):
+        empty = Locations(triangles, np.zeros((0, 3)))
+        assert len(empty) == 0 and empty.triangles.dtype.kind == "i"
+    assert empty.triangles.dtype == Locations([0], np.eye(3)[:1]).triangles.dtype
+
+
 def test_locations_refuse_bools():
     # a mask passed by mistake is not read as triangles 0 and 1
     eye = np.eye(3)

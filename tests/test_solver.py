@@ -16,6 +16,13 @@ from smfpca.selection import default_lambda_grid
 from smfpca.synth import generate_sphere_dataset
 
 
+def dense_block(upper_left):
+    """A data block as a dense array: a K-vector w as diag(w)."""
+    if np.ndim(upper_left) == 1:
+        return np.diag(upper_left)
+    return np.asarray(upper_left.todense())
+
+
 def dense_block_solve(ops, upper_left, lam, rhs_top):
     """Oracle: assemble the 2K x 2K block matrix densely and solve it
     with LAPACK, independent of the sparse factorization path."""
@@ -23,7 +30,7 @@ def dense_block_solve(ops, upper_left, lam, rhs_top):
     R0 = ops.mass.toarray()
     R1 = ops.stiffness.toarray()
     A = np.zeros((2 * K, 2 * K))
-    A[:K, :K] = np.asarray(upper_left.todense())
+    A[:K, :K] = dense_block(upper_left)
     A[:K, K:] = lam * R1
     A[K:, :K] = lam * R1
     A[K:, K:] = -lam * R0
@@ -188,6 +195,40 @@ def test_solve_with_block_from_diagonal_schur_form_matches_fresh_factorization(
     else:
         new = (old + 0.02 * data_blocks(ops2)["interior-points"]).tocsr()
     assert_refined_matches_fresh(ops2, old, lam, new)
+
+
+@pytest.mark.parametrize("target", ["vector", "vector-with-zero", "off-diagonal"])
+def test_solve_with_block_from_diagonal_vector_matches_fresh_factorization(ops2, target):
+    # a diagonal block passed as its K-vector w is factored as the K x K
+    # form and refined onto a nearby vector (the change applied
+    # elementwise), a vector with a zero entry (whose own system takes
+    # the saddle form) or a CSR block with off-diagonal terms
+    old = diagonal_block(ops2, 0.3, 21).diagonal()
+    assert factored_size(SaddleSystem(ops2, old, 1.0)) == ops2.vertex_count
+    new = old * (1 + 0.05 * np.random.default_rng(22).random(old.size))
+    if target == "vector-with-zero":
+        new[np.argmin(old)] = 0.0
+        assert factored_size(SaddleSystem(ops2, new, 1.0)) == 2 * ops2.vertex_count
+    elif target == "off-diagonal":
+        new = (sparse.diags(new) + 0.02 * data_blocks(ops2)["interior-points"]).tocsr()
+    assert_refined_matches_fresh(ops2, old, 1.0, new)
+
+
+def test_vector_block_keeps_its_zeros_in_the_saddle_form(ops2):
+    # diag(w) with a zero entry is assembled with that zero stored, as
+    # the CSR block of the same weights is, so both factor alike
+    w = diagonal_block(ops2, 0.5, 17).diagonal().copy()
+    w[5] = 0.0
+    K = ops2.vertex_count
+    as_csr = sparse.csr_matrix((w, np.arange(K), np.arange(K + 1)), shape=(K, K))
+    a, b = SaddleSystem(ops2, w, 1e-3), SaddleSystem(ops2, as_csr, 1e-3)
+    assert a.matrix.nnz == b.matrix.nnz
+    assert abs(a.matrix - b.matrix).max() == 0
+    rhs = rhs_for(ops2, 15)
+    for x, y in zip(a.solve(rhs), b.solve(rhs)):
+        assert x.tobytes() == y.tobytes()
+    with pytest.raises(DimensionMismatch, match=rf"must be {K}x{K}, got \({K - 1},\)"):
+        SaddleSystem(ops2, w[1:], 1e-3)
 
 
 def test_solve_with_distant_block_reports_nonconvergence(ops1):
@@ -370,7 +411,7 @@ def test_matches_dense_lu_oracle_across_lambda(ops2, block):
         f_d, _ = dense_block_solve(ops2, upper_left, lam, rhs)
         assert relative_error(f, f_d) <= 1e-10, lam
         # residual of the unscaled system [[UL, lam R1], [lam R1, -lam R0]]
-        top = upper_left @ f + lam * (ops2.stiffness @ g) - rhs
+        top = dense_block(upper_left) @ f + lam * (ops2.stiffness @ g) - rhs
         bottom = lam * (ops2.stiffness @ f - ops2.mass @ g)
         residual = np.linalg.norm(np.concatenate([top, bottom]))
         assert residual <= 1e-11 * np.linalg.norm(rhs), lam
