@@ -160,7 +160,7 @@ def cmd_fit(config):
         tolerance=config["tolerance"],
         seed=config["seed"],
     )
-    if np.isnan(values).any():
+    if np.isnan(values.min()):  # NaN reaches the minimum; no n x K mask
         warnings.warn(
             "data has missing entries: fitting per-function observations, "
             "centering skipped",
@@ -256,6 +256,18 @@ def _append_metric_rows(path, rows):
         handle.writelines(f"{serialize._metric_line(*r)}\n" for r in rows)
 
 
+def _baseline_components(config, n_components):
+    """The multivariate PCA components of ``--data``, which must be fully
+    observed; the data matrix is released before the components are
+    scored."""
+    surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
+    values = serialize.read_data_csv(config["data"])
+    if np.isnan(values.min()):  # NaN reaches the minimum; no n x K mask
+        raise InputError("multivariate PCA baseline needs fully observed data")
+    ops = fem.assemble(surface, meshmod.vertex_locations(surface))
+    return metrics.mv_pca(estimator.DataMatrix(values), n_components, ops)
+
+
 def cmd_evaluate(config):
     result_doc = serialize.load_json(_require(config, "result", "--result"))
     truth_doc = serialize.load_json(_require(config, "truth", "--truth"))
@@ -271,16 +283,7 @@ def cmd_evaluate(config):
 
     # optional unsmoothed baseline on the raw data
     if config["data"] is not None:
-        surface = meshmod.load_mesh(_require(config, "mesh", "--mesh"))
-        baseline_values = serialize.read_data_csv(config["data"])
-        if np.isnan(baseline_values).any():
-            raise InputError(
-                "multivariate PCA baseline needs fully observed data"
-            )
-        ops = fem.assemble(surface, meshmod.vertex_locations(surface))
-        comps = metrics.mv_pca(
-            estimator.DataMatrix(baseline_values), est_values.shape[1], ops
-        )
+        comps = _baseline_components(config, est_values.shape[1])
         mv_values = np.stack([c.coefficients for c in comps], axis=1)
         mv_scores = np.stack([c.scores for c in comps], axis=1)
         mv_norms = np.asarray([c.function_norm for c in comps])

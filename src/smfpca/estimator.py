@@ -63,7 +63,8 @@ class DataMatrix:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DimensionMismatch("data must be a 2-d matrix with n rows, s columns")
-        if not np.isfinite(v).all():
+        # NaN and either infinity reach the extremes; no n x s mask needed
+        if not (np.isfinite(v.min()) and np.isfinite(v.max())):
             raise InputError("data matrix holds non-finite entries")
         v.flags.writeable = False
         self.values = v
@@ -210,19 +211,32 @@ def initialize(X: DataMatrix):
 
 def _leading_right_vector(values):
     """Unit leading right singular vector of the nonzero n x s ``values``,
-    sign unfixed.
-
-    It is the leading eigenvector of the smaller Gram matrix: of
-    values' values when n > s; when n <= s, the leading eigenvector u of
-    values values' gives it as values' u, normalized. Only a warm start
-    is made from it, which the alternation refines to its tolerance, so
-    the Gram matrix's squared condition number costs nothing there.
+    sign unfixed, from `_gram_pairs`. Only a warm start is made from it,
+    which the alternation refines to its tolerance, so the Gram matrix's
+    squared condition number costs nothing there.
     """
-    n, s = values.shape
-    if n > s:
-        return np.linalg.eigh(values.T @ values)[1][:, -1]
-    u = np.linalg.eigh(values @ values.T)[1][:, -1]
-    return _unit(values.T @ u, "leading singular vector vanished")
+    (vector,), (product,) = _gram_pairs(values, 1)
+    if values.shape[0] > values.shape[1]:
+        return vector
+    return _unit(product, "leading singular vector vanished")
+
+
+def _gram_pairs(values, k):
+    """The k leading singular pairs of the n x s ``values``, leading
+    first, from the eigendecomposition of its smaller Gram matrix.
+
+    Returns the unit eigenvectors and values' products with them: when
+    n > s the eigenvectors of values' values are the right singular
+    vectors and values times each is the left one scaled by its
+    singular value; when n <= s, values values' gives the left ones
+    and values' times each the scaled right one.
+    """
+    tall = values.shape[0] > values.shape[1]
+    gram = values.T @ values if tall else values @ values.T
+    eigenvectors = np.linalg.eigh(gram)[1]
+    vectors = [eigenvectors[:, -1 - l] for l in range(k)]
+    side = values if tall else values.T
+    return vectors, [side @ v for v in vectors]
 
 
 def score_step(X: DataMatrix, f_s):
@@ -404,7 +418,9 @@ def deflate(X: DataMatrix, component: PcComponent) -> DataMatrix:
     u = component.scores
     if u.shape != (X.n,):
         raise DimensionMismatch("component scores do not match the data rows")
-    values = X.values - np.outer(u, u @ X.values)
+    # u (-w) + X is X - u w bit for bit, in one n x s array
+    values = np.multiply.outer(u, -(u @ X.values))
+    values += X.values
     return DataMatrix(values)
 
 

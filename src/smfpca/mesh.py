@@ -407,13 +407,11 @@ def _converted_blocks(lines, n_vertices, n_faces):
 
 def save_mesh(mesh: TriangleMesh, path):
     """Write a mesh as ASCII OFF (the format `load_mesh` reads)."""
-    lines = ["OFF", f"{mesh.K} {mesh.T} {mesh.edge_count}"]
-    for v in mesh.vertices:
-        lines.append(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for t in mesh.triangles:
-        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(f"OFF\n{mesh.K} {mesh.T} {mesh.edge_count}\n")
+        handle.writelines(f"{float(x)!r} {float(y)!r} {float(z)!r}\n"
+                          for x, y, z in mesh.vertices)
+        handle.writelines(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles)
 
 
 # -- generators -------------------------------------------------------

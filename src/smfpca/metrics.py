@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient
-from .estimator import DataMatrix
+from .estimator import DataMatrix, _gram_pairs
 from .fem import FemOperators, _fix_sign, l2_inner
 
 
@@ -47,6 +47,13 @@ def mv_pca(X: DataMatrix, n_components: int, ops: FemOperators):
     the loading values as vertex coefficients, rescaled to unit surface
     L2 norm; scores are the matching unit left singular vectors.
 
+    The singular pairs come from the eigendecomposition of the smaller
+    Gram matrix (`estimator._gram_pairs`, as for the warm starts), not a
+    full thin SVD. The Gram matrix squares the condition number, so a
+    singular value below about sqrt(eps) times the largest is not
+    resolved; one that is zero to that precision raises
+    :class:`RankDeficient` naming its component.
+
     Requires one sampling location per vertex (the loading values are
     read as nodal coefficients).
     """
@@ -59,19 +66,24 @@ def mv_pca(X: DataMatrix, n_components: int, ops: FemOperators):
             "multivariate PCA baseline needs one data column per mesh vertex"
         )
     centered = X.values - X.values.mean(axis=0)
-    u, d, vt = np.linalg.svd(centered, full_matrices=False)
+    vectors, products = _gram_pairs(centered, n_components)
+    singular = [float(np.linalg.norm(p)) for p in products]
+    floor = np.sqrt(max(X.n, X.s) * np.finfo(float).eps) * singular[0]
+    tall = X.n > X.s
     components = []
-    for l in range(n_components):
-        loading = vt[l].copy()
+    for l, (vector, product, d) in enumerate(zip(vectors, products, singular)):
+        if not d > floor:
+            raise RankDeficient(
+                f"component {l + 1} has a zero singular value")
+        u, loading = (product / d, vector) if tall else (vector, product / d)
         c = float(np.sqrt(l2_inner(ops, loading, loading)))
         if c <= 0:
             raise RankDeficient(f"loading {l} has zero surface norm")
         coeff, flipped = _fix_sign(loading / c)
-        scores = -u[:, l] if flipped else u[:, l].copy()
         components.append(
             MvPcaComponent(
-                scores=scores, coefficients=coeff,
-                function_norm=float(d[l] * c),
+                scores=-u if flipped else u.copy(), coefficients=coeff,
+                function_norm=d * c,
             )
         )
     return components
@@ -161,9 +173,10 @@ def evaluate_arrays(est_values, est_scores, function_norms,
         mse(est_scores[:, l] * norms[l], true_scores[:, l])
         for l in range(shared)
     ]
-    signal_est = (est_scores * norms) @ est_values.T
-    signal_true = true_scores @ true_values.T
-    signal_mse = float(np.mean((signal_est - signal_true) ** 2))
+    # the signal error in one n x K array, bit for bit as formed apart
+    error = (est_scores * norms) @ est_values.T
+    error -= true_scores @ true_values.T
+    signal_mse = float(np.mean(np.square(error, out=error)))
     angle = principal_angle(true_values[:, :shared], est_values[:, :shared])
     curve = list(explained_variance_curve) if explained_variance_curve is not None else []
     return EvaluationReport(

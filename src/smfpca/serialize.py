@@ -3,8 +3,14 @@
 All writers are deterministic (sorted keys, shortest-roundtrip float
 text), so re-running an identical configuration reproduces output files
 byte for byte.
+
+CSV files stream row by row. A writer holds the text of one row at a
+time; the reader parses about 1 MiB of text per block and stacks the
+parsed blocks once at the end, so reading a data matrix takes about
+twice the matrix's memory and never the whole file's text.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -112,8 +118,9 @@ def _cells(row):
 
 
 def _write_lines(path, lines):
+    """Write each of ``lines`` and a newline, one line at a time."""
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.writelines(f"{line}\n" for line in lines)
 
 
 def write_data_csv(path, values):
@@ -123,7 +130,7 @@ def write_data_csv(path, values):
     if values.ndim != 2:
         raise DimensionMismatch("data matrix must be 2-d")
     header = ",".join(str(j) for j in range(values.shape[1]))
-    _write_lines(path, [header] + [_cells(row) for row in values])
+    _write_lines(path, itertools.chain([header], map(_cells, values)))
 
 
 def _is_index_header(cells):
@@ -134,6 +141,11 @@ def _is_index_header(cells):
     return numbers == list(range(len(cells)))
 
 
+# Characters of CSV text the reader gathers for one parse; it holds one
+# such block of text at a time besides the rows already parsed.
+_READ_BLOCK = 1 << 20
+
+
 def read_data_csv(path):
     """Read a data matrix; empty cells come back as NaN.
 
@@ -141,39 +153,72 @@ def read_data_csv(path):
     is recognized as a header and skipped. Malformed cells, including
     spelled-out non-finite values such as ``nan`` or ``inf``, raise
     :class:`ParseError` naming the row and column; only an empty cell
-    marks a missing value.
+    marks a missing value. The file is read once, front to back, in
+    blocks of text (so ``path`` may name a pipe).
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            raw = handle.read().splitlines()
+            rows = _numbered_rows(handle)
+            first = next(rows, None)
+            if first is None:
+                raise ParseError(f"{path}: no data rows")
+            cells = [c.strip() for c in first[1].split(",")]
+            if not _is_index_header(cells):
+                rows = itertools.chain([first], rows)
+            blocks = [_parse_block(block, len(cells))
+                      for block in _text_blocks(rows)]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    rows = [(lineno, line) for lineno, line in enumerate(raw, start=1)
-            if line.strip()]
-    if rows:
-        first = [c.strip() for c in rows[0][1].split(",")]
-        width = len(first)
-        if _is_index_header(first):
-            rows = rows[1:]
-    if not rows:
+    if not blocks:
         raise ParseError(f"{path}: no data rows")
-    # Rows without empty cells are parsed together in C. Rows with empty
-    # cells, all rows if that fails, and rows it read as non-finite are
-    # parsed one at a time, in file order, so the first fault is the one
-    # reported.
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _numbered_rows(handle):
+    """(line number, line) of each non-blank line of ``handle``, numbered
+    as ``str.splitlines`` numbers the lines of the whole text."""
+    lineno = 0
+    for physical in handle:
+        for line in physical.splitlines():
+            lineno += 1
+            if line.strip():
+                yield lineno, line
+
+
+def _text_blocks(rows):
+    """``rows`` in lists of about `_READ_BLOCK` characters each."""
+    block, size = [], 0
+    for row in rows:
+        block.append(row)
+        size += len(row[1])
+        if size >= _READ_BLOCK:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _parse_block(rows, width):
+    """The values of ``rows``, (line number, line) pairs.
+
+    Rows without empty cells are parsed together in C. Rows with empty
+    cells, all rows if that fails, and rows it read as non-finite are
+    parsed one at a time, in file order, so the first fault is the one
+    reported.
+    """
     values = np.empty((len(rows), width))
     pending = np.ones(len(rows), dtype=bool)
     full = [k for k, (_, line) in enumerate(rows) if not (
         ",," in line or line.startswith(",") or line.endswith(","))]
     if full:
         try:
-            block = np.loadtxt([rows[k][1] for k in full], delimiter=",",
-                               comments=None, ndmin=2)
+            parsed = np.loadtxt([rows[k][1] for k in full], delimiter=",",
+                                comments=None, ndmin=2)
         except ValueError:
-            block = None
-        if block is not None and block.shape[1] == width:
-            values[full] = block
-            pending[full] = ~np.isfinite(block).all(axis=1)
+            parsed = None
+        if parsed is not None and parsed.shape[1] == width:
+            values[full] = parsed
+            pending[full] = ~np.isfinite(parsed).all(axis=1)
     for k in np.flatnonzero(pending):
         values[k] = _scan_row(*rows[k], width)
     return values
@@ -217,7 +262,7 @@ def write_matrix_csv(path, matrix):
     """Columns labeled ``pc_1..m``, one per component; one row per index."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     header = ",".join(f"pc_{j + 1}" for j in range(matrix.shape[1]))
-    _write_lines(path, [header] + [_cells(row) for row in matrix])
+    _write_lines(path, itertools.chain([header], map(_cells, matrix)))
 
 
 def _metric_line(replicate, method, metric, component, value):

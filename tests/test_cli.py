@@ -910,6 +910,19 @@ def test_evaluate_baseline_needs_full_data_exit_2(tmp_path, capsys):
     assert "needs fully observed data" in capsys.readouterr().err
 
 
+def test_evaluate_baseline_of_rank_one_data_exit_3(tmp_path, capsys):
+    src, out = fitted_bundle(tmp_path)
+    values = read_data_csv(src / "data.csv")
+    flat = tmp_path / "rank-one.csv"
+    write_data_csv(flat, np.outer(np.arange(len(values)), values[0]))
+    code = run(["evaluate", "--result", out / "result.json",
+                "--truth", src / "truth.json", "--outdir", tmp_path / "ev",
+                "--mesh", src / "mesh.off", "--data", flat])
+    assert code == 3
+    assert "component 2 has a zero singular value" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
 def test_evaluate_append_mode(tmp_path):
     src, out = fitted_bundle(tmp_path)
     ev = tmp_path / "ev"

@@ -1,5 +1,6 @@
 import copy
 import re
+import types
 import warnings
 
 import numpy as np
@@ -93,6 +94,19 @@ def test_leading_right_vector_matches_svd(shape):
     v = estimator._leading_right_vector(values)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
     assert sine(v, svd_leading(values)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (9, 9)])
+def test_leading_right_vector_is_bitwise_the_gram_eigenvector(shape):
+    # the Gram route as the warm starts took it before `_gram_pairs`
+    values = np.random.default_rng(41).standard_normal(shape)
+    if shape[0] > shape[1]:
+        expected = np.linalg.eigh(values.T @ values)[1][:, -1]
+    else:
+        u = np.linalg.eigh(values @ values.T)[1][:, -1]
+        expected = values.T @ u / np.linalg.norm(values.T @ u)
+    v = estimator._leading_right_vector(values)
+    assert v.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(12, 40), (40, 12)])
@@ -350,6 +364,17 @@ def test_deflate_removes_component(ops2):
     # scores direction annihilated
     np.testing.assert_allclose(comp.scores @ reduced.values, 0.0, atol=1e-9)
     assert np.linalg.norm(reduced.values) < np.linalg.norm(ds.X.values)
+
+
+@pytest.mark.parametrize("shape", [(7, 30), (30, 7), (16, 16)])
+def test_deflate_is_bitwise_the_outer_product_subtraction(shape):
+    rng = np.random.default_rng(60)
+    X = DataMatrix(rng.standard_normal(shape))
+    u = rng.standard_normal(shape[0])
+    u /= np.linalg.norm(u)
+    expected = X.values - np.outer(u, u @ X.values)
+    deflated = deflate(X, types.SimpleNamespace(scores=u))
+    assert deflated.values.tobytes() == expected.tobytes()
 
 
 def test_second_component_from_deflated(ops2):
@@ -1024,6 +1049,15 @@ def test_data_matrix_validation():
         DataMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         DataMatrix(np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_data_matrix_rejects_nan_and_infinities(bad):
+    # checked through the extremes, which NaN and either infinity reach
+    values = np.array([[1.0, 2.0], [0.0, 1.0]])
+    values[1, 0] = bad
+    with pytest.raises(InputError, match="^data matrix holds non-finite entries$"):
+        DataMatrix(values)
 
 
 def test_data_matrix_norm_is_computed_once():

@@ -378,6 +378,18 @@ def test_off_roundtrip(tmp_path, sphere1):
     np.testing.assert_array_equal(again.triangles, sphere1.triangles)
 
 
+def test_off_bytes_are_the_joined_lines(tmp_path, sphere2):
+    # written line by line, the file holds the bytes of one joined text
+    lines = ["OFF", f"{sphere2.K} {sphere2.T} {sphere2.edge_count}"]
+    for v in sphere2.vertices:
+        lines.append(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    for t in sphere2.triangles:
+        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
+    path = tmp_path / "s.off"
+    save_mesh(sphere2, path)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
 def test_off_accepts_comments_and_blanks(tmp_path):
     path = tmp_path / "t.off"
     path.write_text(

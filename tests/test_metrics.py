@@ -71,6 +71,17 @@ def test_mv_pca_validates(ops1):
         mv_pca(short, 1, ops1)
 
 
+def test_mv_pca_names_a_zero_singular_value(ops1):
+    # rank one after centering: the second singular value is roundoff
+    X = rank_two_data(ops1, 8, 3)
+    rank_one = DataMatrix(np.outer(np.arange(8.0), X.values[0]))
+    assert len(mv_pca(rank_one, 1, ops1)) == 1
+    with pytest.raises(RankDeficient, match="^component 2 has a zero singular value$"):
+        mv_pca(rank_one, 2, ops1)
+    with pytest.raises(RankDeficient, match="^component 1 "):
+        mv_pca(DataMatrix(np.ones_like(X.values)), 1, ops1)
+
+
 # -- scalar metrics ---------------------------------------------------
 
 
@@ -157,6 +168,18 @@ def test_evaluate_arrays_perfect_estimate(ops1):
     assert report.signal_mse == pytest.approx(0.0, abs=1e-20)
     assert report.principal_angle == pytest.approx(0.0, abs=1e-7)
     assert report.explained_variance_curve == [0.7, 1.0]
+
+
+@pytest.mark.parametrize("n, K, m, L", [(9, 40, 2, 3), (40, 9, 3, 2), (16, 16, 2, 2)])
+def test_signal_mse_is_bitwise_the_difference_of_products(n, K, m, L):
+    rng = np.random.default_rng(70)
+    est_values, true_values = rng.standard_normal((K, m)), rng.standard_normal((K, L))
+    est_scores, true_scores = rng.standard_normal((n, m)), rng.standard_normal((n, L))
+    norms = rng.random(m) + 0.5
+    report = evaluate_arrays(est_values, est_scores, norms, true_values, true_scores)
+    signal_est = (est_scores * norms) @ est_values.T
+    signal_true = true_scores @ true_values.T
+    assert report.signal_mse == float(np.mean((signal_est - signal_true) ** 2))
 
 
 def test_evaluate_arrays_resolves_component_signs(ops1):

@@ -1,9 +1,13 @@
 import json
+import os
+import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from smfpca import InputError, ParseError
+from smfpca import InputError, ParseError, serialize
 from smfpca.serialize import (
     arrays_from_result,
     arrays_from_truth,
@@ -127,6 +131,104 @@ def test_data_csv_empty_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         read_data_csv(path)
+
+
+# -- streamed reading and writing -------------------------------------
+
+
+def twenty_rows(rng):
+    """A 20 x 4 matrix with blank cells, and its CSV text with padding."""
+    values = rng.standard_normal((20, 4))
+    values[[2, 9, 15], [1, 0, 3]] = np.nan
+    lines = ["0,1,2,3"] + [
+        ",".join("" if x != x else f" {x!r} " for x in row)
+        for row in values.tolist()]
+    return values, "\n".join(lines) + "\n"
+
+
+def test_data_csv_blocks_match_one_block_read(tmp_path, monkeypatch):
+    values, text = twenty_rows(np.random.default_rng(50))
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    whole = read_data_csv(path)
+    monkeypatch.setattr(serialize, "_READ_BLOCK", 200)
+    assert len(list(serialize._text_blocks(
+        serialize._numbered_rows(text.splitlines(True))))) >= 3
+    blocked = read_data_csv(path)
+    assert blocked.tobytes() == whole.tobytes()
+    np.testing.assert_array_equal(blocked, values)
+
+
+@pytest.mark.parametrize("blank, bad, first", [
+    # a faulty row with a blank cell before a bad cell in a full row,
+    # then the other way round; each in its own block
+    ("4,,nan,1", "5,x,6,7", "non-finite value 'nan' at row 4,"),
+    ("4,x,6,7", "5,,nan,1", "non-numeric value 'x' at row 4,"),
+])
+def test_data_csv_first_fault_across_blocks(tmp_path, monkeypatch,
+                                            blank, bad, first):
+    rows = ["1,2,3,4"] * 20
+    rows[2], rows[15] = blank, bad
+    path = tmp_path / "bad.csv"
+    path.write_text("0,1,2,3\n" + "\n".join(rows) + "\n")
+    monkeypatch.setattr(serialize, "_READ_BLOCK", 20)
+    with pytest.raises(ParseError, match=re.escape(first)):
+        read_data_csv(path)
+
+
+def test_data_csv_line_numbers_count_as_splitlines(tmp_path, monkeypatch):
+    # header, blank lines, CRLF, a lone CR and a form feed, after a BOM
+    text = ("0,1\r\n1,2\r\n\r\n3,4\r5,6\x0c7,8\n\n" +
+            "".join(f"{k},{k}\n" for k in range(12)) + "9,oops\n1,1\n")
+    path = tmp_path / "lines.csv"
+    path.write_bytes(text.encode("utf-8-sig"))
+    lineno = text.splitlines().index("9,oops") + 1
+    for block in (serialize._READ_BLOCK, 8):
+        monkeypatch.setattr(serialize, "_READ_BLOCK", block)
+        with pytest.raises(ParseError, match=rf"at row {lineno}, column 2$"):
+            read_data_csv(path)
+    path.write_bytes(text.replace("9,oops", "9,9").encode("utf-8-sig"))
+    back = read_data_csv(path)
+    assert back.shape == (18, 2)
+    np.testing.assert_array_equal(back[:4], [[1, 2], [3, 4], [5, 6], [7, 8]])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_data_csv_read_from_a_pipe(tmp_path, monkeypatch):
+    values, text = twenty_rows(np.random.default_rng(52))
+    fifo = tmp_path / "data.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    monkeypatch.setattr(serialize, "_READ_BLOCK", 200)
+    try:
+        back = read_data_csv(fifo)
+    finally:
+        writer.join()
+    np.testing.assert_array_equal(back, values)
+
+
+def peak_bytes(call):
+    """Peak memory traced while ``call()`` runs, above what it started at."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_memory_is_bounded(tmp_path):
+    # rows stream: a level-4 study matrix (200 x 2562, 4.1 MB) is read in
+    # at most 2.5 times its size, and written within 1 MB
+    values = np.random.default_rng(51).standard_normal((200, 2562))
+    path = tmp_path / "data.csv"
+    assert peak_bytes(lambda: write_data_csv(path, values)) < 1e6
+    assert peak_bytes(lambda: write_matrix_csv(tmp_path / "m.csv", values)) < 1e6
+    back = []
+    assert peak_bytes(lambda: back.append(read_data_csv(path))) <= 2.5 * values.nbytes
+    assert back[0].tobytes() == values.tobytes()
 
 
 # -- json documents ---------------------------------------------------
