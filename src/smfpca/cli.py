@@ -202,8 +202,8 @@ def cmd_simulate(config):
         files["mesh.off"] = lambda path: meshmod.save_mesh(surface, path)
     else:
         surface = meshmod.load_mesh(_require(config, "mesh", "--mesh or --sphere"))
-    locations = meshmod.vertex_locations(surface)
-    ops = fem.assemble(surface, locations)
+    # built on first read: only the eigen generator reads a matrix
+    ops = fem.FemOperators(surface, meshmod.vertex_locations(surface))
 
     generator = config["generator"]
     sigmas = config["sigmas"]
@@ -264,7 +264,7 @@ def _baseline_components(config, n_components):
     values = serialize.read_data_csv(config["data"])
     if np.isnan(values.min()):  # NaN reaches the minimum; no n x K mask
         raise InputError("multivariate PCA baseline needs fully observed data")
-    ops = fem.assemble(surface, meshmod.vertex_locations(surface))
+    ops = fem.FemOperators(surface, meshmod.vertex_locations(surface))
     return metrics.mv_pca(estimator.DataMatrix(values), n_components, ops)
 
 

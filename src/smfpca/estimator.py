@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import selection as _selection
 from . import solver
@@ -657,6 +656,8 @@ class _MissingState:
         `_gram_indptr`, and `_gram_rows`) from the stacked location
         matrices, ``counts[i]`` rows for function i, and note whether
         the pattern is the whole diagonal (`_diagonal`)."""
+        import scipy.sparse as sparse
+
         K, n = stack.shape[1], len(counts)
         owner = np.repeat(np.arange(n), counts)
         one_each = (np.diff(stack.indptr) == 1).all()
@@ -697,6 +698,8 @@ class _MissingState:
         weights = self.gram_map @ (np.asarray(u) ** 2)
         if self._diagonal:
             return weights
+        import scipy.sparse as sparse
+
         K = self.ops.vertex_count
         return sparse.csr_matrix(
             (weights, self._gram_indices, self._gram_indptr), shape=(K, K))

@@ -8,9 +8,9 @@ to tune.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import ConvergenceFailure, DimensionMismatch
 from .mesh import Locations, TriangleMesh
@@ -22,10 +22,18 @@ _ELEMENT_MASS = np.array(
 
 @dataclass(eq=False)
 class FemOperators:
-    """Assembled operators for one mesh and one set of sampling locations.
+    """Operators for one mesh and one set of sampling locations.
+
+    Each matrix is assembled on its first read, and scipy.sparse is
+    imported only then: a caller that reads only the mesh and the
+    locations (the vertex-sampled generators, the baseline's norms)
+    builds no matrix. `assemble` builds all three at once.
 
     Attributes
     ----------
+    mesh : TriangleMesh
+    locations : Locations
+        Sampling points; rows of psi follow their order.
     psi : scipy.sparse.csr_matrix, shape (s, K)
         Nodal basis functions evaluated at the sampling locations; each
         row holds the barycentric weights of one location (at most three
@@ -36,21 +44,47 @@ class FemOperators:
     stiffness : scipy.sparse.csr_matrix, shape (K, K)
         Integrals of gradients dotted pairwise (symmetric positive
         semidefinite); annihilates constant fields.
-    mesh : TriangleMesh
     """
 
-    psi: sparse.csr_matrix
-    mass: sparse.csr_matrix
-    stiffness: sparse.csr_matrix
     mesh: TriangleMesh
+    locations: Locations
+
+    @cached_property
+    def psi(self) -> "scipy.sparse.csr_matrix":
+        return location_matrix(self.mesh, self.locations)
+
+    @cached_property
+    def mass(self) -> "scipy.sparse.csr_matrix":
+        return _summed_elements(self.mesh, self.mesh.areas[:, None, None] * _ELEMENT_MASS)
+
+    @cached_property
+    def stiffness(self) -> "scipy.sparse.csr_matrix":
+        grads = self.mesh.gradients
+        return _summed_elements(self.mesh, self.mesh.areas[:, None, None]
+                                * np.einsum("tid,tjd->tij", grads, grads))
 
     @property
     def vertex_count(self) -> int:
-        return self.mass.shape[0]
+        return self.mesh.K
 
     @property
     def location_count(self) -> int:
-        return self.psi.shape[0]
+        return len(self.locations)
+
+    @property
+    def psi_is_identity(self) -> bool:
+        """Whether the locations are the mesh's vertices in order, each
+        with its whole weight on one corner, so psi is the K x K
+        identity; read from the locations, without building psi."""
+        w, t = self.locations.weights, self.locations.triangles
+        if (len(t) != self.mesh.K or not ((t >= 0) & (t < self.mesh.T)).all()
+                or not ((w > 0.0).sum(axis=1) == 1).all()):
+            return False
+        # a row's one positive weight is 1.0 exactly: Locations divides
+        # it by itself
+        corners = np.argmax(w, axis=1)
+        vertices = self.mesh.triangles[t.astype(np.intp), corners]
+        return bool((vertices == np.arange(self.mesh.K)).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +100,8 @@ class EigenPair:
 
 
 def assemble(mesh: TriangleMesh, locations: Locations) -> FemOperators:
-    """Assemble psi, mass, and stiffness for a mesh and sampling locations.
+    """Assemble psi, mass, and stiffness for a mesh and sampling locations
+    now, rather than on first read.
 
     Parameters
     ----------
@@ -78,29 +113,28 @@ def assemble(mesh: TriangleMesh, locations: Locations) -> FemOperators:
     -------
     FemOperators
     """
-    K = mesh.K
-    tri = mesh.triangles
-    areas = mesh.areas
-    grads = mesh.gradients
+    ops = FemOperators(mesh, locations)
+    ops.psi, ops.mass, ops.stiffness  # noqa: B018  (each read assembles)
+    return ops
 
+
+def _summed_elements(mesh: TriangleMesh, elements):
+    """The (K, K) CSR sum of the per-triangle 3 x 3 ``elements``, shape
+    (T, 3, 3), each placed at its triangle's vertices."""
+    import scipy.sparse as sparse
+
+    tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    mass_data = (areas[:, None, None] * _ELEMENT_MASS).ravel()
-    mass = sparse.coo_matrix((mass_data, (rows, cols)), shape=(K, K)).tocsr()
-    stiff_data = (
-        areas[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
-    ).ravel()
-    stiffness = sparse.coo_matrix((stiff_data, (rows, cols)), shape=(K, K)).tocsr()
-
-    return FemOperators(
-        psi=location_matrix(mesh, locations), mass=mass, stiffness=stiffness,
-        mesh=mesh,
-    )
+    return sparse.coo_matrix((elements.ravel(), (rows, cols)),
+                             shape=(mesh.K, mesh.K)).tocsr()
 
 
-def location_matrix(mesh: TriangleMesh, locations: Locations) -> sparse.csr_matrix:
+def location_matrix(mesh: TriangleMesh, locations: Locations) -> "scipy.sparse.csr_matrix":
     """Sparse (s, K) matrix of the barycentric weights that evaluate
     vertex coefficients at ``locations``."""
+    import scipy.sparse as sparse
+
     if not isinstance(locations, Locations):
         raise DimensionMismatch(
             f"locations must be a Locations, got {type(locations).__name__}")
@@ -138,6 +172,16 @@ def l2_inner(ops: FemOperators, a, b) -> float:
             f"expected two vectors of length {K}, got {a.shape} and {b.shape}"
         )
     return float(a @ (ops.mass @ b))
+
+
+def _mass_inner(mesh: TriangleMesh, a, b) -> float:
+    """a' mass b for two vertex coefficient vectors, summed per triangle
+    from the mesh without assembling mass: each triangle t adds
+    area_t / 12 (sum_i a_i b_i + sum_i a_i sum_i b_i) over its corners.
+    Equal to `l2_inner` up to the order of its sums."""
+    at, bt = a[mesh.triangles], b[mesh.triangles]
+    per_triangle = (at * bt).sum(axis=1) + at.sum(axis=1) * bt.sum(axis=1)
+    return float(mesh.areas @ per_triangle) / 12.0
 
 
 def lb_eigenpairs(ops: FemOperators, count: int):

@@ -300,14 +300,12 @@ def load_mesh(path) -> TriangleMesh:
     TopologyError, DegenerateTriangle
         Propagated from mesh validation.
     """
-    with open(path, "r", encoding="ascii", errors="replace") as handle:
-        raw = handle.readlines()
-
     significant = []
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if text:
-            significant.append((lineno, text))
+    with open(path, "r", encoding="ascii", errors="replace") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.split("#", 1)[0].strip()
+            if text:
+                significant.append((lineno, text))
     cursor = 0
 
     def next_line(expect):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient
 from .estimator import DataMatrix, _gram_pairs
-from .fem import FemOperators, _fix_sign, l2_inner
+from .fem import FemOperators, _fix_sign, _mass_inner
 
 
 @dataclass(eq=False)
@@ -55,7 +55,9 @@ def mv_pca(X: DataMatrix, n_components: int, ops: FemOperators):
     :class:`RankDeficient` naming its component.
 
     Requires one sampling location per vertex (the loading values are
-    read as nodal coefficients).
+    read as nodal coefficients). The surface norms are summed per
+    triangle from the mesh (`fem._mass_inner`), so no operator matrix
+    is built.
     """
     if n_components < 1 or n_components > min(X.n, X.s):
         raise DimensionMismatch(
@@ -76,7 +78,7 @@ def mv_pca(X: DataMatrix, n_components: int, ops: FemOperators):
             raise RankDeficient(
                 f"component {l + 1} has a zero singular value")
         u, loading = (product / d, vector) if tall else (vector, product / d)
-        c = float(np.sqrt(l2_inner(ops, loading, loading)))
+        c = float(np.sqrt(_mass_inner(ops.mesh, loading, loading)))
         if c <= 0:
             raise RankDeficient(f"loading {l} has zero surface norm")
         coeff, flipped = _fix_sign(loading / c)

@@ -99,7 +99,6 @@ import threading
 import weakref
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import DimensionMismatch, InputError, SingularSystem
 from .fem import FemOperators
@@ -160,6 +159,8 @@ class SaddleSystem:
     """
 
     def __init__(self, ops: FemOperators, upper_left, lam: float):
+        import scipy.sparse as sparse
+
         lam = float(lam)
         if not 0 < lam < np.inf:
             raise InputError(
@@ -209,6 +210,8 @@ class SaddleSystem:
     @property
     def matrix(self):
         """The 2K x 2K saddle system, assembled anew on each read."""
+        import scipy.sparse as sparse
+
         return sparse.bmat([[_as_sparse(self._upper_left), self._coupling],
                             [self._coupling, -self._mass]], format="csc")
 
@@ -300,6 +303,8 @@ def _checked_block(upper_left, labels):
     """``upper_left`` as a float K-vector w, standing for diag(w), when
     it is 1-d, else as a CSR matrix; checked to close the constant field
     of every mesh component (``labels``)."""
+    import scipy.sparse as sparse
+
     k = len(labels)
     if not sparse.issparse(upper_left):
         upper_left = np.asarray(upper_left, dtype=np.float64)
@@ -350,6 +355,8 @@ def _as_sparse(upper_left):
     diag(w), its zeros kept as stored entries."""
     if upper_left.ndim == 2:
         return upper_left
+    import scipy.sparse as sparse
+
     k = upper_left.size
     return sparse.csr_matrix((upper_left, np.arange(k), np.arange(k + 1)),
                              shape=(k, k))
@@ -399,6 +406,7 @@ def _mesh_order(ops):
     SuperLU computes the order when it factors a matrix of that pattern;
     the diagonally dominant values keep its factorization trivial.
     """
+    import scipy.sparse as sparse
     import scipy.sparse.linalg as splinalg
 
     graph = (abs(ops.mass) + abs(ops.stiffness)).tocsc()
@@ -431,6 +439,8 @@ class _BandLayout:
     """
 
     def __init__(self, ops):
+        import scipy.sparse as sparse
+
         K = ops.vertex_count
         stiffness = abs(ops.stiffness)
         self.order = _cuthill_mckee((abs(ops.mass) + stiffness @ stiffness).tocsr(),

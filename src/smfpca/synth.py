@@ -43,16 +43,24 @@ def _drawn(ops: FemOperators, fields, sigmas, n, noise_sigma, seed, generator):
     stream seeded by ``seed``."""
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal((n, len(sigmas))) * sigmas
-    # Rows are subjects; piecewise-linear interpolation carries vertex
-    # fields to the sampling locations.
-    vertex_values = scores @ fields.T
-    values = (ops.psi @ vertex_values.T).T
+    values = _at_locations(ops, scores @ fields.T)
     if noise_sigma != 0:
         values = values + noise_sigma * rng.standard_normal(values.shape)
     return SyntheticDataset(
         X=DataMatrix(values), true_components=fields, true_scores=scores,
         noise_sigma=float(noise_sigma), seed=int(seed), generator=generator,
     )
+
+
+def _at_locations(ops: FemOperators, vertex_values):
+    """Rows of vertex values (one per subject) carried to the sampling
+    locations by piecewise-linear interpolation, ``(psi @ values.T).T``.
+    Where psi is the identity the values are taken as they are, plus 0.0:
+    that turns -0.0 into 0.0, as the product's sums do, and leaves every
+    other value's bits."""
+    if ops.psi_is_identity:
+        return vertex_values + 0.0
+    return (ops.psi @ vertex_values.T).T
 
 
 def _check_draw(n, noise_sigma, sigmas, seed):
@@ -189,7 +197,7 @@ def generate_misaligned_dataset(mesh: TriangleMesh, ops: FemOperators,
     shifted = 0.5 * np.sqrt(15.0 / np.pi) * (sin_th * np.cos(ph)) * (
         sin_th * np.sin(ph)
     )
-    values = (ops.psi @ (scores[:, None] * shifted).T).T
+    values = _at_locations(ops, scores[:, None] * shifted)
 
     base = sphere_pc_functions(mesh)[0]
     return SyntheticDataset(

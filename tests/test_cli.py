@@ -387,34 +387,38 @@ def test_cli_import_leaves_out_scipy_spatial():
 
 
 # Runs a command in a fresh process, then prints its exit code, whether
-# the LAPACK wrappers and SuperLU were loaded when the fit began (None
-# without a fit), and whether SuperLU and the sparse graph module were
-# loaded at the end.
+# the LAPACK wrappers, scipy.sparse and SuperLU were loaded when the fit
+# began (None without a fit), and whether scipy.sparse, SuperLU and the
+# sparse graph module were loaded at the end.
 _LOADED_AT_FIT = """
 import sys
 import smfpca.cli
 from smfpca import estimator
 
-seen = [None, None]
+seen = [None, None, None]
 
 def probe(fit):
     def probed(*args, **kwargs):
-        seen[:] = [m in sys.modules for m in ("scipy.linalg", "scipy.sparse.linalg")]
+        seen[:] = [m in sys.modules for m in
+                   ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")]
         return fit(*args, **kwargs)
     return probed
 
 estimator.fit = probe(estimator.fit)
 estimator.fit_missing = probe(estimator.fit_missing)
 code = smfpca.cli.main(sys.argv[1:])
-print(code, *seen, "scipy.sparse.linalg" in sys.modules,
-      "scipy.sparse.csgraph" in sys.modules)
+print(code, *seen, *(m in sys.modules for m in
+                     ("scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph")))
 """
 
 
 def test_only_fit_loads_the_sparse_solver(tmp_path):
     # A dense fit factors only through the band routines of scipy.linalg;
     # SuperLU loads during a fit whose system needs the saddle form, as a
-    # masked fit with a never-observed vertex does.
+    # masked fit with a never-observed vertex does. scipy.sparse loads
+    # with a fit's operators, before the fit begins; the vertex-sampled
+    # generators, evaluate (with its baseline or without) and mesh-info
+    # build no operator matrix and never load it.
     sim, fit, ev = tmp_path / "sim", tmp_path / "fit", tmp_path / "ev"
     simulate_sphere(sim)
     blank = read_data_csv(sim / "data.csv")
@@ -425,23 +429,30 @@ def test_only_fit_loads_the_sparse_solver(tmp_path):
     commands = {
         "simulate": ["simulate", "--generator", "sphere", "--sphere", "1",
                      "--n", "12", "--outdir", tmp_path / "sim2"],
+        "misaligned": ["simulate", "--generator", "misaligned", "--sphere", "1",
+                       "--n", "12", "--outdir", tmp_path / "sim3"],
         "fit": ["fit", "--data", sim / "data.csv", "--outdir", fit, *fit_common],
         "masked fit": ["fit", "--data", tmp_path / "blank.csv",
                        "--outdir", tmp_path / "masked", *fit_common],
         "evaluate": ["evaluate", "--result", fit / "result.json",
                      "--truth", sim / "truth.json", "--mesh", sim / "mesh.off",
                      "--data", sim / "data.csv", "--outdir", ev],
+        "evaluate, no baseline": ["evaluate", "--result", fit / "result.json",
+                                  "--truth", sim / "truth.json",
+                                  "--outdir", tmp_path / "ev0"],
         "mesh-info": ["mesh-info", "--mesh", sim / "mesh.off"],
     }
     loaded = {}
     for name, argv in commands.items():
         out = python("-c", _LOADED_AT_FIT, *map(str, argv), check=True).stdout
         loaded[name] = out.splitlines()[-1]
-    assert loaded == {"simulate": "0 None None False False",
-                      "fit": "0 True False False False",
-                      "masked fit": "0 True False True False",
-                      "evaluate": "0 None None False False",
-                      "mesh-info": "0 None None False False"}
+    assert loaded == {"simulate": "0 None None None False False False",
+                      "misaligned": "0 None None None False False False",
+                      "fit": "0 True True False True False False",
+                      "masked fit": "0 True True False True True False",
+                      "evaluate": "0 None None None False False False",
+                      "evaluate, no baseline": "0 None None None False False False",
+                      "mesh-info": "0 None None None False False False"}
 
 
 def test_fit_blas_thread_count_keeps_choices(tmp_path):

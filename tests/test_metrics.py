@@ -44,6 +44,20 @@ def test_mv_pca_matches_dense_svd(ops2):
         assert comp.coefficients[np.argmax(np.abs(comp.coefficients))] > 0
 
 
+def test_mv_pca_norm_from_the_mass_form_matches_l2_inner(ops1, ops2, ops3):
+    # The baseline's surface norms are summed per triangle, not applied
+    # through the assembled mass matrix; both orders round alike to 1e-13.
+    from smfpca.fem import _mass_inner
+
+    rng = np.random.default_rng(4)
+    for ops in (ops1, ops2, ops3):
+        comps = mv_pca(rank_two_data(ops, 30, 3), 2, ops)
+        for a in (*(c.coefficients for c in comps),
+                  rng.standard_normal(ops.vertex_count), rng.random(ops.vertex_count)):
+            exact = l2_inner(ops, a, a)
+            assert abs(_mass_inner(ops.mesh, a, a) - exact) <= 1e-13 * exact
+
+
 def test_mv_pca_reconstructs_centered_data(ops1):
     X = rank_two_data(ops1, 10, 1)
     comps = mv_pca(X, 2, ops1)

@@ -4,6 +4,8 @@ renaming a function whose spans a layer metric sums silently zeroes it."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -84,3 +86,18 @@ def test_factor_hook_counts_matrix_entries(ops1):
     counters = {"system_nnz": 0}
     SPANS._AFTER["solver.SaddleSystem.__init__"](counters, (system,), {}, None)
     assert counters["system_nnz"] == system.matrix.nnz > 0
+
+
+def test_cli_import_loads_every_layer_and_not_scipy_sparse():
+    # `spans.instrument` reads every layer from sys.modules right after
+    # importing smfpca.cli, so a layer loaded later fails every benchmark
+    # run; scipy.sparse stays out until a command builds an operator.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, smfpca.cli; "
+            f"print([m for m in {SPANS.LAYERS!r} if 'smfpca.' + m not in sys.modules], "
+            "'scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["[]", "False"]

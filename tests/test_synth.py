@@ -3,6 +3,7 @@ import pytest
 
 from smfpca import (
     DimensionMismatch,
+    FemOperators,
     InputError,
     NotASphere,
     assemble,
@@ -14,7 +15,7 @@ from smfpca import (
     sphere_pc_functions,
     vertex_locations,
 )
-from smfpca.mesh import TriangleMesh
+from smfpca.mesh import Locations, TriangleMesh, unit_sphere_mesh
 
 
 HARMONIC_SCALE_1 = 0.5 * np.sqrt(15.0 / np.pi)
@@ -194,3 +195,42 @@ def test_generators_reject_negative_seed(ops1):
     for draw in draws:
         with pytest.raises(InputError, match="seed must be non-negative, got -1"):
             draw()
+
+
+# -- the psi-free path on vertex locations ----------------------------
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_vertex_sampled_generators_match_the_assembled_product(level, monkeypatch):
+    # On the vertices psi is the identity and the generators skip it; the
+    # data must keep every bit of (psi @ V.T).T, sign bits included (the
+    # misaligned fields hold -0.0, which the product turns into 0.0).
+    mesh = unit_sphere_mesh(level)
+    lazy = FemOperators(mesh, vertex_locations(mesh))
+    assert lazy.psi_is_identity
+
+    def both(generate):
+        skipped = generate(lazy).X.values
+        assert "psi" not in vars(lazy)  # never built
+        with monkeypatch.context() as patch:
+            patch.setattr(FemOperators, "psi_is_identity", False)
+            product = generate(assemble(mesh, vertex_locations(mesh))).X.values
+        assert skipped.shape == product.shape
+        assert (skipped.view(np.int64) == product.view(np.int64)).all()
+
+    both(lambda ops: generate_sphere_dataset(mesh, ops, 20, [4.0, 2.0], 0.0, level))
+    both(lambda ops: generate_misaligned_dataset(mesh, ops, 20, 4.0, seed=level))
+
+
+def test_psi_is_identity_only_on_the_vertices_in_order(sphere1):
+    ops = assemble(sphere1, vertex_locations(sphere1))
+    assert ops.psi_is_identity
+    assert np.array_equal(ops.psi.toarray(), np.eye(sphere1.K))
+    locations = vertex_locations(sphere1)
+    reversed_order = Locations(locations.triangles[::-1], locations.weights[::-1])
+    centroids = Locations(np.arange(sphere1.K) % sphere1.T,
+                          np.full((sphere1.K, 3), 1.0 / 3.0))
+    for other in (reversed_order, centroids):
+        ops = FemOperators(sphere1, other)
+        assert not ops.psi_is_identity
+        assert not np.array_equal(ops.psi.toarray(), np.eye(sphere1.K))
