@@ -83,6 +83,79 @@ class DataMatrix:
         flat = self.values.ravel()
         return float(np.dot(flat, flat))
 
+    @cached_property
+    def _gram(self):
+        """X X', the n x n Gram matrix of the rows, on first read: the
+        warm starts of a wide matrix (n <= s) and of its folds read it."""
+        return self.values @ self.values.T
+
+    @cached_property
+    def _row_norms2(self):
+        """Each row's squared norm, on first read."""
+        return np.einsum("ij,ij->i", self.values, self.values)
+
+
+class _Fold:
+    """Rows of a data matrix, read where they lie.
+
+    A K-fold training set is the rows ``rows`` of its component's one
+    working matrix ``X``, not a copy of them, and a full fit is the fold
+    of every row (``rows`` None), whose products are X's own. The
+    training rows' products come from X's: (X a)[rows] for X_train a,
+    X' applied to b scattered to the rows for X_train' b, and a block of
+    X's one Gram matrix for the warm start. Away from the full fold they
+    differ from a copy's products by roundoff.
+    """
+
+    def __init__(self, X: DataMatrix, rows=None):
+        self.X, self.rows = X, rows
+        self.n = X.n if rows is None else len(rows)
+        self.s = X.s
+
+    @cached_property
+    def xnorm2(self) -> float:
+        if self.rows is None:
+            return self.X.xnorm2
+        return float(self.X._row_norms2[self.rows].sum())
+
+    def any(self) -> bool:
+        """Whether some training row holds a nonzero entry."""
+        values = self.X.values
+        if self.rows is None:
+            return bool(values.any())
+        return bool(values.any(axis=1)[self.rows].any())
+
+    def project(self, a):
+        """The training rows applied to the s-vector ``a``."""
+        product = self.X.values @ a
+        return product if self.rows is None else product[self.rows]
+
+    def back(self, b):
+        """The training rows' transpose applied to the n-vector ``b``."""
+        if self.rows is not None:
+            b, scattered = np.zeros(self.X.n), b
+            b[self.rows] = scattered
+        return self.X.values.T @ b
+
+    def leading_right_vector(self):
+        """`_leading_right_vector` of the training rows. A wide X (n <= s)
+        takes its eigenvector from the rows' block of X X' (formed once
+        per matrix) and maps it back through `back`; a tall one gathers
+        the rows for their s x s Gram matrix, smaller than X X'."""
+        X = self.X
+        if X.n > X.s:
+            return _leading_right_vector(
+                X.values if self.rows is None else X.values[self.rows])
+        gram = X._gram if self.rows is None else X._gram[np.ix_(self.rows, self.rows)]
+        vector = np.linalg.eigh(gram)[1][:, -1]
+        return _unit(self.back(vector), "leading singular vector vanished")
+
+
+def _as_fold(X):
+    """``X`` itself when a `_Fold`, else the fold of every row of the
+    DataMatrix ``X``."""
+    return X if isinstance(X, _Fold) else _Fold(X)
+
 
 class ObservationSet:
     """Per-function observations for partially observed data.
@@ -196,15 +269,15 @@ def data_gram(ops: FemOperators):
 def initialize(X: DataMatrix):
     """Starting profile: leading right singular vector of the data matrix,
     from the eigendecomposition of its smaller Gram matrix
-    (`_leading_right_vector`).
+    (`_leading_right_vector`); of a fold's training rows for a `_Fold`.
 
     The sign is fixed so the largest-magnitude entry is positive, which
     makes the full fit invariant to a global sign flip of the data.
     """
-    values = X.values
-    if not values.any():
+    rows = _as_fold(X)
+    if not rows.any():
         raise DegenerateData("data matrix is identically zero")
-    f_s, _ = _fix_sign(_leading_right_vector(values))
+    f_s, _ = _fix_sign(rows.leading_right_vector())
     return f_s
 
 
@@ -238,12 +311,15 @@ def _gram_pairs(values, k):
     return vectors, [side @ v for v in vectors]
 
 
+_VANISHED_PROJECTION = "data projection onto the candidate profile vanished"
+
+
 def score_step(X: DataMatrix, f_s):
     """Unit-norm scores maximizing agreement with the profile ``f_s``."""
     f_s = np.asarray(f_s, dtype=np.float64)
     if f_s.shape != (X.s,):
         raise DimensionMismatch(f"profile must have length {X.s}, got {f_s.shape}")
-    return _unit(X.values @ f_s, "data projection onto the candidate profile vanished")
+    return _unit(_as_fold(X).project(f_s), _VANISHED_PROJECTION)
 
 
 def _unit(t, what):
@@ -259,7 +335,7 @@ def function_step(X: DataMatrix, u, system: solver.SaddleSystem, ops: FemOperato
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (X.n,):
         raise DimensionMismatch(f"scores must have length {X.n}, got {u.shape}")
-    z = X.values.T @ u
+    z = _as_fold(X).back(u)
     return system.solve(ops.psi.T @ z)
 
 
@@ -280,7 +356,8 @@ def fit_component(
 ) -> PcComponent:
     """Extract one component at a fixed smoothing parameter.
 
-    Alternates the score and function updates from the starting
+    ``X`` is a DataMatrix, or a `_Fold` of one for a K-fold training
+    set. Alternates the score and function updates from the starting
     profile ``start`` (by default ``initialize(X)``, the singular-vector
     initialization) until the relative change of the coefficient vector
     drops below ``tolerance`` or ``max_iterations`` passes complete
@@ -318,29 +395,44 @@ def fit_component(
 
 
 class _DenseTerm:
-    """Data term of a fully observed sample matrix: exact score and
-    function steps, with the factored system of each parameter taken
-    from ``systems``."""
+    """Data term of a fully observed sample matrix or of a `_Fold` of
+    one: exact score and function steps, with the factored system of
+    each parameter taken from ``systems``. ``solved`` maps a parameter
+    to a solution already made for the scores of the next solve (GCV's
+    walk solves each candidate it scores); that solve takes it."""
 
-    def __init__(self, X: DataMatrix, ops: FemOperators, systems):
-        self.X = X
+    def __init__(self, X, ops: FemOperators, systems):
+        self.X = _as_fold(X)
         self.ops = ops
         self.systems = systems
-        self.xnorm2 = X.xnorm2
+        self.xnorm2 = self.X.xnorm2
+        self.solved = {}
+        self._products = None  # (f, psi f, X psi f) of the last objective
+
+    def _projections(self, f):
+        """psi f and the training rows applied to it, formed once per f:
+        the objective of one pass and the scores of the next share them."""
+        if self._products is None or self._products[0] is not f:
+            f_s = self.ops.psi @ f
+            self._products = f, f_s, self.X.project(f_s)
+        return self._products[1:]
 
     def scores(self, f, g, lam):
         # The exact minimizer divides every projection by the same profile
         # energy plus penalty, which normalizing removes.
-        return score_step(self.X, self.ops.psi @ f)
+        return _unit(self._projections(f)[1], _VANISHED_PROJECTION)
 
     def solve(self, u, lam):
+        solution = self.solved.pop(lam, None)
+        if solution is not None:
+            return solution
         return function_step(self.X, u, self.systems[lam], self.ops)
 
     def objective(self, u, f, g, lam):
         # ||X - u f_s'||_F^2 expanded with ||u|| = 1, plus the penalty.
-        f_s = self.ops.psi @ f
+        f_s, projection = self._projections(f)
         pen = penalty_value(g, self.ops)
-        fit_term = self.xnorm2 - 2.0 * float(u @ (self.X.values @ f_s)) + float(f_s @ f_s)
+        fit_term = self.xnorm2 - 2.0 * float(u @ projection) + float(f_s @ f_s)
         return fit_term + lam * pen
 
 
@@ -411,16 +503,32 @@ def _finalize_component(u, f, g, lam, trace, converged, ops):
     )
 
 
-def deflate(X: DataMatrix, component: PcComponent) -> DataMatrix:
+# Entries of the n x s deflation's temporary: a block of rows at a time.
+_DEFLATE_BLOCK = 1 << 15
+
+
+def deflate(X: DataMatrix, component: PcComponent, out=None) -> DataMatrix:
     """Remove a fitted component: project the unit score direction out
-    of every column."""
+    of every column.
+
+    The deflated values go to ``out``, a writeable float64 array of X's
+    shape (new when None), whose read-only view the result holds.
+    ``out`` may be the array that X's values view: each block of rows
+    is read before it is written, so `fit` deflates its own copy in
+    place.
+    """
     u = component.scores
     if u.shape != (X.n,):
         raise DimensionMismatch("component scores do not match the data rows")
-    # u (-w) + X is X - u w bit for bit, in one n x s array
-    values = np.multiply.outer(u, -(u @ X.values))
-    values += X.values
-    return DataMatrix(values)
+    values = X.values
+    negated = -(u @ values)
+    out = np.empty_like(values) if out is None else out
+    step = max(1, _DEFLATE_BLOCK // X.s)
+    for start in range(0, X.n, step):
+        rows = slice(start, start + step)
+        # X + u (-w) is X - u w bit for bit
+        np.add(values[rows], np.multiply.outer(u[rows], negated), out=out[rows])
+    return DataMatrix(out.view())
 
 
 def adjusted_total_variance(components) -> np.ndarray:
@@ -484,6 +592,13 @@ def fit(
         Non-negative; drives the fold shuffle, and component c derives
         its own stream.
 
+    The fit holds one working copy of the data besides ``X``, whose
+    array it only reads: the centred copy, or for ``center=False`` the
+    first deflation's. Each later component deflates it in place
+    (`deflate`). K-fold folds are training rows of it (`_Fold`), not
+    copies, and the last component's walk drops each factorization no
+    later lookup can read (`selection._Systems`).
+
     Returns
     -------
     SmFpcaResult
@@ -501,9 +616,10 @@ def fit(
     )
     if center:
         mean_field = X.values.mean(axis=0)
-        X = DataMatrix(X.values - mean_field)
+        own = X.values - mean_field
+        X = DataMatrix(own.view())
     else:
-        mean_field = None
+        mean_field = own = None
 
     systems = _selection._Systems(ops)
 
@@ -513,6 +629,7 @@ def fit(
                                       max_iterations, tolerance)
         lam, trace = float(grid[0]), None
         if selection == "kfold":
+            systems.last_walk = comp_index == n_components - 1
             trace = _selection.kfold_select(
                 work, grid, folds, ops,
                 seed=[seed, comp_index], systems=systems,
@@ -525,7 +642,13 @@ def fit(
         )
         return component, trace
 
-    return _extract(X, n_components, fit_one, deflate, mean_field)
+    def deflate_own(work, component):
+        nonlocal own
+        if own is None:
+            own = np.empty_like(work.values)
+        return deflate(work, component, own)
+
+    return _extract(X, n_components, fit_one, deflate_own, mean_field)
 
 
 def _extract(data, n_components, fit_one, deflate_one, mean_field):
@@ -570,13 +693,17 @@ def _fit_component_gcv(X, grid, ops, systems, max_iterations, tolerance):
     # The parameter is re-selected at every alternation from the scores
     # of that iteration, so the objective is not comparable (and not
     # asserted monotone) across iterations; the last choice stands.
+    # Each walk has solved its candidates for the scores it chose at, the
+    # solve that follows included.
     selections = []
+    term = _DenseTerm(X, ops, systems)
 
     def choose(u):
         selections.append(_selection.gcv_select(X, u, grid, ops, systems=systems))
+        term.solved = systems.solutions
         return float(grid[selections[-1].chosen])
 
-    component = _alternate(_DenseTerm(X, ops, systems), score_step(X, initialize(X)),
+    component = _alternate(term, score_step(X, initialize(X)),
                            None, max_iterations, tolerance, choose)
     history = [float(grid[trace.chosen]) for trace in selections]
     return component, replace(selections[-1], history=history)
@@ -637,8 +764,8 @@ class _MissingState:
         self.ops = ops
         psi = location_matrix(ops.mesh, obs.locations)
         rows = [rows_i for rows_i, _ in obs.functions]
-        self.psis = [psi[rows_i] for rows_i in rows]
-        self._map_grams(psi[np.concatenate(rows)], [len(rows_i) for rows_i in rows])
+        stack, self.psis = _gathered_rows(psi, rows)
+        self._map_grams(stack, [len(rows_i) for rows_i in rows])
         self._set_values([vals for _, vals in obs.functions])
 
     def _set_values(self, values, d_matrix=None):
@@ -715,6 +842,30 @@ class _MissingState:
             for i, (psi_i, vals) in enumerate(zip(self.psis, self.values))
         ])
         return new
+
+
+def _gathered_rows(psi, rows):
+    """The rows ``rows[i]`` of the CSR matrix ``psi`` for every i, stacked
+    in order, and each i's own CSR matrix of them: bitwise what
+    ``psi[np.concatenate(rows)]`` and ``psi[rows[i]]`` make, from one
+    gather over psi's arrays rather than a row selection per function."""
+    import scipy.sparse as sparse
+
+    taken = np.concatenate(rows)
+    lengths = np.diff(psi.indptr)[taken]
+    indptr = np.zeros(len(taken) + 1, dtype=psi.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    at = np.repeat(psi.indptr[taken] - indptr[:-1], lengths) + np.arange(indptr[-1])
+    indices, data = psi.indices[at], psi.data[at]
+    K = psi.shape[1]
+    stack = sparse.csr_matrix((data, indices, indptr), shape=(len(taken), K))
+    bounds = np.cumsum([0] + [len(rows_i) for rows_i in rows])
+    psis = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lo, hi = indptr[a], indptr[b]
+        psis.append(sparse.csr_matrix(
+            (data[lo:hi], indices[lo:hi], indptr[a:b + 1] - lo), shape=(b - a, K)))
+    return stack, psis
 
 
 def _sorted_pattern(stack, owner):

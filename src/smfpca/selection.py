@@ -76,20 +76,36 @@ def make_folds(n: int, folds: int, seed):
 
 class _Systems(dict):
     """The candidates of one dense fit: their factored systems, keyed by
-    lambda, over one psi' psi block. A candidate is factored on its first
-    lookup and then lives as long as the store, which one fit owns and
-    no second thread reaches. ``traces`` holds each candidate's GCV
-    smoother trace (a `_Trace`)."""
+    lambda, over one psi' psi block. One fit owns the store and no
+    second thread reaches it. A candidate is factored on its first
+    lookup and kept while a later lookup of the fit may read it: a
+    K-fold walk tells `release` what that is, and during the fit's last
+    walk (``last_walk``: `fit` sets it per component, and a new store's
+    one walk is its last) every other factor is dropped. Earlier walks keep
+    theirs for the components after them, and GCV, which walks again
+    from the top at every alternation, keeps every factor it makes.
+    ``traces`` holds each candidate's GCV smoother trace (a `_Trace`),
+    and ``solutions`` the (f, g) of each candidate GCV's latest walk
+    scored, solved for that walk's scores."""
 
     def __init__(self, ops: FemOperators):
         super().__init__()
         self.ops = ops
         self.gram = estimator.data_gram(ops)
+        self.last_walk = True
         self.traces = {}
+        self.solutions = {}
 
     def __missing__(self, lam):
         self[lam] = system = solver.SaddleSystem(self.ops, self.gram, lam)
         return system
+
+    def release(self, keep):
+        """Drop every factor whose parameter is not in ``keep`` when the
+        walk is the fit's last; no later lookup reads those."""
+        if self.last_walk:
+            for lam in [lam for lam in self if lam not in keep]:
+                del self[lam]
 
 
 def default_lambda_grid(ops: FemOperators):
@@ -165,38 +181,50 @@ def _residuals(blocks, comp, lam, ops):
     return residuals
 
 
-def _kfold_trace(n, lambda_grid, folds, seed, ops, prepare,
-                 fit) -> SelectionTrace:
+def _kfold_trace(n, validated, lambda_grid, folds, seed, ops, prepare,
+                 validation, fit, release=None) -> SelectionTrace:
     """Check ``lambda_grid`` and score its candidates over ``folds``
     folds of ``range(n)``, drawn from ``seed`` by `make_folds`.
-    ``prepare(train_rows, val_rows)`` gives each fold its training set,
-    first start and validation blocks, once. The candidates run in the
-    order of `_walk`, each over every fold in turn, so consecutive fits
-    share one factored system; ``fit(lam, train, start)`` returns the
-    component and the fold's next start. A candidate scores the sum of
-    its `_residuals`, in fold order, over the number of values
-    validated; candidates the walk does not reach stay NaN."""
+    ``prepare(train_rows)`` gives each fold its training set and first
+    start, once; ``validation(val_rows)`` gives a fold's validation
+    blocks each time a candidate is scored on it, so that they are
+    gathered only while `_residuals` reads them. The candidates run in
+    the order of `_walk`, each over every fold in turn, so consecutive
+    fits share one factored system; ``fit(lam, train, start)`` returns
+    the component and the fold's next start. A candidate scores the sum
+    of its `_residuals`, in fold order, over the ``validated`` count of
+    values; candidates the walk does not reach stay NaN. After each
+    candidate, ``release``, when given, receives the parameters a later
+    lookup may still read: those not walked yet and the best so far
+    (every one tied at the best score), and after the walk the chosen
+    one."""
     grid = estimator._check_grid(lambda_grid)
     assignments = make_folds(n, folds, seed)
-    trains, starts, blocks = zip(*(
-        prepare(np.setdiff1d(np.arange(n), val), val) for val in assignments
-    ))
-    validated = sum(values.size for fold in blocks for values, _ in fold)
-    starts = list(starts)
+    trains, starts = map(list, zip(*(
+        prepare(np.setdiff1d(np.arange(n), val)) for val in assignments
+    )))
+    walked = {}
 
     def score(j):
         lam = float(grid[j])
         total = 0.0
-        for f, train in enumerate(trains):
+        for f, (train, val) in enumerate(zip(trains, assignments)):
             comp, starts[f] = fit(lam, train, starts[f])
-            for residual in _residuals(blocks[f], comp, lam, ops):
+            for residual in _residuals(validation(val), comp, lam, ops):
                 total += residual
-        return total / validated
+        walked[j] = total / validated
+        if release is not None:
+            best = min(walked.values())
+            release({float(grid[k]) for k in range(len(grid))
+                     if walked.get(k, best) == best})
+        return walked[j]
 
     scores = _walk(grid, score)
+    chosen = int(np.nanargmin(scores))
+    if release is not None:
+        release({float(grid[chosen])})
     return SelectionTrace(
-        lambda_grid=grid, scores=scores,
-        chosen=int(np.nanargmin(scores)), method="kfold",
+        lambda_grid=grid, scores=scores, chosen=chosen, method="kfold",
     )
 
 
@@ -209,11 +237,15 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
     training rows and validation rows receive unnormalized scores
     (data projection divided by the profile norm plus the weighted
     penalty). Accumulated squared validation residuals, averaged over
-    all matrix entries, score the candidate; the smallest wins. The
-    training rows and the singular-vector warm start do not depend on
-    the candidate, so each fold computes them once and every candidate
-    starts from them (continuing from the previous candidate's fit saves
-    nothing here, since the warm start is already a few solves from
+    all matrix entries, score the candidate; the smallest wins. A fold
+    is its training row indices into ``X`` (`estimator._Fold`), not a
+    copy: its fits read X's products at those rows, its validation rows
+    are gathered only while their residuals are formed, and its
+    singular-vector warm start comes from the training block of X's one
+    Gram matrix X X' (for n <= s). The warm start does not depend on the
+    candidate, so each fold computes it once and every candidate starts
+    from it (continuing from the previous candidate's fit saves nothing
+    here, since the warm start is already a few solves from
     convergence). The candidates run from the largest parameter down,
     each over the folds, and `_walk` stops at the first candidate that
     scores strictly above the best so far: on a unimodal score curve
@@ -233,13 +265,18 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         Seeds the fold shuffle only.
     systems : _Systems, optional
         The fit's store of factored candidates, new when None; a
-        candidate missing from it is factored on its first fit.
+        candidate missing from it is factored on its first fit. When the
+        walk is the store's last, the store keeps only the factors the
+        walk can still read and, after it, the chosen one's.
     """
     systems = _Systems(ops) if systems is None else systems
 
-    def prepare(train_rows, val_rows):
-        train = estimator.DataMatrix(X.values[train_rows])
-        return train, estimator.initialize(train), [(X.values[val_rows], ops.psi)]
+    def prepare(train_rows):
+        train = estimator._Fold(X, train_rows)
+        return train, estimator.initialize(train)
+
+    def validation(val_rows):
+        return [(X.values[val_rows], ops.psi)]
 
     def fit(lam, train, start):
         comp = estimator.fit_component(
@@ -248,7 +285,8 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         )
         return comp, start
 
-    return _kfold_trace(X.n, lambda_grid, folds, seed, ops, prepare, fit)
+    return _kfold_trace(X.n, X.n * X.s, lambda_grid, folds, seed, ops,
+                        prepare, validation, fit, systems.release)
 
 
 def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
@@ -268,10 +306,12 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
     on the candidates walked before, not on their order in
     ``lambda_grid``.
     """
-    def prepare(train_rows, val_rows):
+    def prepare(train_rows):
         train = state.subset(train_rows)
-        blocks = [(state.values[i], state.psis[i]) for i in val_rows]
-        return train, estimator._initial_scores_missing(train), blocks
+        return train, estimator._initial_scores_missing(train)
+
+    def validation(val_rows):
+        return [(state.values[i], state.psis[i]) for i in val_rows]
 
     def fit(lam, train, start):
         comp = estimator._fit_component_missing(
@@ -279,7 +319,9 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
         )
         return comp, comp.scores
 
-    return _kfold_trace(state.n, lambda_grid, folds, seed, ops, prepare, fit)
+    validated = sum(values.size for values in state.values)
+    return _kfold_trace(state.n, validated, lambda_grid, folds, seed, ops,
+                        prepare, validation, fit)
 
 
 # -- generalized cross-validation -------------------------------------
@@ -292,7 +334,11 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators,
     The data vector is the projection of the data matrix onto the unit
     scores ``u``. Each candidate's score is the mean squared smoothing
     residual divided by (1 - trace(S)/s)^2, where S maps the data
-    vector to the smoothed profile. The candidates are scored in the
+    vector to the smoothed profile, that is the function step at the
+    candidate (`estimator.function_step`); the store keeps each scored
+    candidate's (f, g) in ``solutions`` until the next call, so the
+    alternation that called takes the chosen one's without a second
+    solve. The candidates are scored in the
     order of `_walk`, from the largest parameter down to one past the
     first rise; the rest stay NaN and are neither factored nor traced.
     A candidate's score does not depend on the others, so the choice is
@@ -329,15 +375,15 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators,
     systems = _Systems(ops) if systems is None else systems
     traces = systems.traces
     lams = [float(lam) for lam in grid]
-    rhs = ops.psi.T @ z
     mean_square = {}
+    solutions = systems.solutions = {}
 
     def estimate(j):
         return _gcv_score(mean_square[lams[j]], traces[lams[j]], s)
 
     def score(j):
         system = systems[lams[j]]
-        f, _ = system.solve(rhs)
+        f, _ = solutions[lams[j]] = estimator.function_step(X, u, system, ops)
         resid = z - ops.psi @ f
         mean_square[lams[j]] = float(resid @ resid) / s
         if lams[j] not in traces:

@@ -853,6 +853,49 @@ def test_diagonal_pattern_matches_sorted_build(ops2, monkeypatch):
     assert [state._diagonal for state in quick] == [True, False]
 
 
+def row_selections(psi, rows):
+    """The stack and per-function matrices as scipy row selections make
+    them, one per function."""
+    return psi[np.concatenate(rows)], [psi[rows_i] for rows_i in rows]
+
+
+def one_observation(ops, n, seed):
+    """Masked vertex data in which function 1 is observed once."""
+    ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.1, seed)
+    values = ds.X.values.copy()
+    values[np.random.default_rng(seed).random(values.shape) < 0.2] = np.nan
+    values[1, :], values[1, 7] = np.nan, 0.5
+    return ObservationSet.from_masked(values, vertex_locations(ops.mesh))
+
+
+@pytest.mark.parametrize("case", ["vertices", "triangles", "one observation"])
+def test_gathered_rows_are_the_row_selections(ops2, monkeypatch, case):
+    # one gather over psi's arrays yields the row selections' matrices to
+    # the byte, and so the same pattern and map
+    obs = {"vertices": lambda: masked_observations(ops2, 12, 30),
+           "triangles": lambda: barycentric_functions(ops2, 12, 30)[0],
+           "one observation": lambda: one_observation(ops2, 12, 30)}[case]()
+    psi = location_matrix(ops2.mesh, obs.locations)
+    rows = [rows_i for rows_i, _ in obs.functions]
+    stack, psis = estimator._gathered_rows(psi, rows)
+    selected_stack, selected = row_selections(psi, rows)
+    assert_same_sparse(stack, selected_stack)
+    assert len(psis) == len(selected) == obs.n
+    for a, b in zip(psis, selected):
+        assert_same_sparse(a, b)
+    gathered = estimator._MissingState(obs, ops2)
+    monkeypatch.setattr(estimator, "_gathered_rows", row_selections)
+    reference = estimator._MissingState(obs, ops2)
+    for a, b in zip(gathered.psis, reference.psis):
+        assert_same_sparse(a, b)
+    assert_same_sparse(gathered.gram_map, reference.gram_map)
+    for name in ("_gram_rows", "_gram_indices", "_gram_indptr", "_diagonal"):
+        assert np.asarray(getattr(gathered, name)).tobytes() == \
+            np.asarray(getattr(reference, name)).tobytes(), name
+    if case == "one observation":
+        assert gathered.psis[1].shape == (1, ops2.vertex_count)
+
+
 def vertex_observed_once(ops, n, seed):
     """Masked vertex data in which only function 0 observes vertex 0: a
     fold holding function 0 out leaves a zero on its blocks' diagonals."""

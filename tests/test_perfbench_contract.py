@@ -4,6 +4,7 @@ renaming a function whose spans a layer metric sums silently zeroes it."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -101,3 +102,41 @@ def test_cli_import_loads_every_layer_and_not_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.split() == ["[]", "False"]
+
+
+def test_kfold_fold_fits_and_warm_starts_reach_the_traced_spans():
+    # perfbench derives selection.candidate_fits, estimator.component_fits
+    # and estimator.init_count from the estimator.fit_component and
+    # estimator.initialize spans, so a dense fold fit or fold warm start
+    # that bypassed either would zero its count without an error
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"""
+import importlib.util, json, sys
+sys.path[:0] = [{str(src)!r}, {str(PERFBENCH)!r}]
+import spans
+spec = importlib.util.spec_from_file_location("perfbench_run", {str(PERFBENCH / 'run.py')!r})
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+recorder = spans.Recorder(traced=True)
+spans.instrument(recorder)
+import numpy as np
+from smfpca import assemble, fit, unit_sphere_mesh, vertex_locations
+from smfpca.synth import generate_sphere_dataset
+mesh = unit_sphere_mesh(1)
+ops = assemble(mesh, vertex_locations(mesh))
+ds = generate_sphere_dataset(mesh, ops, 20, (4.0, 2.0), 0.3, 21)
+result = fit(ds.X, 2, np.logspace(-8, 1, 10), ops, selection="kfold", folds=4)
+report = dict(main_start=0.0, counters=recorder.counters, spans=recorder.spans)
+metrics = run.layer_metrics([dict(start=0.0, report=report)], 1.0)
+walked = sum(int((~np.isnan(trace.scores)).sum()) for trace in result.selection_traces)
+print(json.dumps(dict(walked=walked, **{{name: metrics[name] for name in (
+    "selection.candidate_fits", "estimator.component_fits", "estimator.init_count")}})))
+"""
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, timeout=120).stdout
+    counts = json.loads(out.splitlines()[-1])
+    folds, components = 4, 2
+    assert counts["walked"] >= components
+    assert counts["selection.candidate_fits"] == folds * counts["walked"]
+    assert counts["estimator.component_fits"] == folds * counts["walked"] + components
+    assert counts["estimator.init_count"] == components * (folds + 1)

@@ -1,4 +1,7 @@
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -52,8 +55,9 @@ def masked_state(ops, n, seed):
 
 
 def dense_kfold_oracle(X, grid, folds, ops, seed):
-    """K-fold scores from a fresh training matrix and a fresh warm start
-    for every (candidate, fold) pair."""
+    """K-fold scores from a fresh fold view and a fresh warm start for
+    every (candidate, fold) pair: the view holds the training rows of a
+    new copy of X, whose Gram matrix the warm start forms anew."""
     assignments = make_folds(X.n, folds, seed)
     scores = []
     for lam in grid:
@@ -61,7 +65,7 @@ def dense_kfold_oracle(X, grid, folds, ops, seed):
         total = 0.0
         for val_rows in assignments:
             train_rows = np.setdiff1d(np.arange(X.n), val_rows)
-            train = DataMatrix(X.values[train_rows])
+            train = estimator._Fold(DataMatrix(X.values.copy()), train_rows)
             comp = fit_component(train, lam, ops, system=system)
             f_un = comp.function_norm * comp.f_coefficients
             g_un = comp.function_norm * comp.g_coefficients
@@ -332,6 +336,53 @@ def test_fit_kfold_factors_only_walked_candidates(ops1, monkeypatch):
     assert {comp.lam for comp in result.components} <= walked
     assert sorted(factored) == sorted(walked)
     assert len(factored) < len(grid)
+
+
+def test_kfold_fit_holds_no_fold_copies(ops3):
+    # folds are row indices into the working matrix: a K-fold fit on a
+    # one-point grid (n <= K) peaks less than 1.5 data matrices above the
+    # fixed fit at its parameter; fold copies of the training and
+    # validation rows would add about 5
+    ds = generate_sphere_dataset(ops3.mesh, ops3, 40, (4.0, 2.0), 0.1, 5)
+    assert ds.X.n <= ds.X.s
+
+    def peak(method):
+        tracemalloc.start()
+        try:
+            fit(ds.X, 2, [1e-3], ops3, selection=method, folds=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fit(ds.X, 2, [1e-3], ops3, selection="kfold", folds=5)  # the operators' caches
+    assert peak("kfold") - peak("fixed") < 1.5 * ds.X.values.nbytes
+
+
+@pytest.mark.parametrize("n_components", [1, 2])
+def test_last_kfold_walk_factors_beside_the_best_alone(ops1, monkeypatch,
+                                                       n_components):
+    # during the fit's last walk each factorization finds only the running
+    # best's factor alive beside it, and no walked lambda is factored twice
+    live, alive, walks = weakref.WeakSet(), [], []
+    init, walk = solver.SaddleSystem.__init__, selection.kfold_select
+
+    def counted(self, *args):
+        init(self, *args)
+        live.add(self)
+        alive.append((len(walks), args[-1], len(live)))
+
+    def counted_walk(*args, **kwargs):
+        walks.append(None)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(solver.SaddleSystem, "__init__", counted)
+    monkeypatch.setattr(selection, "kfold_select", counted_walk)
+    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 21)
+    fit(ds.X, n_components, np.logspace(-8, 1, 10), ops1, selection="kfold", folds=4)
+    last = [count for walk_index, _, count in alive if walk_index == n_components]
+    assert last and max(last) <= 2
+    lams = [lam for _, lam, _ in alive]
+    assert len(lams) == len(set(lams))
 
 
 def test_kfold_missing_matches_per_pair_oracle_bitwise(ops1):
