@@ -41,8 +41,7 @@ from .errors import (
     InputError,
     NonMonotoneObjective,
 )
-from .fem import FemOperators, _fix_sign, l2_inner, location_matrix
-from .mesh import Locations
+from .fem import FemOperators, _checked_locations, _fix_sign, l2_inner, location_matrix
 
 _MONOTONE_SLACK = 1e-9
 # Deflated data whose squared norm has fallen to this share of the
@@ -203,13 +202,6 @@ class ObservationSet:
             )
         observed = [np.flatnonzero(~np.isnan(row)) for row in values]
         return cls(locations, [(rows, row[rows]) for rows, row in zip(observed, values)])
-
-
-def _checked_locations(locations):
-    if not isinstance(locations, Locations):
-        raise DimensionMismatch(
-            f"locations must be a Locations, got {type(locations).__name__}")
-    return locations
 
 
 @dataclass(eq=False)
@@ -397,16 +389,13 @@ def fit_component(
 class _DenseTerm:
     """Data term of a fully observed sample matrix or of a `_Fold` of
     one: exact score and function steps, with the factored system of
-    each parameter taken from ``systems``. ``solved`` maps a parameter
-    to a solution already made for the scores of the next solve (GCV's
-    walk solves each candidate it scores); that solve takes it."""
+    each parameter taken from ``systems``."""
 
     def __init__(self, X, ops: FemOperators, systems):
         self.X = _as_fold(X)
         self.ops = ops
         self.systems = systems
         self.xnorm2 = self.X.xnorm2
-        self.solved = {}
         self._products = None  # (f, psi f, X psi f) of the last objective
 
     def _projections(self, f):
@@ -423,9 +412,6 @@ class _DenseTerm:
         return _unit(self._projections(f)[1], _VANISHED_PROJECTION)
 
     def solve(self, u, lam):
-        solution = self.solved.pop(lam, None)
-        if solution is not None:
-            return solution
         return function_step(self.X, u, self.systems[lam], self.ops)
 
     def objective(self, u, f, g, lam):
@@ -693,14 +679,11 @@ def _fit_component_gcv(X, grid, ops, systems, max_iterations, tolerance):
     # The parameter is re-selected at every alternation from the scores
     # of that iteration, so the objective is not comparable (and not
     # asserted monotone) across iterations; the last choice stands.
-    # Each walk has solved its candidates for the scores it chose at, the
-    # solve that follows included.
     selections = []
     term = _DenseTerm(X, ops, systems)
 
     def choose(u):
         selections.append(_selection.gcv_select(X, u, grid, ops, systems=systems))
-        term.solved = systems.solutions
         return float(grid[selections[-1].chosen])
 
     component = _alternate(term, score_step(X, initialize(X)),
@@ -750,7 +733,15 @@ def _check_grid(lambda_grid):
 
 
 class _MissingState:
-    """Per-function sparse operators for one observation set.
+    """The observations of one observation set, stacked, and the sparse
+    operators of the fits made on them.
+
+    `stack` is the CSR matrix of every observation's psi row, function
+    by function (one row selection of psi), `observed` the matching
+    values and `bounds` the offsets of each function's rows: psi_i,
+    function i's location matrix, is rows bounds[i] to bounds[i + 1] of
+    the stack. Column i of `d_matrix` is psi_i' applied to function i's
+    values.
 
     Every weighted data block sum_i u_i^2 psi_i' psi_i lies on one
     pattern, fixed by the locations: the entry pairs (a, b) of some
@@ -764,29 +755,33 @@ class _MissingState:
         self.ops = ops
         psi = location_matrix(ops.mesh, obs.locations)
         rows = [rows_i for rows_i, _ in obs.functions]
-        stack, self.psis = _gathered_rows(psi, rows)
-        self._map_grams(stack, [len(rows_i) for rows_i in rows])
-        self._set_values([vals for _, vals in obs.functions])
+        self.stack = psi[np.concatenate(rows)]
+        self.bounds = np.cumsum([0] + [len(rows_i) for rows_i in rows])
+        self._map_grams(self.stack, np.repeat(np.arange(len(rows)), np.diff(self.bounds)))
+        self._set_observed(np.concatenate([vals for _, vals in obs.functions]))
 
-    def _set_values(self, values, d_matrix=None):
-        self.values = values
-        if d_matrix is None:
-            # Column i accumulates function i's observations onto vertices.
-            d_matrix = np.stack(
-                [psi_i.T @ vals for psi_i, vals in zip(self.psis, values)], axis=1
-            )
-        self.d_matrix = d_matrix
-        self.xnorm2 = float(sum(float(v @ v) for v in values))
+    def _set_observed(self, observed):
+        self.observed, stack, n = observed, self.stack, len(self.bounds) - 1
+        # Each entry of the stack adds its value times its row's
+        # observation to its (vertex, function) cell, in the order
+        # psi_i' vals adds them.
+        cells = stack.indices.astype(np.intp)
+        cells *= n
+        cells += np.repeat(np.arange(n), np.diff(stack.indptr[self.bounds]))
+        terms = np.repeat(observed, np.diff(stack.indptr))
+        terms *= stack.data
+        self.d_matrix = np.bincount(cells, terms, minlength=stack.shape[1] * n).reshape(-1, n)
+        self._norms2 = [float(v @ v) for v in np.split(observed, self.bounds[1:-1])]
+        self.xnorm2 = float(sum(self._norms2))
 
-    def _map_grams(self, stack, counts):
+    def _map_grams(self, stack, owner):
         """Build `gram_map` and the pattern (CSR `_gram_indices` and
         `_gram_indptr`, and `_gram_rows`) from the stacked location
-        matrices, ``counts[i]`` rows for function i, and note whether
-        the pattern is the whole diagonal (`_diagonal`)."""
+        matrices, row r of function ``owner[r]``, and note whether the
+        pattern is the whole diagonal (`_diagonal`)."""
         import scipy.sparse as sparse
 
-        K, n = stack.shape[1], len(counts)
-        owner = np.repeat(np.arange(n), counts)
+        K, n = stack.shape[1], int(owner[-1]) + 1
         one_each = (np.diff(stack.indptr) == 1).all()
         pattern, entry, products, functions = (
             _diagonal_pattern if one_each else _sorted_pattern)(stack, owner)
@@ -801,17 +796,21 @@ class _MissingState:
 
     @property
     def n(self):
-        return len(self.values)
+        return self.d_matrix.shape[1]
 
     def subset(self, rows):
+        """The training state of the functions ``rows``: the columns of
+        the map and of `d_matrix`, and its functions' squared norm. It
+        holds no observations, so it is fitted, not deflated."""
         state = copy.copy(self)
-        state.psis = [self.psis[i] for i in rows]
+        state.stack = state.observed = state.bounds = state._norms2 = None
         # The pattern keeps the full state's entries; those no training
         # function touches hold explicit zeros.
         state.gram_map = self.gram_map[:, rows]
         state._gram_map_t = state.gram_map.T
         # slicing, not restacking, keeps the full state's layout and rounding
-        state._set_values([self.values[i] for i in rows], self.d_matrix[:, rows])
+        state.d_matrix = self.d_matrix[:, rows]
+        state.xnorm2 = float(sum(self._norms2[i] for i in rows))
         return state
 
     def energies(self, f):
@@ -837,35 +836,9 @@ class _MissingState:
         # without a common grid).
         f_unnorm = component.function_norm * component.f_coefficients
         new = copy.copy(self)
-        new._set_values([
-            vals - component.scores[i] * (psi_i @ f_unnorm)
-            for i, (psi_i, vals) in enumerate(zip(self.psis, self.values))
-        ])
+        scores = np.repeat(component.scores, np.diff(self.bounds))  # one per row
+        new._set_observed(self.observed - scores * (self.stack @ f_unnorm))
         return new
-
-
-def _gathered_rows(psi, rows):
-    """The rows ``rows[i]`` of the CSR matrix ``psi`` for every i, stacked
-    in order, and each i's own CSR matrix of them: bitwise what
-    ``psi[np.concatenate(rows)]`` and ``psi[rows[i]]`` make, from one
-    gather over psi's arrays rather than a row selection per function."""
-    import scipy.sparse as sparse
-
-    taken = np.concatenate(rows)
-    lengths = np.diff(psi.indptr)[taken]
-    indptr = np.zeros(len(taken) + 1, dtype=psi.indptr.dtype)
-    np.cumsum(lengths, out=indptr[1:])
-    at = np.repeat(psi.indptr[taken] - indptr[:-1], lengths) + np.arange(indptr[-1])
-    indices, data = psi.indices[at], psi.data[at]
-    K = psi.shape[1]
-    stack = sparse.csr_matrix((data, indices, indptr), shape=(len(taken), K))
-    bounds = np.cumsum([0] + [len(rows_i) for rows_i in rows])
-    psis = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        lo, hi = indptr[a], indptr[b]
-        psis.append(sparse.csr_matrix(
-            (data[lo:hi], indices[lo:hi], indptr[a:b + 1] - lo), shape=(b - a, K)))
-    return stack, psis
 
 
 def _sorted_pattern(stack, owner):

@@ -130,15 +130,20 @@ def _summed_elements(mesh: TriangleMesh, elements):
                              shape=(mesh.K, mesh.K)).tocsr()
 
 
+def _checked_locations(locations):
+    """``locations``, once checked to be a `Locations`."""
+    if not isinstance(locations, Locations):
+        raise DimensionMismatch(
+            f"locations must be a Locations, got {type(locations).__name__}")
+    return locations
+
+
 def location_matrix(mesh: TriangleMesh, locations: Locations) -> "scipy.sparse.csr_matrix":
     """Sparse (s, K) matrix of the barycentric weights that evaluate
     vertex coefficients at ``locations``."""
     import scipy.sparse as sparse
 
-    if not isinstance(locations, Locations):
-        raise DimensionMismatch(
-            f"locations must be a Locations, got {type(locations).__name__}")
-    t = locations.triangles
+    t = _checked_locations(locations).triangles
     outside = np.flatnonzero((t < 0) | (t >= mesh.T))
     if outside.size:
         j = int(outside[0])

@@ -84,9 +84,7 @@ class _Systems(dict):
     one walk is its last) every other factor is dropped. Earlier walks keep
     theirs for the components after them, and GCV, which walks again
     from the top at every alternation, keeps every factor it makes.
-    ``traces`` holds each candidate's GCV smoother trace (a `_Trace`),
-    and ``solutions`` the (f, g) of each candidate GCV's latest walk
-    scored, solved for that walk's scores."""
+    ``traces`` holds each candidate's GCV smoother trace (a `_Trace`)."""
 
     def __init__(self, ops: FemOperators):
         super().__init__()
@@ -94,7 +92,6 @@ class _Systems(dict):
         self.gram = estimator.data_gram(ops)
         self.last_walk = True
         self.traces = {}
-        self.solutions = {}
 
     def __missing__(self, lam):
         self[lam] = system = solver.SaddleSystem(self.ops, self.gram, lam)
@@ -164,15 +161,14 @@ def _walk(grid, score, settle=None):
 
 
 def _residuals(blocks, comp, lam, ops):
-    """Squared residual of each validation block ``(values, psi)``, whose
-    rows (one for a masked function) are scored on the block's evaluated
-    unnormalized profile: projection over profile energy plus penalty."""
-    f_un = comp.function_norm * comp.f_coefficients
+    """Squared residual of each validation block ``(values, profile)``,
+    whose rows (one for a masked function) are scored on ``profile``,
+    the unnormalized fitted profile at the block's points: projection
+    over profile energy plus penalty."""
     g_un = comp.function_norm * comp.g_coefficients
     pen = lam * estimator.penalty_value(g_un, ops)
     residuals = []
-    for values, psi in blocks:
-        profile = psi @ f_un
+    for values, profile in blocks:
         denom = float(profile @ profile) + pen
         inner = values @ profile
         u_val = inner / denom if denom > 0 else np.zeros_like(inner)
@@ -186,18 +182,19 @@ def _kfold_trace(n, validated, lambda_grid, folds, seed, ops, prepare,
     """Check ``lambda_grid`` and score its candidates over ``folds``
     folds of ``range(n)``, drawn from ``seed`` by `make_folds`.
     ``prepare(train_rows)`` gives each fold its training set and first
-    start, once; ``validation(val_rows)`` gives a fold's validation
-    blocks each time a candidate is scored on it, so that they are
-    gathered only while `_residuals` reads them. The candidates run in
-    the order of `_walk`, each over every fold in turn, so consecutive
-    fits share one factored system; ``fit(lam, train, start)`` returns
-    the component and the fold's next start. A candidate scores the sum
-    of its `_residuals`, in fold order, over the ``validated`` count of
-    values; candidates the walk does not reach stay NaN. After each
-    candidate, ``release``, when given, receives the parameters a later
-    lookup may still read: those not walked yet and the best so far
-    (every one tied at the best score), and after the walk the chosen
-    one."""
+    start, once; ``validation(val_rows, f)`` gives a fold's validation
+    blocks, each its values and the unnormalized fitted profile ``f``
+    evaluated at their points, each time a candidate is scored on it,
+    so that they are gathered only while `_residuals` reads them. The
+    candidates run in the order of `_walk`, each over every fold in
+    turn, so consecutive fits share one factored system;
+    ``fit(lam, train, start)`` returns the component and the fold's next
+    start. A candidate scores the sum of its `_residuals`, in fold
+    order, over the ``validated`` count of values; candidates the walk
+    does not reach stay NaN. After each candidate, ``release``, when
+    given, receives the parameters a later lookup may still read: those
+    not walked yet and the best so far (every one tied at the best
+    score), and after the walk the chosen one."""
     grid = estimator._check_grid(lambda_grid)
     assignments = make_folds(n, folds, seed)
     trains, starts = map(list, zip(*(
@@ -210,7 +207,8 @@ def _kfold_trace(n, validated, lambda_grid, folds, seed, ops, prepare,
         total = 0.0
         for f, (train, val) in enumerate(zip(trains, assignments)):
             comp, starts[f] = fit(lam, train, starts[f])
-            for residual in _residuals(validation(val), comp, lam, ops):
+            f_un = comp.function_norm * comp.f_coefficients
+            for residual in _residuals(validation(val, f_un), comp, lam, ops):
                 total += residual
         walked[j] = total / validated
         if release is not None:
@@ -275,8 +273,8 @@ def kfold_select(X, lambda_grid, folds, ops: FemOperators, seed=0,
         train = estimator._Fold(X, train_rows)
         return train, estimator.initialize(train)
 
-    def validation(val_rows):
-        return [(X.values[val_rows], ops.psi)]
+    def validation(val_rows, f):
+        return [(X.values[val_rows], ops.psi @ f)]
 
     def fit(lam, train, start):
         comp = estimator.fit_component(
@@ -298,20 +296,24 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
     inner product by that function's own profile energy plus the
     weighted penalty; residuals run over observed entries only and are
     averaged over the total observation count. Each fold builds its
-    training state and initial scores once. The candidates run in
-    descending order of the parameter, each over the folds, and stop as
-    in `kfold_select`. In each fold the first candidate starts from the
-    initial scores and each later one from its predecessor's converged
-    scores, which are close to its own fit. The scores therefore depend
-    on the candidates walked before, not on their order in
-    ``lambda_grid``.
+    training state (`estimator._MissingState.subset`) and initial scores
+    once, and each of its fits evaluates its profile at every stacked
+    observation in one product, from which each held-out function takes
+    its rows. The candidates run in descending order of the parameter,
+    each over the folds, and stop as in `kfold_select`. In each fold the
+    first candidate starts from the initial scores and each later one
+    from its predecessor's converged scores, which are close to its own
+    fit. The scores therefore depend on the candidates walked before,
+    not on their order in ``lambda_grid``.
     """
     def prepare(train_rows):
         train = state.subset(train_rows)
         return train, estimator._initial_scores_missing(train)
 
-    def validation(val_rows):
-        return [(state.values[i], state.psis[i]) for i in val_rows]
+    def validation(val_rows, f):
+        evaluated, bounds = state.stack @ f, state.bounds
+        return [(state.observed[a:b], evaluated[a:b])
+                for a, b in zip(bounds[val_rows], bounds[val_rows + 1])]
 
     def fit(lam, train, start):
         comp = estimator._fit_component_missing(
@@ -319,8 +321,7 @@ def kfold_select_missing(state, lambda_grid, folds, ops: FemOperators,
         )
         return comp, comp.scores
 
-    validated = sum(values.size for values in state.values)
-    return _kfold_trace(state.n, validated, lambda_grid, folds, seed, ops,
+    return _kfold_trace(state.n, state.observed.size, lambda_grid, folds, seed, ops,
                         prepare, validation, fit)
 
 
@@ -335,12 +336,11 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators,
     scores ``u``. Each candidate's score is the mean squared smoothing
     residual divided by (1 - trace(S)/s)^2, where S maps the data
     vector to the smoothed profile, that is the function step at the
-    candidate (`estimator.function_step`); the store keeps each scored
-    candidate's (f, g) in ``solutions`` until the next call, so the
-    alternation that called takes the chosen one's without a second
-    solve. The candidates are scored in the
-    order of `_walk`, from the largest parameter down to one past the
-    first rise; the rest stay NaN and are neither factored nor traced.
+    candidate (`estimator.function_step`), solved here from the one
+    right-hand side psi' z that every candidate shares (z is the data
+    vector). The candidates are scored in the order of `_walk`, from the
+    largest parameter down to one past the first rise; the rest stay
+    NaN and are neither factored nor traced.
     A candidate's score does not depend on the others, so the choice is
     the full grid's whenever the curve falls to its minimum and rises
     after it. A walk whose smallest score is the top candidate has not
@@ -371,19 +371,19 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators,
     if u.shape != (X.n,):
         raise DimensionMismatch(f"scores must have length {X.n}, got {u.shape}")
     z = X.values.T @ u
+    rhs = ops.psi.T @ z
     s = X.s
     systems = _Systems(ops) if systems is None else systems
     traces = systems.traces
     lams = [float(lam) for lam in grid]
     mean_square = {}
-    solutions = systems.solutions = {}
 
     def estimate(j):
         return _gcv_score(mean_square[lams[j]], traces[lams[j]], s)
 
     def score(j):
         system = systems[lams[j]]
-        f, _ = solutions[lams[j]] = estimator.function_step(X, u, system, ops)
+        f, _ = system.solve(rhs)
         resid = z - ops.psi @ f
         mean_square[lams[j]] = float(resid @ resid) / s
         if lams[j] not in traces:

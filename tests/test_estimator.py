@@ -786,11 +786,23 @@ def assert_same_sparse(a, b):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
+def owners(state):
+    """The function of each row of the state's stack."""
+    return np.repeat(np.arange(state.n), np.diff(state.bounds))
+
+
+def row_selections(ops, obs):
+    """Each function's scipy row selection of psi, and its values."""
+    psi = location_matrix(ops.mesh, obs.locations)
+    return [psi[rows] for rows, _ in obs.functions], [vals for _, vals in obs.functions]
+
+
 def test_weighted_gram_and_energies_match_explicit_sums(ops2):
     # Each psi_i is a row slice of one psi: a row selection of I on
     # masked vertex data, and each function's own location matrix at
-    # points inside triangles. The map, the accumulated observations and
-    # a subset are those of the per-function matrices stacked, bytewise.
+    # points inside triangles. The stack, the map, the accumulated
+    # observations and a subset are those of the per-function matrices
+    # stacked, bytewise.
     masked = masked_observations(ops2, 12, 30)
     eye = sparse.identity(ops2.vertex_count, format="csr")
     for obs, refs in (
@@ -798,10 +810,12 @@ def test_weighted_gram_and_energies_match_explicit_sums(ops2):
         barycentric_functions(ops2, 12, 30),
     ):
         state = estimator._MissingState(obs, ops2)
-        for psi_i, ref in zip(state.psis, refs):
+        psis, _ = row_selections(ops2, obs)
+        for psi_i, ref in zip(psis, refs):
             assert_same_sparse(psi_i, ref)
+        assert_same_sparse(state.stack, sparse.vstack(refs, format="csr"))
         stacked = copy.copy(state)
-        stacked._map_grams(sparse.vstack(refs, format="csr"), [r.shape[0] for r in refs])
+        stacked._map_grams(sparse.vstack(refs, format="csr"), owners(state))
         assert_same_sparse(state.gram_map, stacked.gram_map)
         for name in ("_gram_rows", "_gram_indices", "_gram_indptr"):
             assert getattr(state, name).tobytes() == getattr(stacked, name).tobytes()
@@ -809,26 +823,26 @@ def test_weighted_gram_and_energies_match_explicit_sums(ops2):
         assert state.d_matrix.tobytes() == np.stack(accumulated, axis=1).tobytes()
         rows = np.array([0, 3, 4, 9, 11])
         part = state.subset(rows)
-        assert all(a is state.psis[i] for a, i in zip(part.psis, rows))
         assert_same_sparse(part.gram_map, state.gram_map[:, rows])
         assert part.d_matrix.tobytes() == state.d_matrix[:, rows].tobytes()
 
     # the explicit sums run on the last state, at points inside triangles
-    assert max(np.diff(p.indptr).max() for p in state.psis) == 3
+    assert max(np.diff(p.indptr).max() for p in psis) == 3
     component = estimator._fit_component_missing(state, 1e-3, ops2, 15, 1e-6)
     rng = np.random.default_rng(31)
-    for current in (state, state.subset(np.array([0, 3, 4, 9, 11])),
-                    state.deflated(component)):
+    for current, current_psis in ((state, psis),
+                                  (state.subset(rows), [psis[i] for i in rows]),
+                                  (state.deflated(component), psis)):
         u = rng.standard_normal(current.n)
         u[::3] = 0.0
         explicit = sum(u_i**2 * (psi_i.T @ psi_i).toarray()
-                       for u_i, psi_i in zip(u, current.psis))
+                       for u_i, psi_i in zip(u, current_psis))
         gram = current.weighted_gram(u)
         assert gram.shape == explicit.shape
         assert np.abs(gram.toarray() - explicit).max() <= 1e-14 * np.abs(explicit).max()
         # the same map gives each function's profile energy
         f = rng.standard_normal(ops2.vertex_count)
-        energies = [float((psi_i @ f) @ (psi_i @ f)) for psi_i in current.psis]
+        energies = [float((psi_i @ f) @ (psi_i @ f)) for psi_i in current_psis]
         np.testing.assert_allclose(current.energies(f), energies, rtol=1e-12)
 
 
@@ -853,12 +867,6 @@ def test_diagonal_pattern_matches_sorted_build(ops2, monkeypatch):
     assert [state._diagonal for state in quick] == [True, False]
 
 
-def row_selections(psi, rows):
-    """The stack and per-function matrices as scipy row selections make
-    them, one per function."""
-    return psi[np.concatenate(rows)], [psi[rows_i] for rows_i in rows]
-
-
 def one_observation(ops, n, seed):
     """Masked vertex data in which function 1 is observed once."""
     ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.1, seed)
@@ -869,31 +877,42 @@ def one_observation(ops, n, seed):
 
 
 @pytest.mark.parametrize("case", ["vertices", "triangles", "one observation"])
-def test_gathered_rows_are_the_row_selections(ops2, monkeypatch, case):
-    # one gather over psi's arrays yields the row selections' matrices to
-    # the byte, and so the same pattern and map
+def test_stacked_state_matches_row_selections(ops2, case):
+    # the stack, the accumulated observations, the squared norm, a
+    # deflation's values and a subset's arrays are those that each
+    # function's own row selection of psi gives, bytewise
     obs = {"vertices": lambda: masked_observations(ops2, 12, 30),
            "triangles": lambda: barycentric_functions(ops2, 12, 30)[0],
            "one observation": lambda: one_observation(ops2, 12, 30)}[case]()
-    psi = location_matrix(ops2.mesh, obs.locations)
-    rows = [rows_i for rows_i, _ in obs.functions]
-    stack, psis = estimator._gathered_rows(psi, rows)
-    selected_stack, selected = row_selections(psi, rows)
-    assert_same_sparse(stack, selected_stack)
-    assert len(psis) == len(selected) == obs.n
-    for a, b in zip(psis, selected):
-        assert_same_sparse(a, b)
-    gathered = estimator._MissingState(obs, ops2)
-    monkeypatch.setattr(estimator, "_gathered_rows", row_selections)
-    reference = estimator._MissingState(obs, ops2)
-    for a, b in zip(gathered.psis, reference.psis):
-        assert_same_sparse(a, b)
-    assert_same_sparse(gathered.gram_map, reference.gram_map)
-    for name in ("_gram_rows", "_gram_indices", "_gram_indptr", "_diagonal"):
-        assert np.asarray(getattr(gathered, name)).tobytes() == \
-            np.asarray(getattr(reference, name)).tobytes(), name
+    psis, values = row_selections(ops2, obs)
+
+    def accumulated(rows, vals):
+        return np.stack([psis[i].T @ v for i, v in zip(rows, vals)], axis=1)
+
+    def norm2(vals):
+        return float(sum(float(v @ v) for v in vals))
+
+    state = estimator._MissingState(obs, ops2)
+    assert_same_sparse(state.stack, sparse.vstack(psis, format="csr"))
+    assert state.d_matrix.tobytes() == accumulated(range(obs.n), values).tobytes()
+    assert state.xnorm2 == norm2(values)
+    component = estimator._fit_component_missing(state, 1e-3, ops2, 15, 1e-6)
+    f_un = component.function_norm * component.f_coefficients
+    deflated = [v - component.scores[i] * (psis[i] @ f_un) for i, v in enumerate(values)]
+    new = state.deflated(component)
+    assert new.observed.tobytes() == np.concatenate(deflated).tobytes()
+    assert new.d_matrix.tobytes() == accumulated(range(obs.n), deflated).tobytes()
+    assert new.xnorm2 == norm2(deflated)
+    reference = copy.copy(state)
+    reference._map_grams(sparse.vstack(psis, format="csr"), owners(state))
+    rows = np.array([1, 2, 5, 8, 11])
+    part = state.subset(rows)
+    assert part.n == len(rows)
+    assert part.d_matrix.tobytes() == accumulated(rows, [values[i] for i in rows]).tobytes()
+    assert_same_sparse(part.gram_map, reference.gram_map[:, rows])
+    assert part.xnorm2 == norm2([values[i] for i in rows])
     if case == "one observation":
-        assert gathered.psis[1].shape == (1, ops2.vertex_count)
+        assert np.diff(state.bounds)[1] == 1
 
 
 def vertex_observed_once(ops, n, seed):

@@ -104,11 +104,10 @@ def test_cli_import_loads_every_layer_and_not_scipy_sparse():
     assert out.split() == ["[]", "False"]
 
 
-def test_kfold_fold_fits_and_warm_starts_reach_the_traced_spans():
-    # perfbench derives selection.candidate_fits, estimator.component_fits
-    # and estimator.init_count from the estimator.fit_component and
-    # estimator.initialize spans, so a dense fold fit or fold warm start
-    # that bypassed either would zero its count without an error
+def traced_kfold_metrics(fit_call, names):
+    """Run ``fit_call`` (an expression over ``ds`` and ``ops``, a level-1
+    sphere, 20 functions) under perfbench's tracing in a new process;
+    return the layer metrics ``names`` and the candidates walked."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = f"""
 import importlib.util, json, sys
@@ -120,23 +119,50 @@ spec.loader.exec_module(run)
 recorder = spans.Recorder(traced=True)
 spans.instrument(recorder)
 import numpy as np
-from smfpca import assemble, fit, unit_sphere_mesh, vertex_locations
+from smfpca import (ObservationSet, assemble, fit, fit_missing, unit_sphere_mesh,
+                    vertex_locations)
 from smfpca.synth import generate_sphere_dataset
 mesh = unit_sphere_mesh(1)
 ops = assemble(mesh, vertex_locations(mesh))
 ds = generate_sphere_dataset(mesh, ops, 20, (4.0, 2.0), 0.3, 21)
-result = fit(ds.X, 2, np.logspace(-8, 1, 10), ops, selection="kfold", folds=4)
+result = {fit_call}
 report = dict(main_start=0.0, counters=recorder.counters, spans=recorder.spans)
 metrics = run.layer_metrics([dict(start=0.0, report=report)], 1.0)
 walked = sum(int((~np.isnan(trace.scores)).sum()) for trace in result.selection_traces)
-print(json.dumps(dict(walked=walked, **{{name: metrics[name] for name in (
-    "selection.candidate_fits", "estimator.component_fits", "estimator.init_count")}})))
+print(json.dumps(dict(walked=walked, **{{name: metrics[name] for name in {names!r}}})))
 """
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, timeout=120).stdout
-    counts = json.loads(out.splitlines()[-1])
+    return json.loads(out.splitlines()[-1])
+
+
+def test_kfold_fold_fits_and_warm_starts_reach_the_traced_spans():
+    # perfbench derives selection.candidate_fits, estimator.component_fits
+    # and estimator.init_count from the estimator.fit_component and
+    # estimator.initialize spans, so a dense fold fit or fold warm start
+    # that bypassed either would zero its count without an error
+    counts = traced_kfold_metrics(
+        'fit(ds.X, 2, np.logspace(-8, 1, 10), ops, selection="kfold", folds=4)',
+        ("selection.candidate_fits", "estimator.component_fits", "estimator.init_count"))
     folds, components = 4, 2
     assert counts["walked"] >= components
     assert counts["selection.candidate_fits"] == folds * counts["walked"]
     assert counts["estimator.component_fits"] == folds * counts["walked"] + components
     assert counts["estimator.init_count"] == components * (folds + 1)
+
+
+def test_masked_kfold_fits_grams_and_deflations_reach_the_traced_spans():
+    # a masked fit's component fits, Gram builds and deflation are
+    # counted and timed through the estimator._fit_component_missing,
+    # _MissingState.weighted_gram and _MissingState.deflated spans; work
+    # moved out of them would zero those metrics without an error
+    counts = traced_kfold_metrics(
+        "fit_missing(ObservationSet.from_masked(np.where(np.random.default_rng(3)"
+        ".random(ds.X.values.shape) < 0.2, np.nan, ds.X.values), vertex_locations(mesh)), "
+        '2, np.logspace(-8, 1, 10), ops, selection="kfold", folds=4)',
+        ("estimator.component_fits", "estimator.weighted_gram_s", "estimator.deflate_s"))
+    folds, components = 4, 2
+    assert counts["walked"] >= components
+    assert counts["estimator.component_fits"] == folds * counts["walked"] + components
+    assert counts["estimator.weighted_gram_s"] > 0
+    assert counts["estimator.deflate_s"] > 0

@@ -25,6 +25,7 @@ from smfpca import (
     vertex_locations,
 )
 from smfpca import estimator, selection, solver
+from smfpca.fem import location_matrix
 from smfpca.selection import kfold_select_missing
 from smfpca.synth import generate_sphere_dataset
 
@@ -46,12 +47,15 @@ def dense_gcv_scores(ops, z, grid):
     return np.array(out)
 
 
-def masked_state(ops, n, seed):
+def masked_set(ops, n, seed):
     ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.3, seed)
     values = ds.X.values.copy()
     values[np.random.default_rng(seed).random(values.shape) < 0.2] = np.nan
-    obs = ObservationSet.from_masked(values, vertex_locations(ops.mesh))
-    return estimator._MissingState(obs, ops)
+    return ObservationSet.from_masked(values, vertex_locations(ops.mesh))
+
+
+def masked_state(ops, n, seed):
+    return estimator._MissingState(masked_set(ops, n, seed), ops)
 
 
 def dense_kfold_oracle(X, grid, folds, ops, seed):
@@ -93,11 +97,16 @@ def walk(scores, grid):
     return walked
 
 
-def masked_kfold_oracle(state, grid, folds, ops, seed):
+def masked_kfold_oracle(obs, grid, folds, ops, seed):
     """Missing-data K-fold scores: each fold fits every candidate in
     descending order on a fresh training subset, the first from fresh
-    initial scores and each later one from its predecessor's scores;
+    initial scores and each later one from its predecessor's scores,
+    and validates on each held-out function's own row selection of psi;
     the walk then keeps those it reaches."""
+    state = estimator._MissingState(obs, ops)
+    psi = location_matrix(ops.mesh, obs.locations)
+    psis = [psi[rows] for rows, _ in obs.functions]
+    values = [vals for _, vals in obs.functions]
     assignments = make_folds(state.n, folds, seed)
     totals = [0.0] * len(grid)
     for val_rows in assignments:
@@ -110,13 +119,13 @@ def masked_kfold_oracle(state, grid, folds, ops, seed):
             f_un = comp.function_norm * comp.f_coefficients
             pen = lam * penalty_value(comp.function_norm * comp.g_coefficients, ops)
             for i in val_rows:
-                evaluated = state.psis[i] @ f_un
-                u_i = float(state.values[i] @ evaluated) / (
+                evaluated = psis[i] @ f_un
+                u_i = float(values[i] @ evaluated) / (
                     float(evaluated @ evaluated) + pen
                 )
-                resid = state.values[i] - u_i * evaluated
+                resid = values[i] - u_i * evaluated
                 totals[j] += float(resid @ resid)
-    counted = sum(len(values) for values in state.values)
+    counted = sum(len(vals) for vals in values)
     return walk(np.array(totals) / counted, grid)
 
 
@@ -386,10 +395,10 @@ def test_last_kfold_walk_factors_beside_the_best_alone(ops1, monkeypatch,
 
 
 def test_kfold_missing_matches_per_pair_oracle_bitwise(ops1):
-    state = masked_state(ops1, 20, 22)
+    obs = masked_set(ops1, 20, 22)
     grid = [1e-6, 1e-3, 1e-8, 1e-1, 10.0]
-    trace = kfold_select_missing(state, grid, 4, ops1, seed=3)
-    oracle = masked_kfold_oracle(state, grid, 4, ops1, seed=3)
+    trace = kfold_select_missing(estimator._MissingState(obs, ops1), grid, 4, ops1, seed=3)
+    oracle = masked_kfold_oracle(obs, grid, 4, ops1, seed=3)
     # NaN in the same places: the walk stops past the minimum at 1e-3
     np.testing.assert_array_equal(trace.scores, oracle)
     assert np.isnan(trace.scores).tolist() == [False, False, True, False, False]
