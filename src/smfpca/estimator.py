@@ -255,7 +255,7 @@ class SmFpcaResult:
 
 def data_gram(ops: FemOperators):
     """The psi' psi data block shared by every dense-data system."""
-    return (ops.psi.T @ ops.psi).tocsr()
+    return (ops.psi_t @ ops.psi).tocsr()
 
 
 def initialize(X: DataMatrix):
@@ -328,7 +328,7 @@ def function_step(X: DataMatrix, u, system: solver.SaddleSystem, ops: FemOperato
     if u.shape != (X.n,):
         raise DimensionMismatch(f"scores must have length {X.n}, got {u.shape}")
     z = _as_fold(X).back(u)
-    return system.solve(ops.psi.T @ z)
+    return system.solve(ops.psi_t @ z)
 
 
 def penalty_value(g, ops: FemOperators) -> float:

@@ -38,6 +38,8 @@ class FemOperators:
         Nodal basis functions evaluated at the sampling locations; each
         row holds the barycentric weights of one location (at most three
         nonzeros, nonnegative, summing to 1).
+    psi_t : scipy.sparse.csc_matrix, shape (K, s)
+        psi transposed, formed once: a CSC view of psi's arrays.
     mass : scipy.sparse.csr_matrix, shape (K, K)
         Integrals of products of basis functions (symmetric positive
         definite); discretizes the surface L2 inner product.
@@ -52,6 +54,10 @@ class FemOperators:
     @cached_property
     def psi(self) -> "scipy.sparse.csr_matrix":
         return location_matrix(self.mesh, self.locations)
+
+    @cached_property
+    def psi_t(self) -> "scipy.sparse.csc_matrix":
+        return self.psi.T
 
     @cached_property
     def mass(self) -> "scipy.sparse.csr_matrix":

@@ -9,6 +9,7 @@ properties only read it, so concurrent reads are safe.
 """
 
 import operator
+import os
 import warnings
 
 import numpy as np
@@ -300,103 +301,114 @@ def load_mesh(path) -> TriangleMesh:
     TopologyError, DegenerateTriangle
         Propagated from mesh validation.
     """
-    significant = []
     with open(path, "r", encoding="ascii", errors="replace") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if text:
-                significant.append((lineno, text))
-    cursor = 0
+        lines = _significant_lines(handle)
+        last = 1  # the number of the last significant line read
 
-    def next_line(expect):
-        nonlocal cursor
-        if cursor >= len(significant):
-            last = significant[-1][0] if significant else 1
-            raise ParseError(f"unexpected end of file, expected {expect}", line=last)
-        item = significant[cursor]
-        cursor += 1
-        return item
+        def next_line(expect):
+            nonlocal last
+            item = next(lines, None)
+            if item is None:
+                raise ParseError(f"unexpected end of file, expected {expect}", line=last)
+            last = item[0]
+            return item
 
-    lineno, text = next_line("OFF header")
-    if text != "OFF":
-        raise ParseError(f"expected OFF header, found {text!r}", line=lineno)
-    lineno, text = next_line("counts line")
-    parts = text.split()
-    if len(parts) not in (2, 3):
-        raise ParseError("counts line must read 'K T E'", line=lineno)
-    try:
-        n_vertices, n_faces = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("counts line must hold integers", line=lineno) from None
-    if n_vertices < 0 or n_faces < 0:
-        raise ParseError("negative count", line=lineno)
-
-    blocks = _converted_blocks(significant[cursor:], n_vertices, n_faces)
-    if blocks is not None:
-        return TriangleMesh(*blocks)
-
-    # The line scan names the first faulty line. The counts are claims:
-    # allocate no more rows than the file has lines.
-    vertices = np.empty((min(n_vertices, len(significant) - cursor), 3))
-    for k in range(n_vertices):
-        lineno, text = next_line(f"vertex line {k}")
+        lineno, text = next_line("OFF header")
+        if text != "OFF":
+            raise ParseError(f"expected OFF header, found {text!r}", line=lineno)
+        lineno, text = next_line("counts line")
         parts = text.split()
-        if len(parts) != 3:
-            raise ParseError(
-                f"vertex line must hold 3 coordinates, found {len(parts)}",
-                line=lineno,
-            )
+        if len(parts) not in (2, 3):
+            raise ParseError("counts line must read 'K T E'", line=lineno)
         try:
-            vertices[k] = [float(p) for p in parts]
+            n_vertices, n_faces = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"non-numeric vertex coordinate in {text!r}", line=lineno) from None
+            raise ParseError("counts line must hold integers", line=lineno) from None
+        if n_vertices < 0 or n_faces < 0:
+            raise ParseError("negative count", line=lineno)
 
-    triangles = np.empty((min(n_faces, len(significant) - cursor), 3), dtype=np.int64)
-    for t in range(n_faces):
-        lineno, text = next_line(f"face line {t}")
-        parts = text.split()
-        try:
-            tokens = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"non-integer face token in {text!r}", line=lineno) from None
-        if len(tokens) != 4 or tokens[0] != 3:
-            raise ParseError("face line must read '3 i j k'", line=lineno)
-        for idx in tokens[1:]:
-            if not 0 <= idx < n_vertices:
+        if handle.seekable():
+            blocks = _converted_blocks(handle, n_vertices, n_faces)
+            if blocks is not None:
+                return TriangleMesh(*blocks)
+            # The line scan names the first faulty line: it reads the
+            # blocks again, after the header and counts lines.
+            handle.seek(0)
+            lines = _significant_lines(handle)
+            next(lines), next(lines)
+
+        vertices = []
+        for k in range(n_vertices):
+            lineno, text = next_line(f"vertex line {k}")
+            parts = text.split()
+            if len(parts) != 3:
                 raise ParseError(
-                    f"vertex index {idx} out of range [0, {n_vertices})", line=lineno
+                    f"vertex line must hold 3 coordinates, found {len(parts)}",
+                    line=lineno,
                 )
-        triangles[t] = tokens[1:]
+            try:
+                vertices.append([float(p) for p in parts])
+            except ValueError:
+                raise ParseError(f"non-numeric vertex coordinate in {text!r}", line=lineno) from None
 
-    if cursor != len(significant):
-        lineno, text = significant[cursor]
-        raise ParseError(f"unexpected trailing content {text!r}", line=lineno)
-    return TriangleMesh(vertices, triangles)
+        triangles = []
+        for t in range(n_faces):
+            lineno, text = next_line(f"face line {t}")
+            parts = text.split()
+            try:
+                tokens = [int(p) for p in parts]
+            except ValueError:
+                raise ParseError(f"non-integer face token in {text!r}", line=lineno) from None
+            if len(tokens) != 4 or tokens[0] != 3:
+                raise ParseError("face line must read '3 i j k'", line=lineno)
+            for idx in tokens[1:]:
+                if not 0 <= idx < n_vertices:
+                    raise ParseError(
+                        f"vertex index {idx} out of range [0, {n_vertices})", line=lineno
+                    )
+            triangles.append(tokens[1:])
+
+        trailing = next(lines, None)
+        if trailing is not None:
+            lineno, text = trailing
+            raise ParseError(f"unexpected trailing content {text!r}", line=lineno)
+    return TriangleMesh(np.array(vertices, dtype=np.float64).reshape(-1, 3),
+                        np.array(triangles, dtype=np.int64).reshape(-1, 3))
 
 
-def _converted_blocks(lines, n_vertices, n_faces):
-    """The vertex and face blocks that make up ``lines``, a list of
-    ``(lineno, text)``, each converted by one numpy call; None when a
-    block is empty, short or faulty, or content follows them. numpy
-    accepts a token exactly when `float` (or `int`) does, so this passes
-    what the line scan of `load_mesh` passes."""
-    if not n_vertices or not n_faces or len(lines) != n_vertices + n_faces:
+def _significant_lines(handle):
+    """The number and text of each line of ``handle`` that holds more
+    than a comment and white space."""
+    for lineno, line in enumerate(handle, start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
+
+
+def _converted_blocks(handle, n_vertices, n_faces):
+    """The vertex and face blocks that follow the counts line in
+    ``handle``, each converted by one `np.loadtxt` call; None when a
+    block is empty, short or faulty, or content follows them. loadtxt
+    skips comments and blank lines as the line scan does, and reads a
+    token only where `float` (or `int`) reads it to the same value, so
+    this passes no file that the line scan of `load_mesh` refuses."""
+    # loadtxt allocates the rows a count claims up front; a file holds
+    # at least five characters a row ("0 0 0" and a line end)
+    size = os.fstat(handle.fileno()).st_size
+    if not n_vertices or not n_faces or 5 * (n_vertices + n_faces) > size:
         return None
-    blocks = []
-    for rows, width, dtype in ((lines[:n_vertices], 3, np.float64),
-                               (lines[n_vertices:], 4, np.int64)):
-        texts = [text for _, text in rows]
-        if any(len(text.split()) != width for text in texts):
-            return None
-        # One flat token list: a list per line, all alive at once, would
-        # be enough new objects (8k at level 4) to set off a full
-        # garbage collection.
-        try:
-            tokens = np.array(" ".join(texts).split(), dtype=dtype)
-        except (ValueError, OverflowError):
-            return None
-        blocks.append(tokens.reshape(-1, width))
-    vertices, faces = blocks
+    try:
+        with warnings.catch_warnings():
+            # loadtxt notes a blank or comment line inside a block
+            warnings.simplefilter("ignore", UserWarning)
+            vertices = np.loadtxt(handle, comments="#", max_rows=n_vertices, ndmin=2)
+            faces = np.loadtxt(handle, dtype=np.int64, comments="#",
+                               max_rows=n_faces, ndmin=2)
+    except ValueError:
+        return None
+    if (vertices.shape != (n_vertices, 3) or faces.shape != (n_faces, 4)
+            or any(line.split("#", 1)[0].strip() for line in handle)):
+        return None
     indices = faces[:, 1:]
     if (faces[:, 0] != 3).any() or (indices < 0).any() or (indices >= n_vertices).any():
         return None

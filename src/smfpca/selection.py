@@ -371,7 +371,7 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators,
     if u.shape != (X.n,):
         raise DimensionMismatch(f"scores must have length {X.n}, got {u.shape}")
     z = X.values.T @ u
-    rhs = ops.psi.T @ z
+    rhs = ops.psi_t @ z
     s = X.s
     systems = _Systems(ops) if systems is None else systems
     traces = systems.traces
@@ -489,23 +489,22 @@ def _smoother_trace(system, ops: FemOperators, known=None):
     ``solve_many``, after the probes of ``known``, which the result
     extends. `gcv_select` asks for blocks until its 3-SE rule is met."""
     s = ops.location_count
-    psi_t = ops.psi.T.tocsc()
     if s <= EXACT_TRACE_LIMIT:
         total = 0.0
         for start in range(0, s, _TRACE_BLOCK):
             units = np.eye(s, min(_TRACE_BLOCK, s - start), k=-start)
-            total += float(_forms(system, ops, psi_t, units).sum())
+            total += float(_forms(system, ops, units).sum())
         return _Trace(total)
     done = 0 if known is None else known.probes
     signs = _probe_signs(s, _PROBE_CAP)[:, done:done + _PROBE_BLOCK]
-    forms = _forms(system, ops, psi_t, signs)
+    forms = _forms(system, ops, signs)
     if known is not None:
         forms = np.concatenate([known.forms, forms])
     return _Trace(float(forms.mean()), forms)
 
 
-def _forms(system, ops, psi_t, probes):
+def _forms(system, ops, probes):
     """The quadratic forms z'Sz of the columns z of ``probes``; over a
     unit column, exactly a diagonal entry of S."""
-    f_block, _ = system.solve_many(psi_t @ probes)
+    f_block, _ = system.solve_many(ops.psi_t @ probes)
     return np.einsum("sk,sk->k", probes, ops.psi @ f_block)

@@ -1,4 +1,6 @@
+import atexit
 import contextlib
+import gc
 import glob
 import json
 import os
@@ -610,6 +612,70 @@ def test_console_warning_reads_like_an_error(tmp_path):
     assert fit.returncode == 0
     assert fit.stderr == ("smfpca: warning: data has missing entries: fitting "
                           "per-function observations, centering skipped\n")
+
+
+# -- the exit hook ----------------------------------------------------
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path, capsys):
+    # main freezes nothing while its caller's process runs
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    sim = simulate_sphere(tmp_path / "sim")
+    assert run(fit_args(sim, tmp_path / "fit")) == 0
+    assert run(["mesh-info", "--mesh", sim / "mesh.off"]) == 0
+    assert run(["mesh-info", "--mesh", tmp_path / "nope.off"]) == 2
+    assert gc.get_freeze_count() == 0
+    assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
+
+
+def test_main_registers_one_exit_hook(tmp_path, monkeypatch, capsys):
+    hooks = []
+
+    def unregister(hook):
+        hooks[:] = [h for h in hooks if h != hook]
+
+    monkeypatch.setattr(atexit, "register", hooks.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    sim = simulate_sphere(tmp_path / "sim")
+    for _ in range(3):
+        assert run(["mesh-info", "--mesh", sim / "mesh.off"]) == 0
+    assert hooks.count(gc.freeze) == 1
+
+
+# Registers a hook that reports, when the process exits, whether the
+# collector's objects are frozen, then runs a command in this process if
+# one is given. Exit hooks run last registered first.
+_EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+import smfpca.cli
+if sys.argv[1:]:
+    sys.exit(smfpca.cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_import_registers_no_exit_hook():
+    out = python("-c", _EXIT_PROBE, check=True).stdout
+    assert out == "frozen at exit: False\n"
+
+
+def test_command_output_is_whole_when_its_process_exits_frozen(tmp_path, capsys):
+    # a hook registered before main runs after the command's freeze, and
+    # finds every file the command wrote and all it printed
+    sim = simulate_sphere(tmp_path / "sim")
+    argv = ["simulate", "--generator", "sphere", "--sphere", "1", "--n", "12",
+            "--noise", "0.1", "--seed", "7", "--outdir", tmp_path / "fresh"]
+    out = python("-c", _EXIT_PROBE, *map(str, argv), check=True).stdout
+    assert out == "frozen at exit: True\n"
+    for name in ("mesh.off", "data.csv", "truth.json"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (sim / name).read_bytes()
+    assert load_json(tmp_path / "fresh" / "manifest.json")["config"]["seed"] == 7
+
+    assert run(["mesh-info", "--mesh", sim / "mesh.off"]) == 0
+    info = capsys.readouterr().out
+    out = python("-c", _EXIT_PROBE, "mesh-info", "--mesh", str(sim / "mesh.off"),
+                 check=True).stdout
+    assert out == info + "frozen at exit: True\n"
 
 
 def test_fit_bad_data_cell_exit_2(tmp_path, capsys):

@@ -18,6 +18,7 @@ from smfpca import mesh as meshmod
 from smfpca.errors import DegenerateTriangle
 from smfpca.mesh import BARY_EPSILON, Locations, TriangleMesh
 from test_acceptance import jittered_torus, open_hemisphere
+from test_cli import python
 
 
 # -- construction and validation --------------------------------------
@@ -415,6 +416,10 @@ OFF_FAULTS = [
     ("OFF\n3 1 3\n0 0 0\n1 y 0\n", "line 4: non-numeric vertex"),
     ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1.5 2\n",
      "line 6: non-integer face token"),
+    # counts no file this size could hold: nothing is allocated for them
+    ("OFF\n999999999999 1 3\n0 0 0\n", "line 3: unexpected end of file"),
+    ("OFF\n3 99999999999999999999 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+     "line 6: unexpected end of file"),
 ]
 
 
@@ -449,6 +454,51 @@ def off_lines(mesh, tmp_path):
     return (tmp_path / "good.off").read_text().splitlines()
 
 
+def record_conversions(monkeypatch):
+    """A list that gains, at each `load_mesh`, whether the blocks'
+    array conversion read the file (rather than leaving it to the line
+    scan)."""
+    converted = []
+    convert = meshmod._converted_blocks
+
+    def recording(*args):
+        blocks = convert(*args)
+        converted.append(blocks is not None)
+        return blocks
+
+    monkeypatch.setattr(meshmod, "_converted_blocks", recording)
+    return converted
+
+
+def laid_out(lines, layout):
+    """The text of an OFF file from its ``lines``, shaped by ``layout``:
+    ``{index: lines inserted before that line}``, with ``"end"`` for the
+    text after the last line and ``"newline"`` for the line end."""
+    edited = list(lines)
+    for index in sorted((k for k in layout if isinstance(k, int)), reverse=True):
+        edited[index:index] = layout[index]
+    newline = layout.get("newline", "\n")
+    return newline.join(edited) + layout.get("end", newline)
+
+
+# Blank lines, comments and line ends around and inside the blocks of a
+# level-1 sphere: index 2 opens the vertex block, 44 the face block.
+OFF_LAYOUTS = [
+    {1: ["# between header and counts", ""]},
+    {2: ["", "   ", "# before the vertices"]},
+    {10: ["# inside the vertices", "", "\t"], 30: ["#"]},
+    {44: ["", "# between the blocks", ""]},
+    {60: ["# inside the faces"], 61: ["", " # indented"]},
+    {"end": "\n# after the last face\n"},
+    {"end": "\n# a last comment, no line end"},
+    {"end": ""},
+    {"newline": "\r\n"},
+    {"newline": "\r"},
+    {"newline": "\r\n", 10: ["# inside", ""], 50: [""],
+     "end": "\r\n# the end\r\n"},
+]
+
+
 def test_off_faults_read_as_the_line_scan_reads_them(tmp_path, sphere1,
                                                      monkeypatch):
     # in small files, and in a level-1 sphere, where the vertex block
@@ -469,14 +519,51 @@ def test_off_faults_read_as_the_line_scan_reads_them(tmp_path, sphere1,
             edited[lineno - 1: lineno] = [replacement]
         contents.append("\n".join(edited) + "\n")
     contents.append("\n".join(lines[:-1]) + "\n")  # one face line short
+    # a fault in either block of a file with blank lines, comments and
+    # CRLF line ends around and inside the blocks
+    for layout in OFF_LAYOUTS:
+        for lineno, replacement in ((20, "1.0 2.0"), (52, "3 0 1 42"),
+                                    (99, "3 0 1.5 2")):
+            edited = lines[:lineno - 1] + [replacement] + lines[lineno:]
+            contents.append(laid_out(edited, layout))
+    contents.append(laid_out(lines, {"end": "\n1.0 2.0 3.0\n# trailing"}))
     for j, content in enumerate(contents):
         path = tmp_path / f"bad{j}.off"
-        path.write_text(content)
+        path.write_bytes(content.encode("ascii"))
         outcome = load_outcome(path)
         assert outcome[0] is ParseError, content
         assert outcome == scanned_outcome(path, monkeypatch)
     path.write_text("\n".join(lines[:52] + ["3 0 1 42"] + lines[53:]))
     assert load_outcome(path)[1] == "line 53: vertex index 42 out of range [0, 42)"
+
+
+def test_off_layouts_read_as_the_line_scan_reads_them(tmp_path, sphere1,
+                                                      monkeypatch):
+    # blank lines, comments and any line end leave the arrays as they
+    # are, and the array conversion reads every such file
+    lines = off_lines(sphere1, tmp_path)
+    plain = sphere1.vertices.tobytes(), sphere1.triangles.tobytes()
+    path = tmp_path / "laid_out.off"
+    converted = record_conversions(monkeypatch)
+    for layout in OFF_LAYOUTS:
+        path.write_bytes(laid_out(lines, layout).encode("ascii"))
+        assert scanned_outcome(path, monkeypatch) == plain, layout
+        assert load_outcome(path) == plain, layout
+    assert converted == [True] * len(OFF_LAYOUTS)
+
+
+def test_off_from_a_pipe_reads_as_from_a_file(tmp_path, sphere1):
+    # a stream that cannot seek goes to the line scan, which reads it
+    # from where the counts line ends
+    save_mesh(sphere1, tmp_path / "s.off")
+    code = ("import sys; from smfpca import load_mesh; "
+            "m = load_mesh('/dev/stdin'); "
+            "sys.stdout.write(m.vertices.tobytes().hex() + ' ' "
+            "+ m.triangles.tobytes().hex())")
+    out = python("-c", code, input=(tmp_path / "s.off").read_text(),
+                 check=True).stdout
+    assert out == (sphere1.vertices.tobytes().hex() + " "
+                   + sphere1.triangles.tobytes().hex())
 
 
 @pytest.mark.parametrize("token", ["1_0", "infinity", "+3", "3.0", "0x10",
@@ -516,15 +603,7 @@ def test_off_roundtrip_is_bitwise(tmp_path, sphere2, monkeypatch):
     vertices = sphere2.vertices * (1 + 1e-3 * rng.standard_normal((sphere2.K, 3)))
     vertices[vertices == 0.0] = -0.0
     assert np.signbit(vertices[vertices == 0.0]).all()
-    converted = []
-    convert = meshmod._converted_blocks
-
-    def recording(*args):
-        blocks = convert(*args)
-        converted.append(blocks is not None)
-        return blocks
-
-    monkeypatch.setattr(meshmod, "_converted_blocks", recording)
+    converted = record_conversions(monkeypatch)
     for scale in (1e-60, 1e-7, 1.0, 3e5, 1e60):
         mesh = TriangleMesh(vertices * scale, sphere2.triangles)
         path = tmp_path / "m.off"
