@@ -206,8 +206,6 @@ def cmd_simulate(config):
         files["mesh.off"] = lambda path: meshmod.save_mesh(surface, path)
     else:
         surface = meshmod.load_mesh(_require(config, "mesh", "--mesh or --sphere"))
-    # built on first read: only the eigen generator reads a matrix
-    ops = fem.FemOperators(surface, meshmod.vertex_locations(surface))
 
     generator = config["generator"]
     sigmas = config["sigmas"]
@@ -216,19 +214,19 @@ def cmd_simulate(config):
     config = dict(config, sigmas=[float(v) for v in sigmas])
     if generator == "eigen":
         dataset = synth.generate_eigen_dataset(
-            surface, ops, config["eigen_indices"], config["sigmas"],
+            surface, config["eigen_indices"], config["sigmas"],
             config["n"], config["noise"], config["seed"],
         )
     elif generator == "sphere":
         dataset = synth.generate_sphere_dataset(
-            surface, ops, config["n"], config["sigmas"], config["noise"],
+            surface, config["n"], config["sigmas"], config["noise"],
             config["seed"],
         )
     elif len(sigmas) != 1:
         raise InputError(f"--sigmas: misaligned takes one sigma, got {len(sigmas)}")
     else:
         dataset = synth.generate_misaligned_dataset(
-            surface, ops, config["n"], config["sigmas"][0],
+            surface, config["n"], config["sigmas"][0],
             config["shift_set"], config["seed"],
         )
 
@@ -268,8 +266,7 @@ def _baseline_components(config, n_components):
     values = serialize.read_data_csv(config["data"])
     if np.isnan(values.min()):  # NaN reaches the minimum; no n x K mask
         raise InputError("multivariate PCA baseline needs fully observed data")
-    ops = fem.FemOperators(surface, meshmod.vertex_locations(surface))
-    return metrics.mv_pca(estimator.DataMatrix(values), n_components, ops)
+    return metrics.mv_pca(estimator.DataMatrix(values), n_components, surface)
 
 
 def cmd_evaluate(config):

@@ -27,6 +27,7 @@ components are not double counted.
 """
 
 import copy
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -377,10 +378,7 @@ def fit_component(
         raise InputError(
             f"prebuilt system was factored for lambda {system.lam:g}, not {lam:g}"
         )
-    if X.s != ops.location_count:
-        raise DimensionMismatch(
-            f"data has {X.s} columns but operators hold {ops.location_count} locations"
-        )
+    _check_locations(X, ops)
     f_s = initialize(X) if start is None else _checked_start(start, X.s, "profile")
     return _alternate(_DenseTerm(X, ops, {lam: system}), score_step(X, f_s), lam,
                       max_iterations, tolerance)
@@ -696,6 +694,9 @@ def _check_selection(n_components, selection, lambda_grid, methods,
                      max_iterations, tolerance, seed):
     """The argument checks of `fit` and `fit_missing`; returns the
     checked grid."""
+    for name, count in (("n_components", n_components),
+                        ("max_iterations", max_iterations), ("seed", seed)):
+        _check_count(name, count)
     if n_components < 1:
         raise InputError("n_components must be at least 1")
     if seed < 0:
@@ -718,6 +719,27 @@ def _check_selection(n_components, selection, lambda_grid, methods,
             f"fixed selection needs a one-point lambda grid, got {grid.size} points"
         )
     return grid
+
+
+def _check_count(name, value, error=InputError):
+    """Raise ``error`` unless ``value`` is an integer (a Python or numpy
+    int; not a bool, not a float), as a config file's integer must be."""
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _check_locations(X, ops: FemOperators):
+    """Raise DimensionMismatch unless ``X`` has one column per location
+    of ``ops``."""
+    if X.s != ops.location_count:
+        raise DimensionMismatch(
+            f"data has {X.s} columns but operators hold {ops.location_count} locations"
+        )
 
 
 def _check_grid(lambda_grid):

@@ -25,9 +25,9 @@ class FemOperators:
     """Operators for one mesh and one set of sampling locations.
 
     Each matrix is assembled on its first read, and scipy.sparse is
-    imported only then: a caller that reads only the mesh and the
-    locations (the vertex-sampled generators, the baseline's norms)
-    builds no matrix. `assemble` builds all three at once.
+    imported only then: a caller that reads some of them (the eigen
+    generator reads mass and stiffness) builds no other. `assemble`
+    builds all three at once.
 
     Attributes
     ----------
@@ -76,21 +76,6 @@ class FemOperators:
     @property
     def location_count(self) -> int:
         return len(self.locations)
-
-    @property
-    def psi_is_identity(self) -> bool:
-        """Whether the locations are the mesh's vertices in order, each
-        with its whole weight on one corner, so psi is the K x K
-        identity; read from the locations, without building psi."""
-        w, t = self.locations.weights, self.locations.triangles
-        if (len(t) != self.mesh.K or not ((t >= 0) & (t < self.mesh.T)).all()
-                or not ((w > 0.0).sum(axis=1) == 1).all()):
-            return False
-        # a row's one positive weight is 1.0 exactly: Locations divides
-        # it by itself
-        corners = np.argmax(w, axis=1)
-        vertices = self.mesh.triangles[t.astype(np.intp), corners]
-        return bool((vertices == np.arange(self.mesh.K)).all())
 
 
 @dataclass(frozen=True, eq=False)

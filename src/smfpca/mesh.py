@@ -208,7 +208,7 @@ class TriangleMesh:
         lo = np.minimum(half[:, 0], half[:, 1])
         hi = np.maximum(half[:, 0], half[:, 1])
         und = lo * np.int64(K) + hi
-        uniq, inverse, counts = np.unique(und, return_inverse=True, return_counts=True)
+        uniq, counts = np.unique(und, return_counts=True)
         if counts.size and counts.max() > 2:
             key = uniq[np.argmax(counts)]
             culprit = owner[np.flatnonzero(und == key)[-1]]

@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient
 from .estimator import DataMatrix, _gram_pairs
-from .fem import FemOperators, _fix_sign, _mass_inner
+from .fem import _fix_sign, _mass_inner
+from .mesh import TriangleMesh
 
 
 @dataclass(eq=False)
@@ -40,7 +41,7 @@ class EvaluationReport:
     explained_variance_curve: list
 
 
-def mv_pca(X: DataMatrix, n_components: int, ops: FemOperators):
+def mv_pca(X: DataMatrix, n_components: int, mesh: TriangleMesh):
     """Multivariate PCA of the centered data matrix, vertex-sampled.
 
     The right singular vectors become piecewise-linear functions with
@@ -54,8 +55,8 @@ def mv_pca(X: DataMatrix, n_components: int, ops: FemOperators):
     resolved; one that is zero to that precision raises
     :class:`RankDeficient` naming its component.
 
-    Requires one sampling location per vertex (the loading values are
-    read as nodal coefficients). The surface norms are summed per
+    Requires one data column per vertex of ``mesh`` (the loading values
+    are read as nodal coefficients). The surface norms are summed per
     triangle from the mesh (`fem._mass_inner`), so no operator matrix
     is built.
     """
@@ -63,7 +64,7 @@ def mv_pca(X: DataMatrix, n_components: int, ops: FemOperators):
         raise DimensionMismatch(
             f"n_components must lie in [1, {min(X.n, X.s)}], got {n_components}"
         )
-    if X.s != ops.vertex_count:
+    if X.s != mesh.K:
         raise DimensionMismatch(
             "multivariate PCA baseline needs one data column per mesh vertex"
         )
@@ -78,7 +79,7 @@ def mv_pca(X: DataMatrix, n_components: int, ops: FemOperators):
             raise RankDeficient(
                 f"component {l + 1} has a zero singular value")
         u, loading = (product / d, vector) if tall else (vector, product / d)
-        c = float(np.sqrt(_mass_inner(ops.mesh, loading, loading)))
+        c = float(np.sqrt(_mass_inner(mesh, loading, loading)))
         if c <= 0:
             raise RankDeficient(f"loading {l} has zero surface norm")
         coeff, flipped = _fix_sign(loading / c)

@@ -64,6 +64,7 @@ class SelectionTrace:
 def make_folds(n: int, folds: int, seed):
     """Seeded partition of ``range(n)`` into near-equal groups; ``seed``
     is a non-negative integer or a sequence of them."""
+    estimator._check_count("fold count", folds, InvalidFoldCount)
     if not 2 <= folds <= n:
         raise InvalidFoldCount(
             f"fold count must lie in [2, {n}] for {n} functions, got {folds}"
@@ -370,6 +371,7 @@ def gcv_select(X, u, lambda_grid, ops: FemOperators,
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (X.n,):
         raise DimensionMismatch(f"scores must have length {X.n}, got {u.shape}")
+    estimator._check_locations(X, ops)
     z = X.values.T @ u
     rhs = ops.psi_t @ z
     s = X.s

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch, InputError, NotASphere
 from .estimator import DataMatrix
 from .fem import FemOperators, lb_eigenpairs
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, vertex_locations
 
 _SPHERE_RADIUS_TOL = 1e-6
 
@@ -37,30 +37,19 @@ class SyntheticDataset:
     generator: str
 
 
-def _drawn(ops: FemOperators, fields, sigmas, n, noise_sigma, seed, generator):
+def _drawn(fields, sigmas, n, noise_sigma, seed, generator):
     """The dataset of ``n`` subjects over the vertex ``fields``: scores
     drawn with standard deviations ``sigmas``, then noise, from one
     stream seeded by ``seed``."""
     rng = np.random.default_rng(seed)
     scores = rng.standard_normal((n, len(sigmas))) * sigmas
-    values = _at_locations(ops, scores @ fields.T)
+    values = scores @ fields.T + 0.0  # turns -0.0 into 0.0: data.csv writes no "-0.0"
     if noise_sigma != 0:
         values = values + noise_sigma * rng.standard_normal(values.shape)
     return SyntheticDataset(
         X=DataMatrix(values), true_components=fields, true_scores=scores,
         noise_sigma=float(noise_sigma), seed=int(seed), generator=generator,
     )
-
-
-def _at_locations(ops: FemOperators, vertex_values):
-    """Rows of vertex values (one per subject) carried to the sampling
-    locations by piecewise-linear interpolation, ``(psi @ values.T).T``.
-    Where psi is the identity the values are taken as they are, plus 0.0:
-    that turns -0.0 into 0.0, as the product's sums do, and leaves every
-    other value's bits."""
-    if ops.psi_is_identity:
-        return vertex_values + 0.0
-    return (ops.psi @ vertex_values.T).T
 
 
 def _check_draw(n, noise_sigma, sigmas, seed):
@@ -83,15 +72,14 @@ def _warn_if_open(mesh: TriangleMesh):
         )
 
 
-def generate_eigen_dataset(mesh: TriangleMesh, ops: FemOperators,
-                           eigen_selection, sigmas, n: int,
+def generate_eigen_dataset(mesh: TriangleMesh, eigen_selection, sigmas, n: int,
                            noise_sigma: float, seed: int) -> SyntheticDataset:
     """Data spanned by selected Laplace-Beltrami eigenfunctions.
 
     Parameters
     ----------
-    mesh, ops
-        The surface and its assembled operators.
+    mesh : TriangleMesh
+        The surface; its mass and stiffness are assembled here.
     eigen_selection : list of int
         Indices into the eigenvalue-ordered pairs (index 0 is the
         constant mode on a closed mesh).
@@ -117,9 +105,9 @@ def generate_eigen_dataset(mesh: TriangleMesh, ops: FemOperators,
         )
     _check_draw(n, noise_sigma, sig, seed)
     _warn_if_open(mesh)
-    pairs = lb_eigenpairs(ops, max(idx) + 1)
+    pairs = lb_eigenpairs(FemOperators(mesh, vertex_locations(mesh)), max(idx) + 1)
     fields = np.stack([pairs[i].coefficients for i in idx], axis=1)
-    return _drawn(ops, fields, sig, n, noise_sigma, seed, "eigen")
+    return _drawn(fields, sig, n, noise_sigma, seed, "eigen")
 
 
 def _require_unit_sphere(mesh: TriangleMesh):
@@ -146,20 +134,18 @@ def sphere_pc_functions(mesh: TriangleMesh):
     return v1, v2
 
 
-def generate_sphere_dataset(mesh: TriangleMesh, ops: FemOperators, n: int,
-                            sigmas, noise_sigma: float,
-                            seed: int) -> SyntheticDataset:
+def generate_sphere_dataset(mesh: TriangleMesh, n: int, sigmas,
+                            noise_sigma: float, seed: int) -> SyntheticDataset:
     """Rank-two data from the closed-form sphere harmonics."""
     sig = np.asarray(sigmas, dtype=np.float64)
     if sig.shape != (2,):
         raise DimensionMismatch(f"expected two sigmas, got {sig.shape}")
     _check_draw(n, noise_sigma, sig, seed)
     fields = np.stack(sphere_pc_functions(mesh), axis=1)
-    return _drawn(ops, fields, sig, n, noise_sigma, seed, "sphere")
+    return _drawn(fields, sig, n, noise_sigma, seed, "sphere")
 
 
-def generate_misaligned_dataset(mesh: TriangleMesh, ops: FemOperators,
-                                n: int, sigma: float,
+def generate_misaligned_dataset(mesh: TriangleMesh, n: int, sigma: float,
                                 shift_set=(0.0, 0.4),
                                 seed: int = 0) -> SyntheticDataset:
     """Per-subject angularly shifted copies of the first sphere harmonic.
@@ -197,7 +183,7 @@ def generate_misaligned_dataset(mesh: TriangleMesh, ops: FemOperators,
     shifted = 0.5 * np.sqrt(15.0 / np.pi) * (sin_th * np.cos(ph)) * (
         sin_th * np.sin(ph)
     )
-    values = _at_locations(ops, scores[:, None] * shifted)
+    values = scores[:, None] * shifted + 0.0  # no -0.0, as in _drawn
 
     base = sphere_pc_functions(mesh)[0]
     return SyntheticDataset(

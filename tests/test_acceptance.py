@@ -123,9 +123,7 @@ def test_criterion_04_monotone_objective(ops2):
     lams = (1e-6, 1e-4, 1e-2, 1.0)
     worst = -np.inf
     for seed in range(25):
-        ds = generate_eigen_dataset(
-            ops2.mesh, ops2, [1, 2, 3], (5.0, 3.0, 1.0), 50, 0.1, seed
-        )
+        ds = generate_eigen_dataset(ops2.mesh, [1, 2, 3], (5.0, 3.0, 1.0), 50, 0.1, seed)
         lam = lams[seed % len(lams)]
         result = fit(
             ds.X, 3, [lam], ops2, selection="fixed"
@@ -141,11 +139,11 @@ def test_criterion_04_monotone_objective(ops2):
 
 
 def test_criterion_05_mv_pca_limit(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.1, 2)
+    ds = generate_sphere_dataset(ops2.mesh, 30, (4.0, 2.0), 0.1, 2)
     result = fit(
         ds.X, 1, [1e-12], ops2, selection="fixed"
     )
-    baseline = mv_pca(ds.X, 1, ops2)
+    baseline = mv_pca(ds.X, 1, ops2.mesh)
     angle = principal_angle(
         baseline[0].coefficients.reshape(-1, 1),
         result.components[0].f_coefficients.reshape(-1, 1),
@@ -154,7 +152,7 @@ def test_criterion_05_mv_pca_limit(ops2):
 
 
 def test_criterion_06_missing_data_identity(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.1, 3)
+    ds = generate_sphere_dataset(ops2.mesh, 20, (4.0, 2.0), 0.1, 3)
     full = fit(
         ds.X, 1, [1e-3], ops2, selection="fixed",
         center=False,
@@ -179,7 +177,7 @@ def test_criterion_07_sphere_simulation_ordering(ops3):
     grid = default_lambda_grid(ops3)
     ours, base = [], []
     for rep in range(20):
-        ds = generate_sphere_dataset(ops3.mesh, ops3, 50, (4.0, 2.0), 0.1, rep)
+        ds = generate_sphere_dataset(ops3.mesh, 50, (4.0, 2.0), 0.1, rep)
         truth = ds.true_components
         result = fit(
             ds.X, 2, grid, ops3, selection="kfold", folds=5, seed=rep
@@ -188,7 +186,7 @@ def test_criterion_07_sphere_simulation_ordering(ops3):
             [c.f_coefficients for c in result.components], axis=1
         )
         ours.append(principal_angle(truth, est))
-        comps = mv_pca(ds.X, 2, ops3)
+        comps = mv_pca(ds.X, 2, ops3.mesh)
         mv = np.stack([c.coefficients for c in comps], axis=1)
         base.append(principal_angle(truth, mv))
     ours = np.array(ours)
@@ -345,7 +343,7 @@ def test_criterion_12_any_topology():
         ops = assemble(mesh, vertex_locations(mesh))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # open mesh
-            ds = generate_eigen_dataset(mesh, ops, indices, (4.0, 2.0), 50, 0.1, 1)
+            ds = generate_eigen_dataset(mesh, indices, (4.0, 2.0), 50, 0.1, 1)
         result = fit(ds.X, 2, default_lambda_grid(ops), ops, selection="kfold")
         est = np.stack([c.f_coefficients for c in result.components], axis=1)
         angle = principal_angle(ds.true_components, est)
@@ -389,14 +387,14 @@ def test_criterion_13_smoothing_follows_the_surface():
     stiffness_gap = (abs(ops[0].stiffness - ops[1].stiffness).max()
                      / abs(ops[0].stiffness).max())
     with pytest.warns(UserWarning, match="mesh is not closed"):
-        ds = generate_eigen_dataset(flat, ops[0], (1, 2), (4.0, 2.0), 50, 0.1, 1)
+        ds = generate_eigen_dataset(flat, (1, 2), (4.0, 2.0), 50, 0.1, 1)
     fits = [fit(ds.X, 2, default_lambda_grid(o), o, selection="kfold") for o in ops]
     same_lams = ([c.lam for c in fits[0].components]
                  == [c.lam for c in fits[1].components])
     fit_gap = max(float(np.abs(a.f_coefficients - b.f_coefficients).max())
                   for a, b in zip(fits[0].components, fits[1].components))
 
-    loadings = np.stack([c.coefficients for c in mv_pca(ds.X, 2, ops[0])], axis=1)
+    loadings = np.stack([c.coefficients for c in mv_pca(ds.X, 2, flat)], axis=1)
 
     def smoothed_angle(mesh, h):
         """The principal angle of the loadings after Nadaraya-Watson
@@ -427,9 +425,7 @@ def test_misalignment_smoke_kfold_smooths_more(ops2):
     grid = default_lambda_grid(ops2)
     kf, gc = [], []
     for rep in range(10):
-        ds = generate_misaligned_dataset(
-            ops2.mesh, ops2, 30, 4.0, (0.0, 0.4), rep
-        )
+        ds = generate_misaligned_dataset(ops2.mesh, 30, 4.0, (0.0, 0.4), rep)
         res_kf = fit(ds.X, 1, grid, ops2, selection="kfold", folds=5, seed=rep)
         res_gc = fit(ds.X, 1, grid, ops2, selection="gcv")
         kf.append(res_kf.components[0].lam)

@@ -153,7 +153,7 @@ def test_initial_scores_missing_zero_data(ops1):
 
 def test_default_start_matches_an_svd_start(ops2):
     # the Gram warm start and a sign-fixed SVD start converge alike
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 50, (4.0, 2.0), 0.1, 46)
+    ds = generate_sphere_dataset(ops2.mesh, 50, (4.0, 2.0), 0.1, 46)
     lam = float(default_lambda_grid(ops2)[6])
     default = fit_component(ds.X, lam, ops2)
     started = fit_component(ds.X, lam, ops2, start=svd_start(ds.X.values))
@@ -276,7 +276,7 @@ def test_fit_component_unit_norm_and_sign(ops2):
 
 
 def test_fit_component_objective_nonincreasing(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 40, (4.0, 2.0), 0.3, 11)
+    ds = generate_sphere_dataset(ops2.mesh, 40, (4.0, 2.0), 0.3, 11)
     comp = fit_component(ds.X, 1e-3, ops2)
     trace = np.asarray(comp.objective_trace)
     assert comp.iterations == trace.size
@@ -306,7 +306,7 @@ def test_converged_only_when_the_tolerance_stops(ops1):
 
 @pytest.mark.parametrize("selection", ["kfold", "gcv", "fixed"])
 def test_fit_warns_once_per_capped_component(ops1, selection):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 47)
+    ds = generate_sphere_dataset(ops1.mesh, 20, (4.0, 2.0), 0.3, 47)
     grid = [1e-3] if selection == "fixed" else [1e-4, 1e-3, 1e-2]
     # every candidate fit is capped too, and stays silent
     with pytest.warns(UserWarning, match="cap of 1 iterations") as records:
@@ -324,7 +324,7 @@ def test_fit_missing_warns_once_per_capped_component(ops1):
 
 
 def test_converged_fit_is_silent(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 47)
+    ds = generate_sphere_dataset(ops1.mesh, 20, (4.0, 2.0), 0.3, 47)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = fit(ds.X, 2, [1e-4, 1e-3, 1e-2], ops1, folds=3)
@@ -358,7 +358,7 @@ def test_fit_component_rejects_mismatched_system(ops1):
 
 
 def test_deflate_removes_component(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.0, 15)
+    ds = generate_sphere_dataset(ops2.mesh, 30, (4.0, 2.0), 0.0, 15)
     comp = fit_component(ds.X, 1e-9, ops2)
     reduced = deflate(ds.X, comp)
     # scores direction annihilated
@@ -380,7 +380,7 @@ def test_deflate_is_bitwise_the_outer_product_subtraction(shape):
 def test_second_component_from_deflated(ops2):
     # at vanishing smoothing the sequential extraction must match the
     # empirical singular directions, the exact minimizers
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 60, (4.0, 2.0), 0.0, 16)
+    ds = generate_sphere_dataset(ops2.mesh, 60, (4.0, 2.0), 0.0, 16)
     first = fit_component(ds.X, 1e-10, ops2)
     second = fit_component(deflate(ds.X, first), 1e-10, ops2)
     _, _, vt = np.linalg.svd(ds.X.values, full_matrices=False)
@@ -401,7 +401,7 @@ def test_second_component_from_deflated(ops2):
 
 
 def test_fit_fixed_matches_manual_composition(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.1, 17)
+    ds = generate_sphere_dataset(ops2.mesh, 30, (4.0, 2.0), 0.1, 17)
     lam = 1e-4
     result = fit(
         ds.X, 2, [lam], ops2, selection="fixed", center=False
@@ -419,7 +419,7 @@ def test_fit_fixed_matches_manual_composition(ops2):
 
 
 def test_fit_centering_stores_mean(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.1, 18)
+    ds = generate_sphere_dataset(ops2.mesh, 30, (4.0, 2.0), 0.1, 18)
     shifted = DataMatrix(ds.X.values + 5.0)
     result = fit(
         shifted, 1, [1e-4], ops2, selection="fixed"
@@ -440,7 +440,7 @@ def test_fit_centering_stores_mean(ops2):
 
 
 def test_fit_selection_traces_align(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 25, (4.0, 2.0), 0.1, 19)
+    ds = generate_sphere_dataset(ops2.mesh, 25, (4.0, 2.0), 0.1, 19)
     grid = [1e-6, 1e-4, 1e-2]
     result = fit(ds.X, 2, grid, ops2, selection="kfold", folds=4, seed=5)
     assert len(result.selection_traces) == 2
@@ -484,9 +484,44 @@ def test_fit_validates_arguments(ops1):
     assert result.components[0].iterations == 1
 
 
+@pytest.mark.parametrize("selection", ["kfold", "gcv", "fixed"])
+def test_fit_names_operators_for_other_locations(ops1, ops2, selection):
+    # level-1 data (42 columns) against level-2 operators (162 locations)
+    X, _, _ = rank_one_data(ops1)
+    grid = [1e-3] if selection == "fixed" else [1e-3, 1e-1]
+    with pytest.raises(DimensionMismatch,
+                       match="^data has 42 columns but operators hold 162 locations$"):
+        fit(X, 1, grid, ops2, selection=selection)
+
+
+@pytest.mark.parametrize("option", ["n_components", "max_iterations", "seed"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(2.0), np.True_, "2"])
+def test_fit_and_fit_missing_take_integer_counts_only(ops1, option, bad):
+    X, _, _ = rank_one_data(ops1)
+    obs = ObservationSet.from_masked(X.values, vertex_locations(ops1.mesh))
+    args = dict(n_components=1, lambda_grid=[1e-3], ops=ops1, selection="fixed")
+    args[option] = bad
+    message = f"^{option} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(InputError, match=message):
+        fit(X, **args)
+    with pytest.raises(InputError, match=message):
+        fit_missing(obs, **args)
+
+
+def test_fit_takes_numpy_integer_counts(ops1):
+    X = generate_sphere_dataset(ops1.mesh, 20, (4.0, 2.0), 0.1, 3).X
+    grid = [1e-3, 1e-1]
+    plain = fit(X, 2, grid, ops1, folds=3, max_iterations=15, seed=4)
+    numpy_ints = fit(X, np.int64(2), grid, ops1, folds=np.int32(3),
+                     max_iterations=np.int16(15), seed=np.uint8(4))
+    for a, b in zip(plain.components, numpy_ints.components):
+        assert a.lam == b.lam
+        np.testing.assert_array_equal(a.f_coefficients, b.f_coefficients)
+
+
 def test_monotonicity_guard_fires_only_at_fixed_lambda(ops2, monkeypatch):
     # The second function update returns a tripled, hence worse, field.
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.1, 30)
+    ds = generate_sphere_dataset(ops2.mesh, 20, (4.0, 2.0), 0.1, 30)
     step = estimator.function_step
     calls = []
 
@@ -505,7 +540,7 @@ def test_monotonicity_guard_fires_only_at_fixed_lambda(ops2, monkeypatch):
 
 
 def test_gcv_on_one_point_grid_equals_fixed_fit(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.1, 31)
+    ds = generate_sphere_dataset(ops2.mesh, 20, (4.0, 2.0), 0.1, 31)
     lam = 1e-4
     gcv = fit(ds.X, 2, [lam], ops2, selection="gcv")
     fixed = fit(ds.X, 2, [lam], ops2, selection="fixed")
@@ -547,7 +582,7 @@ def test_fixed_fit_reaches_the_global_optimum(ops2, index):
     # 1.1e-15 relative to ||X||^2
     lam = float(default_lambda_grid(ops2)[index])
     for seed in range(1, 11):
-        ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.1, seed)
+        ds = generate_sphere_dataset(ops2.mesh, 30, (4.0, 2.0), 0.1, seed)
         result = fit(ds.X, 2, [lam], ops2, selection="fixed",
                      tolerance=1e-12, max_iterations=500)
         first, second = result.components
@@ -569,7 +604,7 @@ def test_kfold_candidate_reaches_the_global_optimum(ops2):
     # train]; seeds 1-10 gave gaps up to 8.8e-13 and 9.4e-16 relative
     lam = float(default_lambda_grid(ops2)[6])
     for seed in range(1, 11):
-        ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.1, seed)
+        ds = generate_sphere_dataset(ops2.mesh, 30, (4.0, 2.0), 0.1, seed)
         values = ds.X.values - ds.X.values.mean(axis=0)
         gram = smoothed_gram(values, ops2, lam)
         train = np.setdiff1d(np.arange(30), selection.make_folds(30, 5, seed)[0])
@@ -612,7 +647,7 @@ def test_adjusted_variance_duplicate_contributes_nothing(ops1):
 
 
 def test_fit_missing_equals_fit_when_fully_observed(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.1, 22)
+    ds = generate_sphere_dataset(ops2.mesh, 20, (4.0, 2.0), 0.1, 22)
     locs = vertex_locations(ops2.mesh)
     obs = ObservationSet.from_masked(ds.X.values, locs)
     lam = 1e-3
@@ -634,7 +669,7 @@ def test_fit_missing_equals_fit_when_fully_observed(ops2):
 
 
 def test_fit_missing_recovers_under_dropout(ops3):
-    ds = generate_sphere_dataset(ops3.mesh, ops3, 40, (4.0, 2.0), 0.05, 23)
+    ds = generate_sphere_dataset(ops3.mesh, 40, (4.0, 2.0), 0.05, 23)
     values = ds.X.values.copy()
     rng = np.random.default_rng(24)
     mask = rng.random(values.shape) < 0.3
@@ -652,7 +687,7 @@ def test_fit_missing_recovers_under_dropout(ops3):
 
 
 def test_fit_missing_single_observation_function(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 25)
+    ds = generate_sphere_dataset(ops1.mesh, 10, (4.0, 2.0), 0.1, 25)
     values = ds.X.values.copy()
     values[0, 1:] = np.nan
     obs = ObservationSet.from_masked(values, vertex_locations(ops1.mesh))
@@ -685,7 +720,7 @@ def test_fit_component_missing_rejects_bad_start(ops2):
 
 
 def masked_observations(ops, n, seed):
-    ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.1, seed)
+    ds = generate_sphere_dataset(ops.mesh, n, (4.0, 2.0), 0.1, seed)
     values = ds.X.values.copy()
     values[np.random.default_rng(seed).random(values.shape) < 0.2] = np.nan
     return ObservationSet.from_masked(values, vertex_locations(ops.mesh))
@@ -749,7 +784,7 @@ def test_fit_missing_objective_never_rises(ops2):
     # projection was not the minimizer
     rises = 0
     for seed in range(4):
-        ds = generate_sphere_dataset(ops2.mesh, ops2, 30, (4.0, 2.0), 0.3, seed)
+        ds = generate_sphere_dataset(ops2.mesh, 30, (4.0, 2.0), 0.3, seed)
         values = ds.X.values.copy()
         values[np.random.default_rng(seed).random(values.shape) < 0.5] = np.nan
         state = estimator._MissingState(
@@ -869,7 +904,7 @@ def test_diagonal_pattern_matches_sorted_build(ops2, monkeypatch):
 
 def one_observation(ops, n, seed):
     """Masked vertex data in which function 1 is observed once."""
-    ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.1, seed)
+    ds = generate_sphere_dataset(ops.mesh, n, (4.0, 2.0), 0.1, seed)
     values = ds.X.values.copy()
     values[np.random.default_rng(seed).random(values.shape) < 0.2] = np.nan
     values[1, :], values[1, 7] = np.nan, 0.5
@@ -918,7 +953,7 @@ def test_stacked_state_matches_row_selections(ops2, case):
 def vertex_observed_once(ops, n, seed):
     """Masked vertex data in which only function 0 observes vertex 0: a
     fold holding function 0 out leaves a zero on its blocks' diagonals."""
-    ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.1, seed)
+    ds = generate_sphere_dataset(ops.mesh, n, (4.0, 2.0), 0.1, seed)
     values = ds.X.values.copy()
     values[np.random.default_rng(seed).random(values.shape) < 0.2] = np.nan
     values[0, 0], values[1:, 0] = 1.0, np.nan
@@ -993,7 +1028,7 @@ def exhaustible_observations(ops, n):
 
 def test_exhausted_data_stop_with_degenerate_data(ops1):
     # centered data of 12 functions hold at most 11 components
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 12, (4.0, 2.0), 0.1, 3)
+    ds = generate_sphere_dataset(ops1.mesh, 12, (4.0, 2.0), 0.1, 3)
     # components 3 to 8 of these data stop at the iteration cap
     with pytest.warns(UserWarning, match="the alternation stopped at its cap") as caught:
         assert len(fit(ds.X, 11, [1e-3], ops1, selection="fixed").components) == 11
@@ -1024,7 +1059,7 @@ def test_deflation_only_between_components(ops2, monkeypatch):
 
     monkeypatch.setattr(estimator, "deflate", counting_dense)
     monkeypatch.setattr(estimator._MissingState, "deflated", counting_masked)
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 15, (4.0, 2.0), 0.1, 33)
+    ds = generate_sphere_dataset(ops2.mesh, 15, (4.0, 2.0), 0.1, 33)
 
     def fit_both(n_components):
         calls.update(dense=0, masked=0)
@@ -1041,14 +1076,14 @@ def test_deflation_only_between_components(ops2, monkeypatch):
 
 
 def test_fit_missing_rejects_gcv(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 26)
+    ds = generate_sphere_dataset(ops1.mesh, 10, (4.0, 2.0), 0.1, 26)
     obs = ObservationSet.from_masked(ds.X.values, vertex_locations(ops1.mesh))
     with pytest.raises(InputError):
         fit_missing(obs, 1, [1e-3], ops1, selection="gcv")
 
 
 def test_fit_missing_validates_numeric_options(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 26)
+    ds = generate_sphere_dataset(ops1.mesh, 10, (4.0, 2.0), 0.1, 26)
     obs = ObservationSet.from_masked(ds.X.values, vertex_locations(ops1.mesh))
     for options in (dict(max_iterations=-1), dict(tolerance=np.nan),
                     dict(seed=-1)):

@@ -27,7 +27,7 @@ def rank_two_data(ops, n, seed):
 
 def test_mv_pca_matches_dense_svd(ops2):
     X = rank_two_data(ops2, 24, 0)
-    comps = mv_pca(X, 2, ops2)
+    comps = mv_pca(X, 2, ops2.mesh)
     centered = X.values - X.values.mean(axis=0)
     u, d, vt = np.linalg.svd(centered, full_matrices=False)
     for l, comp in enumerate(comps):
@@ -51,7 +51,7 @@ def test_mv_pca_norm_from_the_mass_form_matches_l2_inner(ops1, ops2, ops3):
 
     rng = np.random.default_rng(4)
     for ops in (ops1, ops2, ops3):
-        comps = mv_pca(rank_two_data(ops, 30, 3), 2, ops)
+        comps = mv_pca(rank_two_data(ops, 30, 3), 2, ops.mesh)
         for a in (*(c.coefficients for c in comps),
                   rng.standard_normal(ops.vertex_count), rng.random(ops.vertex_count)):
             exact = l2_inner(ops, a, a)
@@ -60,7 +60,7 @@ def test_mv_pca_norm_from_the_mass_form_matches_l2_inner(ops1, ops2, ops3):
 
 def test_mv_pca_reconstructs_centered_data(ops1):
     X = rank_two_data(ops1, 10, 1)
-    comps = mv_pca(X, 2, ops1)
+    comps = mv_pca(X, 2, ops1.mesh)
     centered = X.values - X.values.mean(axis=0)
     recon = sum(
         c.function_norm * np.outer(c.scores, c.coefficients) for c in comps
@@ -70,30 +70,30 @@ def test_mv_pca_reconstructs_centered_data(ops1):
 
 def test_mv_pca_explained_ordering(ops1):
     X = rank_two_data(ops1, 30, 2)
-    comps = mv_pca(X, 2, ops1)
+    comps = mv_pca(X, 2, ops1.mesh)
     assert comps[0].function_norm > comps[1].function_norm > 0
 
 
 def test_mv_pca_validates(ops1):
     X = rank_two_data(ops1, 8, 3)
     with pytest.raises(DimensionMismatch):
-        mv_pca(X, 0, ops1)
+        mv_pca(X, 0, ops1.mesh)
     with pytest.raises(DimensionMismatch):
-        mv_pca(X, 9, ops1)
+        mv_pca(X, 9, ops1.mesh)
     short = DataMatrix(X.values[:, :-1])
     with pytest.raises(DimensionMismatch):
-        mv_pca(short, 1, ops1)
+        mv_pca(short, 1, ops1.mesh)
 
 
 def test_mv_pca_names_a_zero_singular_value(ops1):
     # rank one after centering: the second singular value is roundoff
     X = rank_two_data(ops1, 8, 3)
     rank_one = DataMatrix(np.outer(np.arange(8.0), X.values[0]))
-    assert len(mv_pca(rank_one, 1, ops1)) == 1
+    assert len(mv_pca(rank_one, 1, ops1.mesh)) == 1
     with pytest.raises(RankDeficient, match="^component 2 has a zero singular value$"):
-        mv_pca(rank_one, 2, ops1)
+        mv_pca(rank_one, 2, ops1.mesh)
     with pytest.raises(RankDeficient, match="^component 1 "):
-        mv_pca(DataMatrix(np.ones_like(X.values)), 1, ops1)
+        mv_pca(DataMatrix(np.ones_like(X.values)), 1, ops1.mesh)
 
 
 # -- scalar metrics ---------------------------------------------------

@@ -124,7 +124,7 @@ from smfpca import (ObservationSet, assemble, fit, fit_missing, unit_sphere_mesh
 from smfpca.synth import generate_sphere_dataset
 mesh = unit_sphere_mesh(1)
 ops = assemble(mesh, vertex_locations(mesh))
-ds = generate_sphere_dataset(mesh, ops, 20, (4.0, 2.0), 0.3, 21)
+ds = generate_sphere_dataset(mesh, 20, (4.0, 2.0), 0.3, 21)
 result = {fit_call}
 report = dict(main_start=0.0, counters=recorder.counters, spans=recorder.spans)
 metrics = run.layer_metrics([dict(start=0.0, report=report)], 1.0)

@@ -1,4 +1,5 @@
 
+import re
 import tracemalloc
 import weakref
 
@@ -8,6 +9,7 @@ import pytest
 from smfpca import (
     DataMatrix,
     DegenerateSmoother,
+    DimensionMismatch,
     InputError,
     InvalidFoldCount,
     ObservationSet,
@@ -27,7 +29,8 @@ from smfpca import (
 from smfpca import estimator, selection, solver
 from smfpca.fem import location_matrix
 from smfpca.selection import kfold_select_missing
-from smfpca.synth import generate_sphere_dataset
+from smfpca.synth import (generate_eigen_dataset, generate_misaligned_dataset,
+                          generate_sphere_dataset)
 
 
 def dense_gcv_scores(ops, z, grid):
@@ -48,7 +51,7 @@ def dense_gcv_scores(ops, z, grid):
 
 
 def masked_set(ops, n, seed):
-    ds = generate_sphere_dataset(ops.mesh, ops, n, (4.0, 2.0), 0.3, seed)
+    ds = generate_sphere_dataset(ops.mesh, n, (4.0, 2.0), 0.3, seed)
     values = ds.X.values.copy()
     values[np.random.default_rng(seed).random(values.shape) < 0.2] = np.nan
     return ObservationSet.from_masked(values, vertex_locations(ops.mesh))
@@ -179,6 +182,22 @@ def test_make_folds_bounds():
             make_folds(10, 2, seed=seed)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(3.0), np.True_])
+def test_make_folds_takes_an_integer_count_only(bad):
+    # 2.5 would split into 2 groups and True into 1, both silently
+    with pytest.raises(InvalidFoldCount,
+                       match=f"^fold count must be an integer, got {re.escape(repr(bad))}$"):
+        make_folds(10, bad, seed=0)
+
+
+def test_kfold_fit_takes_an_integer_fold_count_only(ops1):
+    ds = generate_sphere_dataset(ops1.mesh, 10, (4.0, 2.0), 0.1, 2)
+    with pytest.raises(InvalidFoldCount, match="got 2.5$"):
+        fit(ds.X, 1, [1e-3, 1e-1], ops1, folds=2.5)
+    for count in (np.int64(3), np.int8(3), np.uint16(3)):
+        assert [len(f) for f in make_folds(10, count, seed=0)] == [4, 3, 3]
+
+
 # -- K-fold selection -------------------------------------------------
 
 
@@ -206,7 +225,7 @@ def test_kfold_smooths_away_sampling_admixture(ops2):
     grid = [1e-8, 1e-2, 10.0]
     wins = 0
     for seed in range(6):
-        ds = generate_sphere_dataset(ops2.mesh, ops2, 24, (4.0, 2.0), 0.0, seed)
+        ds = generate_sphere_dataset(ops2.mesh, 24, (4.0, 2.0), 0.0, seed)
         trace = kfold_select(ds.X, grid, 4, ops2, seed=seed)
         wins += trace.chosen == 1
     assert wins >= 5
@@ -217,16 +236,14 @@ def test_kfold_interior_minimum_under_noise(ops2):
     grid = np.logspace(-9, 0, 10)
     interior = 0
     for seed in range(12):
-        ds = generate_sphere_dataset(
-            ops2.mesh, ops2, 30, (4.0, 2.0), 0.8, 100 + seed
-        )
+        ds = generate_sphere_dataset(ops2.mesh, 30, (4.0, 2.0), 0.8, 100 + seed)
         trace = kfold_select(ds.X, grid, 5, ops2, seed=seed)
         interior += 0 < trace.chosen < len(grid) - 1
     assert interior >= 9
 
 
 def test_kfold_trace_contents(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 15, (4.0, 2.0), 0.1, 2)
+    ds = generate_sphere_dataset(ops1.mesh, 15, (4.0, 2.0), 0.1, 2)
     grid = [1e-6, 1e-3, 1.0]
     trace = kfold_select(ds.X, grid, 3, ops1, seed=1)
     assert trace.method == "kfold"
@@ -241,7 +258,7 @@ def test_kfold_checks_folds_before_factoring(ops1, monkeypatch):
         raise AssertionError("factored before the arguments were checked")
 
     monkeypatch.setattr(solver.SaddleSystem, "__init__", no_factoring)
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 2)
+    ds = generate_sphere_dataset(ops1.mesh, 10, (4.0, 2.0), 0.1, 2)
     with pytest.raises(InvalidFoldCount):
         kfold_select(ds.X, [1e-3, 1.0], 1, ops1)
     with pytest.raises(InputError, match="positive"):
@@ -261,14 +278,14 @@ def test_fit_factors_each_candidate_once(ops2, monkeypatch, method):
         init(self, *args)
 
     monkeypatch.setattr(solver.SaddleSystem, "__init__", counted)
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.3, 8)
+    ds = generate_sphere_dataset(ops2.mesh, 20, (4.0, 2.0), 0.3, 8)
     grid = [1e-4, 1e-2, 1e-4, 1.0]
     fit(ds.X, 2, grid, ops2, selection=method, folds=4)
     assert sorted(factored) == [1e-4, 1e-2, 1.0]
 
 
 def test_kfold_deterministic_and_seed_sensitive(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 3)
+    ds = generate_sphere_dataset(ops1.mesh, 20, (4.0, 2.0), 0.3, 3)
     grid = [1e-6, 1e-3, 1.0]
     a = kfold_select(ds.X, grid, 5, ops1, seed=4)
     b = kfold_select(ds.X, grid, 5, ops1, seed=4)
@@ -278,7 +295,7 @@ def test_kfold_deterministic_and_seed_sensitive(ops1):
 
 
 def test_kfold_matches_per_pair_oracle_bitwise(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 21)
+    ds = generate_sphere_dataset(ops1.mesh, 20, (4.0, 2.0), 0.3, 21)
     grid = [1e-6, 1e-3, 1e-1, 10.0]
     trace = kfold_select(ds.X, grid, 4, ops1, seed=2)
     oracle = dense_kfold_oracle(ds.X, grid, 4, ops1, seed=2)
@@ -302,7 +319,7 @@ def one_point_scores(X, grid, folds, ops, seed):
     ([1e-2], [True], 0),
 ])
 def test_kfold_walk_matches_one_point_oracle_bitwise(ops1, grid, walked, chosen):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 21)
+    ds = generate_sphere_dataset(ops1.mesh, 20, (4.0, 2.0), 0.3, 21)
     trace = kfold_select(ds.X, grid, 4, ops1, seed=2)
     oracle = one_point_scores(ds.X, grid, 4, ops1, seed=2)
     scored = ~np.isnan(trace.scores)
@@ -314,7 +331,7 @@ def test_kfold_walk_matches_one_point_oracle_bitwise(ops1, grid, walked, chosen)
 def test_kfold_walk_goes_on_through_ties_and_keeps_the_first(ops1):
     # a duplicated parameter scores the same bitwise: the walk goes on past
     # the tie and the first index wins
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 21)
+    ds = generate_sphere_dataset(ops1.mesh, 20, (4.0, 2.0), 0.3, 21)
     grid = [1.0, 1e-2, 1e-1, 1e-2, 1e-3, 1e-4]
     trace = kfold_select(ds.X, grid, 4, ops1, seed=2)
     assert trace.scores[1] == trace.scores[3]
@@ -334,7 +351,7 @@ def test_fit_kfold_factors_only_walked_candidates(ops1, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(solver.SaddleSystem, "__init__", counted)
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 21)
+    ds = generate_sphere_dataset(ops1.mesh, 20, (4.0, 2.0), 0.3, 21)
     grid = np.logspace(-8, 1, 10)
     result = fit(ds.X, 2, grid, ops1, selection="kfold", folds=4)
     walked = {
@@ -352,7 +369,7 @@ def test_kfold_fit_holds_no_fold_copies(ops3):
     # one-point grid (n <= K) peaks less than 1.5 data matrices above the
     # fixed fit at its parameter; fold copies of the training and
     # validation rows would add about 5
-    ds = generate_sphere_dataset(ops3.mesh, ops3, 40, (4.0, 2.0), 0.1, 5)
+    ds = generate_sphere_dataset(ops3.mesh, 40, (4.0, 2.0), 0.1, 5)
     assert ds.X.n <= ds.X.s
 
     def peak(method):
@@ -386,7 +403,7 @@ def test_last_kfold_walk_factors_beside_the_best_alone(ops1, monkeypatch,
 
     monkeypatch.setattr(solver.SaddleSystem, "__init__", counted)
     monkeypatch.setattr(selection, "kfold_select", counted_walk)
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 20, (4.0, 2.0), 0.3, 21)
+    ds = generate_sphere_dataset(ops1.mesh, 20, (4.0, 2.0), 0.3, 21)
     fit(ds.X, n_components, np.logspace(-8, 1, 10), ops1, selection="kfold", folds=4)
     last = [count for walk_index, _, count in alive if walk_index == n_components]
     assert last and max(last) <= 2
@@ -406,7 +423,7 @@ def test_kfold_missing_matches_per_pair_oracle_bitwise(ops1):
 
 
 def test_explicit_warm_start_is_bitwise_default(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 15, (4.0, 2.0), 0.3, 23)
+    ds = generate_sphere_dataset(ops1.mesh, 15, (4.0, 2.0), 0.3, 23)
     default = fit_component(ds.X, 1e-3, ops1)
     started = fit_component(ds.X, 1e-3, ops1, start=initialize(ds.X))
     state = masked_state(ops1, 15, 23)
@@ -459,7 +476,7 @@ def test_kfold_missing_continues_in_descending_lambda(ops1, monkeypatch):
 @pytest.mark.parametrize("grid", [[1e-3], [1e-6, 1e-4, 1e-2, 1.0]])
 def test_kfold_warm_start_once_per_fold(ops1, monkeypatch, grid):
     calls = count_calls(monkeypatch, "initialize")
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 15, (4.0, 2.0), 0.3, 24)
+    ds = generate_sphere_dataset(ops1.mesh, 15, (4.0, 2.0), 0.3, 24)
     kfold_select(ds.X, grid, 3, ops1, seed=0)
     assert len(calls) == 3
 
@@ -475,13 +492,13 @@ def test_kfold_missing_warm_start_once_per_fold(ops1, monkeypatch, grid):
 def test_fit_kfold_warm_starts_per_component(ops1, monkeypatch):
     # each component: one warm start per fold, one for the final fit
     calls = count_calls(monkeypatch, "initialize")
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 15, (4.0, 2.0), 0.3, 26)
+    ds = generate_sphere_dataset(ops1.mesh, 15, (4.0, 2.0), 0.3, 26)
     fit(ds.X, 2, [1e-6, 1e-3, 1.0], ops1, selection="kfold", folds=4)
     assert len(calls) == 2 * (4 + 1)
 
 
 def test_kfold_rejects_bad_grid(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 7)
+    ds = generate_sphere_dataset(ops1.mesh, 10, (4.0, 2.0), 0.1, 7)
     with pytest.raises(InputError):
         kfold_select(ds.X, [], 3, ops1)
     with pytest.raises(InputError):
@@ -502,7 +519,7 @@ def test_gcv_matches_dense_oracle(ops1):
     # rises below its top (2.354, 2.365, 2.392 times its minimum), then
     # falls to that minimum at the bottom. A walk's best at the top
     # brackets no minimum, so every candidate is scored
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 25, (4.0, 2.0), 0.2, 8)
+    ds = generate_sphere_dataset(ops1.mesh, 25, (4.0, 2.0), 0.2, 8)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(25)
     u /= np.linalg.norm(u)
@@ -515,7 +532,7 @@ def test_gcv_matches_dense_oracle(ops1):
 
 
 def test_gcv_walk_matches_dense_oracle(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 25, (4.0, 2.0), 0.2, 8)
+    ds = generate_sphere_dataset(ops2.mesh, 25, (4.0, 2.0), 0.2, 8)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(25)
     u /= np.linalg.norm(u)
@@ -581,7 +598,7 @@ def test_fit_gcv_factors_only_walked_candidates(ops2, monkeypatch):
     monkeypatch.setattr(solver.SaddleSystem, "__init__", counted_init)
     monkeypatch.setattr(selection, "_smoother_trace", counted_trace)
     monkeypatch.setattr(selection, "gcv_select", recorded)
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.3, 21)
+    ds = generate_sphere_dataset(ops2.mesh, 20, (4.0, 2.0), 0.3, 21)
     grid = default_lambda_grid(ops2)
     result = fit(ds.X, 2, grid, ops2, selection="gcv")
     walked = {
@@ -596,7 +613,7 @@ def test_fit_gcv_factors_only_walked_candidates(ops2, monkeypatch):
 
 
 def test_gcv_sign_invariant(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 25, (4.0, 2.0), 0.2, 10)
+    ds = generate_sphere_dataset(ops1.mesh, 25, (4.0, 2.0), 0.2, 10)
     u = np.ones(25) / 5.0
     grid = [1e-3, 1e-1]
     a = gcv_select(ds.X, u, grid, ops1)
@@ -607,7 +624,7 @@ def test_gcv_sign_invariant(ops1):
 def test_gcv_saturated_smoother_scores_inf(ops1):
     # with vertex sampling and negligible smoothing the smoother matrix
     # approaches the identity and the denominator collapses
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 12, (4.0, 2.0), 0.1, 11)
+    ds = generate_sphere_dataset(ops1.mesh, 12, (4.0, 2.0), 0.1, 11)
     u = np.ones(12) / np.sqrt(12.0)
     with pytest.warns(UserWarning):
         trace = gcv_select(ds.X, u, [1e-15, 1e-2], ops1)
@@ -617,7 +634,7 @@ def test_gcv_saturated_smoother_scores_inf(ops1):
 
 
 def test_gcv_all_saturated_raises(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 12, (4.0, 2.0), 0.1, 12)
+    ds = generate_sphere_dataset(ops1.mesh, 12, (4.0, 2.0), 0.1, 12)
     u = np.ones(12) / np.sqrt(12.0)
     with pytest.warns(UserWarning):
         with pytest.raises(DegenerateSmoother):
@@ -627,7 +644,7 @@ def test_gcv_all_saturated_raises(ops1):
 def test_gcv_large_lambda_analytic_limit(ops2):
     # S collapses onto the constants, so trace(S) -> 1 and the score
     # tends to the centered residual formula
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.1, 13)
+    ds = generate_sphere_dataset(ops2.mesh, 20, (4.0, 2.0), 0.1, 13)
     rng = np.random.default_rng(14)
     u = rng.standard_normal(20)
     u /= np.linalg.norm(u)
@@ -643,7 +660,7 @@ def test_gcv_large_lambda_analytic_limit(ops2):
 
 
 def test_gcv_hutchinson_close_to_exact(ops2, monkeypatch):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 16, (4.0, 2.0), 0.3, 15)
+    ds = generate_sphere_dataset(ops2.mesh, 16, (4.0, 2.0), 0.3, 15)
     rng = np.random.default_rng(16)
     u = rng.standard_normal(16)
     u /= np.linalg.norm(u)
@@ -659,7 +676,7 @@ def test_gcv_hutchinson_close_to_exact(ops2, monkeypatch):
 
 
 def test_gcv_trace_cache_reused(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 17)
+    ds = generate_sphere_dataset(ops1.mesh, 10, (4.0, 2.0), 0.1, 17)
     u = np.ones(10) / np.sqrt(10.0)
     store = selection._Systems(ops1)
     gcv_select(ds.X, u, [1e-3, 1e-1], ops1, systems=store)
@@ -670,7 +687,7 @@ def test_gcv_trace_cache_reused(ops1):
 
 
 def test_gcv_exact_traces_report_no_error(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0), 0.1, 17)
+    ds = generate_sphere_dataset(ops1.mesh, 10, (4.0, 2.0), 0.1, 17)
     u = np.ones(10) / np.sqrt(10.0)
     trace = gcv_select(ds.X, u, [1e-3, 1e-1], ops1)
     assert (trace.trace_errors == 0).all()
@@ -683,7 +700,7 @@ def test_gcv_exact_traces_report_no_error(ops1):
 
 
 def gcv_case(ops, seed):
-    ds = generate_sphere_dataset(ops.mesh, ops, 16, (4.0, 2.0), 0.3, seed)
+    ds = generate_sphere_dataset(ops.mesh, 16, (4.0, 2.0), 0.3, seed)
     u = np.random.default_rng(seed + 1).standard_normal(16)
     return ds.X, u / np.linalg.norm(u)
 
@@ -774,6 +791,56 @@ def test_gcv_capped_trace_matches_direct_hutchinson(ops2, stochastic_traces):
     f_block, _ = system.solve_many(ops2.psi.T @ signs)
     direct = float(np.einsum("sk,sk->", signs, ops2.psi @ f_block)) / 64
     assert store.traces[1e-3].value == pytest.approx(direct, rel=1e-12)
+
+
+
+def test_gcv_names_operators_for_other_locations(ops1, ops2):
+    ds = generate_sphere_dataset(ops1.mesh, 10, (4.0, 2.0), 0.1, 2)
+    with pytest.raises(DimensionMismatch,
+                       match="^data has 42 columns but operators hold 162 locations$"):
+        gcv_select(ds.X, np.full(10, 10 ** -0.5), [1e-3, 1e-1], ops2)
+
+
+# -- the walks against a full sweep -----------------------------------
+
+
+def walk_case(name, mesh, seed):
+    """The centred data of one generator with the command line's
+    defaults, n=50."""
+    if name == "sphere":
+        ds = generate_sphere_dataset(mesh, 50, (4.0, 2.0), 0.1, seed)
+    elif name == "misaligned":
+        ds = generate_misaligned_dataset(mesh, 50, 4.0, (0.0, 0.4), seed)
+    else:
+        ds = generate_eigen_dataset(mesh, [1, 2, 3], (5.0, 3.0, 1.0), 50, 0.1, seed)
+    return DataMatrix(ds.X.values - ds.X.values.mean(axis=0))
+
+
+@pytest.mark.parametrize("name, level, seed", [
+    *((name, level, seed) for level in (1, 2) for seed in (1, 2, 3)
+      for name in ("sphere", "misaligned", "eigen") if (name, level) != ("eigen", 1)),
+    ("sphere", 3, 1), ("misaligned", 3, 1), ("eigen", 3, 1),
+])
+def test_walks_choose_as_a_full_sweep(request, name, level, seed):
+    # Both walks, on the default grid, stop one past the first rise; on
+    # these data the curve has no lower minimum below it, so the walk
+    # chooses the full sweep's argmin. A dense candidate's score does
+    # not depend on the others, so one-point calls give the sweep; GCV
+    # traces are exact at these location counts
+    ops = request.getfixturevalue(f"ops{level}")
+    assert ops.location_count <= selection.EXACT_TRACE_LIMIT
+    X = walk_case(name, ops.mesh, seed)
+    grid = default_lambda_grid(ops)
+    u = estimator.score_step(X, initialize(X))  # the first alternation's scores
+    for walked, sweep in (
+            (kfold_select(X, grid, 5, ops, seed=[seed, 0]),
+             [kfold_select(X, [lam], 5, ops, seed=[seed, 0]).scores[0] for lam in grid]),
+            (gcv_select(X, u, grid, ops), one_point_gcv(X, u, grid, ops))):
+        sweep = np.asarray(sweep)
+        scored = ~np.isnan(walked.scores)
+        assert walked.chosen == int(np.argmin(sweep)), walked.method
+        assert (walked.scores[scored].view(np.int64)
+                == sweep[scored].view(np.int64)).all(), walked.method
 
 
 

@@ -290,7 +290,7 @@ def test_arrays_from_documents_roundtrip(ops1, tmp_path):
     from smfpca import fit, generate_sphere_dataset
     from smfpca.serialize import result_to_dict, truth_to_dict
 
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 12, (4.0, 2.0), 0.0, 0)
+    ds = generate_sphere_dataset(ops1.mesh, 12, (4.0, 2.0), 0.0, 0)
     result = fit(
         ds.X, 2, [1e-6], ops1, selection="fixed"
     )

@@ -549,7 +549,7 @@ def test_mesh_order_computed_once_per_operator_set(sphere2, monkeypatch, masked)
     # blocks are not diagonal, the saddle form, which needs only the
     # saddle order; each is computed once per operator set
     ops = assemble(sphere2, vertex_locations(sphere2))
-    ds = generate_sphere_dataset(sphere2, ops, 20, (4.0, 2.0), 0.1, 31)
+    ds = generate_sphere_dataset(sphere2, 20, (4.0, 2.0), 0.1, 31)
     orders, layouts, factors = [], [], []
     mesh_order, band_layout = solver._mesh_order, solver._BandLayout
     factor = solver.SaddleSystem.__init__
@@ -643,7 +643,7 @@ def test_vertex_masked_kfold_matches_saddle_form(sphere2, monkeypatch):
     # as their K x K Schur complement; forcing the 2K saddle form must
     # change nothing beyond roundoff
     ops = assemble(sphere2, vertex_locations(sphere2))
-    ds = generate_sphere_dataset(sphere2, ops, 20, (4.0, 2.0), 0.1, 33)
+    ds = generate_sphere_dataset(sphere2, 20, (4.0, 2.0), 0.1, 33)
     values = ds.X.values.copy()
     values[np.random.default_rng(34).random(values.shape) < 0.2] = np.nan
     obs = ObservationSet.from_masked(values, vertex_locations(ops.mesh))

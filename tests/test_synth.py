@@ -3,19 +3,16 @@ import pytest
 
 from smfpca import (
     DimensionMismatch,
-    FemOperators,
     InputError,
     NotASphere,
-    assemble,
     generate_eigen_dataset,
     generate_misaligned_dataset,
     generate_sphere_dataset,
     lb_eigenpairs,
     l2_inner,
     sphere_pc_functions,
-    vertex_locations,
 )
-from smfpca.mesh import Locations, TriangleMesh, unit_sphere_mesh
+from smfpca.mesh import TriangleMesh, unit_sphere_mesh
 
 
 HARMONIC_SCALE_1 = 0.5 * np.sqrt(15.0 / np.pi)
@@ -61,7 +58,7 @@ def test_scaled_sphere_rejected(sphere1):
 
 
 def test_sphere_dataset_shapes(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 17, (4.0, 2.0), 0.1, 0)
+    ds = generate_sphere_dataset(ops2.mesh, 17, (4.0, 2.0), 0.1, 0)
     assert ds.X.values.shape == (17, ops2.location_count)
     assert ds.true_components.shape == (ops2.vertex_count, 2)
     assert ds.true_scores.shape == (17, 2)
@@ -70,7 +67,7 @@ def test_sphere_dataset_shapes(ops2):
 
 
 def test_sphere_dataset_zero_noise_is_rank_two(ops2):
-    ds = generate_sphere_dataset(ops2.mesh, ops2, 20, (4.0, 2.0), 0.0, 1)
+    ds = generate_sphere_dataset(ops2.mesh, 20, (4.0, 2.0), 0.0, 1)
     sampled = np.asarray((ops2.psi @ ds.true_components))
     # residual after projecting rows onto the sampled field span
     q, _ = np.linalg.qr(sampled)
@@ -81,16 +78,16 @@ def test_sphere_dataset_zero_noise_is_rank_two(ops2):
 
 
 def test_sphere_dataset_deterministic(ops1):
-    a = generate_sphere_dataset(ops1.mesh, ops1, 12, (4.0, 2.0), 0.1, 42)
-    b = generate_sphere_dataset(ops1.mesh, ops1, 12, (4.0, 2.0), 0.1, 42)
+    a = generate_sphere_dataset(ops1.mesh, 12, (4.0, 2.0), 0.1, 42)
+    b = generate_sphere_dataset(ops1.mesh, 12, (4.0, 2.0), 0.1, 42)
     np.testing.assert_array_equal(a.X.values, b.X.values)
     np.testing.assert_array_equal(a.true_scores, b.true_scores)
-    c = generate_sphere_dataset(ops1.mesh, ops1, 12, (4.0, 2.0), 0.1, 43)
+    c = generate_sphere_dataset(ops1.mesh, 12, (4.0, 2.0), 0.1, 43)
     assert not np.array_equal(a.X.values, c.X.values)
 
 
 def test_sphere_dataset_score_spread(ops1):
-    ds = generate_sphere_dataset(ops1.mesh, ops1, 400, (4.0, 2.0), 0.0, 3)
+    ds = generate_sphere_dataset(ops1.mesh, 400, (4.0, 2.0), 0.0, 3)
     sd = ds.true_scores.std(axis=0, ddof=1)
     # 3 standard errors of the sample sd
     for observed, sigma in zip(sd, (4.0, 2.0)):
@@ -99,16 +96,16 @@ def test_sphere_dataset_score_spread(ops1):
 
 def test_sphere_dataset_validates(ops1):
     with pytest.raises(DimensionMismatch):
-        generate_sphere_dataset(ops1.mesh, ops1, 10, (4.0, 2.0, 1.0), 0.1, 0)
+        generate_sphere_dataset(ops1.mesh, 10, (4.0, 2.0, 1.0), 0.1, 0)
     with pytest.raises(InputError):
-        generate_sphere_dataset(ops1.mesh, ops1, 0, (4.0, 2.0), 0.1, 0)
+        generate_sphere_dataset(ops1.mesh, 0, (4.0, 2.0), 0.1, 0)
 
 
 # -- eigenfunction protocol -------------------------------------------
 
 
 def test_eigen_dataset_spans_selected_modes(ops2):
-    ds = generate_eigen_dataset(ops2.mesh, ops2, [1, 2, 3], (5.0, 3.0, 1.0), 25, 0.0, 4)
+    ds = generate_eigen_dataset(ops2.mesh, [1, 2, 3], (5.0, 3.0, 1.0), 25, 0.0, 4)
     pairs = lb_eigenpairs(ops2, 4)
     fields = np.stack([pairs[j].coefficients for j in (1, 2, 3)], axis=1)
     np.testing.assert_allclose(ds.true_components, fields, atol=1e-12)
@@ -118,16 +115,15 @@ def test_eigen_dataset_spans_selected_modes(ops2):
 
 
 def test_eigen_dataset_open_mesh_warns(right_triangle):
-    ops = assemble(right_triangle, vertex_locations(right_triangle))
     with pytest.warns(UserWarning, match="natural boundary"):
-        generate_eigen_dataset(right_triangle, ops, [1], (1.0,), 5, 0.0, 5)
+        generate_eigen_dataset(right_triangle, [1], (1.0,), 5, 0.0, 5)
 
 
 def test_eigen_dataset_validates(ops1):
     with pytest.raises(DimensionMismatch):
-        generate_eigen_dataset(ops1.mesh, ops1, [1, 2], (5.0,), 10, 0.1, 0)
+        generate_eigen_dataset(ops1.mesh, [1, 2], (5.0,), 10, 0.1, 0)
     with pytest.raises(InputError):
-        generate_eigen_dataset(ops1.mesh, ops1, [-1], (5.0,), 10, 0.1, 0)
+        generate_eigen_dataset(ops1.mesh, [-1], (5.0,), 10, 0.1, 0)
 
 
 # -- misalignment protocol --------------------------------------------
@@ -149,7 +145,7 @@ def shifted_harmonic(mesh, dtheta, dphi):
 
 
 def test_misaligned_rows_match_shifted_fields(ops2):
-    ds = generate_misaligned_dataset(ops2.mesh, ops2, 40, 4.0, (0.0, 0.4), 6)
+    ds = generate_misaligned_dataset(ops2.mesh, 40, 4.0, (0.0, 0.4), 6)
     assert ds.noise_sigma == 0.0
     assert ds.true_components.shape[1] == 1
     v1, _ = sphere_pc_functions(ops2.mesh)
@@ -174,63 +170,45 @@ def test_misaligned_rows_match_shifted_fields(ops2):
 
 
 def test_misaligned_deterministic(ops1):
-    a = generate_misaligned_dataset(ops1.mesh, ops1, 15, 4.0, (0.0, 0.4), 7)
-    b = generate_misaligned_dataset(ops1.mesh, ops1, 15, 4.0, (0.0, 0.4), 7)
+    a = generate_misaligned_dataset(ops1.mesh, 15, 4.0, (0.0, 0.4), 7)
+    b = generate_misaligned_dataset(ops1.mesh, 15, 4.0, (0.0, 0.4), 7)
     np.testing.assert_array_equal(a.X.values, b.X.values)
 
 
 def test_misaligned_rejects_non_sphere(tetra):
-    ops = assemble(tetra, vertex_locations(tetra))
     with pytest.raises(NotASphere):
-        generate_misaligned_dataset(tetra, ops, 5, 4.0, (0.0, 0.4), 0)
+        generate_misaligned_dataset(tetra, 5, 4.0, (0.0, 0.4), 0)
 
 
 def test_generators_reject_negative_seed(ops1):
     mesh = ops1.mesh
     draws = (
-        lambda: generate_sphere_dataset(mesh, ops1, 5, (4.0, 2.0), 0.1, -1),
-        lambda: generate_eigen_dataset(mesh, ops1, [1], (5.0,), 5, 0.1, -1),
-        lambda: generate_misaligned_dataset(mesh, ops1, 5, 4.0, (0.0, 0.4), -1),
+        lambda: generate_sphere_dataset(mesh, 5, (4.0, 2.0), 0.1, -1),
+        lambda: generate_eigen_dataset(mesh, [1], (5.0,), 5, 0.1, -1),
+        lambda: generate_misaligned_dataset(mesh, 5, 4.0, (0.0, 0.4), -1),
     )
     for draw in draws:
         with pytest.raises(InputError, match="seed must be non-negative, got -1"):
             draw()
 
 
-# -- the psi-free path on vertex locations ----------------------------
+# -- signed zeros ------------------------------------------------------
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
-def test_vertex_sampled_generators_match_the_assembled_product(level, monkeypatch):
-    # On the vertices psi is the identity and the generators skip it; the
-    # data must keep every bit of (psi @ V.T).T, sign bits included (the
-    # misaligned fields hold -0.0, which the product turns into 0.0).
+def test_generators_return_no_negative_zero(level):
+    # A negative score times a field's exact zero is -0.0 (the sphere
+    # harmonics vanish on the coordinate planes); the generators return
+    # it as 0.0, so data.csv never holds "-0.0". No noise, so the zeros
+    # stay.
     mesh = unit_sphere_mesh(level)
-    lazy = FemOperators(mesh, vertex_locations(mesh))
-    assert lazy.psi_is_identity
-
-    def both(generate):
-        skipped = generate(lazy).X.values
-        assert "psi" not in vars(lazy)  # never built
-        with monkeypatch.context() as patch:
-            patch.setattr(FemOperators, "psi_is_identity", False)
-            product = generate(assemble(mesh, vertex_locations(mesh))).X.values
-        assert skipped.shape == product.shape
-        assert (skipped.view(np.int64) == product.view(np.int64)).all()
-
-    both(lambda ops: generate_sphere_dataset(mesh, ops, 20, [4.0, 2.0], 0.0, level))
-    both(lambda ops: generate_misaligned_dataset(mesh, ops, 20, 4.0, seed=level))
-
-
-def test_psi_is_identity_only_on_the_vertices_in_order(sphere1):
-    ops = assemble(sphere1, vertex_locations(sphere1))
-    assert ops.psi_is_identity
-    assert np.array_equal(ops.psi.toarray(), np.eye(sphere1.K))
-    locations = vertex_locations(sphere1)
-    reversed_order = Locations(locations.triangles[::-1], locations.weights[::-1])
-    centroids = Locations(np.arange(sphere1.K) % sphere1.T,
-                          np.full((sphere1.K, 3), 1.0 / 3.0))
-    for other in (reversed_order, centroids):
-        ops = FemOperators(sphere1, other)
-        assert not ops.psi_is_identity
-        assert not np.array_equal(ops.psi.toarray(), np.eye(sphere1.K))
+    draws = {
+        "sphere": generate_sphere_dataset(mesh, 20, [4.0, 2.0], 0.0, level),
+        "misaligned": generate_misaligned_dataset(mesh, 20, 4.0, seed=level),
+        "eigen": generate_eigen_dataset(mesh, [1, 2, 3], [5.0, 3.0, 1.0], 20, 0.0, level),
+    }
+    for name, ds in draws.items():
+        zeros = ds.X.values[ds.X.values == 0.0]
+        assert not np.signbit(zeros).any(), name
+        if name != "eigen":  # the harmonics' zeros meet negative scores
+            assert zeros.size and (ds.true_scores < 0).any(), name
