@@ -3,8 +3,13 @@
 Two broad families matter to callers: problems with the input data or
 configuration (:class:`InputError`) and numerical failures encountered
 while solving (:class:`NumericalError`). The command line tool maps the
-former to exit code 2 and the latter to exit code 3.
+former to exit code 2 and the latter to exit code 3. Every public count,
+seed and real argument is checked by `check_count` or `check_real`.
 """
+
+import math
+import numbers
+import operator
 
 
 class SmfpcaError(Exception):
@@ -13,6 +18,37 @@ class SmfpcaError(Exception):
 
 class InputError(SmfpcaError):
     """Invalid input data, file content, or configuration."""
+
+
+def check_count(name, value, low, high=None, error=InputError):
+    """``value`` as an int if it is an integer as `operator.index` takes
+    one (not a bool, not a float) in [``low``, ``high``], no upper bound
+    when ``high`` is None; else raise ``error`` naming it ``name``."""
+    if not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if high is not None and not low <= value <= high:
+                raise error(f"{name} must lie in [{low}, {high}], got {value}")
+            if value < low:
+                bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+                raise error(f"{name} must be {bound}, got {value}")
+            return value
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name, value, low=-math.inf, strict=False, error=InputError):
+    """``value`` as a float if it is a finite real number (not a bool, not
+    a string) at least ``low`` (-inf or 0), or above it when ``strict``;
+    else raise ``error`` naming it ``name``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        value = float(value)
+        if math.isfinite(value) and (value > low if strict else value >= low):
+            return value
+    bound = "" if low == -math.inf else " and positive" if strict else " and non-negative"
+    raise error(f"{name} must be finite{bound}, got {value!r}")
 
 
 class NumericalError(SmfpcaError):

@@ -27,7 +27,6 @@ components are not double counted.
 """
 
 import copy
-import operator
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -41,6 +40,8 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NonMonotoneObjective,
+    check_count,
+    check_real,
 )
 from .fem import FemOperators, _checked_locations, _fix_sign, l2_inner, location_matrix
 
@@ -366,12 +367,15 @@ def fit_component(
     DegenerateData
         Zero data, or a vanishing projection during iteration.
     DimensionMismatch, InputError
-        ``start`` is not a finite vector with one entry per location.
+        ``start`` is not a finite vector with one entry per location, or
+        ``max_iterations`` or ``tolerance`` is not as `fit` documents.
     NonMonotoneObjective
         Internal assertion; both updates are exact minimizers, so an
         objective increase beyond roundoff slack signals a solver bug.
     """
     lam = float(lam)
+    max_iterations = check_count("max_iterations", max_iterations, 0)
+    tolerance = check_real("tolerance", tolerance, 0)
     if system is None:
         system = solver.SaddleSystem(ops, data_gram(ops), lam)
     elif system.lam != lam:
@@ -694,19 +698,10 @@ def _check_selection(n_components, selection, lambda_grid, methods,
                      max_iterations, tolerance, seed):
     """The argument checks of `fit` and `fit_missing`; returns the
     checked grid."""
-    for name, count in (("n_components", n_components),
-                        ("max_iterations", max_iterations), ("seed", seed)):
-        _check_count(name, count)
-    if n_components < 1:
-        raise InputError("n_components must be at least 1")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
-    if max_iterations < 0:
-        raise InputError(f"max_iterations must be at least 0, got {max_iterations}")
-    if not 0 <= tolerance < np.inf:
-        raise InputError(
-            f"tolerance must be non-negative and finite, got {tolerance:g}"
-        )
+    check_count("n_components", n_components, 1)
+    check_count("max_iterations", max_iterations, 0)
+    check_count("seed", seed, 0)
+    check_real("tolerance", tolerance, 0)
     if selection not in methods:
         if selection == "gcv":
             raise InputError(
@@ -721,18 +716,6 @@ def _check_selection(n_components, selection, lambda_grid, methods,
     return grid
 
 
-def _check_count(name, value, error=InputError):
-    """Raise ``error`` unless ``value`` is an integer (a Python or numpy
-    int; not a bool, not a float), as a config file's integer must be."""
-    if not isinstance(value, bool):
-        try:
-            operator.index(value)
-            return
-        except TypeError:
-            pass
-    raise error(f"{name} must be an integer, got {value!r}")
-
-
 def _check_locations(X, ops: FemOperators):
     """Raise DimensionMismatch unless ``X`` has one column per location
     of ``ops``."""
@@ -743,11 +726,10 @@ def _check_locations(X, ops: FemOperators):
 
 
 def _check_grid(lambda_grid):
-    grid = np.asarray(lambda_grid, dtype=np.float64).ravel()
+    grid = np.array([check_real(f"lambda grid entry {j}", lam, 0, strict=True)
+                     for j, lam in enumerate(np.asarray(lambda_grid, object).ravel())])
     if grid.size == 0:
         raise InputError("lambda grid is empty")
-    if not ((grid > 0) & (grid < np.inf)).all():
-        raise InputError("lambda grid entries must be positive and finite")
     return grid
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch
+from .errors import ConvergenceFailure, DimensionMismatch, check_count
 from .mesh import Locations, TriangleMesh
 
 _ELEMENT_MASS = np.array(
@@ -201,10 +201,7 @@ def lb_eigenpairs(ops: FemOperators, count: int):
         If the iterative eigensolver does not converge.
     """
     K = ops.vertex_count
-    if count < 1:
-        raise DimensionMismatch("count must be at least 1")
-    if count >= K:
-        raise DimensionMismatch(f"count must be below the vertex count {K}")
+    count = check_count("count", count, 1, K - 1, DimensionMismatch)
     # A deterministic non-constant start vector: the constant vector is
     # an exact eigenvector and would stall the iteration. A few extra
     # pairs are computed and trimmed: symmetric surfaces carry exactly

@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     ResourceLimit,
     TopologyError,
+    check_count,
 )
 
 # Tolerance for barycentric containment; tiny negatives are clamped.
@@ -492,8 +493,7 @@ def unit_sphere_mesh(subdivisions: int) -> TriangleMesh:
     ResourceLimit
         If the vertex count would exceed the built-in cap.
     """
-    if subdivisions < 0:
-        raise InputError("subdivisions must be nonnegative")
+    subdivisions = check_count("subdivisions", subdivisions, 0)
     predicted = 10 * 4**subdivisions + 2
     if predicted > SPHERE_VERTEX_CAP:
         raise ResourceLimit(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, RankDeficient, check_count
 from .estimator import DataMatrix, _gram_pairs
 from .fem import _fix_sign, _mass_inner
 from .mesh import TriangleMesh
@@ -60,10 +60,7 @@ def mv_pca(X: DataMatrix, n_components: int, mesh: TriangleMesh):
     triangle from the mesh (`fem._mass_inner`), so no operator matrix
     is built.
     """
-    if n_components < 1 or n_components > min(X.n, X.s):
-        raise DimensionMismatch(
-            f"n_components must lie in [1, {min(X.n, X.s)}], got {n_components}"
-        )
+    check_count("n_components", n_components, 1, min(X.n, X.s), DimensionMismatch)
     if X.s != mesh.K:
         raise DimensionMismatch(
             "multivariate PCA baseline needs one data column per mesh vertex"

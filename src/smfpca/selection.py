@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator, solver
-from .errors import DegenerateSmoother, DimensionMismatch, InputError, InvalidFoldCount
+from .errors import DegenerateSmoother, DimensionMismatch, InputError, InvalidFoldCount, check_count
 from .fem import FemOperators
 
 # Above this location count, exact smoother traces give way to a
@@ -63,14 +63,10 @@ class SelectionTrace:
 
 def make_folds(n: int, folds: int, seed):
     """Seeded partition of ``range(n)`` into near-equal groups; ``seed``
-    is a non-negative integer or a sequence of them."""
-    estimator._check_count("fold count", folds, InvalidFoldCount)
-    if not 2 <= folds <= n:
-        raise InvalidFoldCount(
-            f"fold count must lie in [2, {n}] for {n} functions, got {folds}"
-        )
-    if seed is not None and np.min(seed) < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+    is None, a non-negative integer or a sequence of them."""
+    folds = check_count("fold count", folds, 2, n, InvalidFoldCount)
+    if seed is not None:  # numpy seeds an int n as it seeds [n]
+        seed = [check_count("seed", s, 0) for s in np.atleast_1d(np.asarray(seed, object))]
     perm = np.random.default_rng(seed).permutation(n)
     return np.array_split(perm, folds)
 

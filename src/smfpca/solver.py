@@ -100,7 +100,7 @@ import weakref
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, SingularSystem
+from .errors import DimensionMismatch, SingularSystem, check_real
 from .fem import FemOperators
 
 # Iterative refinement against a stale factorization stops once the
@@ -161,11 +161,7 @@ class SaddleSystem:
     def __init__(self, ops: FemOperators, upper_left, lam: float):
         import scipy.sparse as sparse
 
-        lam = float(lam)
-        if not 0 < lam < np.inf:
-            raise InputError(
-                f"smoothing parameter must be positive and finite, got {lam:g}"
-            )
+        lam = check_real("smoothing parameter", lam, 0, strict=True)
         self._labels = ops.mesh.component_labels
         upper_left = _checked_block(upper_left, self._labels)
         self.lam = lam

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, NotASphere
+from .errors import DimensionMismatch, InputError, NotASphere, check_count, check_real
 from .estimator import DataMatrix
 from .fem import FemOperators, lb_eigenpairs
 from .mesh import TriangleMesh, vertex_locations
@@ -53,14 +53,11 @@ def _drawn(fields, sigmas, n, noise_sigma, seed, generator):
 
 
 def _check_draw(n, noise_sigma, sigmas, seed):
-    if n < 1:
-        raise InputError("n must be at least 1")
-    if not 0 <= noise_sigma < np.inf:
-        raise InputError(f"noise sigma must be finite and non-negative, got {noise_sigma:g}")
-    if not np.isfinite(sigmas).all():
-        raise InputError(f"score sigmas must be finite, got {np.ravel(sigmas).tolist()}")
-    if seed < 0:  # numpy would raise a bare ValueError
-        raise InputError(f"seed must be non-negative, got {seed}")
+    check_count("n", n, 1)
+    check_real("noise sigma", noise_sigma, 0)
+    for j, sigma in enumerate(sigmas):
+        check_real(f"score sigmas entry {j}", sigma)
+    check_count("seed", seed, 0)
 
 
 def _warn_if_open(mesh: TriangleMesh):
@@ -93,12 +90,10 @@ def generate_eigen_dataset(mesh: TriangleMesh, eigen_selection, sigmas, n: int,
     seed : int
         Scores are drawn before noise from one stream.
     """
-    idx = [int(i) for i in eigen_selection]
+    idx = [check_count(f"eigen_selection entry {j}", i, 0) for j, i in enumerate(eigen_selection)]
     sig = np.asarray(sigmas, dtype=np.float64)
     if not idx:
         raise InputError("eigen_selection is empty")
-    if min(idx) < 0:
-        raise InputError("eigen indices must be nonnegative")
     if sig.shape != (len(idx),):
         raise DimensionMismatch(
             f"need one sigma per eigenfunction, got {sig.shape} for {len(idx)}"
@@ -164,7 +159,7 @@ def generate_misaligned_dataset(mesh: TriangleMesh, n: int, sigma: float,
         raise InputError("shift_set must be a nonempty sequence")
     if not np.isfinite(shift_values).all():
         raise InputError("shift_set must be finite")
-    _check_draw(n, 0.0, sigma, seed)
+    _check_draw(n, 0.0, [sigma], seed)
     _require_unit_sphere(mesh)
 
     rng = np.random.default_rng(seed)

@@ -5,21 +5,18 @@ the measured quantity next to the bound it must meet. Thresholds here
 are contractual: do not loosen them to make a failure go away.
 """
 
-import json
 import warnings
 
 import numpy as np
 import pytest
 
 from smfpca import (
-    DataMatrix,
     ObservationSet,
     assemble,
     cli,
     default_lambda_grid,
     fit,
     fit_missing,
-    gcv_select,
     lb_eigenpairs,
     mv_pca,
     principal_angle,

@@ -264,7 +264,7 @@ FIT = ["fit", "--mesh", "mesh.off", "--n-components", 2]
 # Each case: arguments (run in a level-1 simulation's directory), exit
 # code and the message that names the fault.
 FAILING = {
-    "sphere": (["simulate", "--sphere", -1], 2, "subdivisions must be nonnegative"),
+    "sphere": (["simulate", "--sphere", -1], 2, "subdivisions must be non-negative, got -1"),
     "eigen-indices": (SIM + ["--generator", "eigen", "--eigen-indices", ""],
                       2, "eigen_selection is empty"),
     "shift-set-empty": (SIM + ["--generator", "misaligned", "--shift-set", ""],

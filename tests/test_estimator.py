@@ -16,7 +16,6 @@ from smfpca import (
     NonMonotoneObjective,
     ObservationSet,
     adjusted_total_variance,
-    assemble,
     SaddleSystem,
     default_lambda_grid,
     deflate,
